@@ -1,11 +1,12 @@
 // Driver throughput benchmarks (experiment id DRV-tp): the full Interactive
 // mix (updates + complex reads + short reads per Table 3.1 frequencies) and
-// the sequential BI stream.
+// one sequential BI stream through the scheduler (the power run's shape).
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "driver/driver.h"
+#include "sched/scheduler.h"
 
 namespace snb::bench {
 namespace {
@@ -41,10 +42,12 @@ BENCHMARK(BM_InteractiveWorkload)
 
 void BM_BiStream(benchmark::State& state) {
   BenchData& data = DataFor(600);
+  sched::SchedulerConfig cfg;
+  cfg.num_workers = 1;
   for (auto _ : state) {
-    driver::DriverReport report =
-        driver::RunBiWorkload(data.graph, data.params, 1);
-    benchmark::DoNotOptimize(report.total_operations);
+    sched::ScheduleResult run =
+        sched::RunStreams(data.graph, data.params, cfg);
+    benchmark::DoNotOptimize(run.total_completed);
   }
 }
 BENCHMARK(BM_BiStream)->Unit(benchmark::kMillisecond);

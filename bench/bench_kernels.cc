@@ -3,9 +3,9 @@
 // (BI 18), times three plans —
 //
 //   baseline   the naive engine: full scans, no index, no pruning
-//   pushdown   the optimized sequential engine (zone maps + shared bound)
+//   pushdown   the optimized kernel on one slot (zone maps + shared bound)
 //   adaptive   the scheduler path: engine::DispatchModel decides per query
-//              between the pushdown-sequential and morsel engines
+//              whether the kernel gets the morsel pool
 //
 // — verifies all plans return bit-identical rows, and collects the
 // storage::ScanStats counters (rows decoded, blocks skipped by date zones,
@@ -37,7 +37,6 @@
 
 #include "bi/bi.h"
 #include "bi/naive.h"
-#include "bi/parallel.h"
 #include "core/date_time.h"
 #include "datagen/datagen.h"
 #include "engine/dispatch.h"
@@ -193,12 +192,13 @@ int main(int argc, char** argv) {
 
   std::vector<KernelReport> reports;
 
-  // One report per pushdown query. `has_par = false` (BI 18) skips the
-  // morsel and adaptive plans — BI 18 has no morsel variant; its win is the
-  // index range scan plus the dictionary-coded hot columns.
+  // One report per pushdown query: `run_fn(graph, binding, pool)` is the
+  // kernel, run with no pool (one slot) and with the morsel pool.
+  // `has_par = false` (BI 18) skips the morsel and adaptive plans — BI 18 is
+  // not morsel-partitioned; its win is the index range scan plus the
+  // dictionary-coded hot columns.
   auto bench = [&](const char* name, int qnum, const auto& bindings,
-                   auto&& naive_fn, auto&& seq_fn, auto&& par_fn,
-                   bool has_par) {
+                   auto&& naive_fn, auto&& run_fn, bool has_par) {
     if (bindings.empty()) return;
     KernelReport r;
     r.name = name;
@@ -209,8 +209,10 @@ int main(int argc, char** argv) {
     // Correctness first: every plan must return bit-identical rows.
     for (size_t b = 0; b < bindings.size(); ++b) {
       auto oracle = naive_fn(graph, bindings[b]);
-      if (seq_fn(graph, bindings[b]) != oracle) r.results_match = false;
-      if (has_par && par_fn(graph, bindings[b], pool) != oracle) {
+      if (run_fn(graph, bindings[b], nullptr) != oracle) {
+        r.results_match = false;
+      }
+      if (has_par && run_fn(graph, bindings[b], &pool) != oracle) {
         r.results_match = false;
       }
     }
@@ -220,7 +222,7 @@ int main(int argc, char** argv) {
     storage::ScanStats stats;
     {
       storage::ScopedScanStats guard(&stats);
-      for (const auto& b : bindings) seq_fn(graph, b);
+      for (const auto& b : bindings) run_fn(graph, b, nullptr);
     }
     r.rows_decoded = stats.rows_decoded.load();
     r.blocks_skipped_date = stats.blocks_skipped_date.load();
@@ -231,11 +233,11 @@ int main(int argc, char** argv) {
       for (const auto& b : bindings) naive_fn(graph, b);
     });
     r.pushdown_ms = BestMs(opt.reps, [&] {
-      for (const auto& b : bindings) seq_fn(graph, b);
+      for (const auto& b : bindings) run_fn(graph, b, nullptr);
     });
     if (has_par) {
       r.parallel_ms = BestMs(opt.reps, [&] {
-        for (const auto& b : bindings) par_fn(graph, b, pool);
+        for (const auto& b : bindings) run_fn(graph, b, &pool);
       });
       // Adaptive plan through the scheduler's own dispatch point, so the
       // decision recorded here is exactly what a power run would take.
@@ -255,19 +257,14 @@ int main(int argc, char** argv) {
     reports.push_back(std::move(r));
   };
 
-  bench("BI 2", 2, params.bi2, bi::naive::RunBi2, bi::RunBi2,
-        bi::parallel::RunBi2, true);
-  bench("BI 3", 3, params.bi3, bi::naive::RunBi3, bi::RunBi3,
-        bi::parallel::RunBi3, true);
-  bench("BI 6", 6, params.bi6, bi::naive::RunBi6, bi::RunBi6,
-        bi::parallel::RunBi6, true);
-  bench("BI 12", 12, params.bi12, bi::naive::RunBi12, bi::RunBi12,
-        bi::parallel::RunBi12, true);
-  bench("BI 14", 14, params.bi14, bi::naive::RunBi14, bi::RunBi14,
-        bi::parallel::RunBi14, true);
-  bench("BI 18", 18, params.bi18, bi::naive::RunBi18, bi::RunBi18,
+  bench("BI 2", 2, params.bi2, bi::naive::RunBi2, bi::RunBi2, true);
+  bench("BI 3", 3, params.bi3, bi::naive::RunBi3, bi::RunBi3, true);
+  bench("BI 6", 6, params.bi6, bi::naive::RunBi6, bi::RunBi6, true);
+  bench("BI 12", 12, params.bi12, bi::naive::RunBi12, bi::RunBi12, true);
+  bench("BI 14", 14, params.bi14, bi::naive::RunBi14, bi::RunBi14, true);
+  bench("BI 18", 18, params.bi18, bi::naive::RunBi18,
         [](const storage::Graph& g, const bi::Bi18Params& b,
-           util::ThreadPool&) { return bi::RunBi18(g, b); },
+           util::ThreadPool*) { return bi::RunBi18(g, b); },
         false);
 
   std::string json;

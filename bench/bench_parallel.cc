@@ -1,5 +1,5 @@
-// Morsel-parallel speedup report (CP-1.2 / CP-2.2): times every BI query
-// with a morsel-parallel variant sequentially and on 2/4/8-worker pools,
+// Morsel-parallel speedup report (CP-1.2 / CP-2.2): times every
+// morsel-partitioned BI kernel on one slot and on 2/4/8-worker pools,
 // plus the zone-map pruning ratio of a one-month index window, and emits
 // the result as bench/out/BENCH_parallel.json (gitignored — compare against
 // the committed baseline bench/BENCH_parallel.json) and echoed to stdout.
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bi/bi.h"
-#include "bi/parallel.h"
 #include "core/date_time.h"
 #include "datagen/datagen.h"
 #include "engine/dispatch.h"
@@ -148,20 +147,19 @@ int main(int argc, char** argv) {
 
   // One entry per morsel-parallel query: run every curated binding once per
   // timed repetition so skewed bindings do not dominate the comparison.
-  auto bench = [&](const char* name, int qnum, auto&& bindings, auto&& seq,
-                   auto&& par) {
+  auto bench = [&](const char* name, int qnum, auto&& bindings, auto&& run) {
     if (bindings.empty()) return;
     QueryReport r;
     r.name = name;
     std::fprintf(stderr, "%s...\n", name);
     r.seq_ms = BestMs(opt.reps, [&] {
-      for (const auto& b : bindings) seq(graph, b);
+      for (const auto& b : bindings) run(graph, b, nullptr);
     });
     for (size_t threads : kThreadCounts) {
       util::ThreadPool pool(threads);
       r.parallel_ms.emplace_back(threads, BestMs(opt.reps, [&] {
                                    for (const auto& b : bindings) {
-                                     par(graph, b, pool);
+                                     run(graph, b, &pool);
                                    }
                                  }));
     }
@@ -181,17 +179,17 @@ int main(int argc, char** argv) {
     reports.push_back(std::move(r));
   };
 
-  bench("BI 1", 1, params.bi1, bi::RunBi1, bi::parallel::RunBi1);
-  bench("BI 2", 2, params.bi2, bi::RunBi2, bi::parallel::RunBi2);
-  bench("BI 3", 3, params.bi3, bi::RunBi3, bi::parallel::RunBi3);
-  bench("BI 6", 6, params.bi6, bi::RunBi6, bi::parallel::RunBi6);
-  bench("BI 12", 12, params.bi12, bi::RunBi12, bi::parallel::RunBi12);
-  bench("BI 13", 13, params.bi13, bi::RunBi13, bi::parallel::RunBi13);
-  bench("BI 14", 14, params.bi14, bi::RunBi14, bi::parallel::RunBi14);
-  bench("BI 17", 17, params.bi17, bi::RunBi17, bi::parallel::RunBi17);
-  bench("BI 20", 20, params.bi20, bi::RunBi20, bi::parallel::RunBi20);
-  bench("BI 23", 23, params.bi23, bi::RunBi23, bi::parallel::RunBi23);
-  bench("BI 24", 24, params.bi24, bi::RunBi24, bi::parallel::RunBi24);
+  bench("BI 1", 1, params.bi1, bi::RunBi1);
+  bench("BI 2", 2, params.bi2, bi::RunBi2);
+  bench("BI 3", 3, params.bi3, bi::RunBi3);
+  bench("BI 6", 6, params.bi6, bi::RunBi6);
+  bench("BI 12", 12, params.bi12, bi::RunBi12);
+  bench("BI 13", 13, params.bi13, bi::RunBi13);
+  bench("BI 14", 14, params.bi14, bi::RunBi14);
+  bench("BI 17", 17, params.bi17, bi::RunBi17);
+  bench("BI 20", 20, params.bi20, bi::RunBi20);
+  bench("BI 23", 23, params.bi23, bi::RunBi23);
+  bench("BI 24", 24, params.bi24, bi::RunBi24);
 
   // Zone-map pruning: how many index entries a one-month window examines
   // vs the full message count. The window is the median base month, so it

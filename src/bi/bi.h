@@ -7,8 +7,14 @@
 // reconstructed from the official 0.3.3 reference definitions; each such
 // reconstruction is documented at its declaration (see DESIGN.md).
 //
+// The scan-dominated templates (BI 1, 2, 3, 6, 12, 13, 14, 17, 20, 23, 24)
+// take an optional intra-query pool: each is one init/fold/merge kernel over
+// engine::ParallelAggregate, partitioned into morsels of its scan domain. A
+// null pool runs one slot inline on the calling thread; any pool size
+// returns bit-identical rows.
+//
 // A naive tuple-at-a-time baseline of every query lives in bi/naive.h with
-// identical signatures; tests cross-validate the two engines on generated
+// (pool-less) signatures; tests cross-validate the engines on generated
 // networks.
 
 #ifndef SNB_BI_BI_H_
@@ -21,6 +27,10 @@
 
 #include "core/date_time.h"
 #include "storage/graph.h"
+
+namespace snb::util {
+class ThreadPool;
+}  // namespace snb::util
 
 namespace snb::bi {
 
@@ -49,7 +59,8 @@ struct Bi1Row {
   bool operator==(const Bi1Row&) const = default;
 };
 
-std::vector<Bi1Row> RunBi1(const Graph& graph, const Bi1Params& params);
+std::vector<Bi1Row> RunBi1(const Graph& graph, const Bi1Params& params,
+                           util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 2 — Top tags for country, age, gender, time. [reconstructed]
@@ -82,7 +93,8 @@ struct Bi2Row {
   bool operator==(const Bi2Row&) const = default;
 };
 
-std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params);
+std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params,
+                           util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 3 — Tag evolution. [reconstructed]
@@ -104,7 +116,8 @@ struct Bi3Row {
   bool operator==(const Bi3Row&) const = default;
 };
 
-std::vector<Bi3Row> RunBi3(const Graph& graph, const Bi3Params& params);
+std::vector<Bi3Row> RunBi3(const Graph& graph, const Bi3Params& params,
+                           util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 4 — Popular topics in a country. [reconstructed]
@@ -176,7 +189,8 @@ struct Bi6Row {
   bool operator==(const Bi6Row&) const = default;
 };
 
-std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params);
+std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params,
+                           util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 7 — Most authoritative users on a given topic. [reconstructed]
@@ -314,7 +328,8 @@ struct Bi12Row {
   bool operator==(const Bi12Row&) const = default;
 };
 
-std::vector<Bi12Row> RunBi12(const Graph& graph, const Bi12Params& params);
+std::vector<Bi12Row> RunBi12(const Graph& graph, const Bi12Params& params,
+                             util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 13 — Popular tags per month in a country.
@@ -336,7 +351,8 @@ struct Bi13Row {
   bool operator==(const Bi13Row&) const = default;
 };
 
-std::vector<Bi13Row> RunBi13(const Graph& graph, const Bi13Params& params);
+std::vector<Bi13Row> RunBi13(const Graph& graph, const Bi13Params& params,
+                             util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 14 — Top thread initiators.
@@ -361,7 +377,8 @@ struct Bi14Row {
   bool operator==(const Bi14Row&) const = default;
 };
 
-std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params);
+std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params,
+                             util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 15 — Social normals. [reconstructed]
@@ -429,7 +446,8 @@ struct Bi17Row {
   bool operator==(const Bi17Row&) const = default;
 };
 
-std::vector<Bi17Row> RunBi17(const Graph& graph, const Bi17Params& params);
+std::vector<Bi17Row> RunBi17(const Graph& graph, const Bi17Params& params,
+                             util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 18 — How many persons have a given number of messages.
@@ -499,7 +517,8 @@ struct Bi20Row {
   bool operator==(const Bi20Row&) const = default;
 };
 
-std::vector<Bi20Row> RunBi20(const Graph& graph, const Bi20Params& params);
+std::vector<Bi20Row> RunBi20(const Graph& graph, const Bi20Params& params,
+                             util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 21 — Zombies in a country.
@@ -571,7 +590,8 @@ struct Bi23Row {
   bool operator==(const Bi23Row&) const = default;
 };
 
-std::vector<Bi23Row> RunBi23(const Graph& graph, const Bi23Params& params);
+std::vector<Bi23Row> RunBi23(const Graph& graph, const Bi23Params& params,
+                             util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 24 — Messages by topic and continent. [reconstructed]
@@ -595,7 +615,8 @@ struct Bi24Row {
   bool operator==(const Bi24Row&) const = default;
 };
 
-std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params);
+std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params,
+                             util::ThreadPool* pool = nullptr);
 
 // ---------------------------------------------------------------------------
 // BI 25 — Trusted connection paths. [reconstructed]

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <unordered_map>
 
 #include "bi/bi.h"
@@ -8,7 +9,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params) {
+std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params,
+                           util::ThreadPool* pool) {
   using internal::Bi2Key;
   using internal::Bi2KeyHash;
   using internal::CountryIdx;
@@ -17,8 +19,17 @@ std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params) {
       core::DateTimeFromDate(params.end_date) + core::kMillisPerDay;
   const core::DateTime sim_end = core::DateTimeFromDate(params.simulation_end);
 
+  // The scan domain: the persons of each distinct, known country, country
+  // after country — positions [0, sizes[0]) then [sizes[0], sum).
   uint32_t countries[2] = {CountryIdx(graph, params.country1),
                            CountryIdx(graph, params.country2)};
+  if (countries[1] == countries[0]) countries[1] = storage::kNoIdx;
+  size_t sizes[2] = {0, 0};
+  for (int c = 0; c < 2; ++c) {
+    if (countries[c] != storage::kNoIdx) {
+      sizes[c] = graph.CountryPersons().Degree(countries[c]);
+    }
+  }
 
   // Age group: whole 5-year buckets of the person's age at simulation end.
   auto age_group_of = [&](uint32_t person) {
@@ -28,11 +39,9 @@ std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params) {
     return static_cast<int32_t>(years / 5);
   };
 
-  std::unordered_map<Bi2Key, int64_t, Bi2KeyHash> counts;
-
-  CancelPoller poll(256);  // per-person work is a message expansion
-  auto scan_person_messages = [&](uint32_t person, uint32_t country) {
-    poll.Tick();
+  using CountMap = std::unordered_map<Bi2Key, int64_t, Bi2KeyHash>;
+  auto scan_person_messages = [&](CountMap& counts, uint32_t person,
+                                  uint32_t country) {
     // Person-granularity date-zone pruning (CP-2.3): a person whose message
     // dates all miss the window contributes nothing — skip the expansion
     // before touching either adjacency list.
@@ -59,13 +68,26 @@ std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params) {
     });
   };
 
-  for (int c = 0; c < 2; ++c) {
-    if (countries[c] == storage::kNoIdx) continue;
-    if (c == 1 && countries[1] == countries[0]) break;  // same country twice
-    graph.CountryPersons().ForEach(countries[c], [&](uint32_t person) {
-      scan_person_messages(person, countries[c]);
-    });
-  }
+  const CountMap counts = internal::Aggregate(
+      pool, sizes[0] + sizes[1], [] { return CountMap{}; },
+      [&](CountMap& local, size_t begin, size_t domain_end) {
+        PollCancel();
+        size_t offset = 0;
+        for (int c = 0; c < 2; ++c) {
+          if (begin < offset + sizes[c] && domain_end > offset) {
+            graph.CountryPersons().ForEachSlice(
+                countries[c], begin > offset ? begin - offset : 0,
+                std::min(domain_end - offset, sizes[c]), [&](uint32_t person) {
+                  scan_person_messages(local, person, countries[c]);
+                });
+          }
+          offset += sizes[c];
+        }
+      },
+      [](CountMap& into, const CountMap& from) {
+        for (const auto& [key, count] : from) into[key] += count;
+      },
+      internal::kExpandMorselSize);
 
   // Top-k finisher over integer-keyed candidates: the CP-1.3 bound on the
   // message count drops losing groups before any name string is built (the

@@ -8,7 +8,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi3Row> RunBi3(const Graph& graph, const Bi3Params& params) {
+std::vector<Bi3Row> RunBi3(const Graph& graph, const Bi3Params& params,
+                           util::ThreadPool* pool) {
   // Month windows [m1, m2) and [m2, m3).
   int32_t y2 = params.year, m2 = params.month + 1;
   if (m2 > 12) {
@@ -27,14 +28,33 @@ std::vector<Bi3Row> RunBi3(const Graph& graph, const Bi3Params& params) {
   // Index range scan over [t1, t3) — the window filter becomes a binary
   // search on the sorted base plus zone-map pruning of the update tail
   // (CP-2.2/2.3).
-  std::vector<int64_t> count1(graph.NumTags(), 0), count2(graph.NumTags(), 0);
-  CancelPoller poll;
-  graph.ForEachMessageInRange(t1, t3, [&](uint32_t msg) {
-    poll.Tick();
-    std::vector<int64_t>& counts =
-        graph.MessageCreationDate(msg) < t2 ? count1 : count2;
-    graph.ForEachMessageTag(msg, [&](uint32_t tag) { ++counts[tag]; });
-  });
+  struct State {
+    std::vector<int64_t> count1, count2;
+  };
+  const size_t num_tags = graph.NumTags();
+  const Graph::MessageRangeView range = graph.MessageRange(t1, t3);
+  const State all = internal::Aggregate(
+      pool, range.size(),
+      [num_tags] {
+        return State{std::vector<int64_t>(num_tags, 0),
+                     std::vector<int64_t>(num_tags, 0)};
+      },
+      [&](State& s, size_t begin, size_t end) {
+        PollCancel();
+        range.ForEach(begin, end, [&](uint32_t msg) {
+          std::vector<int64_t>& counts =
+              graph.MessageCreationDate(msg) < t2 ? s.count1 : s.count2;
+          graph.ForEachMessageTag(msg, [&](uint32_t tag) { ++counts[tag]; });
+        });
+      },
+      [num_tags](State& into, const State& from) {
+        for (size_t t = 0; t < num_tags; ++t) {
+          into.count1[t] += from.count1[t];
+          into.count2[t] += from.count2[t];
+        }
+      });
+  const std::vector<int64_t>& count1 = all.count1;
+  const std::vector<int64_t>& count2 = all.count2;
 
   // Top-k finisher over integer candidates: the CP-1.3 bound on |diff|
   // drops losing tags before their name string is dereferenced; only the
@@ -52,7 +72,7 @@ std::vector<Bi3Row> RunBi3(const Graph& graph, const Bi3Params& params) {
   engine::BoundRef bound;
   auto key_of = [](const Cand& c) { return c.diff; };
   engine::TopK<Cand, decltype(better)> top(100, better);
-  for (uint32_t t = 0; t < graph.NumTags(); ++t) {
+  for (uint32_t t = 0; t < num_tags; ++t) {
     if (count1[t] == 0 && count2[t] == 0) continue;
     const int64_t diff = std::llabs(count1[t] - count2[t]);
     if (bound.CannotPlace(diff)) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <unordered_map>
 
 #include "bi/bi.h"
@@ -8,7 +9,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params) {
+std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params,
+                           util::ThreadPool* pool) {
   std::vector<Bi6Row> rows;
   const uint32_t tag = graph.TagByName(params.tag);
   if (tag == storage::kNoIdx) return rows;
@@ -18,22 +20,44 @@ std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params) {
     int64_t replies = 0;
     int64_t likes = 0;
   };
-  std::unordered_map<uint32_t, Agg> by_person;
-
-  CancelPoller poll;
-  auto handle = [&](uint32_t msg) {
-    poll.Tick();
+  using AggMap = std::unordered_map<uint32_t, Agg>;
+  auto handle = [&](AggMap& by_person, uint32_t msg) {
     if (!graph.MessageAlive(msg)) return;  // tag adjacency keeps dead rows
     Agg& a = by_person[graph.MessageCreator(msg)];
     ++a.messages;
     a.likes += internal::MessageLikeCount(graph, msg);
     a.replies += graph.LiveReplyCount(msg);
   };
-  graph.TagPosts().ForEach(
-      tag, [&](uint32_t post) { handle(Graph::MessageOfPost(post)); });
-  graph.TagComments().ForEach(tag, [&](uint32_t comment) {
-    handle(Graph::MessageOfComment(comment));
-  });
+  // The scan domain: the tag's posts, then its comments.
+  const size_t num_posts = graph.TagPosts().Degree(tag);
+  const size_t num_messages = num_posts + graph.TagComments().Degree(tag);
+  const AggMap by_person = internal::Aggregate(
+      pool, num_messages, [] { return AggMap{}; },
+      [&](AggMap& local, size_t begin, size_t end) {
+        PollCancel();
+        if (begin < num_posts) {
+          graph.TagPosts().ForEachSlice(
+              tag, begin, std::min(end, num_posts), [&](uint32_t post) {
+                handle(local, Graph::MessageOfPost(post));
+              });
+        }
+        if (end > num_posts) {
+          graph.TagComments().ForEachSlice(
+              tag, begin > num_posts ? begin - num_posts : 0, end - num_posts,
+              [&](uint32_t comment) {
+                handle(local, Graph::MessageOfComment(comment));
+              });
+        }
+      },
+      [](AggMap& into, const AggMap& from) {
+        for (const auto& [person, a] : from) {
+          Agg& target = into[person];
+          target.messages += a.messages;
+          target.replies += a.replies;
+          target.likes += a.likes;
+        }
+      },
+      /*morsel_size=*/1024);
 
   // Top-k finisher with CP-1.3 bound pushdown: the score is computable from
   // the aggregate alone, so a person strictly below the k-th score is

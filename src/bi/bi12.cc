@@ -6,14 +6,15 @@
 
 namespace snb::bi {
 
-std::vector<Bi12Row> RunBi12(const Graph& graph, const Bi12Params& params) {
+std::vector<Bi12Row> RunBi12(const Graph& graph, const Bi12Params& params,
+                             util::ThreadPool* pool) {
   const core::DateTime after =
       core::DateTimeFromDate(params.date) + core::kMillisPerDay;  // exclusive
 
   // Post and Comment ids live in separate id spaces, so two messages can
   // share an id; creationDate and the creator-name legs break residual ties
-  // deterministically (the parallel variant's k-way merge needs the same
-  // total order — keep the three engines' comparators in sync). WouldAccept
+  // deterministically (the merge of per-slot top-k sets needs the same
+  // total order — keep the naive engine's comparator in sync). WouldAccept
   // may see empty names, which only ever errs towards accepting; Add
   // re-checks with the projected row.
   auto better = [](const Bi12Row& a, const Bi12Row& b) {
@@ -27,43 +28,55 @@ std::vector<Bi12Row> RunBi12(const Graph& graph, const Bi12Params& params) {
     }
     return a.creator_first_name < b.creator_first_name;
   };
-  engine::TopK<Bi12Row, decltype(better)> top(100, better);
+  using Top = engine::TopK<Bi12Row, decltype(better)>;
 
-  // CP-1.3 bound pushdown: the k-th like count, published once the heap is
-  // full, prunes whole zone-mapped blocks (block max ≤ threshold, or
-  // strictly below the bound) and individual candidates before any id or
-  // name is dereferenced. Ties on the bound always pass through to the full
-  // comparator, so the result is bit-identical to the oracle.
+  // CP-1.3 bound pushdown: the k-th like count, published once a slot's
+  // heap is full, prunes whole zone-mapped blocks (block max ≤ threshold,
+  // or strictly below the bound) and individual candidates before any id or
+  // name is dereferenced. The bound is shared by every slot and prunes
+  // against the tightest published value — safe under any interleaving: a
+  // candidate strictly below some slot's full-heap k-th cannot enter the
+  // merged top-100, and a stale read only loosens the bound. Ties on the
+  // bound always pass through to the full comparator, so the result is
+  // bit-identical to the oracle.
   engine::BoundRef bound;
   auto key_of = [](const Bi12Row& r) { return r.like_count; };
 
   // Index range scan over [date+1, ∞) instead of a full scan with a
   // per-message date filter.
-  CancelPoller poll;
-  graph.ForEachMessageInRangeBounded(
-      after, storage::kMaxMessageDate,
-      [&](int64_t block_max_likes) {
-        return block_max_likes <= params.like_threshold ||
-               bound.CannotPlace(block_max_likes);
+  const Graph::MessageRangeView range =
+      graph.MessageRange(after, storage::kMaxMessageDate);
+  Top top = internal::Aggregate(
+      pool, range.size(), [&better] { return Top(100, better); },
+      [&](Top& local, size_t begin, size_t end) {
+        PollCancel();
+        range.ForEachBounded(
+            begin, end,
+            [&](int64_t block_max_likes) {
+              return block_max_likes <= params.like_threshold ||
+                     bound.CannotPlace(block_max_likes);
+            },
+            [&](uint32_t msg) {
+              int64_t likes = internal::MessageLikeCount(graph, msg);
+              if (likes <= params.like_threshold) return;
+              if (bound.CannotPlace(likes)) {
+                storage::CountRowsSkippedBound(1);
+                return;
+              }
+              Bi12Row row;
+              row.message_id = graph.MessageId(msg);
+              row.like_count = likes;
+              row.creation_date = graph.MessageCreationDate(msg);
+              if (!local.WouldAccept(row)) return;  // skip the projection
+              const core::Person& creator =
+                  graph.PersonAt(graph.MessageCreator(msg));
+              row.creator_first_name = creator.first_name;
+              row.creator_last_name = creator.last_name;
+              if (local.Add(std::move(row))) local.PublishBound(bound, key_of);
+            });
       },
-      [&](uint32_t msg) {
-        poll.Tick();
-        int64_t likes = internal::MessageLikeCount(graph, msg);
-        if (likes <= params.like_threshold) return;
-        if (bound.CannotPlace(likes)) {
-          storage::CountRowsSkippedBound(1);
-          return;
-        }
-        Bi12Row row;
-        row.message_id = graph.MessageId(msg);
-        row.like_count = likes;
-        row.creation_date = graph.MessageCreationDate(msg);
-        if (!top.WouldAccept(row)) return;  // CP-1.3: skip the projection
-        const core::Person& creator =
-            graph.PersonAt(graph.MessageCreator(msg));
-        row.creator_first_name = creator.first_name;
-        row.creator_last_name = creator.last_name;
-        if (top.Add(std::move(row))) top.PublishBound(bound, key_of);
+      [](Top& into, Top& from) {
+        for (Bi12Row& row : from.Take()) into.Add(std::move(row));
       });
   return top.Take();
 }

@@ -8,7 +8,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi13Row> RunBi13(const Graph& graph, const Bi13Params& params) {
+std::vector<Bi13Row> RunBi13(const Graph& graph, const Bi13Params& params,
+                             util::ThreadPool* pool) {
   using internal::CountryIdx;
   std::vector<Bi13Row> rows;
   const uint32_t country = CountryIdx(graph, params.country);
@@ -24,17 +25,27 @@ std::vector<Bi13Row> RunBi13(const Graph& graph, const Bi13Params& params) {
       return month < o.month;
     }
   };
-  std::map<MonthKey, std::unordered_map<uint32_t, int64_t>> groups;
-
-  CancelPoller poll;
-  graph.ForEachMessage([&](uint32_t msg) {
-    poll.Tick();
-    if (graph.MessageCountry(msg) != country) return;
-    core::DateTime created = graph.MessageCreationDate(msg);
-    MonthKey key{core::Year(created), core::Month(created)};
-    auto& tag_counts = groups[key];  // group exists even with no tags
-    graph.ForEachMessageTag(msg, [&](uint32_t tag) { ++tag_counts[tag]; });
-  });
+  using GroupMap = std::map<MonthKey, std::unordered_map<uint32_t, int64_t>>;
+  const GroupMap groups = internal::Aggregate(
+      pool, graph.NumMessages(), [] { return GroupMap{}; },
+      [&](GroupMap& local, size_t begin, size_t end) {
+        PollCancel();
+        graph.ForEachMessage(begin, end, [&](uint32_t msg) {
+          if (graph.MessageCountry(msg) != country) return;
+          core::DateTime created = graph.MessageCreationDate(msg);
+          // The group exists even with no tags.
+          auto& tag_counts =
+              local[{core::Year(created), core::Month(created)}];
+          graph.ForEachMessageTag(msg,
+                                  [&](uint32_t tag) { ++tag_counts[tag]; });
+        });
+      },
+      [](GroupMap& into, const GroupMap& from) {
+        for (const auto& [key, tag_counts] : from) {
+          auto& target = into[key];  // keeps empty groups too
+          for (const auto& [tag, count] : tag_counts) target[tag] += count;
+        }
+      });
 
   for (const auto& [key, tag_counts] : groups) {
     Bi13Row row;

@@ -8,7 +8,8 @@
 
 namespace snb::bi {
 
-std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params) {
+std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params,
+                             util::ThreadPool* pool) {
   const core::DateTime begin = core::DateTimeFromDate(params.begin);
   const core::DateTime end =
       core::DateTimeFromDate(params.end) + core::kMillisPerDay;  // inclusive
@@ -17,32 +18,42 @@ std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params) {
     int64_t threads = 0;
     int64_t messages = 0;
   };
-  std::unordered_map<uint32_t, Agg> by_person;
+  using AggMap = std::unordered_map<uint32_t, Agg>;
 
-  // Both passes scan only the [begin, end) slice of the creation-date
-  // index (CP-2.2/2.3) instead of the full post/comment tables.
-  // Pass 1 — window posts: thread roots. A post contributes to its creator.
-  CancelPoller poll;
-  std::vector<bool> post_in_window(graph.NumPosts(), false);
-  graph.ForEachMessageInRange(begin, end, [&](uint32_t msg) {
-    poll.Tick();
-    if (!Graph::IsPost(msg)) return;
-    uint32_t post = Graph::AsPost(msg);
-    post_in_window[post] = true;
-    Agg& a = by_person[graph.PostCreator(post)];
-    ++a.threads;
-    ++a.messages;
-  });
-  // Pass 2 — window comments whose thread root is a window post credit the
-  // initiator (precomputed root; CP-7.2/7.3 transitive replyOf* collapsed
-  // at load).
-  graph.ForEachMessageInRange(begin, end, [&](uint32_t msg) {
-    poll.Tick();
-    if (Graph::IsPost(msg)) return;
-    uint32_t root = graph.CommentRootPost(Graph::AsComment(msg));
-    if (!post_in_window[root]) return;
-    ++by_person[graph.PostCreator(root)].messages;
-  });
+  // One scan over the [begin, end) slice of the creation-date index
+  // (CP-2.2/2.3) instead of the full post/comment tables. A window post is
+  // a thread root and counts for its creator; a window comment whose
+  // thread root (precomputed; CP-7.2/7.3 transitive replyOf* collapsed at
+  // load) is a live window post credits that root's creator. Every person
+  // credited this way created a window post, so threadCount > 0 holds.
+  const Graph::MessageRangeView range = graph.MessageRange(begin, end);
+  const AggMap by_person = internal::Aggregate(
+      pool, range.size(), [] { return AggMap{}; },
+      [&](AggMap& local, size_t from, size_t to) {
+        PollCancel();
+        range.ForEach(from, to, [&](uint32_t msg) {
+          if (Graph::IsPost(msg)) {
+            Agg& a = local[graph.PostCreator(Graph::AsPost(msg))];
+            ++a.threads;
+            ++a.messages;
+            return;
+          }
+          const uint32_t root = graph.CommentRootPost(Graph::AsComment(msg));
+          const core::DateTime root_created =
+              graph.MessageCreationDate(Graph::MessageOfPost(root));
+          if (root_created >= begin && root_created < end &&
+              graph.PostAlive(root)) {
+            ++local[graph.PostCreator(root)].messages;
+          }
+        });
+      },
+      [](AggMap& into, const AggMap& from) {
+        for (const auto& [person, a] : from) {
+          Agg& target = into[person];
+          target.threads += a.threads;
+          target.messages += a.messages;
+        }
+      });
 
   // Top-k finisher with CP-1.3 bound pushdown: the message count alone
   // decides all but ties, so a person strictly below the k-th count is

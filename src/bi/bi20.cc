@@ -5,23 +5,29 @@
 
 namespace snb::bi {
 
-std::vector<Bi20Row> RunBi20(const Graph& graph, const Bi20Params& params) {
+std::vector<Bi20Row> RunBi20(const Graph& graph, const Bi20Params& params,
+                             util::ThreadPool* pool) {
   std::vector<Bi20Row> rows;
   rows.reserve(params.tag_classes.size());
   for (const std::string& class_name : params.tag_classes) {
     if (graph.TagClassByName(class_name) == storage::kNoIdx) continue;
     std::vector<bool> tags =
         internal::TagsOfClass(graph, class_name, /*transitive=*/true);
-    int64_t count = 0;
-    CancelPoller poll;
-    graph.ForEachMessage([&](uint32_t msg) {
-      poll.Tick();
-      bool match = false;
-      graph.ForEachMessageTag(msg, [&](uint32_t tag) {
-        if (tags[tag]) match = true;
-      });
-      if (match) ++count;  // distinct messages, not tag occurrences
-    });
+    // One full message scan per class; the outer UNWIND stays sequential,
+    // so a single-class parameter list still partitions across the pool.
+    const int64_t count = internal::Aggregate(
+        pool, graph.NumMessages(), [] { return int64_t{0}; },
+        [&](int64_t& local, size_t begin, size_t end) {
+          PollCancel();
+          graph.ForEachMessage(begin, end, [&](uint32_t msg) {
+            bool match = false;
+            graph.ForEachMessageTag(msg, [&](uint32_t tag) {
+              if (tags[tag]) match = true;
+            });
+            if (match) ++local;  // distinct messages, not tag occurrences
+          });
+        },
+        [](int64_t& into, int64_t from) { into += from; });
     rows.push_back({class_name, count});
   }
   engine::SortAndLimit(

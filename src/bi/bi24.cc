@@ -1,14 +1,14 @@
 #include <map>
 
-#include "engine/top_k.h"
-
 #include "bi/bi.h"
 #include "bi/cancel.h"
 #include "bi/common.h"
+#include "engine/top_k.h"
 
 namespace snb::bi {
 
-std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params) {
+std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params,
+                             util::ThreadPool* pool) {
   using internal::ContinentOfCountry;
   const std::vector<bool> class_tags =
       internal::TagsOfClass(graph, params.tag_class, /*transitive=*/false);
@@ -27,24 +27,33 @@ std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params) {
     int64_t messages = 0;
     int64_t likes = 0;
   };
-  std::map<Key, Agg> groups;
-
-  CancelPoller poll;
-  graph.ForEachMessage([&](uint32_t msg) {
-    poll.Tick();
-    bool match = false;
-    graph.ForEachMessageTag(msg, [&](uint32_t tag) {
-      if (class_tags[tag]) match = true;
-    });
-    if (!match) return;
-    core::DateTime created = graph.MessageCreationDate(msg);
-    uint32_t continent =
-        ContinentOfCountry(graph, graph.MessageCountry(msg));
-    Key key{core::Year(created), core::Month(created), continent};
-    Agg& agg = groups[key];
-    ++agg.messages;
-    agg.likes += internal::MessageLikeCount(graph, msg);
-  });
+  using GroupMap = std::map<Key, Agg>;
+  const GroupMap groups = internal::Aggregate(
+      pool, graph.NumMessages(), [] { return GroupMap{}; },
+      [&](GroupMap& local, size_t begin, size_t end) {
+        PollCancel();
+        graph.ForEachMessage(begin, end, [&](uint32_t msg) {
+          bool match = false;
+          graph.ForEachMessageTag(msg, [&](uint32_t tag) {
+            if (class_tags[tag]) match = true;
+          });
+          if (!match) return;
+          core::DateTime created = graph.MessageCreationDate(msg);
+          uint32_t continent =
+              ContinentOfCountry(graph, graph.MessageCountry(msg));
+          Agg& agg =
+              local[{core::Year(created), core::Month(created), continent}];
+          ++agg.messages;
+          agg.likes += internal::MessageLikeCount(graph, msg);
+        });
+      },
+      [](GroupMap& into, const GroupMap& from) {
+        for (const auto& [key, agg] : from) {
+          Agg& target = into[key];
+          target.messages += agg.messages;
+          target.likes += agg.likes;
+        }
+      });
 
   std::vector<Bi24Row> rows;
   rows.reserve(groups.size());

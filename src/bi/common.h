@@ -4,16 +4,49 @@
 #ifndef SNB_BI_COMMON_H_
 #define SNB_BI_COMMON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bi/cancel.h"
+#include "engine/morsel.h"
 #include "storage/graph.h"
+#include "storage/scan_stats.h"
+#include "util/thread_pool.h"
 
 namespace snb::bi::internal {
 
 using storage::Graph;
 using storage::kNoIdx;
+
+/// Elements per morsel when each element expands an adjacency list (person
+/// message scans, neighbourhood probes) rather than reading flat columns.
+constexpr size_t kExpandMorselSize = 256;
+
+/// engine::ParallelAggregate with the calling thread's ambient CancelToken
+/// and ScanStats sink re-installed around every morsel, so the PollCancel()
+/// each fold makes per morsel sees the caller's deadline on any executor,
+/// and every slot's zone-skip/bound-skip counts land in the caller's
+/// (atomic) ScanStats. The engine layer cannot depend on bi/cancel.h or the
+/// ambient storage sinks (bi links against engine), so the bridge lives
+/// here. A deadline fired mid-query surfaces as QueryCancelled on the
+/// calling thread after all executors joined.
+template <typename Init, typename Fold, typename Merge>
+auto Aggregate(util::ThreadPool* pool, size_t n, Init&& init, Fold&& fold,
+               Merge&& merge, size_t morsel_size = engine::kDefaultMorselSize) {
+  const CancelToken* token = CurrentCancelToken();
+  storage::ScanStats* stats = storage::CurrentScanStats();
+  return engine::ParallelAggregate(
+      pool, n, std::forward<Init>(init),
+      [&](auto& state, size_t begin, size_t end) {
+        ScopedCancelToken token_guard(token);
+        storage::ScopedScanStats stats_guard(stats);
+        fold(state, begin, end);
+      },
+      std::forward<Merge>(merge), morsel_size);
+}
 
 /// Tag bitmap (size NumTags) of tags whose class is `class_name`;
 /// `transitive` includes descendant classes. All-false when the class is

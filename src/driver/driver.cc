@@ -5,14 +5,11 @@
 #include <thread>
 #include <utility>
 
-#include "bi/bi.h"
 #include "interactive/interactive.h"
 #include "interactive/updates.h"
-#include "sched/scheduler.h"
+#include "sched/stream.h"
 #include "util/check.h"
-#include "util/mutex.h"
 #include "util/rng.h"
-#include "util/thread_annotations.h"
 #include "validate/validator.h"
 
 // With SNB_CHECK_INVARIANTS defined (cmake -DSNB_CHECK_INVARIANTS=ON), the
@@ -383,56 +380,6 @@ DriverReport RunInteractiveWorkload(
   return report;
 }
 
-DriverReport RunBiWorkload(const storage::Graph& graph,
-                           const params::WorkloadParameters& params,
-                           size_t bindings_per_query) {
-  DriverReport report;
-  Recorder recorder(report);
-  const Clock::time_point t0 = Clock::now();
-
-  auto run = [&](const std::string& op, auto&& bindings, auto&& query) {
-    size_t n = std::min(bindings_per_query, bindings.size());
-    for (size_t i = 0; i < n; ++i) {
-      recorder.Run(op, 0.0, t0,
-                   [&] { return query(graph, bindings[i]).size(); });
-    }
-  };
-
-  run("BI 1", params.bi1, bi::RunBi1);
-  run("BI 2", params.bi2, bi::RunBi2);
-  run("BI 3", params.bi3, bi::RunBi3);
-  run("BI 4", params.bi4, bi::RunBi4);
-  run("BI 5", params.bi5, bi::RunBi5);
-  run("BI 6", params.bi6, bi::RunBi6);
-  run("BI 7", params.bi7, bi::RunBi7);
-  run("BI 8", params.bi8, bi::RunBi8);
-  run("BI 9", params.bi9, bi::RunBi9);
-  run("BI 10", params.bi10, bi::RunBi10);
-  run("BI 11", params.bi11, bi::RunBi11);
-  run("BI 12", params.bi12, bi::RunBi12);
-  run("BI 13", params.bi13, bi::RunBi13);
-  run("BI 14", params.bi14, bi::RunBi14);
-  run("BI 15", params.bi15, bi::RunBi15);
-  run("BI 16", params.bi16, bi::RunBi16);
-  run("BI 17", params.bi17, bi::RunBi17);
-  run("BI 18", params.bi18, bi::RunBi18);
-  run("BI 19", params.bi19, bi::RunBi19);
-  run("BI 20", params.bi20, bi::RunBi20);
-  run("BI 21", params.bi21, bi::RunBi21);
-  run("BI 22", params.bi22, bi::RunBi22);
-  run("BI 23", params.bi23, bi::RunBi23);
-  run("BI 24", params.bi24, bi::RunBi24);
-  run("BI 25", params.bi25, bi::RunBi25);
-
-  report.wall_seconds = MsSince(t0) / 1000.0;
-  report.throughput_ops_per_sec =
-      report.wall_seconds == 0
-          ? 0
-          : static_cast<double>(report.total_operations) / report.wall_seconds;
-  return report;
-}
-
-
 util::Status WriteResultsLog(const std::vector<ResultsLogEntry>& log,
                              const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -455,122 +402,6 @@ util::Status WriteResultsLog(const std::vector<ResultsLogEntry>& log,
 }
 
 
-DriverReport RunBiWorkloadParallel(const storage::Graph& graph,
-                                   const params::WorkloadParameters& params,
-                                   size_t bindings_per_query,
-                                   util::ThreadPool& pool) {
-  DriverReport report;
-  struct Sample {
-    std::string op;
-    double latency_ms;
-    size_t rows;
-  };
-  // Workers funnel their samples through the annotated sink; direct access
-  // to the vector without the lock is a clang thread-safety error.
-  struct SampleSink {
-    util::Mutex mu{SNB_LOCK_SITE("driver.sample_sink.mu")};
-    std::vector<Sample> samples SNB_GUARDED_BY(mu);
-    void Add(Sample s) SNB_EXCLUDES(mu) {
-      util::MutexLock lock(mu);
-      samples.push_back(std::move(s));
-    }
-    std::vector<Sample> Take() SNB_EXCLUDES(mu) {
-      util::MutexLock lock(mu);
-      return std::move(samples);
-    }
-  };
-  SampleSink sink;
-  const Clock::time_point t0 = Clock::now();
-
-  auto submit = [&](const std::string& op, auto&& bindings, auto&& query) {
-    size_t n = std::min(bindings_per_query, bindings.size());
-    for (size_t i = 0; i < n; ++i) {
-      pool.Submit([&, op, i] {
-        double start = MsSince(t0);
-        size_t rows = query(graph, bindings[i]).size();
-        double latency = MsSince(t0) - start;
-        sink.Add({op, latency, rows});
-      });
-    }
-  };
-
-  submit("BI 1", params.bi1, bi::RunBi1);
-  submit("BI 2", params.bi2, bi::RunBi2);
-  submit("BI 3", params.bi3, bi::RunBi3);
-  submit("BI 4", params.bi4, bi::RunBi4);
-  submit("BI 5", params.bi5, bi::RunBi5);
-  submit("BI 6", params.bi6, bi::RunBi6);
-  submit("BI 7", params.bi7, bi::RunBi7);
-  submit("BI 8", params.bi8, bi::RunBi8);
-  submit("BI 9", params.bi9, bi::RunBi9);
-  submit("BI 10", params.bi10, bi::RunBi10);
-  submit("BI 11", params.bi11, bi::RunBi11);
-  submit("BI 12", params.bi12, bi::RunBi12);
-  submit("BI 13", params.bi13, bi::RunBi13);
-  submit("BI 14", params.bi14, bi::RunBi14);
-  submit("BI 15", params.bi15, bi::RunBi15);
-  submit("BI 16", params.bi16, bi::RunBi16);
-  submit("BI 17", params.bi17, bi::RunBi17);
-  submit("BI 18", params.bi18, bi::RunBi18);
-  submit("BI 19", params.bi19, bi::RunBi19);
-  submit("BI 20", params.bi20, bi::RunBi20);
-  submit("BI 21", params.bi21, bi::RunBi21);
-  submit("BI 22", params.bi22, bi::RunBi22);
-  submit("BI 23", params.bi23, bi::RunBi23);
-  submit("BI 24", params.bi24, bi::RunBi24);
-  submit("BI 25", params.bi25, bi::RunBi25);
-  pool.Wait();
-
-  for (const Sample& s : sink.Take()) {
-    report.per_operation[s.op].Record(s.latency_ms);
-    report.results_log.push_back({s.op, 0.0, 0.0, s.latency_ms, s.rows});
-    ++report.total_operations;
-  }
-  report.wall_seconds = MsSince(t0) / 1000.0;
-  report.throughput_ops_per_sec =
-      report.wall_seconds == 0
-          ? 0
-          : static_cast<double>(report.total_operations) / report.wall_seconds;
-  return report;
-}
-
-
-DriverReport RunBiWorkloadMultiStream(
-    const storage::Graph& graph, const params::WorkloadParameters& params,
-    size_t bindings_per_query, const DriverConfig& config) {
-  sched::SchedulerConfig sc;
-  sc.num_streams = config.bi_streams;
-  sc.num_workers = config.bi_workers;
-  sc.max_in_flight_per_stream = config.bi_max_in_flight_per_stream;
-  sc.bindings_per_query = bindings_per_query;
-  sc.query_deadline_ms = config.bi_query_deadline_ms;
-  sc.dispatch = config.bi_dispatch;
-  sc.seed = config.seed;
-  sched::ScheduleResult run = sched::RunStreams(graph, params, sc);
-
-  DriverReport report;
-  report.wall_seconds = run.wall_seconds;
-  report.complex_reads = run.total_completed;
-  report.cancelled_reads = run.total_cancelled;
-  report.bi_morsel_chosen = run.morsel_chosen;
-  report.bi_morsel_refused = run.morsel_refused;
-  for (const sched::StreamResult& stream : run.streams) {
-    for (const sched::OpOutcome& o : stream.outcomes) {
-      if (o.cancelled) continue;
-      report.per_operation[sched::StreamOpName(o.op)].Record(o.latency_ms);
-      report.results_log.push_back(
-          {sched::StreamOpName(o.op), 0.0, 0.0, o.latency_ms, o.rows});
-      ++report.total_operations;
-    }
-  }
-  report.throughput_ops_per_sec =
-      report.wall_seconds == 0
-          ? 0
-          : static_cast<double>(report.total_operations) / report.wall_seconds;
-  return report;
-}
-
-
 DriverReport RunBiReadWriteWorkload(
     storage::Graph& graph, const std::vector<datagen::UpdateEvent>& updates,
     const params::WorkloadParameters& params, size_t updates_per_read,
@@ -584,42 +415,14 @@ DriverReport RunBiReadWriteWorkload(
   size_t next_query = 0;
   size_t cursor[25] = {0};
   auto run_next_read = [&] {
-    size_t q = next_query;
+    const int q = static_cast<int>(next_query) + 1;
     next_query = (next_query + 1) % 25;
-    const std::string op = "BI " + std::to_string(q + 1);
-    auto dispatch = [&](auto&& bindings, auto&& query) {
-      if (bindings.empty()) return;
-      recorder.Run(op, 0.0, t0, [&] {
-        return query(graph, bindings[cursor[q]++ % bindings.size()]).size();
+    const size_t bindings = sched::BindingCount(params, q);
+    if (bindings > 0) {
+      const sched::StreamOp op{q, cursor[q - 1]++ % bindings};
+      recorder.Run(sched::StreamOpName(op), 0.0, t0, [&] {
+        return sched::ExecuteStreamOp(graph, params, op, nullptr).rows;
       });
-    };
-    switch (q + 1) {
-      case 1: dispatch(params.bi1, bi::RunBi1); break;
-      case 2: dispatch(params.bi2, bi::RunBi2); break;
-      case 3: dispatch(params.bi3, bi::RunBi3); break;
-      case 4: dispatch(params.bi4, bi::RunBi4); break;
-      case 5: dispatch(params.bi5, bi::RunBi5); break;
-      case 6: dispatch(params.bi6, bi::RunBi6); break;
-      case 7: dispatch(params.bi7, bi::RunBi7); break;
-      case 8: dispatch(params.bi8, bi::RunBi8); break;
-      case 9: dispatch(params.bi9, bi::RunBi9); break;
-      case 10: dispatch(params.bi10, bi::RunBi10); break;
-      case 11: dispatch(params.bi11, bi::RunBi11); break;
-      case 12: dispatch(params.bi12, bi::RunBi12); break;
-      case 13: dispatch(params.bi13, bi::RunBi13); break;
-      case 14: dispatch(params.bi14, bi::RunBi14); break;
-      case 15: dispatch(params.bi15, bi::RunBi15); break;
-      case 16: dispatch(params.bi16, bi::RunBi16); break;
-      case 17: dispatch(params.bi17, bi::RunBi17); break;
-      case 18: dispatch(params.bi18, bi::RunBi18); break;
-      case 19: dispatch(params.bi19, bi::RunBi19); break;
-      case 20: dispatch(params.bi20, bi::RunBi20); break;
-      case 21: dispatch(params.bi21, bi::RunBi21); break;
-      case 22: dispatch(params.bi22, bi::RunBi22); break;
-      case 23: dispatch(params.bi23, bi::RunBi23); break;
-      case 24: dispatch(params.bi24, bi::RunBi24); break;
-      case 25: dispatch(params.bi25, bi::RunBi25); break;
-      default: SNB_UNREACHABLE();
     }
     ++report.complex_reads;
   };

@@ -8,8 +8,9 @@
 // Ratio maps simulation time to wall-clock time; the results log records
 // scheduled vs actual start for the §6.2 95 %-on-time audit check.
 //
-// The same driver also runs the BI read mix (sequential analytic queries,
-// one stream), which is what the BI workload draft prescribes.
+// BI read streams — power and throughput runs — go through
+// sched::RunStreams; this driver adds only the mixed read/write mode, which
+// interleaves BI reads with the insert stream.
 
 #ifndef SNB_DRIVER_DRIVER_H_
 #define SNB_DRIVER_DRIVER_H_
@@ -23,10 +24,8 @@
 #include "datagen/datagen.h"
 #include "params/parameter_curation.h"
 #include "sched/histogram.h"
-#include "sched/scheduler.h"
 #include "storage/graph.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace snb::driver {
 
@@ -51,26 +50,6 @@ struct DriverConfig {
   double short_read_probability = 0.5;
 
   uint64_t seed = 42;
-
-  /// --- BI multi-stream mode (RunBiWorkloadMultiStream) ---
-
-  /// Concurrent BI query streams (1 = the power run's sequential stream).
-  size_t bi_streams = 1;
-
-  /// Worker threads shared by the streams; 0 = hardware concurrency.
-  size_t bi_workers = 0;
-
-  /// Queries of one stream allowed in flight at once (admission control).
-  size_t bi_max_in_flight_per_stream = 1;
-
-  /// Per-query cooperative deadline in milliseconds; 0 disables.
-  double bi_query_deadline_ms = 0;
-
-  /// Engine choice for power runs (one stream, several workers):
-  /// kSequential never fans out, kMorsel always does, kAdaptive lets the
-  /// calibrated cost model refuse fan-out per query. Throughput runs always
-  /// use streams-only parallelism regardless; see SchedulerConfig.
-  sched::DispatchPolicy bi_dispatch = sched::DispatchPolicy::kAdaptive;
 };
 
 struct OperationStats {
@@ -112,18 +91,11 @@ struct DriverReport {
   size_t update_operations = 0;
   size_t complex_reads = 0;
   size_t short_reads = 0;
-  /// Queries abandoned by the cooperative per-query deadline (BI
-  /// multi-stream mode only; 0 elsewhere).
-  size_t cancelled_reads = 0;
   double wall_seconds = 0;
   double throughput_ops_per_sec = 0;
   /// Fraction of operations with actual_start - scheduled_start < 1 s
   /// (spec §6.2 requires ≥ 95 %). Always 1.0 in as-fast-as-possible mode.
   double on_time_fraction = 1.0;
-  /// Adaptive-dispatch tally (BI multi-stream power runs only; 0 elsewhere):
-  /// morsel-capable queries the cost model fanned out vs kept sequential.
-  size_t bi_morsel_chosen = 0;
-  size_t bi_morsel_refused = 0;
 
   /// Per operation type ("IC 1".."IC 14", "IS 1".."IS 7", "IU 1".."IU 8").
   std::map<std::string, OperationStats> per_operation;
@@ -139,11 +111,6 @@ DriverReport RunInteractiveWorkload(storage::Graph& graph,
                                     const params::WorkloadParameters& params,
                                     const DriverConfig& config);
 
-/// Runs one sequential BI stream: every BI query once per parameter binding.
-DriverReport RunBiWorkload(const storage::Graph& graph,
-                           const params::WorkloadParameters& params,
-                           size_t bindings_per_query);
-
 /// Runs the BI workload concurrently with the insert stream — the mixed
 /// read/write mode the spec's §5.2 task-force note points towards (and
 /// which the later BI versions adopted): one BI read is issued every
@@ -154,25 +121,6 @@ DriverReport RunBiReadWriteWorkload(storage::Graph& graph,
                                     const params::WorkloadParameters& params,
                                     size_t updates_per_read,
                                     size_t max_updates = 0);
-
-/// Runs the BI stream with inter-query parallelism: every (query, binding)
-/// pair becomes a pool task over the read-only graph (CP-6.1 territory:
-/// concurrent analytic streams). Aggregated counts match the sequential
-/// run; wall time shrinks with cores.
-DriverReport RunBiWorkloadParallel(const storage::Graph& graph,
-                                   const params::WorkloadParameters& params,
-                                   size_t bindings_per_query,
-                                   util::ThreadPool& pool);
-
-/// Runs `config.bi_streams` concurrent BI query streams through the
-/// sched:: scheduler (the paper's throughput run): each stream is a permuted
-/// sequence of the 25 reads, admission-controlled on a fixed worker pool,
-/// with per-query cooperative deadlines. Per-stream sequential semantics
-/// (bi_max_in_flight_per_stream = 1) match RunBiWorkload's results exactly.
-DriverReport RunBiWorkloadMultiStream(const storage::Graph& graph,
-                                      const params::WorkloadParameters& params,
-                                      size_t bindings_per_query,
-                                      const DriverConfig& config);
 
 }  // namespace snb::driver
 

@@ -1,25 +1,27 @@
 // Morsel-driven intra-query parallelism (choke point CP-1.2: parallel
-// high-cardinality group-by; the framework behind the BI engine's parallel
-// query variants).
+// high-cardinality group-by; the framework every partitionable BI kernel is
+// written against).
 //
 // An index range [0, n) is split into cache-friendly morsels that idle
 // executors pull off a shared atomic counter — dynamic dispatch, so skewed
 // per-element costs (hub vertices, hot tags) still balance. Executors are
-// `pool.num_threads()` helper tasks *plus the calling thread*: the caller
+// `pool->num_threads()` helper tasks *plus the calling thread*: the caller
 // always participates and drains the counter itself if every pool worker is
 // busy, so a query already running on a pool worker can morsel-parallelize
 // over the same pool without deadlock and without oversubscribing it (the
-// scheduler relies on this for power runs).
+// scheduler relies on this for power runs). A null pool — or an input under
+// the fan-out floor — runs one slot inline on the calling thread: the same
+// fold over the same morsels, with no pool handoff and no merge.
 //
 // Aggregation follows the partial-state + re-aggregation pattern: each
 // executor slot lazily builds one private State, morsels fold into it
-// lock-free, and after the join the caller merges the surviving states in
-// ascending slot order. The merge order is fixed, and every BI aggregation
-// merges commutative content (integer counts/sums, top-k sets under a total
-// order), so results are bit-identical to the sequential engine at any
-// thread count.
+// lock-free, and after the join the first surviving state (in slot order)
+// becomes the result and the others merge into it in ascending slot order.
+// The merge order is fixed, and every BI aggregation merges commutative
+// content (integer counts/sums, top-k sets under a total order), so results
+// are bit-identical at any slot count.
 //
-// Exceptions thrown by a body (most importantly bi::QueryCancelled from a
+// Exceptions thrown by a fold (most importantly bi::QueryCancelled from a
 // per-morsel cancellation poll) stop the dispatch: remaining morsels are
 // abandoned, every executor joins, and the first captured exception is
 // rethrown on the calling thread.
@@ -54,12 +56,14 @@ constexpr size_t kMinMorselsForFanout = 8;
 namespace internal {
 
 /// Dispatch knobs, process-global. Tests override them: the TSan morsel
-/// suite drops the fan-out floor to 1 so tiny fixtures still exercise the
-/// parallel machinery, and the bound-race tests set `shuffle_seed` to
+/// suite drops the fan-out floor to 1 and caps the morsel size so tiny
+/// fixtures (a few thousand messages, under one default morsel) still split
+/// every scan across slots, and the bound-race tests set `shuffle_seed` to
 /// permute morsel issue order and hit different bound interleavings.
 struct MorselTuning {
   size_t min_morsels_for_fanout = kMinMorselsForFanout;
-  uint64_t shuffle_seed = 0;  // 0 = natural order
+  uint64_t shuffle_seed = 0;    // 0 = natural order
+  size_t morsel_size_cap = 0;   // 0 = the caller's morsel size
 };
 
 MorselTuning& GlobalMorselTuning();
@@ -82,44 +86,47 @@ inline size_t SlotsFor(util::ThreadPool& pool, size_t num_morsels) {
 
 /// Parallel reduction over [0, n): `init() -> State` builds one partial
 /// state per executor slot (lazily — idle slots never allocate),
-/// `body(state, begin, end)` folds one morsel, and after the join
-/// `merge(state)` is invoked on the calling thread once per surviving state
-/// in ascending slot order.
-template <typename Init, typename Body, typename Merge>
-void ParallelAggregate(util::ThreadPool& pool, size_t n, Init&& init,
-                       Body&& body, Merge&& merge,
-                       size_t morsel_size = kDefaultMorselSize) {
+/// `fold(state, begin, end)` folds one morsel, and after the join
+/// `merge(into, from)` folds each further surviving state into the first,
+/// in ascending slot order, on the calling thread. Returns the merged state
+/// (a lone state is moved out, never merged); init() when n == 0. A null
+/// `pool` runs every morsel inline on the calling thread.
+template <typename Init, typename Fold, typename Merge>
+std::decay_t<std::invoke_result_t<Init&>> ParallelAggregate(
+    util::ThreadPool* pool, size_t n, Init&& init, Fold&& fold, Merge&& merge,
+    size_t morsel_size = kDefaultMorselSize) {
   using State = std::decay_t<std::invoke_result_t<Init&>>;
-  if (n == 0) return;
+  if (const size_t cap = internal::GlobalMorselTuning().morsel_size_cap) {
+    morsel_size = std::min(morsel_size, cap);
+  }
   const size_t num_morsels = (n + morsel_size - 1) / morsel_size;
-  const size_t slots = internal::SlotsFor(pool, num_morsels);
+  const size_t slots =
+      pool == nullptr ? 1 : internal::SlotsFor(*pool, num_morsels);
+  if (slots <= 1) {
+    State state = init();
+    for (size_t begin = 0; begin < n; begin += morsel_size) {
+      fold(state, begin, std::min(n, begin + morsel_size));
+    }
+    return state;
+  }
   std::vector<std::optional<State>> states(slots);
-  internal::RunMorsels(pool, num_morsels, slots,
+  internal::RunMorsels(*pool, num_morsels, slots,
                        [&](size_t morsel, size_t slot) {
                          std::optional<State>& state = states[slot];
                          if (!state) state.emplace(init());
                          const size_t begin = morsel * morsel_size;
-                         body(*state, begin, std::min(n, begin + morsel_size));
+                         fold(*state, begin, std::min(n, begin + morsel_size));
                        });
+  std::optional<State> result;
   for (std::optional<State>& state : states) {
-    if (state) merge(*state);
+    if (!state) continue;
+    if (!result) {
+      result = std::move(state);
+    } else {
+      merge(*result, *state);
+    }
   }
-}
-
-/// Stateless parallel scan over [0, n): body(begin, end) per morsel. The
-/// body must only perform writes that are disjoint across morsels (e.g.
-/// filling element i of a shared column).
-template <typename Body>
-void ParallelScan(util::ThreadPool& pool, size_t n, Body&& body,
-                  size_t morsel_size = kDefaultMorselSize) {
-  if (n == 0) return;
-  const size_t num_morsels = (n + morsel_size - 1) / morsel_size;
-  const size_t slots = internal::SlotsFor(pool, num_morsels);
-  internal::RunMorsels(pool, num_morsels, slots,
-                       [&](size_t morsel, size_t) {
-                         const size_t begin = morsel * morsel_size;
-                         body(begin, std::min(n, begin + morsel_size));
-                       });
+  return std::move(*result);
 }
 
 }  // namespace snb::engine

@@ -61,14 +61,12 @@ class StreamScheduler {
     // running query: the executing worker participates in the morsel loop
     // and the remaining workers serve as helpers. Throughput runs keep
     // streams-only parallelism — every worker runs a whole query.
-    intra_pool_ = (config_.dispatch != DispatchPolicy::kSequential &&
-                   config_.num_streams == 1 && workers_ > 1)
-                      ? &pool
-                      : nullptr;
-    // Adaptive dispatch: calibrate the cost model once per run (the graph
-    // is immutable for the run's duration — one epoch), then let it arbitrate
-    // every morsel-capable query. kMorsel keeps the old unconditional fan-out.
-    if (intra_pool_ && config_.dispatch == DispatchPolicy::kAdaptive) {
+    // Adaptive dispatch calibrates the cost model once per run (the graph
+    // is immutable for the run's duration — one epoch), then lets it
+    // arbitrate every partitioned kernel.
+    if (config_.dispatch == DispatchPolicy::kAdaptive &&
+        config_.num_streams == 1 && workers_ > 1) {
+      intra_pool_ = &pool;
       dispatch_model_.emplace(workers_ - 1,
                               std::thread::hardware_concurrency());
       dispatch_model_->Calibrate(graph_);

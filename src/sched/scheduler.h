@@ -37,11 +37,9 @@
 
 namespace snb::sched {
 
-/// How power runs pick between the sequential and morsel engines for the
-/// templates that have both.
+/// How power runs pick the slot count of the morsel-partitioned kernels.
 enum class DispatchPolicy : uint8_t {
-  kSequential,  ///< never fan out (the old intra_query_parallelism = false)
-  kMorsel,      ///< always fan out when a pool is available (the old = true)
+  kSequential,  ///< every query runs on one slot
   kAdaptive,    ///< engine::DispatchModel decides per query from a cost model
 };
 
@@ -65,8 +63,8 @@ struct SchedulerConfig {
   /// are cooperatively cancelled and recorded, not retried.
   double query_deadline_ms = 0;
 
-  /// Engine choice for power runs. With a single stream and more than one
-  /// worker, the otherwise idle workers can execute morsels of the one
+  /// Slot-count policy for power runs. With a single stream and more than
+  /// one worker, the otherwise idle workers can execute morsels of the one
   /// running query; with multiple streams the workers are already saturated
   /// running whole queries, so intra-query parallelism is never engaged
   /// there (the pool is never oversubscribed). kAdaptive calibrates an

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "bi/bi.h"
-#include "bi/parallel.h"
 #include "engine/morsel.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -119,30 +118,28 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
   bi::ScopedCancelToken scoped(token);
   bool considered = false;
   engine::DispatchDecision decision;
-  // Sequential-or-morsel dispatch: run(g, b) picks the parallel variant iff
-  // an intra-query pool was supplied and — when a cost model arbitrates —
-  // the predicted speedup clears its margin. `estimate(g, b)` prices the
-  // query's scan from zone-map candidate counts (already maintained by the
-  // index, so pricing is ~free); `morsel_size` is the variant's actual
-  // morsel size, which the model reads as per-element weight. Results are
-  // bit-identical whichever engine runs.
-  auto seq_or_par = [&](auto estimate, size_t morsel_size, auto seq,
-                        auto par) {
-    return [&, estimate, morsel_size, seq, par](const storage::Graph& g,
-                                                const auto& b) {
-      if (!intra_pool) return seq(g, b);
-      considered = true;
-      if (!dispatch) {  // unconditional policy: always fan out
-        decision = {op.query, 0, 0, 0.0, engine::DispatchChoice::kMorsel};
-        return par(g, b, *intra_pool);
+  // Intra-query dispatch: run(g, b) calls the template's one kernel with
+  // the intra-query pool iff one was supplied and the cost model predicts
+  // its scan gains from fan-out; otherwise with no pool (one slot, inline).
+  // `estimate(g, b)` prices the scan from zone-map candidate counts
+  // (already maintained by the index, so pricing is ~free); `morsel_size`
+  // is the kernel's actual morsel size, which the model reads as
+  // per-element weight. Results are bit-identical either way.
+  auto with_pool = [&](auto estimate, size_t morsel_size, auto kernel) {
+    return [&, estimate, morsel_size, kernel](const storage::Graph& g,
+                                              const auto& b) {
+      util::ThreadPool* pool = nullptr;
+      if (intra_pool != nullptr && dispatch != nullptr) {
+        considered = true;
+        decision = dispatch->Decide(op.query, estimate(g, b), morsel_size);
+        if (decision.choice == engine::DispatchChoice::kMorsel) {
+          pool = intra_pool;
+        }
       }
-      decision = dispatch->Decide(op.query, estimate(g, b), morsel_size);
-      return decision.choice == engine::DispatchChoice::kMorsel
-                 ? par(g, b, *intra_pool)
-                 : seq(g, b);
+      return kernel(g, b, pool);
     };
   };
-  // Scan-size estimators for the morsel-capable templates.
+  // Scan-size estimators for the partitioned kernels.
   auto all_messages = [](const storage::Graph& g, const auto&) {
     return g.NumMessages();
   };
@@ -154,15 +151,14 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
     switch (op.query) {
       case 1:
         out = RunAndHash(graph, params.bi1, op.binding,
-                         seq_or_par(
+                         with_pool(
                              [](const storage::Graph& g,
                                 const bi::Bi1Params& b) {
                                return g.MessageIndex().CandidatesInRange(
                                    storage::kMinMessageDate,
                                    core::DateTimeFromDate(b.date));
                              },
-                             engine::kDefaultMorselSize, bi::RunBi1,
-                             bi::parallel::RunBi1),
+                             engine::kDefaultMorselSize, bi::RunBi1),
                          [](Hasher& h, const bi::Bi1Row& r) {
                            AddFields(h, r.year, r.is_comment,
                                      r.length_category, r.message_count,
@@ -173,7 +169,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 2:
         out = RunAndHash(graph, params.bi2, op.binding,
-                         seq_or_par(
+                         with_pool(
                              [](const storage::Graph& g,
                                 const bi::Bi2Params& b) {
                                size_t n = 0;
@@ -187,8 +183,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                }
                                return n;
                              },
-                             /*morsel_size=*/256, bi::RunBi2,
-                             bi::parallel::RunBi2),
+                             /*morsel_size=*/256, bi::RunBi2),
                          [](Hasher& h, const bi::Bi2Row& r) {
                            AddFields(h, r.country, r.month, r.gender,
                                      r.age_group, r.tag, r.message_count);
@@ -196,7 +191,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 3:
         out = RunAndHash(graph, params.bi3, op.binding,
-                         seq_or_par(
+                         with_pool(
                              [](const storage::Graph& g,
                                 const bi::Bi3Params& b) {
                                int32_t y = b.year, m = b.month + 2;
@@ -208,8 +203,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                    core::DateTimeFromCivil(b.year, b.month, 1),
                                    core::DateTimeFromCivil(y, m, 1));
                              },
-                             engine::kDefaultMorselSize, bi::RunBi3,
-                             bi::parallel::RunBi3),
+                             engine::kDefaultMorselSize, bi::RunBi3),
                          [](Hasher& h, const bi::Bi3Row& r) {
                            AddFields(h, r.tag, r.count_month1, r.count_month2,
                                      r.diff);
@@ -232,7 +226,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 6:
         out = RunAndHash(graph, params.bi6, op.binding,
-                         seq_or_par(
+                         with_pool(
                              [](const storage::Graph& g,
                                 const bi::Bi6Params& b) -> size_t {
                                uint32_t tag = g.TagByName(b.tag);
@@ -240,8 +234,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                return g.TagPosts().Degree(tag) +
                                       g.TagComments().Degree(tag);
                              },
-                             /*morsel_size=*/1024, bi::RunBi6,
-                             bi::parallel::RunBi6),
+                             /*morsel_size=*/1024, bi::RunBi6),
                          [](Hasher& h, const bi::Bi6Row& r) {
                            AddFields(h, r.person_id, r.reply_count,
                                      r.like_count, r.message_count, r.score);
@@ -280,7 +273,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 12:
         out = RunAndHash(graph, params.bi12, op.binding,
-                         seq_or_par(
+                         with_pool(
                              [](const storage::Graph& g,
                                 const bi::Bi12Params& b) {
                                return g.MessageIndex().CandidatesInRange(
@@ -288,8 +281,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                        core::kMillisPerDay,
                                    storage::kMaxMessageDate);
                              },
-                             engine::kDefaultMorselSize, bi::RunBi12,
-                             bi::parallel::RunBi12),
+                             engine::kDefaultMorselSize, bi::RunBi12),
                          [](Hasher& h, const bi::Bi12Row& r) {
                            AddFields(h, r.message_id, r.creation_date,
                                      r.creator_first_name,
@@ -298,15 +290,15 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 13:
         out = RunAndHash(graph, params.bi13, op.binding,
-                         seq_or_par(all_messages, engine::kDefaultMorselSize,
-                                    bi::RunBi13, bi::parallel::RunBi13),
+                         with_pool(all_messages, engine::kDefaultMorselSize,
+                                   bi::RunBi13),
                          [](Hasher& h, const bi::Bi13Row& r) {
                            AddFields(h, r.year, r.month, r.popular_tags);
                          });
         break;
       case 14:
         out = RunAndHash(graph, params.bi14, op.binding,
-                         seq_or_par(
+                         with_pool(
                              [](const storage::Graph& g,
                                 const bi::Bi14Params& b) {
                                return g.MessageIndex().CandidatesInRange(
@@ -314,8 +306,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                    core::DateTimeFromDate(b.end) +
                                        core::kMillisPerDay);
                              },
-                             engine::kDefaultMorselSize, bi::RunBi14,
-                             bi::parallel::RunBi14),
+                             engine::kDefaultMorselSize, bi::RunBi14),
                          [](Hasher& h, const bi::Bi14Row& r) {
                            AddFields(h, r.person_id, r.first_name, r.last_name,
                                      r.thread_count, r.message_count);
@@ -335,13 +326,12 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 17:
         out = RunAndHash(graph, params.bi17, op.binding,
-                         seq_or_par(
+                         with_pool(
                              [](const storage::Graph& g,
                                 const bi::Bi17Params&) {
                                return g.NumPersons();
                              },
-                             /*morsel_size=*/256, bi::RunBi17,
-                             bi::parallel::RunBi17),
+                             /*morsel_size=*/256, bi::RunBi17),
                          [](Hasher& h, const bi::Bi17Row& r) {
                            AddFields(h, r.count);
                          });
@@ -361,8 +351,8 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 20:
         out = RunAndHash(graph, params.bi20, op.binding,
-                         seq_or_par(all_messages, engine::kDefaultMorselSize,
-                                    bi::RunBi20, bi::parallel::RunBi20),
+                         with_pool(all_messages, engine::kDefaultMorselSize,
+                                   bi::RunBi20),
                          [](Hasher& h, const bi::Bi20Row& r) {
                            AddFields(h, r.tag_class, r.message_count);
                          });
@@ -383,8 +373,8 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 23:
         out = RunAndHash(graph, params.bi23, op.binding,
-                         seq_or_par(all_messages, engine::kDefaultMorselSize,
-                                    bi::RunBi23, bi::parallel::RunBi23),
+                         with_pool(all_messages, engine::kDefaultMorselSize,
+                                   bi::RunBi23),
                          [](Hasher& h, const bi::Bi23Row& r) {
                            AddFields(h, r.message_count, r.destination,
                                      r.month);
@@ -392,8 +382,8 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 24:
         out = RunAndHash(graph, params.bi24, op.binding,
-                         seq_or_par(all_messages, engine::kDefaultMorselSize,
-                                    bi::RunBi24, bi::parallel::RunBi24),
+                         with_pool(all_messages, engine::kDefaultMorselSize,
+                                   bi::RunBi24),
                          [](Hasher& h, const bi::Bi24Row& r) {
                            AddFields(h, r.message_count, r.like_count, r.year,
                                      r.month, r.continent);

@@ -52,9 +52,9 @@ struct OpOutcome {
   uint64_t fingerprint = 0;
   double latency_ms = 0;
   bool cancelled = false;
-  /// Set when an intra-query pool was offered and the template has a morsel
-  /// variant: the cost-model verdict that picked the engine (always kMorsel
-  /// when no model was supplied — the unconditional policy).
+  /// Set when the cost model priced a partitioned kernel (an intra-query
+  /// pool and a model were both supplied): the verdict that gave the kernel
+  /// the pool (kMorsel) or ran it on one slot (kSequential).
   bool dispatch_considered = false;
   engine::DispatchDecision dispatch;
 };
@@ -65,15 +65,15 @@ struct OpOutcome {
 /// cancelled = true with rows = 0. latency_ms is left 0 (the scheduler
 /// owns timing).
 ///
-/// When `intra_pool` is non-null, the scan-dominated templates with a
-/// morsel-parallel variant (BI 1, 2, 3, 6, 12, 13, 14, 17, 20, 23, 24)
-/// may run on that pool; the rest always run sequentially. The scheduler
-/// passes the pool only for power runs (a single stream), never for
-/// throughput runs — the calling thread participates in the morsel loop,
-/// so the pool is never oversubscribed either way. When `dispatch` is also
-/// non-null, its cost model arbitrates per query: the morsel variant runs
-/// only when the predicted speedup clears the model's margin (CP-1.2 work
-/// sizing); a null model means fan out unconditionally.
+/// The scan-dominated templates (BI 1, 2, 3, 6, 12, 13, 14, 17, 20, 23, 24)
+/// are morsel-partitioned kernels. When both `intra_pool` and `dispatch`
+/// are non-null, the cost model prices each such query and hands the kernel
+/// the pool only when the predicted speedup clears the model's margin
+/// (CP-1.2 work sizing); otherwise — and for every other template — the
+/// kernel runs on one slot on the calling thread. The scheduler passes the
+/// pool only for power runs (a single stream), never for throughput runs;
+/// the calling thread participates in the morsel loop, so the pool is
+/// never oversubscribed either way.
 OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                           const params::WorkloadParameters& params,
                           const StreamOp& op, const bi::CancelToken* token,

@@ -15,7 +15,6 @@
 #include "bi/bi.h"                       // BI reads 1–25 (optimized engine)
 #include "bi/cancel.h"                   // cooperative query cancellation
 #include "bi/naive.h"                    // BI naive baseline engine
-#include "bi/parallel.h"                 // parallel BI variants (CP-1.2)
 #include "core/choke_points.h"           // Table A.1 registry
 #include "core/date_time.h"              // Date/DateTime arithmetic
 #include "core/scale_factors.h"          // Tables 2.12 / 3.1 / B.1

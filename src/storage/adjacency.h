@@ -14,6 +14,8 @@
 #ifndef SNB_STORAGE_ADJACENCY_H_
 #define SNB_STORAGE_ADJACENCY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -114,6 +116,25 @@ class AdjacencyList {
       for (uint32_t e = head_[node]; e != kNilEntry; e = overflow_[e].next) {
         f(overflow_[e].target);
       }
+    }
+  }
+
+  /// Visits the neighbours at positions [begin, end) of the merged list, in
+  /// ForEach order (base, then overflow), so disjoint slices of
+  /// [0, Degree(node)) partition one ForEach.
+  template <typename F>
+  void ForEachSlice(uint32_t node, size_t begin, size_t end, F&& f) const {
+    const size_t base = BaseDegree(node);
+    if (begin < base) {
+      const uint64_t first = csr_.EdgeBegin(node);
+      const uint64_t last = first + std::min(end, base);
+      for (uint64_t k = first + begin; k < last; ++k) f(csr_.TargetAt(k));
+    }
+    if (end <= base || node >= head_.size()) return;
+    size_t pos = base;
+    for (uint32_t e = head_[node]; e != kNilEntry && pos < end;
+         e = overflow_[e].next, ++pos) {
+      if (pos >= begin) f(overflow_[e].target);
     }
   }
 

@@ -27,8 +27,8 @@
 #ifndef SNB_STORAGE_GRAPH_H_
 #define SNB_STORAGE_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -190,134 +190,103 @@ class Graph {
     return n;
   }
 
-  /// Visits every live message reference: first posts, then comments.
-  /// Insert-only graphs take the unfiltered fast path.
+  /// Visits every live message reference at flat positions [begin, end) of
+  /// the unified message table — posts first, then comments — so disjoint
+  /// slices of [0, NumMessages()) partition one full scan. Insert-only
+  /// graphs take the unfiltered fast path.
   template <typename F>
-  void ForEachMessage(F&& f) const {
+  void ForEachMessage(size_t begin, size_t end, F&& f) const {
+    const size_t num_posts = posts_.size();
+    const uint32_t post_end = static_cast<uint32_t>(std::min(end, num_posts));
+    const uint32_t comment_begin =
+        static_cast<uint32_t>(begin > num_posts ? begin - num_posts : 0);
+    const uint32_t comment_end =
+        static_cast<uint32_t>(end > num_posts ? end - num_posts : 0);
     if (!HasDeadMessages()) {
-      for (uint32_t i = 0; i < posts_.size(); ++i) f(MessageOfPost(i));
-      for (uint32_t i = 0; i < comments_.size(); ++i) f(MessageOfComment(i));
+      for (uint32_t i = static_cast<uint32_t>(begin); i < post_end; ++i) {
+        f(MessageOfPost(i));
+      }
+      for (uint32_t i = comment_begin; i < comment_end; ++i) {
+        f(MessageOfComment(i));
+      }
       return;
     }
-    for (uint32_t i = 0; i < posts_.size(); ++i) {
+    for (uint32_t i = static_cast<uint32_t>(begin); i < post_end; ++i) {
       if (PostAlive(i)) f(MessageOfPost(i));
     }
-    for (uint32_t i = 0; i < comments_.size(); ++i) {
+    for (uint32_t i = comment_begin; i < comment_end; ++i) {
       if (CommentAlive(i)) f(MessageOfComment(i));
     }
   }
 
-  /// Visits exactly the messages with creationDate in [start, end), pruned
-  /// through the creation-date index: the sorted base contributes a
-  /// binary-searched slice, the unsorted update tail is zone-map filtered
-  /// (CP-2.2/2.3). Visit order is date order over the base followed by
-  /// arrival order over the tail — callers must be order-insensitive.
+  /// Visits every live message reference: first posts, then comments.
   template <typename F>
-  void ForEachMessageInRange(core::DateTime start, core::DateTime end,
-                             F&& f) const {
-    if (!HasDeadMessages()) {
-      message_index_.ForEachBaseInRange(start, end, f);
-      message_index_.ForEachTailInRange(start, end, f);
-      return;
-    }
-    auto live = [this, &f](uint32_t msg) {
-      if (MessageAlive(msg)) f(msg);
-    };
-    message_index_.ForEachBaseInRange(start, end, live);
-    message_index_.ForEachTailInRange(start, end, live);
+  void ForEachMessage(F&& f) const {
+    ForEachMessage(0, NumMessages(), f);
   }
 
-  /// Bound-pushdown range scan (CP-1.3): before a zone-mapped block is
-  /// decoded, `skip` is offered its like-count zone maximum — a true return
-  /// prunes the whole block unseen. `skip(max)` must be monotone: true for
-  /// a block max implies every member message (whose like count is ≤ max)
-  /// would also be rejected, which is what keeps the pushdown engines
-  /// bit-identical to the sort-everything oracle. Zone maxima are computed
-  /// over all rows, so they still upper-bound live like counts after
-  /// deletes: the skip stays safe (merely less selective) under tombstones.
-  template <typename SkipFn, typename F>
-  void ForEachMessageInRangeBounded(core::DateTime start, core::DateTime end,
-                                    SkipFn&& skip, F&& f) const {
-    if (!HasDeadMessages()) {
-      message_index_.ForEachBaseInRangeBounded(start, end, skip, f);
-      message_index_.ForEachTailInRangeBounded(start, end, skip, f);
-      return;
-    }
-    auto live = [this, &f](uint32_t msg) {
-      if (MessageAlive(msg)) f(msg);
-    };
-    message_index_.ForEachBaseInRangeBounded(start, end, skip, live);
-    message_index_.ForEachTailInRangeBounded(start, end, skip, live);
-  }
-
-  /// Random-access view over exactly the messages with creationDate in
-  /// [start, end): the sorted-base slice followed by the matching tail
-  /// entries (materialized — the tail holds only post-load appends and stays
-  /// small). Indexable concurrently from many threads; the morsel engine
-  /// partitions it.
+  /// The live messages with creationDate in [start, end) as a
+  /// position-partitioned scan over the creation-date index: the sorted
+  /// base contributes a binary-searched slice, the unsorted update tail is
+  /// zone-map filtered (CP-2.2/2.3), and tombstoned messages are filtered
+  /// out. Scanning disjoint position slices of [0, size()) — from one
+  /// thread or many — visits each message exactly once. Visit order is date
+  /// order over the base followed by arrival order over the tail — callers
+  /// must be order-insensitive.
   class MessageRangeView {
    public:
-    size_t size() const { return base_count_ + tail_.size(); }
-    uint32_t operator[](size_t i) const {
-      return i < base_count_ ? index_->BaseAt(base_begin_ + i)
-                             : tail_[i - base_count_];
+    /// Scan positions to partition: the base slice plus the whole tail.
+    size_t size() const { return window_.size(); }
+
+    /// Visits the window's live messages at positions [begin, end).
+    template <typename F>
+    void ForEach(size_t begin, size_t end, F&& f) const {
+      ForEachBounded(begin, end, [](int64_t) { return false; }, f);
     }
 
-    /// View positions [0, base_count()) come from the sorted base and carry
-    /// aligned like-count zones; the materialized tail follows.
-    size_t base_count() const { return base_count_; }
-
-    /// Upper bound on the like count of every message in the zone holding
-    /// view position `i`. Tail positions return INT64_MAX (the tail was
-    /// already zone-filtered at view construction and has no aligned zones
-    /// in view coordinates), so bound skips never fire there.
-    int64_t BoundZoneMax(size_t i) const {
-      if (i >= base_count_) return std::numeric_limits<int64_t>::max();
-      return static_cast<int64_t>(index_->BaseBlockMaxLikes(
-          (base_begin_ + i) / columnar::ColumnBlock::kMaxValues));
-    }
-
-    /// One past the last view position sharing position `i`'s zone — the
-    /// stride for block-at-a-time bound pruning inside a morsel.
-    size_t ZoneEnd(size_t i) const {
-      if (i >= base_count_) return size();
-      const size_t block = columnar::ColumnBlock::kMaxValues;
-      const size_t abs_end = ((base_begin_ + i) / block + 1) * block;
-      return std::min(base_count_, abs_end - base_begin_);
+    /// Bound-pushdown form (CP-1.3): before a zone-mapped block is decoded,
+    /// `skip` is offered its like-count zone maximum — a true return prunes
+    /// the whole block unseen. `skip(max)` must be monotone: true for a
+    /// block max implies every member message (whose like count is ≤ max)
+    /// would also be rejected, which is what keeps the pushdown engines
+    /// bit-identical to the sort-everything oracle. Zone maxima are
+    /// computed over all rows, so they still upper-bound live like counts
+    /// after deletes: the skip stays safe (merely less selective) under
+    /// tombstones.
+    template <typename SkipFn, typename F>
+    void ForEachBounded(size_t begin, size_t end, SkipFn&& skip,
+                        F&& f) const {
+      const MessageDateIndex& index = graph_->message_index_;
+      if (!graph_->HasDeadMessages()) {
+        index.ScanWindow(window_, begin, end, skip, f);
+        return;
+      }
+      index.ScanWindow(window_, begin, end, skip, [this, &f](uint32_t msg) {
+        if (graph_->MessageAlive(msg)) f(msg);
+      });
     }
 
    private:
     friend class Graph;
-    const MessageDateIndex* index_ = nullptr;
-    size_t base_begin_ = 0;
-    size_t base_count_ = 0;
-    std::vector<uint32_t> tail_;
+    MessageRangeView(const Graph* graph, MessageDateIndex::Window window)
+        : graph_(graph), window_(window) {}
+
+    const Graph* graph_;
+    MessageDateIndex::Window window_;
   };
 
   MessageRangeView MessageRange(core::DateTime start,
                                 core::DateTime end) const {
-    MessageRangeView view;
-    view.index_ = &message_index_;
-    auto [lo, hi] = message_index_.BaseRange(start, end);
-    if (!HasDeadMessages()) {
-      view.base_begin_ = lo;
-      view.base_count_ = hi - lo;
-      message_index_.ForEachTailInRange(
-          start, end, [&view](uint32_t msg) { view.tail_.push_back(msg); });
-      return view;
-    }
-    // Tombstoned graph: materialize the live subset into the tail so view
-    // positions stay dense. Bound pruning degrades (tail zones answer
-    // INT64_MAX) but the skip predicate never fires on a stale maximum,
-    // which keeps pushdown engines bit-identical to the oracle.
-    for (size_t i = lo; i < hi; ++i) {
-      const uint32_t msg = message_index_.BaseAt(i);
-      if (MessageAlive(msg)) view.tail_.push_back(msg);
-    }
-    message_index_.ForEachTailInRange(start, end, [this, &view](uint32_t msg) {
-      if (MessageAlive(msg)) view.tail_.push_back(msg);
-    });
-    return view;
+    return {this, message_index_.ResolveWindow(start, end)};
+  }
+
+  /// Visits exactly the live messages with creationDate in [start, end):
+  /// the whole of MessageRange(start, end) in one slice.
+  template <typename F>
+  void ForEachMessageInRange(core::DateTime start, core::DateTime end,
+                             F&& f) const {
+    const MessageRangeView range = MessageRange(start, end);
+    range.ForEach(0, range.size(), f);
   }
 
   /// The underlying creation-date index (zone-map introspection for tests

@@ -8,8 +8,8 @@
 // dates have tiny deltas, so the 8 B/entry seed column compresses ~8×, and
 // a date window reduces to a zone-searched block plus an in-block scan.
 // Refs stay a plain uint32 array: the comment bit (bit 31) scatters them
-// across the full 32-bit range, so packing would buy nothing, and
-// MessageRangeView random-probes them from every morsel worker.
+// across the full 32-bit range, so packing would buy nothing, and morsel
+// executors scan disjoint position slices of them (ScanWindow).
 //
 // Messages appended later by the update workload (IU 6/7) land in an
 // *unsorted tail* in arrival order — appends never reshuffle the base, so
@@ -164,48 +164,89 @@ class MessageDateIndex {
   /// The compressed base-date column (block-zone validation, accounting).
   const columnar::ZonedColumn& BaseDateColumn() const { return base_dates_; }
 
-  /// Visits every base entry with creation date in [start, end) in date
-  /// order, counting the zone-searched date pruning into the ambient
-  /// ScanStats sink (blocks the window never touches count as date skips).
-  template <typename F>
-  void ForEachBaseInRange(core::DateTime start, core::DateTime end,
-                          F&& f) const {
+  /// A creation-date window [start, end) resolved against the index: the
+  /// sorted-base slice [base_lo, base_hi) followed by every tail entry
+  /// present at resolution. Scan positions [0, size()) number the base
+  /// slice first, then the tail; ScanWindow over disjoint position slices
+  /// visits each in-window message exactly once, so morsel executors and a
+  /// sequential caller (one slice, [0, size())) run the same scan loop.
+  struct Window {
+    core::DateTime start = kMaxMessageDate;
+    core::DateTime end = kMinMessageDate;
+    size_t base_lo = 0;
+    size_t base_hi = 0;
+    size_t tail_size = 0;
+
+    size_t size() const { return base_hi - base_lo + tail_size; }
+  };
+
+  /// Resolves [start, end) through the zone-searched date column, counting
+  /// the base blocks the window never touches as date-skipped (once per
+  /// window, however its scan is later partitioned).
+  Window ResolveWindow(core::DateTime start, core::DateTime end) const {
     auto [lo, hi] = BaseRange(start, end);
     CountBlocksSkippedDate(base_dates_.num_blocks() - TouchedBlocks(lo, hi));
-    CountRowsDecoded(hi - lo);
-    for (size_t i = lo; i < hi; ++i) f(base_refs_[i]);
+    return {start, end, lo, hi, tail_size()};
   }
 
-  /// Bound-pushdown base scan: like ForEachBaseInRange, but each surviving
-  /// 1024-entry block is first offered to `skip(block_max_likes)` — a true
-  /// return prunes the whole block before any ref is decoded (CP-1.3 over
-  /// the CP-2.2/2.3 zones). `skip` must be monotone in its argument (a
-  /// block max that fails implies every member fails).
-  // Single-writer/multi-reader contract: unlocked zone read by design.
+  /// Visits the in-window messages at scan positions [pos_begin, pos_end)
+  /// of `w`: base entries in date order, then tail entries in arrival
+  /// order. Tail blocks whose date zone misses the window are skipped
+  /// whole. Before any block is decoded, `skip(block_max_likes)` is offered
+  /// its like-count zone max — a true return prunes the block unseen
+  /// (CP-1.3 over the CP-2.2/2.3 zones); `skip` must be monotone in its
+  /// argument (a block max that fails implies every member fails). A block
+  /// split across slices counts its skip once, in the slice holding the
+  /// block's first position.
+  // Single-writer/multi-reader contract: unlocked zone and tail reads by
+  // design (a stale like zone is a looser bound, never a wrong skip).
   template <typename SkipFn, typename F>
-  void ForEachBaseInRangeBounded(core::DateTime start, core::DateTime end,
-                                 SkipFn&& skip, F&& f) const
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
+  void ScanWindow(const Window& w, size_t pos_begin, size_t pos_end,
+                  SkipFn&& skip, F&& f) const SNB_NO_THREAD_SAFETY_ANALYSIS {
     const size_t kBlock = columnar::ColumnBlock::kMaxValues;
-    auto [lo, hi] = BaseRange(start, end);
-    CountBlocksSkippedDate(base_dates_.num_blocks() - TouchedBlocks(lo, hi));
-    size_t i = lo;
-    while (i < hi) {
-      const size_t b = i / kBlock;
-      const size_t block_end = std::min(hi, (b + 1) * kBlock);
-      if (skip(static_cast<int64_t>(base_like_max_[b]))) {
-        CountBlocksSkippedBound(1);
+    const size_t base_n = w.base_hi - w.base_lo;
+    size_t i = w.base_lo + std::min(pos_begin, base_n);
+    const size_t base_end = w.base_lo + std::min(pos_end, base_n);
+    while (i < base_end) {
+      const size_t block_end = std::min(base_end, (i / kBlock + 1) * kBlock);
+      if (skip(static_cast<int64_t>(base_like_max_[i / kBlock]))) {
+        if (i % kBlock == 0 || i == w.base_lo) CountBlocksSkippedBound(1);
         i = block_end;
         continue;
       }
       CountRowsDecoded(block_end - i);
       for (; i < block_end; ++i) f(base_refs_[i]);
     }
+    size_t t = pos_begin > base_n ? pos_begin - base_n : 0;
+    const size_t tail_end =
+        pos_end > base_n ? std::min(pos_end - base_n, w.tail_size) : 0;
+    while (t < tail_end) {
+      const Zone& z = tail_zones_[t / kTailBlock];
+      const size_t block_end =
+          std::min(tail_end, (t / kTailBlock + 1) * kTailBlock);
+      const bool block_first = t % kTailBlock == 0;
+      if (z.max < w.start || z.min >= w.end) {
+        if (block_first) CountBlocksSkippedDate(1);
+        t = block_end;
+        continue;
+      }
+      if (skip(static_cast<int64_t>(z.max_likes))) {
+        if (block_first) CountBlocksSkippedBound(1);
+        t = block_end;
+        continue;
+      }
+      CountRowsDecoded(block_end - t);
+      for (; t < block_end; ++t) {
+        if (tail_dates_[t] >= w.start && tail_dates_[t] < w.end) {
+          f(tail_refs_[t]);
+        }
+      }
+    }
   }
 
   // ---- Tail introspection (validator / tests / bench report) ---------------
-  // Unlocked under the same single-writer/multi-reader contract as the scan
-  // paths below.
+  // Unlocked under the same single-writer/multi-reader contract as
+  // ScanWindow above.
 
   uint32_t TailAt(size_t pos) const SNB_NO_THREAD_SAFETY_ANALYSIS {
     return tail_refs_[pos];
@@ -218,54 +259,6 @@ class MessageDateIndex {
   }
   Zone TailZoneAt(size_t block) const SNB_NO_THREAD_SAFETY_ANALYSIS {
     return tail_zones_[block];
-  }
-
-  /// Visits every tail message with creation date in [start, end): blocks
-  /// whose zone map misses the window are skipped whole; survivors are
-  /// filtered per entry.
-  // Single-writer/multi-reader contract: unlocked tail scan by design.
-  template <typename F>
-  void ForEachTailInRange(core::DateTime start, core::DateTime end,
-                          F&& f) const SNB_NO_THREAD_SAFETY_ANALYSIS {
-    for (size_t b = 0; b < tail_zones_.size(); ++b) {
-      const Zone& z = tail_zones_[b];
-      if (z.max < start || z.min >= end) {
-        CountBlocksSkippedDate(1);
-        continue;
-      }
-      const size_t lo = b * kTailBlock;
-      const size_t hi = std::min(lo + kTailBlock, tail_refs_.size());
-      CountRowsDecoded(hi - lo);
-      for (size_t i = lo; i < hi; ++i) {
-        if (tail_dates_[i] >= start && tail_dates_[i] < end) f(tail_refs_[i]);
-      }
-    }
-  }
-
-  /// Bound-pushdown tail scan: ForEachTailInRange plus a like-count zone
-  /// check per surviving block (same `skip` contract as the base variant).
-  // Single-writer/multi-reader contract: unlocked tail scan by design.
-  template <typename SkipFn, typename F>
-  void ForEachTailInRangeBounded(core::DateTime start, core::DateTime end,
-                                 SkipFn&& skip, F&& f) const
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
-    for (size_t b = 0; b < tail_zones_.size(); ++b) {
-      const Zone& z = tail_zones_[b];
-      if (z.max < start || z.min >= end) {
-        CountBlocksSkippedDate(1);
-        continue;
-      }
-      if (skip(static_cast<int64_t>(z.max_likes))) {
-        CountBlocksSkippedBound(1);
-        continue;
-      }
-      const size_t lo = b * kTailBlock;
-      const size_t hi = std::min(lo + kTailBlock, tail_refs_.size());
-      CountRowsDecoded(hi - lo);
-      for (size_t i = lo; i < hi; ++i) {
-        if (tail_dates_[i] >= start && tail_dates_[i] < end) f(tail_refs_[i]);
-      }
-    }
   }
 
   /// Number of index entries a range scan must examine: the base slice plus

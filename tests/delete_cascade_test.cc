@@ -4,10 +4,12 @@
 //     person, their messages, every reply under a dead message, incident
 //     edges) and nothing else, and the tombstoned graph passes the
 //     tombstone-* validator invariants;
-//   - a delete-heavy refresh publishes a graph whose BI 1/6/12 results are
-//     bit-identical to loading the post-delete dataset from scratch, under
-//     1/2/4/8-thread pools, and identical whether the published snapshot is
-//     compacted or still carries tombstones (scan-path bit-identity);
+//   - a delete-heavy refresh publishes a graph whose results for every
+//     morsel-partitioned BI kernel (BI 1/2/3/6/12/13/14/17/20/23/24) are
+//     bit-identical to loading the post-delete dataset from scratch, and to
+//     the naive engine, with no pool and under 1/2/4/8-thread pools, and
+//     identical whether the published snapshot is compacted or still
+//     carries tombstones (scan-path bit-identity);
 //   - a torn cascade (fail-point mid-stage) returns non-OK, leaves the
 //     tombstone epoch unbumped, and the torn graph is *detectable* — the
 //     new validator invariants name the damage;
@@ -25,19 +27,22 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "bi/bi.h"
-#include "bi/parallel.h"
+#include "bi/naive.h"
 #include "core/date_time.h"
 #include "datagen/datagen.h"
 #include "datagen/delete_stream.h"
 #include "datagen/serializer.h"
 #include "driver/refresh.h"
+#include "engine/morsel.h"
 #include "interactive/updates.h"
+#include "params/parameter_curation.h"
 #include "storage/export.h"
 #include "storage/graph.h"
 #include "storage/loader.h"
@@ -59,7 +64,12 @@ struct SharedData {
   core::SocialNetwork network;
   std::vector<datagen::UpdateEvent> deletes;  // the delete-only stream
   core::Date first_day = 0;
+  params::WorkloadParameters probes;  // bindings the BI probes run
 };
+
+core::SocialNetwork CopyNetwork(const core::SocialNetwork& net) {
+  return net;
+}
 
 const SharedData& Fixture() {
   static SharedData* data = [] {
@@ -82,47 +92,78 @@ const SharedData& Fixture() {
     d->deletes = datagen::DeriveDeleteStream(d->network, options);
     SNB_CHECK(!d->deletes.empty());
     d->first_day = core::DateFromDateTime(d->deletes.front().timestamp);
+    // Curated bindings for every partitioned kernel, plus windows wide
+    // enough to reach every message (and the update tail) for BI 1/12, and
+    // BI 23 from every home country (it keys on the creator's country, so
+    // curated countries alone may miss every deleted message).
+    const Graph graph(CopyNetwork(d->network));
+    params::CurationConfig pc;
+    pc.per_query = 3;
+    d->probes = params::CurateParameters(graph, pc);
+    std::set<std::string> homes;
+    for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
+      homes.insert(graph.PlaceAt(graph.PersonCountry(p)).name);
+    }
+    for (const std::string& home : homes) d->probes.bi23.push_back({home});
+    d->probes.bi1.push_back({core::DateFromCivil(2030, 1, 1)});
+    d->probes.bi6.push_back({d->network.tags.front().name});
+    d->probes.bi12.push_back({core::DateFromCivil(2000, 1, 1), 0});
     return d;
   }();
   return *data;
 }
 
-core::SocialNetwork CopyNetwork(const core::SocialNetwork& net) {
-  return net;
-}
-
+/// Every partitioned kernel's rows over the probe bindings.
 struct BiProbeResults {
-  std::vector<bi::Bi1Row> bi1;
-  std::vector<bi::Bi6Row> bi6;
-  std::vector<bi::Bi12Row> bi12;
+  std::vector<std::vector<bi::Bi1Row>> bi1;
+  std::vector<std::vector<bi::Bi2Row>> bi2;
+  std::vector<std::vector<bi::Bi3Row>> bi3;
+  std::vector<std::vector<bi::Bi6Row>> bi6;
+  std::vector<std::vector<bi::Bi12Row>> bi12;
+  std::vector<std::vector<bi::Bi13Row>> bi13;
+  std::vector<std::vector<bi::Bi14Row>> bi14;
+  std::vector<std::vector<bi::Bi17Row>> bi17;
+  std::vector<std::vector<bi::Bi20Row>> bi20;
+  std::vector<std::vector<bi::Bi23Row>> bi23;
+  std::vector<std::vector<bi::Bi24Row>> bi24;
 
   bool operator==(const BiProbeResults&) const = default;
 };
 
-bi::Bi1Params Probe1() { return {core::DateFromCivil(2030, 1, 1)}; }
+#define SNB_FOR_EACH_PROBE(X) \
+  X(1) X(2) X(3) X(6) X(12) X(13) X(14) X(17) X(20) X(23) X(24)
 
-bi::Bi6Params Probe6() {
-  bi::Bi6Params p;
-  p.tag = Fixture().network.tags.front().name;
-  return p;
+/// The kernels' results; `pool` null runs each on one slot inline.
+BiProbeResults RunProbes(const Graph& graph,
+                         util::ThreadPool* pool = nullptr) {
+  BiProbeResults r;
+#define SNB_PROBE(N)                                          \
+  for (const auto& b : Fixture().probes.bi##N) {              \
+    r.bi##N.push_back(bi::RunBi##N(graph, b, pool));          \
+  }
+  SNB_FOR_EACH_PROBE(SNB_PROBE)
+#undef SNB_PROBE
+  return r;
 }
 
-bi::Bi12Params Probe12() {
-  bi::Bi12Params p;
-  p.date = core::DateFromCivil(2000, 1, 1);
-  p.like_threshold = 0;
-  return p;
+BiProbeResults RunNaiveProbes(const Graph& graph) {
+  BiProbeResults r;
+#define SNB_PROBE(N)                                          \
+  for (const auto& b : Fixture().probes.bi##N) {              \
+    r.bi##N.push_back(bi::naive::RunBi##N(graph, b));         \
+  }
+  SNB_FOR_EACH_PROBE(SNB_PROBE)
+#undef SNB_PROBE
+  return r;
 }
 
-BiProbeResults RunProbes(const Graph& graph) {
-  return {bi::RunBi1(graph, Probe1()), bi::RunBi6(graph, Probe6()),
-          bi::RunBi12(graph, Probe12())};
-}
-
-BiProbeResults RunProbes(const Graph& graph, util::ThreadPool& pool) {
-  return {bi::parallel::RunBi1(graph, Probe1(), pool),
-          bi::parallel::RunBi6(graph, Probe6(), pool),
-          bi::parallel::RunBi12(graph, Probe12(), pool)};
+/// Per-template comparison, so a failure names the drifting kernel.
+void ExpectSameProbes(const BiProbeResults& got, const BiProbeResults& want,
+                      const std::string& what) {
+#define SNB_PROBE(N) \
+  EXPECT_TRUE(got.bi##N == want.bi##N) << "BI " #N " differs: " << what;
+  SNB_FOR_EACH_PROBE(SNB_PROBE)
+#undef SNB_PROBE
 }
 
 std::string FreshDir(const std::string& name) {
@@ -142,7 +183,10 @@ std::unique_ptr<Graph> TombstonedGraph() {
 
 class DeleteCascadeTest : public ::testing::Test {
  protected:
-  void TearDown() override { util::failpoint::DisarmAll(); }
+  void TearDown() override {
+    util::failpoint::DisarmAll();
+    engine::internal::GlobalMorselTuning() = engine::internal::MorselTuning{};
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -211,16 +255,24 @@ TEST_F(DeleteCascadeTest, BiResultsMatchFromScratchLoadAcrossPools) {
   Graph oracle(std::move(loaded).value());
   ASSERT_FALSE(oracle.HasTombstones());
 
-  const BiProbeResults expected = RunProbes(oracle);
-  EXPECT_EQ(RunProbes(tombstoned), expected)
-      << "tombstone-filtered scans diverge from a clean load";
+  // The naive engine reads raw records (it is not tombstone-aware), so it
+  // is the oracle on the clean load only.
+  const BiProbeResults expected = RunNaiveProbes(oracle);
+  ExpectSameProbes(RunProbes(oracle), expected, "clean load, no pool");
+  ExpectSameProbes(RunProbes(tombstoned), expected,
+                   "tombstoned graph, no pool");
 
+  // Drop the fan-out floor and cap the morsel size so the tiny fixture
+  // still splits every scan across slots (as parallel_test does).
+  engine::internal::GlobalMorselTuning().min_morsels_for_fanout = 1;
+  engine::internal::GlobalMorselTuning().morsel_size_cap = 64;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     util::ThreadPool pool(threads);
-    EXPECT_EQ(RunProbes(tombstoned, pool), expected)
-        << "tombstoned graph, " << threads << " threads";
-    EXPECT_EQ(RunProbes(oracle, pool), expected)
-        << "oracle graph, " << threads << " threads";
+    ExpectSameProbes(RunProbes(tombstoned, &pool), expected,
+                     "tombstoned graph, " + std::to_string(threads) +
+                         " threads");
+    ExpectSameProbes(RunProbes(oracle, &pool), expected,
+                     "clean load, " + std::to_string(threads) + " threads");
   }
 }
 
@@ -314,14 +366,14 @@ TEST_F(DeleteCascadeTest, PreCascadeSnapshotIsStableUnderConcurrentRefresh) {
   GraphHandle handle(std::make_shared<Graph>(CopyNetwork(data.network)));
 
   std::shared_ptr<const Graph> pre = handle.Current();
-  const std::vector<bi::Bi1Row> pre_rows = bi::RunBi1(*pre, Probe1());
+  const std::vector<bi::Bi1Row> pre_rows = bi::RunBi1(*pre, data.probes.bi1.back());
 
   std::atomic<bool> done{false};
   std::atomic<bool> stable{true};
   std::atomic<size_t> reads{0};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
-      if (bi::RunBi1(*pre, Probe1()) != pre_rows) {
+      if (bi::RunBi1(*pre, data.probes.bi1.back()) != pre_rows) {
         stable.store(false, std::memory_order_release);
       }
       ++reads;
@@ -338,7 +390,7 @@ TEST_F(DeleteCascadeTest, PreCascadeSnapshotIsStableUnderConcurrentRefresh) {
       << "a pre-cascade snapshot changed while cascades ran";
   EXPECT_FALSE(pre->HasTombstones());
   EXPECT_EQ(pre->TombstoneEpoch(), 0u);
-  EXPECT_EQ(bi::RunBi1(*pre, Probe1()), pre_rows);
+  EXPECT_EQ(bi::RunBi1(*pre, data.probes.bi1.back()), pre_rows);
 
   // Post-swap: the published snapshot carries the *complete* cascade —
   // compacted, physically smaller, equal to the from-scratch oracle.

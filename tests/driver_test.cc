@@ -187,16 +187,6 @@ TEST_F(DriverFixture, OperationStatsPercentiles) {
   EXPECT_EQ(OperationStats{}.PercentileMs(0.99), 0.0);
 }
 
-TEST_F(DriverFixture, BiWorkloadRunsEveryQuery) {
-  storage::Graph graph = FreshGraph();
-  DriverReport report = RunBiWorkload(graph, workload().params, 2);
-  EXPECT_EQ(report.per_operation.size(), 25u);
-  for (const auto& [op, stats] : report.per_operation) {
-    EXPECT_EQ(stats.count, 2u) << op;
-  }
-  EXPECT_EQ(report.total_operations, 50u);
-}
-
 TEST_F(DriverFixture, ValidationModePasses) {
   storage::Graph graph = FreshGraph();
   ValidationReport report =

@@ -1,9 +1,10 @@
-// Tests for the parallel execution paths: every morsel-parallel query
-// variant (CP-1.2) must be bit-identical to the sequential engine AND the
-// naive engine at every pool size; the creation-date index must visit
-// exactly the messages a filtered full scan visits, including messages
-// appended to the unsorted tail by updates; cancellation must surface from
-// inside a morsel loop without wedging the pool.
+// Tests for the parallel execution paths: every morsel-partitioned kernel
+// (CP-1.2) must be bit-identical to the naive engine with no pool (one slot
+// inline) and at every pool size; the creation-date index must visit
+// exactly the messages a filtered full scan visits, under any partition of
+// its scan positions and including messages appended to the unsorted tail
+// by updates; cancellation must surface from inside a morsel loop without
+// wedging the pool.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +14,12 @@
 #include "bi/bi.h"
 #include "bi/cancel.h"
 #include "bi/naive.h"
-#include "bi/parallel.h"
 #include "datagen/datagen.h"
-#include "driver/driver.h"
 #include "engine/morsel.h"
 #include "params/parameter_curation.h"
 #include "storage/graph.h"
 #include "storage/message_index.h"
+#include "storage/scan_stats.h"
 #include "util/thread_pool.h"
 
 namespace snb {
@@ -28,10 +28,13 @@ namespace {
 class ParallelFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Drop the minimum-work fan-out floor: the fixture is deliberately tiny,
-    // and these tests (run under TSan in check.sh) must still drive the
-    // morsel machinery rather than collapse to the inline path.
+    // Drop the minimum-work fan-out floor and cap the morsel size: the
+    // fixture is deliberately tiny (its whole message table fits in one
+    // default morsel), and these tests (run under TSan in check.sh) must
+    // still split every kernel's scan across slots rather than collapse to
+    // the inline path.
     engine::internal::GlobalMorselTuning().min_morsels_for_fanout = 1;
+    engine::internal::GlobalMorselTuning().morsel_size_cap = 64;
     datagen::DatagenConfig cfg;
     cfg.num_persons = 350;
     cfg.activity_scale = 0.5;
@@ -54,20 +57,19 @@ class ParallelFixture : public ::testing::Test {
   static util::ThreadPool& pool() { return *pool_; }
 
   /// Cross-validates one query template: for every curated binding the
-  /// naive engine and the morsel-parallel variant at 1/2/4/8 threads must
-  /// all return exactly the sequential engine's rows.
-  template <typename Bindings, typename SeqFn, typename NaiveFn,
-            typename ParFn>
+  /// kernel with no pool and at 1/2/4/8 threads must return exactly the
+  /// naive engine's rows.
+  template <typename Bindings, typename RunFn, typename NaiveFn>
   static void CheckQuery(const char* name, const Bindings& bindings,
-                         SeqFn seq, NaiveFn naive, ParFn par) {
+                         RunFn run, NaiveFn naive) {
     util::ThreadPool pools[] = {util::ThreadPool(1), util::ThreadPool(2),
                                 util::ThreadPool(4), util::ThreadPool(8)};
     ASSERT_FALSE(bindings.empty()) << name;
     for (const auto& p : bindings) {
-      const auto expected = seq(graph(), p);
-      EXPECT_EQ(naive(graph(), p), expected) << name << " (naive)";
+      const auto expected = naive(graph(), p);
+      EXPECT_EQ(run(graph(), p, nullptr), expected) << name << " (no pool)";
       for (util::ThreadPool& tp : pools) {
-        EXPECT_EQ(par(graph(), p, tp), expected)
+        EXPECT_EQ(run(graph(), p, &tp), expected)
             << name << " threads=" << tp.num_threads();
       }
     }
@@ -83,73 +85,55 @@ storage::Graph* ParallelFixture::graph_ = nullptr;
 params::WorkloadParameters* ParallelFixture::params_ = nullptr;
 util::ThreadPool* ParallelFixture::pool_ = nullptr;
 
-TEST_F(ParallelFixture, Bi1MatchesSequentialAndNaive) {
-  CheckQuery("BI 1", params().bi1, bi::RunBi1, bi::naive::RunBi1,
-             bi::parallel::RunBi1);
+TEST_F(ParallelFixture, Bi1MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 1", params().bi1, bi::RunBi1, bi::naive::RunBi1);
   // Degenerate date (nothing qualifies) must also agree.
   bi::Bi1Params empty{core::DateFromCivil(2009, 1, 1)};
-  EXPECT_EQ(bi::parallel::RunBi1(graph(), empty, pool()),
-            bi::RunBi1(graph(), empty));
+  EXPECT_EQ(bi::RunBi1(graph(), empty, &pool()),
+            bi::naive::RunBi1(graph(), empty));
 }
 
-TEST_F(ParallelFixture, Bi2MatchesSequentialAndNaive) {
-  CheckQuery("BI 2", params().bi2, bi::RunBi2, bi::naive::RunBi2,
-             bi::parallel::RunBi2);
+TEST_F(ParallelFixture, Bi2MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 2", params().bi2, bi::RunBi2, bi::naive::RunBi2);
 }
 
-TEST_F(ParallelFixture, Bi3MatchesSequentialAndNaive) {
-  CheckQuery("BI 3", params().bi3, bi::RunBi3, bi::naive::RunBi3,
-             bi::parallel::RunBi3);
+TEST_F(ParallelFixture, Bi3MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 3", params().bi3, bi::RunBi3, bi::naive::RunBi3);
 }
 
-TEST_F(ParallelFixture, Bi6MatchesSequentialAndNaive) {
-  CheckQuery("BI 6", params().bi6, bi::RunBi6, bi::naive::RunBi6,
-             bi::parallel::RunBi6);
+TEST_F(ParallelFixture, Bi6MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 6", params().bi6, bi::RunBi6, bi::naive::RunBi6);
 }
 
-TEST_F(ParallelFixture, Bi12MatchesSequentialAndNaive) {
-  CheckQuery("BI 12", params().bi12, bi::RunBi12, bi::naive::RunBi12,
-             bi::parallel::RunBi12);
+TEST_F(ParallelFixture, Bi12MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 12", params().bi12, bi::RunBi12, bi::naive::RunBi12);
 }
 
-TEST_F(ParallelFixture, Bi13MatchesSequentialAndNaive) {
-  CheckQuery("BI 13", params().bi13, bi::RunBi13, bi::naive::RunBi13,
-             bi::parallel::RunBi13);
+TEST_F(ParallelFixture, Bi13MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 13", params().bi13, bi::RunBi13, bi::naive::RunBi13);
 }
 
-TEST_F(ParallelFixture, Bi14MatchesSequentialAndNaive) {
-  CheckQuery("BI 14", params().bi14, bi::RunBi14, bi::naive::RunBi14,
-             bi::parallel::RunBi14);
+TEST_F(ParallelFixture, Bi14MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 14", params().bi14, bi::RunBi14, bi::naive::RunBi14);
 }
 
-TEST_F(ParallelFixture, Bi17MatchesSequentialAndNaive) {
-  CheckQuery("BI 17", params().bi17, bi::RunBi17, bi::naive::RunBi17,
-             bi::parallel::RunBi17);
+TEST_F(ParallelFixture, Bi17MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 17", params().bi17, bi::RunBi17, bi::naive::RunBi17);
 }
 
-TEST_F(ParallelFixture, Bi20MatchesSequentialAndNaive) {
-  CheckQuery("BI 20", params().bi20, bi::RunBi20, bi::naive::RunBi20,
-             bi::parallel::RunBi20);
+TEST_F(ParallelFixture, Bi20MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 20", params().bi20, bi::RunBi20, bi::naive::RunBi20);
   bi::Bi20Params with_unknown{{"Thing", "NoSuchClass", "Person"}};
-  EXPECT_EQ(bi::parallel::RunBi20(graph(), with_unknown, pool()),
-            bi::RunBi20(graph(), with_unknown));
+  EXPECT_EQ(bi::RunBi20(graph(), with_unknown, &pool()),
+            bi::naive::RunBi20(graph(), with_unknown));
 }
 
-TEST_F(ParallelFixture, Bi23MatchesSequentialAndNaive) {
-  CheckQuery("BI 23", params().bi23, bi::RunBi23, bi::naive::RunBi23,
-             bi::parallel::RunBi23);
+TEST_F(ParallelFixture, Bi23MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 23", params().bi23, bi::RunBi23, bi::naive::RunBi23);
 }
 
-TEST_F(ParallelFixture, Bi24MatchesSequentialAndNaive) {
-  CheckQuery("BI 24", params().bi24, bi::RunBi24, bi::naive::RunBi24,
-             bi::parallel::RunBi24);
-}
-
-TEST_F(ParallelFixture, ParallelBi1DeterministicAcrossPoolSizes) {
-  util::ThreadPool one(1), many(8);
-  const bi::Bi1Params& p = params().bi1[0];
-  EXPECT_EQ(bi::parallel::RunBi1(graph(), p, one),
-            bi::parallel::RunBi1(graph(), p, many));
+TEST_F(ParallelFixture, Bi24MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 24", params().bi24, bi::RunBi24, bi::naive::RunBi24);
 }
 
 TEST_F(ParallelFixture, CancelledTokenAbortsParallelQueryAndPoolSurvives) {
@@ -157,28 +141,16 @@ TEST_F(ParallelFixture, CancelledTokenAbortsParallelQueryAndPoolSurvives) {
   token.RequestStop();
   {
     bi::ScopedCancelToken scoped(&token);
-    EXPECT_THROW(bi::parallel::RunBi1(graph(), params().bi1[0], pool()),
+    EXPECT_THROW(bi::RunBi1(graph(), params().bi1[0], &pool()),
                  bi::QueryCancelled);
-    EXPECT_THROW(bi::parallel::RunBi20(graph(), params().bi20[0], pool()),
+    EXPECT_THROW(bi::RunBi20(graph(), params().bi20[0], &pool()),
                  bi::QueryCancelled);
+    // The one-slot inline path polls the same token.
+    EXPECT_THROW(bi::RunBi13(graph(), params().bi13[0]), bi::QueryCancelled);
   }
   // The abandoned morsels must not leave the pool wedged or poisoned.
-  EXPECT_EQ(bi::parallel::RunBi1(graph(), params().bi1[0], pool()),
+  EXPECT_EQ(bi::RunBi1(graph(), params().bi1[0], &pool()),
             bi::RunBi1(graph(), params().bi1[0]));
-}
-
-TEST_F(ParallelFixture, ParallelBiStreamRunsEveryOperation) {
-  driver::DriverReport sequential =
-      driver::RunBiWorkload(graph(), params(), 2);
-  driver::DriverReport parallel =
-      driver::RunBiWorkloadParallel(graph(), params(), 2, pool());
-  EXPECT_EQ(parallel.total_operations, sequential.total_operations);
-  ASSERT_EQ(parallel.per_operation.size(), sequential.per_operation.size());
-  for (const auto& [op, stats] : sequential.per_operation) {
-    ASSERT_TRUE(parallel.per_operation.contains(op)) << op;
-    EXPECT_EQ(parallel.per_operation.at(op).count, stats.count) << op;
-  }
-  EXPECT_EQ(parallel.results_log.size(), parallel.total_operations);
 }
 
 // ---- Creation-date index / zone-map pruning ------------------------------
@@ -233,14 +205,49 @@ TEST_F(MessageIndexFixture, RangeScanVisitsExactlyTheWindowMessages) {
   }
 }
 
-TEST_F(MessageIndexFixture, MessageRangeViewMatchesForEach) {
+TEST_F(MessageIndexFixture, RangeViewSlicesPartitionTheRangeScan) {
   const core::DateTime start = core::DateTimeFromCivil(2010, 6, 1);
   const core::DateTime end = core::DateTimeFromCivil(2010, 9, 1);
-  storage::Graph::MessageRangeView view = graph().MessageRange(start, end);
-  std::vector<uint32_t> from_view;
-  for (size_t i = 0; i < view.size(); ++i) from_view.push_back(view[i]);
-  std::sort(from_view.begin(), from_view.end());
-  EXPECT_EQ(from_view, RangeScan(start, end));
+  // Three tail blocks: one in the window, one straddling its end, one past
+  // it (date-skipped whole).
+  for (uint32_t i = 0; i < 600; ++i) {
+    core::Post post = graph().PostAt(i % graph().NumPosts());
+    post.id = (1u << 30) + i;
+    post.creation_date =
+        i < 300 ? start + i * core::kMillisPerDay / 4
+                : core::DateTimeFromCivil(2030, 6, 15);
+    graph().AddPost(post);
+  }
+  ASSERT_EQ(graph().MessageIndex().NumTailBlocks(), 3u);
+
+  const storage::Graph::MessageRangeView view =
+      graph().MessageRange(start, end);
+  auto scan = [&](size_t width, storage::ScanStats& stats) {
+    storage::ScopedScanStats guard(&stats);
+    std::vector<uint32_t> visited;
+    for (size_t begin = 0; begin < view.size(); begin += width) {
+      view.ForEach(begin, std::min(view.size(), begin + width),
+                   [&](uint32_t msg) { visited.push_back(msg); });
+    }
+    std::sort(visited.begin(), visited.end());
+    return visited;
+  };
+  storage::ScanStats whole;
+  const std::vector<uint32_t> expected = scan(view.size(), whole);
+  EXPECT_EQ(expected, FilteredFullScan(start, end));
+  EXPECT_GT(whole.blocks_skipped_date.load(), 0u);
+  // Slice widths that split base and tail blocks, on and off block bounds:
+  // the same messages, and the same decode/skip counts, as one slice.
+  for (size_t width : {size_t{1}, size_t{7}, size_t{256}, size_t{1000},
+                       size_t{1024}}) {
+    storage::ScanStats sliced;
+    EXPECT_EQ(scan(width, sliced), expected) << "width=" << width;
+    EXPECT_EQ(sliced.rows_decoded.load(), whole.rows_decoded.load())
+        << "width=" << width;
+    EXPECT_EQ(sliced.blocks_skipped_date.load(),
+              whole.blocks_skipped_date.load())
+        << "width=" << width;
+  }
 }
 
 TEST_F(MessageIndexFixture, OneMonthWindowExaminesStrictlyFewerCandidates) {
@@ -282,7 +289,6 @@ TEST_F(MessageIndexFixture, AppendedMessagesLandInTheTailAndAreVisible) {
   const core::DateTime w1 = core::DateTimeFromCivil(2031, 1, 1);
   EXPECT_EQ(RangeScan(w0, w1).size(), 2u);
   EXPECT_EQ(RangeScan(w0, w1), FilteredFullScan(w0, w1));
-  EXPECT_EQ(graph().MessageRange(w0, w1).size(), 2u);
   EXPECT_GE(graph().MessageIndex().CandidatesInRange(w0, w1), 2u);
   // A window before the appends never touches the tail block.
   EXPECT_EQ(RangeScan(core::DateTimeFromCivil(2010, 6, 1),
@@ -294,9 +300,9 @@ TEST_F(MessageIndexFixture, AppendedMessagesLandInTheTailAndAreVisible) {
   // cutoff aggregates over both the base and the tail.
   bi::Bi1Params p{core::DateFromCivil(2032, 1, 1)};
   util::ThreadPool tp(4);
-  const auto expected = bi::RunBi1(graph(), p);
-  EXPECT_EQ(bi::naive::RunBi1(graph(), p), expected);
-  EXPECT_EQ(bi::parallel::RunBi1(graph(), p, tp), expected);
+  const auto expected = bi::naive::RunBi1(graph(), p);
+  EXPECT_EQ(bi::RunBi1(graph(), p), expected);
+  EXPECT_EQ(bi::RunBi1(graph(), p, &tp), expected);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 
 #include "bi/bi.h"
 #include "bi/naive.h"
-#include "bi/parallel.h"
 #include "core/date_time.h"
 #include "datagen/datagen.h"
 #include "engine/bound.h"
@@ -160,11 +159,12 @@ TEST_F(PushdownFixture, Bi12BitIdenticalUnderBoundRaceInterleavings) {
   const auto expected = bi::naive::RunBi12(graph(), p);
   ASSERT_EQ(bi::RunBi12(graph(), p), expected);
   engine::internal::GlobalMorselTuning().min_morsels_for_fanout = 1;
+  engine::internal::GlobalMorselTuning().morsel_size_cap = 64;
   for (uint64_t seed : {0ull, 1ull, 7ull, 42ull, 12345ull}) {
     engine::internal::GlobalMorselTuning().shuffle_seed = seed;
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       util::ThreadPool pool(threads);
-      EXPECT_EQ(bi::parallel::RunBi12(graph(), p, pool), expected)
+      EXPECT_EQ(bi::RunBi12(graph(), p, &pool), expected)
           << "seed=" << seed << " threads=" << threads;
     }
   }
@@ -184,11 +184,12 @@ TEST_F(PushdownFixture, Bi2AndBi14BitIdenticalUnderShuffledMorsels) {
   ASSERT_EQ(bi::RunBi2(graph(), p2), e2);
   ASSERT_EQ(bi::RunBi14(graph(), p14), e14);
   engine::internal::GlobalMorselTuning().min_morsels_for_fanout = 1;
+  engine::internal::GlobalMorselTuning().morsel_size_cap = 64;
   for (uint64_t seed : {0ull, 3ull, 99ull}) {
     engine::internal::GlobalMorselTuning().shuffle_seed = seed;
     util::ThreadPool pool(4);
-    EXPECT_EQ(bi::parallel::RunBi2(graph(), p2, pool), e2) << "seed=" << seed;
-    EXPECT_EQ(bi::parallel::RunBi14(graph(), p14, pool), e14)
+    EXPECT_EQ(bi::RunBi2(graph(), p2, &pool), e2) << "seed=" << seed;
+    EXPECT_EQ(bi::RunBi14(graph(), p14, &pool), e14)
         << "seed=" << seed;
   }
 }
@@ -202,13 +203,11 @@ TEST_F(PushdownFixture, EmptyResultsAgreeAcrossEngines) {
   bi::Bi6Params p6{"no-such-tag"};
   EXPECT_TRUE(bi::RunBi12(graph(), p12).empty());
   EXPECT_EQ(bi::RunBi12(graph(), p12), bi::naive::RunBi12(graph(), p12));
-  EXPECT_EQ(bi::parallel::RunBi12(graph(), p12, pool),
-            bi::RunBi12(graph(), p12));
+  EXPECT_EQ(bi::RunBi12(graph(), p12, &pool), bi::RunBi12(graph(), p12));
   EXPECT_EQ(bi::RunBi14(graph(), p14), bi::naive::RunBi14(graph(), p14));
-  EXPECT_EQ(bi::parallel::RunBi14(graph(), p14, pool),
-            bi::RunBi14(graph(), p14));
+  EXPECT_EQ(bi::RunBi14(graph(), p14, &pool), bi::RunBi14(graph(), p14));
   EXPECT_TRUE(bi::RunBi6(graph(), p6).empty());
-  EXPECT_EQ(bi::parallel::RunBi6(graph(), p6, pool), bi::RunBi6(graph(), p6));
+  EXPECT_EQ(bi::RunBi6(graph(), p6, &pool), bi::RunBi6(graph(), p6));
 }
 
 TEST_F(PushdownFixture, KExceedsCandidatesKeepsEveryRow) {
@@ -225,7 +224,7 @@ TEST_F(PushdownFixture, KExceedsCandidatesKeepsEveryRow) {
   ASSERT_LT(rows.size(), 100u) << "fixture too like-happy to underfill";
   EXPECT_EQ(rows, bi::naive::RunBi12(graph(), p));
   util::ThreadPool pool(4);
-  EXPECT_EQ(bi::parallel::RunBi12(graph(), p, pool), rows);
+  EXPECT_EQ(bi::RunBi12(graph(), p, &pool), rows);
 }
 
 TEST_F(PushdownFixture, CountersProvePruningFires) {
@@ -246,12 +245,13 @@ TEST_F(PushdownFixture, CountersProvePruningFires) {
 
 TEST_F(PushdownFixture, CountersAggregateAcrossMorselSlots) {
   engine::internal::GlobalMorselTuning().min_morsels_for_fanout = 1;
+  engine::internal::GlobalMorselTuning().morsel_size_cap = 64;
   bi::Bi12Params p{MidDate(), 0};
   util::ThreadPool pool(4);
   storage::ScanStats stats;
   {
     storage::ScopedScanStats guard(&stats);
-    bi::parallel::RunBi12(graph(), p, pool);
+    bi::RunBi12(graph(), p, &pool);
   }
   // Helper threads must re-install the caller's sink: a parallel run
   // decodes the same candidate set, so the counter cannot be zero.

@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "datagen/datagen.h"
-#include "driver/driver.h"
 #include "params/parameter_curation.h"
 #include "sched/histogram.h"
 #include "sched/scheduler.h"
@@ -102,24 +102,49 @@ TEST_F(SchedFixture, StreamsPermuteTheSameOpSet) {
 TEST_F(SchedFixture, ConcurrentStreamsMatchSequentialEngineBitForBit) {
   const size_t kBindings = 3;
   auto ref = SequentialReference(kBindings);
+  std::map<std::string, size_t> ops_per_template;
+  for (const auto& [key, outcome] : ref) {
+    ++ops_per_template[StreamOpName(outcome.op)];
+  }
+  ASSERT_EQ(ops_per_template.size(), 25u);
 
-  SchedulerConfig cfg;
-  cfg.num_streams = 3;
-  cfg.num_workers = 4;
-  cfg.bindings_per_query = kBindings;
-  ScheduleResult run = RunStreams(graph(), params(), cfg);
+  // The throughput shape (3 streams × 4 workers, streams-only parallelism)
+  // and the adaptive power shape (1 stream × 4 workers, the cost model
+  // choosing each partitioned kernel's slot count).
+  struct Shape {
+    size_t streams;
+    size_t workers;
+  };
+  for (const Shape shape : {Shape{3, 4}, Shape{1, 4}}) {
+    SCOPED_TRACE(testing::Message() << shape.streams << " streams x "
+                                    << shape.workers << " workers");
+    SchedulerConfig cfg;
+    cfg.num_streams = shape.streams;
+    cfg.num_workers = shape.workers;
+    cfg.bindings_per_query = kBindings;
+    ScheduleResult run = RunStreams(graph(), params(), cfg);
 
-  ASSERT_EQ(run.streams.size(), 3u);
-  EXPECT_EQ(run.total_cancelled, 0u);
-  EXPECT_EQ(run.total_completed, 3 * ref.size());
-  for (const StreamResult& stream : run.streams) {
-    ASSERT_EQ(stream.outcomes.size(), ref.size());
-    for (const OpOutcome& o : stream.outcomes) {
-      const OpOutcome& expected = ref.at({o.op.query, o.op.binding});
-      EXPECT_EQ(o.rows, expected.rows)
-          << StreamOpName(o.op) << " binding " << o.op.binding;
-      EXPECT_EQ(o.fingerprint, expected.fingerprint)
-          << StreamOpName(o.op) << " binding " << o.op.binding;
+    ASSERT_EQ(run.streams.size(), shape.streams);
+    EXPECT_EQ(run.total_cancelled, 0u);
+    EXPECT_EQ(run.total_completed, shape.streams * ref.size());
+    ASSERT_EQ(run.per_query.size(), 25u);
+    for (const auto& [name, latencies] : run.per_query) {
+      EXPECT_EQ(latencies.count(), shape.streams * ops_per_template.at(name))
+          << name;
+    }
+    // Only a power run consults the cost model, once per partitioned op.
+    EXPECT_EQ(run.morsel_chosen + run.morsel_refused,
+              run.dispatch_decisions.size());
+    EXPECT_EQ(run.dispatch_decisions.empty(), shape.streams > 1);
+    for (const StreamResult& stream : run.streams) {
+      ASSERT_EQ(stream.outcomes.size(), ref.size());
+      for (const OpOutcome& o : stream.outcomes) {
+        const OpOutcome& expected = ref.at({o.op.query, o.op.binding});
+        EXPECT_EQ(o.rows, expected.rows)
+            << StreamOpName(o.op) << " binding " << o.op.binding;
+        EXPECT_EQ(o.fingerprint, expected.fingerprint)
+            << StreamOpName(o.op) << " binding " << o.op.binding;
+      }
     }
   }
 }
@@ -153,7 +178,8 @@ TEST_F(SchedFixture, TightDeadlineCancelsEveryQuery) {
   ScheduleResult run = RunStreams(graph(), params(), cfg);
 
   EXPECT_EQ(run.total_completed, 0u);
-  EXPECT_GT(run.total_cancelled, 0u);
+  EXPECT_EQ(run.total_cancelled, 2 * SequentialReference(2).size());
+  EXPECT_TRUE(run.per_query.empty());
   for (const StreamResult& stream : run.streams) {
     EXPECT_EQ(stream.completed, 0u);
     EXPECT_EQ(stream.cancelled, stream.outcomes.size());
@@ -174,27 +200,6 @@ TEST_F(SchedFixture, RequestStopCancelsMidQuery) {
   // The same op without a token completes.
   OpOutcome ok = ExecuteStreamOp(graph(), params(), {1, 0}, nullptr);
   EXPECT_FALSE(ok.cancelled);
-}
-
-TEST_F(SchedFixture, DriverMultiStreamModeReportsAllStreams) {
-  driver::DriverConfig cfg;
-  cfg.bi_streams = 2;
-  cfg.bi_workers = 4;
-  driver::DriverReport report =
-      driver::RunBiWorkloadMultiStream(graph(), params(), 2, cfg);
-  EXPECT_EQ(report.per_operation.size(), 25u);
-  for (const auto& [op, stats] : report.per_operation) {
-    EXPECT_EQ(stats.count, 2u * 2u) << op;  // streams × bindings
-  }
-  EXPECT_EQ(report.cancelled_reads, 0u);
-  EXPECT_EQ(report.total_operations, 2u * 2u * 25u);
-
-  driver::DriverConfig tight = cfg;
-  tight.bi_query_deadline_ms = 1e-6;
-  driver::DriverReport cancelled =
-      driver::RunBiWorkloadMultiStream(graph(), params(), 2, tight);
-  EXPECT_EQ(cancelled.total_operations, 0u);
-  EXPECT_EQ(cancelled.cancelled_reads, 2u * 2u * 25u);
 }
 
 TEST(LatencyHistogramTest, PercentilesWithinBucketResolution) {

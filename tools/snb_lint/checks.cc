@@ -335,7 +335,7 @@ void CheckCancelPoll(Ctx& ctx) {
 void CheckTopkBound(Ctx& ctx) {
   static const std::set<std::string> kTopKFiles = {
       "src/bi/bi02.cc", "src/bi/bi03.cc", "src/bi/bi06.cc",
-      "src/bi/bi12.cc", "src/bi/bi14.cc", "src/bi/parallel.cc"};
+      "src/bi/bi12.cc", "src/bi/bi14.cc"};
   for (const Unit& u : ctx.units()) {
     if (!kTopKFiles.count(u.lex->path)) continue;
     bool consults = false;
