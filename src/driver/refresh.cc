@@ -120,21 +120,20 @@ util::StatusOr<RefreshReport> RunBatchedRefresh(
 
     // Phase 2 — APPLY to a shadow copy, publish atomically. The WAL batch
     // is already committed, so this phase never touches the log: a crash
-    // here is repaired by recovery replay, a transient failure rebuilds
+    // here is repaired by recovery replay, a transient failure re-copies
     // the shadow from the still-published pre-batch snapshot.
     util::Status applied =
         RetryTransient(config.retry, rng, &report.retries, [&] {
           SNB_FAILPOINT_STATUS("refresh.apply");
           std::shared_ptr<const storage::Graph> base = handle.Current();
-          auto shadow = std::make_shared<storage::Graph>(
-              storage::ExportNetwork(*base), base->CompactionEpoch());
+          auto shadow = std::make_shared<storage::Graph>(*base);
           for (const datagen::UpdateEvent* event : batch.events) {
-            SNB_FAILPOINT("refresh.apply.event");
+            SNB_FAILPOINT_STATUS("refresh.apply.event");
             util::Status st = interactive::ApplyUpdate(*shadow, *event);
             if (!st.ok()) {
               // A torn cascade only exists in this private shadow; dropping
-              // the shadow and rebuilding from the still-published base is
-              // a complete rollback, so the interruption is retryable.
+              // the shadow and re-copying the still-published base is a
+              // complete rollback, so the interruption is retryable.
               return util::Status::Transient("cascade interrupted: " +
                                              st.ToString());
             }

@@ -10,16 +10,21 @@
 //             a crash anywhere later is repaired by RecoveryManager replay.
 //             A failure mid-log truncates the partial batch (Wal::AbortBatch)
 //             and, if transient, retries with exponential backoff + jitter.
-//   2. APPLY  Build a shadow graph — a private copy of the current snapshot
-//             (Graph(ExportNetwork(*live))) — apply the batch to it, then
-//             atomically publish it through GraphHandle::Replace. Readers
-//             hold shared_ptr snapshots, so concurrent query streams keep
+//   2. APPLY  Copy the current snapshot member-wise into a private shadow
+//             (the explicit Graph copy constructor: packed columns are
+//             copied as they are, never re-sorted or re-encoded), apply the
+//             batch to it, then atomically publish it through
+//             GraphHandle::Replace. Published snapshots are immutable; only
+//             the writer's private shadow is ever mutated. Readers hold
+//             shared_ptr snapshots, so concurrent query streams keep
 //             serving the pre-batch graph for as long as they need it and
 //             *never observe a half-applied day*; a failed apply simply
-//             discards the shadow and retries. Copy-per-batch trades memory
-//             bandwidth for zero read-side coordination — the right trade
-//             at BI's one-batch-per-day refresh cadence (a delta-apply
-//             variant could reuse the same handle contract later).
+//             discards the shadow and re-copies. Deep deletes leave
+//             tombstones in the shadow; with compact_deletes the shadow is
+//             compacted (export of the live subgraph + rebuild) before it
+//             is published. Copy-per-batch trades memory bandwidth for zero
+//             read-side coordination — the right trade at BI's
+//             one-batch-per-day refresh cadence.
 //   3. CHECK  Optionally every N batches: export the published snapshot as
 //             a new checkpoint (storage/recovery.h rotation protocol), which
 //             bounds recovery replay time.
@@ -111,8 +116,12 @@ struct RefreshConfig {
   /// Compact the shadow before publishing when a batch left tombstones
   /// (export the live subgraph and rebuild, bumping the compaction epoch).
   /// Published snapshots are then always tombstone-free; readers never pay
-  /// the filtered scan paths. Tests that exercise tombstoned reads set
-  /// this to false to publish the bitmaps as-is.
+  /// the filtered scan paths. With false, the bitmaps are published as-is
+  /// and, because every later shadow is a member-wise copy, tombstones,
+  /// TombstoneEpoch and CompactionEpoch all carry forward through later
+  /// batches (insert-only ones included) until a compaction — by a later
+  /// batch with this set, or by recovery. Tests that exercise tombstoned
+  /// reads set this to false.
   bool compact_deletes = true;
 };
 

@@ -8,8 +8,7 @@
 // per-node insertion-ordered chains, replacing the seed's per-vertex
 // vector-of-vectors (24 B of header per node per relation before the first
 // element). Iteration walks base then overflow, so readers see a single
-// merged list, and appends never move an existing entry — the store's
-// single-writer / multi-reader contract.
+// merged list, and appends never move an existing entry.
 
 #ifndef SNB_STORAGE_ADJACENCY_H_
 #define SNB_STORAGE_ADJACENCY_H_

@@ -4,8 +4,15 @@
 
 namespace snb::storage::columnar {
 
+Dictionary::Dictionary(const Dictionary& other) : values_(other.values_) {
+  index_.reserve(values_.size());
+  for (size_t code = 0; code < values_.size(); ++code) {
+    index_.emplace(std::string_view(values_[code]),
+                   static_cast<uint32_t>(code));
+  }
+}
+
 uint32_t Dictionary::GetOrAdd(std::string_view value) {
-  util::MutexLock lock(mu_);
   auto it = index_.find(value);
   if (it != index_.end()) return it->second;
   const uint32_t code = static_cast<uint32_t>(values_.size());
@@ -18,24 +25,20 @@ uint32_t Dictionary::GetOrAdd(std::string_view value) {
 }
 
 uint32_t Dictionary::Find(std::string_view value) const {
-  util::MutexLock lock(mu_);
   auto it = index_.find(value);
   return it == index_.end() ? kNoCode : it->second;
 }
 
 const std::string& Dictionary::Decode(uint32_t code) const {
-  util::MutexLock lock(mu_);
   SNB_CHECK_LT(code, values_.size());
   return values_[code];
 }
 
 size_t Dictionary::size() const {
-  util::MutexLock lock(mu_);
   return values_.size();
 }
 
 size_t Dictionary::ByteSize() const {
-  util::MutexLock lock(mu_);
   size_t bytes = 0;
   for (const std::string& s : values_) {
     bytes += sizeof(std::string) + s.capacity();

@@ -6,13 +6,14 @@
 // codes are assigned in first-seen order and never change or move, so a
 // code column written at load time stays valid across every later append
 // (the IU update path only ever adds codes). Decode is O(1): codes index a
-// deque whose element addresses are stable under growth, so readers hold
-// `const std::string&` across concurrent GetOrAdd calls.
+// deque whose element addresses are stable under growth, so a
+// `const std::string&` stays valid across later GetOrAdd calls.
 //
-// Concurrency matches the store's single-writer / multi-reader contract:
-// GetOrAdd serializes writers on an annotated mutex; Decode/size take the
-// same lock (they are off the query hot path — engines scan code columns,
-// not strings) so the structure is safe even if a reader races the writer.
+// Concurrency follows the store's snapshot contract: published snapshots
+// are immutable, and the refresh writer mutates a private member-wise copy
+// of the graph. A dictionary is therefore never written while it is read,
+// and holds no lock. Copies are deep: the copy's hash index is re-keyed
+// onto the copy's own strings, so it outlives its source.
 
 #ifndef SNB_STORAGE_COLUMNAR_DICTIONARY_H_
 #define SNB_STORAGE_COLUMNAR_DICTIONARY_H_
@@ -23,9 +24,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace snb::storage::columnar {
 
 class Dictionary {
@@ -33,32 +31,33 @@ class Dictionary {
   static constexpr uint32_t kNoCode = UINT32_MAX;
 
   Dictionary() = default;
-  Dictionary(const Dictionary&) = delete;
+  /// Deep copy: the index keys view `values_`, so the copy rebuilds its
+  /// index over its own strings instead of sharing the source's views.
+  Dictionary(const Dictionary& other);
   Dictionary& operator=(const Dictionary&) = delete;
 
   /// Returns the code for `value`, assigning the next dense code on first
   /// sight. Codes are stable for the lifetime of the dictionary.
-  uint32_t GetOrAdd(std::string_view value) SNB_EXCLUDES(mu_);
+  uint32_t GetOrAdd(std::string_view value);
 
   /// Code for `value` if present, kNoCode otherwise (no insertion).
-  uint32_t Find(std::string_view value) const SNB_EXCLUDES(mu_);
+  uint32_t Find(std::string_view value) const;
 
   /// The string for `code`; the reference is stable (deque storage) and
   /// remains valid across later GetOrAdd calls. `code` must be in range.
-  const std::string& Decode(uint32_t code) const SNB_EXCLUDES(mu_);
+  const std::string& Decode(uint32_t code) const;
 
   /// Number of distinct values == smallest invalid code. The validator's
   /// dictionary-code-in-range invariant checks every code column against
   /// this bound.
-  size_t size() const SNB_EXCLUDES(mu_);
+  size_t size() const;
 
   /// Heap bytes held (strings + hash index), for MemoryBreakdown.
-  size_t ByteSize() const SNB_EXCLUDES(mu_);
+  size_t ByteSize() const;
 
  private:
-  mutable util::Mutex mu_{SNB_LOCK_SITE("storage.columnar.dictionary.mu")};
-  std::deque<std::string> values_ SNB_GUARDED_BY(mu_);
-  std::unordered_map<std::string_view, uint32_t> index_ SNB_GUARDED_BY(mu_);
+  std::deque<std::string> values_;
+  std::unordered_map<std::string_view, uint32_t> index_;
 };
 
 }  // namespace snb::storage::columnar

@@ -12,9 +12,12 @@
 // comments without invalidating existing references) and gives the unified
 // "Message" view the BI workload queries over.
 //
-// The store is single-writer / multi-reader: Add* mutators (the Interactive
-// update operations IU 1–8) append to overflow regions without invalidating
-// base CSR spans.
+// Concurrency is by snapshot: a published Graph is immutable, and the
+// refresh writer mutates a private member-wise copy (the explicit copy
+// constructor), which it then publishes whole. Readers and the writer never
+// share a mutable Graph, so the store holds no locks. Add* mutators (the
+// Interactive update operations IU 1–8) append to overflow regions without
+// re-sorting or re-encoding the bulk-loaded columns and CSR spans.
 //
 // Deep deletes (DEL 1–8) are logical: Delete* mutators run a five-stage
 // cascade (persons → forums → messages → likes → index) that marks rows dead
@@ -54,9 +57,12 @@ class Graph {
   /// previous epoch + 1 when rebuilding from a tombstoned graph's export.
   explicit Graph(core::SocialNetwork net, uint32_t compaction_epoch = 0);
 
-  // Non-copyable and non-movable: the message index carries a mutex, and
-  // queries hold references into the tables.
-  Graph(const Graph&) = delete;
+  /// Member-wise deep copy — the refresh writer's private shadow of a
+  /// published snapshot. Copies the packed columns as they are (no re-sort,
+  /// no re-encode) and carries tombstones and both epochs over. Explicit,
+  /// so a stray `auto g = *snapshot;` does not compile. Not assignable:
+  /// queries hold references into the tables.
+  explicit Graph(const Graph&) = default;
   Graph& operator=(const Graph&) = delete;
 
   // ---- Entity tables ------------------------------------------------------
@@ -502,7 +508,7 @@ class Graph {
   // cascade is torn: tombstones from completed stages are in place but the
   // epoch was not bumped, and like/reply deltas of later stages are
   // missing. A torn graph must be discarded — the refresh path throws away
-  // its shadow copy and rebuilds from the published base; recovery restarts
+  // its shadow copy and re-copies the published base; recovery restarts
   // replay from the WAL. (Re-calling the same Delete* is NOT a repair: the
   // root is already tombstoned, so it would no-op.)
 

@@ -37,7 +37,6 @@ void MessageDateIndex::Build(const std::vector<core::DateTime>& post_dates,
 }
 
 void MessageDateIndex::Append(uint32_t msg, core::DateTime date) {
-  util::MutexLock lock(append_mu_);
   if (tail_refs_.size() % kTailBlock == 0) tail_zones_.emplace_back();
   tail_refs_.push_back(msg);
   tail_dates_.push_back(date);
@@ -48,7 +47,6 @@ void MessageDateIndex::Append(uint32_t msg, core::DateTime date) {
 
 void MessageDateIndex::NoteLike(uint32_t msg, core::DateTime date,
                                 uint32_t likes) {
-  util::MutexLock lock(append_mu_);
   // Base lookup: entries with one creation date form a contiguous run sorted
   // by ref (Build's tie-break), so the position is two binary searches.
   auto [lo, hi] = BaseRange(date, date + 1);

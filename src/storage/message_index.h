@@ -13,19 +13,17 @@
 //
 // Messages appended later by the update workload (IU 6/7) land in an
 // *unsorted tail* in arrival order — appends never reshuffle the base, so
-// concurrently running readers of the base stay valid (the store's
-// single-writer / multi-reader contract). The tail carries per-block
+// an insert costs O(1) instead of a re-sort. The tail carries per-block
 // min/max creation-date zone maps; since IU streams arrive in roughly
 // chronological order the zone maps prune the tail nearly as well as
 // sorting would.
 //
-// Concurrency: the tail is written only through Append, which serializes
-// writers on `append_mu_` (annotated, so an unlocked write path is a clang
-// compile error). Readers deliberately do NOT take the lock — the store's
-// single-writer / multi-reader discipline has readers either running against
-// a quiesced store or tolerating an in-progress append not yet being
-// visible; those read paths carry SNB_NO_THREAD_SAFETY_ANALYSIS with this
-// contract spelled out at each site.
+// Concurrency: the index is part of a graph snapshot, and published
+// snapshots are immutable. The refresh writer applies a batch to a private
+// member-wise copy of the graph (so Append and NoteLike only ever run on an
+// unpublished copy) and publishes the copy whole, so no reader ever runs
+// beside a writer and the index holds no lock. The index is a plain value
+// type: copying it copies every vector, with no shared state.
 //
 // All ranges are [start, end) over DateTime millis; use kMinMessageDate /
 // kMaxMessageDate for open ends.
@@ -43,8 +41,6 @@
 #include "core/date_time.h"
 #include "storage/columnar/column_block.h"
 #include "storage/scan_stats.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace snb::storage {
 
@@ -85,17 +81,15 @@ class MessageDateIndex {
   void Build(const std::vector<core::DateTime>& post_dates,
              const std::vector<core::DateTime>& comment_dates);
 
-  /// Appends one message to the unsorted tail (the IU 6/7 path). Serializes
-  /// concurrent writers; see the class comment for the reader contract.
-  void Append(uint32_t msg, core::DateTime date) SNB_EXCLUDES(append_mu_);
+  /// Appends one message to the unsorted tail (the IU 6/7 path).
+  void Append(uint32_t msg, core::DateTime date);
 
   /// Builds the per-base-block like-count zones: `like_count_of(ref)` returns
   /// the current like degree of a message reference. Called once at graph
   /// build, after the bulk likes are loaded; the tail is empty at that point
   /// (tail zones start at 0 and are maintained by NoteLike).
   template <typename LikeCountFn>
-  void BuildLikeZones(LikeCountFn&& like_count_of) SNB_EXCLUDES(append_mu_) {
-    util::MutexLock lock(append_mu_);
+  void BuildLikeZones(LikeCountFn&& like_count_of) {
     const size_t kBlock = columnar::ColumnBlock::kMaxValues;
     base_like_max_.assign(base_dates_.num_blocks(), 0);
     for (size_t i = 0; i < base_refs_.size(); ++i) {
@@ -110,22 +104,15 @@ class MessageDateIndex {
   /// need lowering. The (date, ref)-sorted base makes the position binary-
   /// searchable; tail entries fall back to a linear scan (the tail is the
   /// small post-load overflow).
-  void NoteLike(uint32_t msg, core::DateTime date, uint32_t likes)
-      SNB_EXCLUDES(append_mu_);
+  void NoteLike(uint32_t msg, core::DateTime date, uint32_t likes);
 
   /// Like-count zone max of one base block (validator / test introspection).
-  // Single-writer/multi-reader contract: unlocked read by design.
-  uint32_t BaseBlockMaxLikes(size_t block) const
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
+  uint32_t BaseBlockMaxLikes(size_t block) const {
     return base_like_max_[block];
   }
 
   size_t base_size() const { return base_refs_.size(); }
-  // Single-writer/multi-reader contract: tail reads are unlocked by design
-  // (readers observe a prefix of the tail; the writer only appends).
-  size_t tail_size() const SNB_NO_THREAD_SAFETY_ANALYSIS {
-    return tail_refs_.size();
-  }
+  size_t tail_size() const { return tail_refs_.size(); }
   size_t size() const { return base_size() + tail_size(); }
 
   /// Positions [first, second) of the sorted base whose creation date lies
@@ -198,11 +185,9 @@ class MessageDateIndex {
   /// argument (a block max that fails implies every member fails). A block
   /// split across slices counts its skip once, in the slice holding the
   /// block's first position.
-  // Single-writer/multi-reader contract: unlocked zone and tail reads by
-  // design (a stale like zone is a looser bound, never a wrong skip).
   template <typename SkipFn, typename F>
   void ScanWindow(const Window& w, size_t pos_begin, size_t pos_end,
-                  SkipFn&& skip, F&& f) const SNB_NO_THREAD_SAFETY_ANALYSIS {
+                  SkipFn&& skip, F&& f) const {
     const size_t kBlock = columnar::ColumnBlock::kMaxValues;
     const size_t base_n = w.base_hi - w.base_lo;
     size_t i = w.base_lo + std::min(pos_begin, base_n);
@@ -245,29 +230,17 @@ class MessageDateIndex {
   }
 
   // ---- Tail introspection (validator / tests / bench report) ---------------
-  // Unlocked under the same single-writer/multi-reader contract as
-  // ScanWindow above.
 
-  uint32_t TailAt(size_t pos) const SNB_NO_THREAD_SAFETY_ANALYSIS {
-    return tail_refs_[pos];
-  }
-  core::DateTime TailDateAt(size_t pos) const SNB_NO_THREAD_SAFETY_ANALYSIS {
-    return tail_dates_[pos];
-  }
-  size_t NumTailBlocks() const SNB_NO_THREAD_SAFETY_ANALYSIS {
-    return tail_zones_.size();
-  }
-  Zone TailZoneAt(size_t block) const SNB_NO_THREAD_SAFETY_ANALYSIS {
-    return tail_zones_[block];
-  }
+  uint32_t TailAt(size_t pos) const { return tail_refs_[pos]; }
+  core::DateTime TailDateAt(size_t pos) const { return tail_dates_[pos]; }
+  size_t NumTailBlocks() const { return tail_zones_.size(); }
+  Zone TailZoneAt(size_t block) const { return tail_zones_[block]; }
 
   /// Number of index entries a range scan must examine: the base slice plus
   /// every entry of each tail block whose zone map overlaps the window. The
   /// pruning tests and bench report compare this against the full message
   /// count.
-  // Single-writer/multi-reader contract: unlocked tail scan by design.
-  size_t CandidatesInRange(core::DateTime start, core::DateTime end) const
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
+  size_t CandidatesInRange(core::DateTime start, core::DateTime end) const {
     auto [lo, hi] = BaseRange(start, end);
     size_t n = hi - lo;
     for (size_t b = 0; b < tail_zones_.size(); ++b) {
@@ -280,7 +253,7 @@ class MessageDateIndex {
   }
 
   /// Heap bytes actually held (memory accounting).
-  size_t ByteSize() const SNB_NO_THREAD_SAFETY_ANALYSIS {
+  size_t ByteSize() const {
     return base_refs_.capacity() * sizeof(uint32_t) + base_dates_.ByteSize() +
            base_like_max_.capacity() * sizeof(uint32_t) +
            tail_refs_.capacity() * sizeof(uint32_t) +
@@ -290,7 +263,7 @@ class MessageDateIndex {
 
   /// Seed-layout bytes for the same content: 4 B ref + 8 B date per entry
   /// (base and tail) plus the tail zone maps.
-  size_t RawByteSize() const SNB_NO_THREAD_SAFETY_ANALYSIS {
+  size_t RawByteSize() const {
     return size() * (sizeof(uint32_t) + sizeof(core::DateTime)) +
            tail_zones_.size() * sizeof(Zone);
   }
@@ -306,27 +279,19 @@ class MessageDateIndex {
   }
 
   // Base: refs sorted by (date, ref); the date column is delta + bit-packed
-  // in DateKey space. Written only by Build (before the store is shared).
-  // snb-lint-allow(guarded-by): written only by Build, before sharing
+  // in DateKey space. Written only by Build.
   std::vector<uint32_t> base_refs_;
-  // snb-lint-allow(guarded-by): written only by Build, before sharing
   columnar::ZonedColumn base_dates_;
 
   // Per-base-block like-count zone maxima (1024-aligned, one per date-column
-  // block). Written by BuildLikeZones/NoteLike under append_mu_; scans read
-  // them unlocked per the single-writer/multi-reader contract (a stale value
-  // is a *looser* bound — less pruning, never a wrong skip, because degrees
-  // only grow and the zone is raised before the like becomes visible).
-  // snb-lint-allow(guarded-by): single-writer under append_mu_; unlocked
-  // readers tolerate staleness (bound is monotone, see above)
+  // block), written by BuildLikeZones and raised by NoteLike. Degrees only
+  // grow, so a zone stays an upper bound on every member's like count.
   std::vector<uint32_t> base_like_max_;
 
-  // Tail: arrival order plus per-kTailBlock zone maps. Guarded against
-  // concurrent *writers*; readers are lock-free per the class contract.
-  util::Mutex append_mu_{SNB_LOCK_SITE("storage.message_index.append_mu")};
-  std::vector<uint32_t> tail_refs_ SNB_GUARDED_BY(append_mu_);
-  std::vector<core::DateTime> tail_dates_ SNB_GUARDED_BY(append_mu_);
-  std::vector<Zone> tail_zones_ SNB_GUARDED_BY(append_mu_);
+  // Tail: arrival order plus per-kTailBlock zone maps.
+  std::vector<uint32_t> tail_refs_;
+  std::vector<core::DateTime> tail_dates_;
+  std::vector<Zone> tail_zones_;
 };
 
 }  // namespace snb::storage

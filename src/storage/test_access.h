@@ -19,7 +19,6 @@
 #include "storage/graph.h"
 #include "storage/message_index.h"
 #include "storage/tombstone.h"
-#include "util/thread_annotations.h"
 
 namespace snb::storage {
 
@@ -99,20 +98,17 @@ struct TestAccess {
   static columnar::ZonedColumn& BaseDateColumn(MessageDateIndex& idx) {
     return idx.base_dates_;
   }
-  static std::vector<uint32_t>& TailRefs(MessageDateIndex& idx)
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
+  static std::vector<uint32_t>& TailRefs(MessageDateIndex& idx) {
     return idx.tail_refs_;
   }
-  static std::vector<core::DateTime>& TailDates(MessageDateIndex& idx)
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
+  static std::vector<core::DateTime>& TailDates(MessageDateIndex& idx) {
     return idx.tail_dates_;
   }
-  static std::vector<MessageDateIndex::Zone>& TailZones(MessageDateIndex& idx)
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
+  static std::vector<MessageDateIndex::Zone>& TailZones(
+      MessageDateIndex& idx) {
     return idx.tail_zones_;
   }
-  static std::vector<uint32_t>& BaseLikeMax(MessageDateIndex& idx)
-      SNB_NO_THREAD_SAFETY_ANALYSIS {
+  static std::vector<uint32_t>& BaseLikeMax(MessageDateIndex& idx) {
     return idx.base_like_max_;
   }
 };

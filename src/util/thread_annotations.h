@@ -75,7 +75,7 @@
 
 /// Opts a function out of the analysis. Every use must carry a comment
 /// explaining which external contract makes the unchecked access safe
-/// (e.g. the store's single-writer / multi-reader discipline).
+/// (e.g. state written only before the object is shared).
 #define SNB_NO_THREAD_SAFETY_ANALYSIS \
   SNB_THREAD_ANNOTATION(no_thread_safety_analysis)
 

@@ -1,12 +1,15 @@
 // Unit tests for the columnar storage subsystem: bit-packing, the shared
-// dictionary, encoded column blocks (round-trip, zone metadata, the strict
-// Status-returning decoder), zoned columns, the compressed CSR, and the
-// Graph memory-accounting API.
+// dictionary (including deep copies), encoded column blocks (round-trip,
+// zone metadata, the strict Status-returning decoder), zoned columns, the
+// compressed CSR, and the Graph memory-accounting API.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "datagen/datagen.h"
@@ -72,6 +75,55 @@ TEST(DictionaryTest, DecodedReferenceStaysValidAcrossGrowth) {
   const std::string& ref = dict.Decode(code);
   for (int i = 0; i < 1000; ++i) dict.GetOrAdd("browser" + std::to_string(i));
   EXPECT_EQ(ref, "Chrome");  // deque storage: no reallocation moves
+}
+
+// The hash index keys are string_views into the dictionary's own strings. A
+// copy that kept the source's keys would dangle once the source is gone, so
+// the copy must outlive its source with every operation intact.
+TEST(DictionaryTest, CopyOutlivesItsSource) {
+  // Longer than any small-string buffer, so every value owns a heap block.
+  auto value = [](int i) {
+    return "dictionary-copy-value-" + std::to_string(i) +
+           "-padded-past-the-small-string-buffer";
+  };
+  constexpr int kValues = 200;
+  auto source = std::make_unique<Dictionary>();
+  for (int i = 0; i < kValues; ++i) source->GetOrAdd(value(i));
+  Dictionary copy(*source);
+  source.reset();
+  // Recycle the freed blocks with different bytes of the same sizes, so a
+  // dangling key would now compare against garbage.
+  Dictionary scribble;
+  for (int i = 0; i < kValues; ++i) {
+    std::string junk = value(i);
+    std::fill(junk.begin(), junk.end(), 'x');
+    junk += std::to_string(i);
+    junk.resize(value(i).size());
+    scribble.GetOrAdd(junk);
+  }
+
+  ASSERT_EQ(copy.size(), static_cast<size_t>(kValues));
+  for (int i = 0; i < kValues; ++i) {
+    EXPECT_EQ(copy.Find(value(i)), static_cast<uint32_t>(i)) << i;
+    EXPECT_EQ(copy.Decode(static_cast<uint32_t>(i)), value(i)) << i;
+    EXPECT_EQ(copy.GetOrAdd(value(i)), static_cast<uint32_t>(i)) << i;
+  }
+  EXPECT_EQ(copy.size(), static_cast<size_t>(kValues));
+  EXPECT_EQ(copy.GetOrAdd("fresh"), static_cast<uint32_t>(kValues));
+  EXPECT_EQ(copy.Find("fresh"), static_cast<uint32_t>(kValues));
+  EXPECT_EQ(copy.Decode(kValues), "fresh");
+}
+
+TEST(DictionaryTest, CopiesGrowIndependently) {
+  Dictionary source;
+  source.GetOrAdd("female");
+  Dictionary copy(source);
+  EXPECT_EQ(copy.GetOrAdd("male"), 1u);
+  EXPECT_EQ(source.Find("male"), Dictionary::kNoCode);
+  EXPECT_EQ(source.size(), 1u);
+  EXPECT_EQ(source.GetOrAdd("other"), 1u);
+  EXPECT_EQ(copy.Decode(1), "male");
+  EXPECT_EQ(copy.Find("other"), Dictionary::kNoCode);
 }
 
 std::vector<uint64_t> RandomSorted(size_t n, uint64_t base, uint64_t step,
