@@ -6,29 +6,33 @@
 #   2. tidy           — clang-tidy curated profile (scripts/tidy.sh)
 #   3. dev build      — -Wall -Wextra -Wshadow -Werror (SNB_DEV=ON) + ctest
 #   4. UBSan          — full ctest under -fsanitize=undefined, no recover
-#   5. TSan           — scheduler + morsel tests under -fsanitize=thread
+#   5. TSan           — scheduler, morsel, refresh and recovery tests under
+#                       -fsanitize=thread with deadlock detection on: data
+#                       races and lock-order inversions both fail the stage
 #   6. ASan           — fail-point + crash-recovery tests under
 #                       -fsanitize=address, then the delete-cascade crash
 #                       loop (torn cascades at every graph.delete.* stage)
 #                       via ctest so its 600 s TIMEOUT governs the forks
-#   7. deadlock       — full ctest with SNB_DEADLOCK_DETECT=ON: any
-#                       lock-order cycle or blocking-while-locked report
-#                       aborts its test — the no-false-positive gate
-#   8. fuzz smoke     — the parser/decoder fuzz harnesses, fixed-iteration
+#   7. fuzz smoke     — the parser/decoder fuzz harnesses, fixed-iteration
 #                       deterministic replay under ASan+UBSan
-#   9. scale smoke    — streaming datagen at 10× the bench scale under a
+#   8. scale smoke    — streaming datagen at 10× the bench scale under a
 #                       bounded sorter budget, loaded, validated, and held
 #                       to the bytes/edge compression budget
-#  10. kernel smoke   — bench_kernels --smoke: pushdown engines vs the naive
+#   9. kernel smoke   — bench_kernels --smoke: pushdown engines vs the naive
 #                       oracle, with scan counters asserting the bound/zone
 #                       pruning actually fires on every top-k query
-#  11. thread-safety  — clang -Wthread-safety -Werror=thread-safety build
-#  12. gcc-analyzer   — gcc -fanalyzer over the tree, opt-in via
+#  10. thread-safety  — clang -Wthread-safety -Werror=thread-safety build
+#  11. gcc-analyzer   — gcc -fanalyzer over the tree, opt-in via
 #                       SNB_FANALYZER=1 (skipped with a notice otherwise:
 #                       GCC's analyzer is still experimental for C++ and
 #                       too noisy to gate on)
 #
-# Stages 1 and 3–10 run on any GCC machine; 2 and 11 need clang and are
+# Lock order is checked twice over: statically on every path by snb_lint's
+# static-lock-cycle and blocking-while-locked-static (stage 1, and ctest
+# snb_lint_repo in stage 3), and at runtime by TSan's lock-order-inversion
+# report on the paths stage 5 drives.
+#
+# Stages 1 and 3–9 run on any GCC machine; 2 and 10 need clang and are
 # skipped with a notice when it is absent — the matrix must stay useful on
 # the GCC-only tier-1 machines. Run from anywhere; builds land in build*/
 # at the repo root.
@@ -52,11 +56,22 @@ cmake -B "$repo/build-ubsan" -S "$repo" -DSNB_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j
 ctest --test-dir "$repo/build-ubsan" --output-on-failure -j
 
-echo "== TSan: scheduler + morsel tests under -fsanitize=thread =="
+echo "== TSan: scheduler, morsel, refresh + recovery tests under -fsanitize=thread =="
+# detect_deadlocks reports a lock-order inversion (A->B on one path, B->A
+# on another) even when the two paths never overlap in time. The refresh
+# and recovery cases run readers through a refresh; they are this stage's
+# only runs that take GraphHandle::mu_ and the fail-point registry.
+export TSAN_OPTIONS="halt_on_error=1 detect_deadlocks=1"
 cmake -B "$repo/build-tsan" -S "$repo" -DSNB_SANITIZE=thread
-cmake --build "$repo/build-tsan" -j --target sched_test parallel_test
+cmake --build "$repo/build-tsan" -j --target sched_test parallel_test \
+  refresh_shadow_test delete_cascade_test wal_recovery_test
 "$repo/build-tsan/tests/sched_test"
 "$repo/build-tsan/tests/parallel_test"
+"$repo/build-tsan/tests/refresh_shadow_test"
+"$repo/build-tsan/tests/delete_cascade_test" \
+  --gtest_filter='*ConcurrentRefresh*:*RetriesTornCascade*'
+"$repo/build-tsan/tests/wal_recovery_test" --gtest_filter='*WhileReadersServe*'
+unset TSAN_OPTIONS
 
 echo "== ASan: crash-recovery loop under -fsanitize=address =="
 # The fail-point crash loop forks, _Exit()s children mid-write and replays
@@ -77,17 +92,6 @@ echo "== ASan: delete-cascade crash loop =="
 cmake --build "$repo/build-asan" -j --target delete_cascade_test
 ctest --test-dir "$repo/build-asan" -R '^delete_cascade_test$' \
   --output-on-failure
-
-echo "== deadlock: full ctest with the lock-order analyzer armed =="
-# Every acquisition feeds the lock-order graph and any report _Exit()s the
-# test (kAbort), so a green run IS the proof that the whole suite — the
-# scheduler, morsel, refresh and recovery concurrency included — never
-# acquires two sites in inconsistent order and never blocks on a CondVar
-# with an undeclared mutex held. deadlock_test itself additionally asserts
-# the analyzer *does* fire on intentional inversions (in forked children).
-cmake -B "$repo/build-deadlock" -S "$repo" -DSNB_DEADLOCK_DETECT=ON
-cmake --build "$repo/build-deadlock" -j
-ctest --test-dir "$repo/build-deadlock" --output-on-failure -j
 
 echo "== fuzz smoke: parser harnesses, fixed iterations, ASan+UBSan =="
 # Deterministic replay (seed corpus + seeded mutations, ~30 s total): the

@@ -7,7 +7,6 @@
 
 #include "interactive/interactive.h"
 #include "interactive/updates.h"
-#include "sched/stream.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "validate/validator.h"
@@ -399,59 +398,6 @@ util::Status WriteResultsLog(const std::vector<ResultsLogEntry>& log,
     return util::Status::IoError("fclose failed for results log");
   }
   return util::Status::Ok();
-}
-
-
-DriverReport RunBiReadWriteWorkload(
-    storage::Graph& graph, const std::vector<datagen::UpdateEvent>& updates,
-    const params::WorkloadParameters& params, size_t updates_per_read,
-    size_t max_updates) {
-  SNB_CHECK_GE(updates_per_read, 1u);
-  DriverReport report;
-  Recorder recorder(report);
-  const Clock::time_point t0 = Clock::now();
-
-  // Round-robin BI read dispatcher.
-  size_t next_query = 0;
-  size_t cursor[25] = {0};
-  auto run_next_read = [&] {
-    const int q = static_cast<int>(next_query) + 1;
-    next_query = (next_query + 1) % 25;
-    const size_t bindings = sched::BindingCount(params, q);
-    if (bindings > 0) {
-      const sched::StreamOp op{q, cursor[q - 1]++ % bindings};
-      recorder.Run(sched::StreamOpName(op), 0.0, t0, [&] {
-        return sched::ExecuteStreamOp(graph, params, op, nullptr).rows;
-      });
-    }
-    ++report.complex_reads;
-  };
-
-  size_t limit = max_updates == 0 ? updates.size()
-                                  : std::min(max_updates, updates.size());
-  size_t countdown = updates_per_read;
-  for (size_t u = 0; u < limit; ++u) {
-    const datagen::UpdateEvent& event = updates[u];
-    const std::string op =
-        "IU " + std::to_string(static_cast<int>(event.kind));
-    recorder.Run(op, 0.0, t0, [&] {
-      SNB_CHECK(interactive::ApplyUpdate(graph, event).ok());
-      return size_t{1};
-    });
-    ++report.update_operations;
-    if (--countdown == 0) {
-      countdown = updates_per_read;
-      run_next_read();
-    }
-  }
-  SNB_VALIDATE_STORE(graph);
-
-  report.wall_seconds = MsSince(t0) / 1000.0;
-  report.throughput_ops_per_sec =
-      report.wall_seconds == 0
-          ? 0
-          : static_cast<double>(report.total_operations) / report.wall_seconds;
-  return report;
 }
 
 }  // namespace snb::driver

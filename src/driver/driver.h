@@ -9,8 +9,8 @@
 // scheduled vs actual start for the §6.2 95 %-on-time audit check.
 //
 // BI read streams — power and throughput runs — go through
-// sched::RunStreams; this driver adds only the mixed read/write mode, which
-// interleaves BI reads with the insert stream.
+// sched::RunStreams, and refresh batches through RunBatchedRefresh
+// (driver/refresh.h); this driver runs only the Interactive workload.
 
 #ifndef SNB_DRIVER_DRIVER_H_
 #define SNB_DRIVER_DRIVER_H_
@@ -110,17 +110,6 @@ DriverReport RunInteractiveWorkload(storage::Graph& graph,
                                     const std::vector<datagen::UpdateEvent>& updates,
                                     const params::WorkloadParameters& params,
                                     const DriverConfig& config);
-
-/// Runs the BI workload concurrently with the insert stream — the mixed
-/// read/write mode the spec's §5.2 task-force note points towards (and
-/// which the later BI versions adopted): one BI read is issued every
-/// `updates_per_read` update operations, round-robin over the 25 query
-/// templates. Returns combined statistics.
-DriverReport RunBiReadWriteWorkload(storage::Graph& graph,
-                                    const std::vector<datagen::UpdateEvent>& updates,
-                                    const params::WorkloadParameters& params,
-                                    size_t updates_per_read,
-                                    size_t max_updates = 0);
 
 }  // namespace snb::driver
 

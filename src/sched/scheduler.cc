@@ -173,8 +173,8 @@ class StreamScheduler {
   /// Level 10: held across pool.Submit() in Admit(), i.e. ordered strictly
   /// below the level-20 thread-pool queue lock — the one deliberate
   /// holding-one-while-taking-the-other pattern in the repo, declared so
-  /// the deadlock analyzer treats it as a checked invariant rather than an
-  /// incidental edge.
+  /// snb_lint's static lock-order checks treat it as a checked invariant
+  /// rather than an incidental edge.
   util::Mutex mu_{SNB_LOCK_LEVEL("sched.stream_mu", 10)};
   std::vector<StreamProgress> progress_ SNB_GUARDED_BY(mu_);
 };

@@ -7,8 +7,8 @@
 // counter pattern so call sites (engine/morsel.cc's helper join, and any
 // future fan-out) don't each hand-roll a condition wait — scripts/lint.sh
 // bans CondVar outside src/util/ for exactly this reason: every blocking
-// wait loop in the repo lives where the spurious-wakeup re-check and the
-// deadlock-analyzer instrumentation can be audited in one place.
+// wait loop in the repo lives where the spurious-wakeup re-check can be
+// audited in one place.
 
 #ifndef SNB_UTIL_LATCH_H_
 #define SNB_UTIL_LATCH_H_

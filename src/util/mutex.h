@@ -20,14 +20,11 @@
 //     ++in_flight_;                 // OK: lock held
 //   }
 //
-// SNB_LOCK_SITE names the mutex's creation site for the lock-order
-// analyzer (src/analysis/lock_graph.h). In SNB_DEADLOCK_DETECT builds
-// every acquisition records held→acquired edges into a global graph and a
-// cycle check reports *potential* deadlocks (inconsistent lock order) even
-// when the fatal interleaving never executes; CondVar waits additionally
-// assert that no unrelated mutex is held across the block. In regular
-// builds the macros collapse to nullptr and the hooks compile away — the
-// wrappers are exactly as cheap as the raw primitives.
+// SNB_LOCK_SITE / SNB_LOCK_LEVEL (util/thread_annotations.h) name the
+// mutex's creation site for snb_lint's static lock-order checks; they
+// expand to nothing, so `mu_{SNB_LOCK_SITE("...")}` is plain
+// value-initialization and the wrappers are exactly as cheap as the raw
+// primitives.
 //
 // Condition waits take the Mutex directly (CondVar::Wait requires it held)
 // and use explicit while-loops rather than predicate lambdas: clang's
@@ -44,36 +41,7 @@
 #include <condition_variable>
 #include <mutex>
 
-#include "analysis/lock_site.h"
 #include "util/thread_annotations.h"
-
-#ifdef SNB_DEADLOCK_DETECT
-#include "analysis/lock_graph.h"
-
-/// Declares the identity of a mutex creation site; all instances
-/// constructed at this line share one node in the lock-order graph.
-#define SNB_LOCK_SITE(site_name)                                      \
-  ([]() -> const ::snb::analysis::LockSiteInfo* {                     \
-    static const ::snb::analysis::LockSiteInfo info{                  \
-        site_name, __FILE__, __LINE__, ::snb::analysis::kNoLevel};    \
-    return &info;                                                     \
-  }())
-
-/// Like SNB_LOCK_SITE but with a declared lock level: acquisitions across
-/// levelled sites must go strictly upward, and holding a lower level
-/// across a CondVar wait on a higher one is explicitly permitted — the
-/// escape hatch for known-good orderings such as scheduler → thread pool.
-#define SNB_LOCK_LEVEL(site_name, lvl)                                \
-  ([]() -> const ::snb::analysis::LockSiteInfo* {                     \
-    static const ::snb::analysis::LockSiteInfo info{site_name,        \
-                                                    __FILE__,         \
-                                                    __LINE__, (lvl)}; \
-    return &info;                                                     \
-  }())
-#else
-#define SNB_LOCK_SITE(site_name) nullptr
-#define SNB_LOCK_LEVEL(site_name, lvl) nullptr
-#endif
 
 namespace snb::util {
 
@@ -83,51 +51,16 @@ class CondVar;
 class SNB_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  /// Takes the site handle produced by SNB_LOCK_SITE / SNB_LOCK_LEVEL;
-  /// ignored (and nullptr) when detection is compiled out.
-  explicit Mutex(const analysis::LockSiteInfo* site) {
-#ifdef SNB_DEADLOCK_DETECT
-    dbg_.static_site = site;
-#else
-    (void)site;
-#endif
-  }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() SNB_ACQUIRE() {
-#ifdef SNB_DEADLOCK_DETECT
-    analysis::OnLockAttempt(&dbg_);
-#endif
-    mu_.lock();
-#ifdef SNB_DEADLOCK_DETECT
-    analysis::OnLocked(&dbg_);
-#endif
-  }
-
-  void Unlock() SNB_RELEASE() {
-#ifdef SNB_DEADLOCK_DETECT
-    analysis::OnUnlock(&dbg_);
-#endif
-    mu_.unlock();
-  }
-
-  bool TryLock() SNB_TRY_ACQUIRE(true) {
-    bool acquired = mu_.try_lock();
-#ifdef SNB_DEADLOCK_DETECT
-    // A try-lock cannot block, hence records no ordering edge; but while
-    // held it still orders everything acquired after it.
-    if (acquired) analysis::OnTryLocked(&dbg_);
-#endif
-    return acquired;
-  }
+  void Lock() SNB_ACQUIRE() { mu_.lock(); }
+  void Unlock() SNB_RELEASE() { mu_.unlock(); }
+  bool TryLock() SNB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
   std::mutex mu_;
-#ifdef SNB_DEADLOCK_DETECT
-  analysis::MutexDebug dbg_;
-#endif
 };
 
 /// RAII lock guard for Mutex (the annotated analogue of std::lock_guard).
@@ -163,9 +96,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(Mutex& mu) SNB_REQUIRES(mu) {
-#ifdef SNB_DEADLOCK_DETECT
-    analysis::OnCondVarWait(&mu.dbg_);
-#endif
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // the caller still owns the re-acquired mutex
@@ -176,9 +106,6 @@ class CondVar {
   /// way). The mutex is held again whenever this returns.
   bool WaitFor(Mutex& mu, std::chrono::milliseconds timeout)
       SNB_REQUIRES(mu) {
-#ifdef SNB_DEADLOCK_DETECT
-    analysis::OnCondVarWait(&mu.dbg_);
-#endif
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     std::cv_status status = cv_.wait_for(lock, timeout);
     lock.release();  // the caller still owns the re-acquired mutex

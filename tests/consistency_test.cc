@@ -1,13 +1,12 @@
-// Tests for the graph consistency checker and the mixed BI read/write
-// workload: consistency must hold after bulk load, after incremental
-// update replay, and throughout the mixed workload.
+// Tests for the graph consistency checker: consistency must hold after
+// bulk load and after incremental update replay, and BI reads must see the
+// replayed inserts.
 
 #include <gtest/gtest.h>
 
+#include "bi/bi.h"
 #include "datagen/datagen.h"
-#include "driver/driver.h"
 #include "interactive/updates.h"
-#include "params/parameter_curation.h"
 #include "storage/consistency.h"
 #include "storage/graph.h"
 
@@ -57,41 +56,9 @@ TEST(ConsistencyTest, FixtureOfOnePersonIsConsistent) {
   EXPECT_TRUE(storage::CheckGraphConsistency(graph).empty());
 }
 
-TEST(BiReadWriteTest, MixedWorkloadRunsReadsAndWrites) {
+TEST(ConsistencyTest, ReadsSeeFreshlyInsertedData) {
   datagen::GeneratedData data = MakeData();
   storage::Graph graph(std::move(data.network));
-  params::CurationConfig pc;
-  pc.per_query = 4;
-  params::WorkloadParameters params = params::CurateParameters(graph, pc);
-
-  const size_t limit = std::min<size_t>(1000, data.updates.size());
-  driver::DriverReport report = driver::RunBiReadWriteWorkload(
-      graph, data.updates, params, /*updates_per_read=*/25,
-      /*max_updates=*/1000);
-  EXPECT_EQ(report.update_operations, limit);
-  EXPECT_EQ(report.complex_reads, limit / 25);
-  ASSERT_GE(limit / 25, 25u);  // enough reads for one full round-robin
-  EXPECT_EQ(report.total_operations,
-            report.update_operations + report.complex_reads);
-  // Round-robin over 25 templates: 40 reads → at least one full cycle,
-  // so several distinct BI ops must appear.
-  size_t distinct_bi = 0;
-  for (const auto& [op, stats] : report.per_operation) {
-    if (op.rfind("BI ", 0) == 0) ++distinct_bi;
-  }
-  EXPECT_EQ(distinct_bi, 25u);
-
-  // The graph must still be consistent mid-stream state.
-  auto issues = storage::CheckGraphConsistency(graph);
-  EXPECT_TRUE(issues.empty()) << Join(issues);
-}
-
-TEST(BiReadWriteTest, ReadsSeeFreshlyInsertedData) {
-  datagen::GeneratedData data = MakeData();
-  storage::Graph graph(std::move(data.network));
-  params::CurationConfig pc;
-  pc.per_query = 2;
-  params::WorkloadParameters params = params::CurateParameters(graph, pc);
 
   // BI 1 counts messages before a far-future date; replaying updates must
   // strictly grow it.
@@ -100,7 +67,9 @@ TEST(BiReadWriteTest, ReadsSeeFreshlyInsertedData) {
   int64_t count_before = 0;
   for (const auto& r : before) count_before += r.message_count;
 
-  driver::RunBiReadWriteWorkload(graph, data.updates, params, 50);
+  for (const datagen::UpdateEvent& e : data.updates) {
+    ASSERT_TRUE(interactive::ApplyUpdate(graph, e).ok());
+  }
 
   auto after = bi::RunBi1(graph, far);
   int64_t count_after = 0;

@@ -1,14 +1,17 @@
 // Unit tests for the util layer: deterministic RNG, samplers, CSV, thread
-// pool.
+// pool, condition variable.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "util/csv.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/zipf.h"
@@ -245,6 +248,34 @@ TEST(ThreadPoolTest, SubmitAndWait) {
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(CondVarTest, WaitForTimesOutWhenNeverNotified) {
+  Mutex mu{SNB_LOCK_SITE("test.waitfor_timeout.mu")};
+  CondVar cv;
+  MutexLock lock(mu);
+  EXPECT_FALSE(cv.WaitFor(mu, std::chrono::milliseconds(5)));
+}
+
+TEST(CondVarTest, WaitForReturnsTrueOnNotifyAndCallerRechecksPredicate) {
+  Mutex mu{SNB_LOCK_SITE("test.waitfor_notify.mu")};
+  CondVar cv;
+  bool ready = false;
+  std::thread notifier([&] {
+    MutexLock lock(mu);
+    ready = true;
+    cv.NotifyAll();
+  });
+  {
+    MutexLock lock(mu);
+    // The contract: loop until the predicate holds, re-checking after
+    // every return — spurious wakeups and timeouts are both absorbed.
+    while (!ready) {
+      cv.WaitFor(mu, std::chrono::milliseconds(50));
+    }
+    EXPECT_TRUE(ready);
+  }
+  notifier.join();
 }
 
 }  // namespace

@@ -243,10 +243,7 @@ void CheckNoRawSync(Ctx& ctx) {
 void CheckCondVarConfined(Ctx& ctx) {
   for (const Unit& u : ctx.units()) {
     const std::string& p = u.lex->path;
-    if (!InProduct(p) || StartsWith(p, "src/util/") ||
-        StartsWith(p, "src/analysis/")) {
-      continue;
-    }
+    if (!InProduct(p) || StartsWith(p, "src/util/")) continue;
     for (const Token& tok : u.lex->tokens) {
       if (IsIdent(tok, "CondVar")) {
         ctx.Emit(u, tok.line, "condvar-confined",

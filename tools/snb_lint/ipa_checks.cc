@@ -163,8 +163,8 @@ void CheckBlockingWhileLocked(const Corpus& c, const LockEffects& fx,
     if (held == nullptr) continue;
     const LockSite* blocked = c.SiteOf(h.block.site);
     // Level sanction: blocking on a strictly higher-level site while
-    // holding a lower one follows the declared order — the same rule the
-    // dynamic lock graph enforces. I/O is never sanctioned.
+    // holding a lower one follows the declared order (the scheduler holds
+    // sched.stream_mu across ThreadPool::Submit). I/O is never sanctioned.
     if (h.block.kind != BlockKind::kIo && blocked != nullptr &&
         held->level != kNoLevel && blocked->level != kNoLevel &&
         held->level < blocked->level) {
@@ -666,20 +666,6 @@ void RunIpaChecks(const std::vector<IpaFile>& files, const IpaEmit& emit,
   }
   if (want_epoch) CheckEpochEscape(files, corpus, emit);
   if (want_status) CheckStatusFlow(files, corpus, emit);
-}
-
-std::vector<LockSite> CollectDeclaredLockSites(
-    const std::vector<IpaFile>& files) {
-  Corpus corpus = BuildCorpus(files);
-  std::vector<LockSite> out;
-  for (const LockSite& s : corpus.sites) {
-    if (s.declared) out.push_back(s);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const LockSite& a, const LockSite& b) {
-              return a.name < b.name;
-            });
-  return out;
 }
 
 }  // namespace snb_lint

@@ -45,12 +45,6 @@ const std::vector<std::string>& IpaCheckNames();
 void RunIpaChecks(const std::vector<IpaFile>& files, const IpaEmit& emit,
                   const IpaEnabled& enabled);
 
-/// Declared lock sites (SNB_LOCK_SITE / SNB_LOCK_LEVEL initializers) found
-/// in the corpus — the `--dump-lock-sites` payload the cross-check test
-/// compares against src/analysis/lock_site.h's registry.
-std::vector<LockSite> CollectDeclaredLockSites(
-    const std::vector<IpaFile>& files);
-
 }  // namespace snb_lint
 
 #endif  // SNB_TOOLS_SNB_LINT_IPA_CHECKS_H_

@@ -11,9 +11,9 @@
 // static hold range (a MutexLock to the end of its scope, an explicit
 // Lock() to its paired Unlock()), the sites acquired and the blocking
 // operations reached inside it — the raw material for static-lock-cycle
-// and blocking-while-locked-static. This is the compile-time complement
-// of src/analysis/lock_graph: same edge relation, derived from all call
-// paths instead of the interleavings that happened to execute.
+// and blocking-while-locked-static. The edges are derived from every call
+// path, not only the interleavings a test happens to execute; TSan's
+// lock-order-inversion report is the runtime complement.
 
 #ifndef SNB_TOOLS_SNB_LINT_LOCK_EFFECTS_H_
 #define SNB_TOOLS_SNB_LINT_LOCK_EFFECTS_H_

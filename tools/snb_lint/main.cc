@@ -8,8 +8,6 @@
 //   snb_lint --root <repo> --format=json   # machine-readable findings
 //   snb_lint --root <repo> --changed-only  # report only files touched per
 //                                          # git; analysis stays whole-repo
-//   snb_lint --root <repo> --dump-lock-sites  # declared SNB_LOCK_SITE /
-//                                          # SNB_LOCK_LEVEL registrations
 //   snb_lint --fixture <file>...           # golden-fixture mode: virtual
 //                                          # path from `snb-lint-path:`
 //   snb_lint --list-checks
@@ -35,9 +33,7 @@
 #include <vector>
 
 #include "checks.h"
-#include "ipa_checks.h"
 #include "lexer.h"
-#include "scopes.h"
 
 namespace snb_lint {
 namespace {
@@ -48,7 +44,6 @@ int Usage() {
   std::cerr
       << "usage: snb_lint --root <repo> [--check <name>]... "
          "[--format=text|json] [--changed-only]\n"
-         "       snb_lint --root <repo> --dump-lock-sites\n"
          "       snb_lint --fixture <file>... [--check <name>]... "
          "[--format=text|json]\n"
          "       snb_lint --list-checks\n";
@@ -162,7 +157,6 @@ int Run(int argc, char** argv) {
   Options opts;
   bool json = false;
   bool changed_only = false;
-  bool dump_lock_sites = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto value = [&](const char* flag) -> std::string {
@@ -182,8 +176,6 @@ int Run(int argc, char** argv) {
       arg = "--format=" + value("--format");
     } else if (arg == "--changed-only") {
       changed_only = true;
-    } else if (arg == "--dump-lock-sites") {
-      dump_lock_sites = true;
     } else if (arg == "--list-checks") {
       for (const std::string& n : CheckNames()) std::cout << n << "\n";
       return 0;
@@ -264,23 +256,6 @@ int Run(int argc, char** argv) {
     }
   } else {
     return Usage();
-  }
-
-  if (dump_lock_sites) {
-    // name <TAB> level <TAB> file:line — the cross-check test diffs this
-    // against the kDeclaredLockLevels registry in src/analysis/lock_site.h.
-    std::vector<ScopeModel> models;
-    models.reserve(files.size());
-    for (const LexedFile& f : files) models.emplace_back(f.tokens);
-    std::vector<IpaFile> ipa;
-    for (size_t i = 0; i < files.size(); ++i) {
-      ipa.push_back(IpaFile{&files[i], &models[i]});
-    }
-    for (const LockSite& s : CollectDeclaredLockSites(ipa)) {
-      std::cout << s.name << "\t" << s.level << "\t" << s.file << ":"
-                << s.line << "\n";
-    }
-    return 0;
   }
 
   std::vector<Finding> findings = RunChecks(files, opts);

@@ -411,8 +411,7 @@ class Builder {
         if (fn != kNoMatch) scope = corpus_.funcs[fn].display;
       }
       if (!site.declared) {
-        // Anonymous mutex: synthesize a per-(scope, var) site, mirroring
-        // the dynamic analyzer's lazy per-instance sites.
+        // Anonymous mutex: synthesize a per-(scope, var) site.
         site.name = (scope.empty() ? w.lex->path : scope) + "::" + var;
       }
       size_t idx = InternSite(std::move(site));

@@ -40,10 +40,9 @@ struct IpaFile {
 };
 
 /// A lock-creation site. `declared` sites come from an
-/// SNB_LOCK_SITE("name") / SNB_LOCK_LEVEL("name", lvl) initializer — their
-/// names match the runtime lock-order graph's. Anonymous mutexes get a
-/// synthesized "<Scope>::<var>" site so they still participate in cycle
-/// detection, mirroring the dynamic analyzer's lazy per-instance sites.
+/// SNB_LOCK_SITE("name") / SNB_LOCK_LEVEL("name", lvl) initializer.
+/// Anonymous mutexes get a synthesized "<Scope>::<var>" site so they still
+/// participate in cycle detection.
 struct LockSite {
   std::string name;
   int level = kNoLevel;
