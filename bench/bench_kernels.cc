@@ -13,12 +13,12 @@
 // Results go to bench/out/BENCH_kernels.json (gitignored — compare against
 // the committed baseline bench/BENCH_kernels.json) and stdout.
 //
-// With --smoke the run additionally asserts (exit 1 on violation):
-//   * every plan of every query returned identical rows,
-//   * every zone-mapped query skipped at least one prune unit,
-//   * every bounded query dropped at least one candidate by bound compare,
-//   * the adaptive model never chose morsel for a query whose *measured*
-//     parallel speedup in this same run was below 1×.
+// With --smoke the run additionally asserts (exit 1 on violation) that the
+// adaptive model never chose morsel for a query whose *measured* parallel
+// speedup in this same run was below 1×. That compares wall-clock timings,
+// so it is a by-hand check, not a test; the deterministic pruning gate
+// (naive match, zone and bound skips on every kernel) is pushdown_test's
+// PruningGateTest.
 //
 //   bench_kernels [--persons=8000] [--activity=0.5] [--reps=3]
 //                 [--bindings=1] [--seed=42] [--threads=4] [--smoke]
@@ -37,7 +37,6 @@
 
 #include "bi/bi.h"
 #include "bi/naive.h"
-#include "core/date_time.h"
 #include "datagen/datagen.h"
 #include "engine/dispatch.h"
 #include "params/parameter_curation.h"
@@ -150,38 +149,6 @@ int main(int argc, char** argv) {
   pc.seed = opt.seed;
   pc.per_query = std::max<size_t>(1, opt.bindings);
   params::WorkloadParameters params = params::CurateParameters(graph, pc);
-
-  if (opt.smoke) {
-    // Synthetic bindings that exercise every pruning path by construction,
-    // independent of what parameter curation happened to pick at smoke
-    // scale: a mid-index date makes the date zones prune roughly half the
-    // base, and zero thresholds over wide windows overfill the top-100 so
-    // the CP-1.3 bound must start dropping candidates.
-    const storage::MessageDateIndex& index = graph.MessageIndex();
-    if (index.base_size() > 0) {
-      const core::Date mid =
-          core::DateFromDateTime(index.BaseDateAt(index.base_size() / 2));
-      if (!params.bi12.empty()) params.bi12.push_back({mid, 0});
-      if (!params.bi18.empty() && graph.NumPosts() > 0) {
-        bi::Bi18Params p18 = params.bi18[0];
-        p18.date = mid;
-        p18.length_threshold = 1 << 30;
-        p18.languages.push_back(graph.PostAt(0).language);
-        params.bi18.push_back(p18);
-      }
-      if (!params.bi2.empty()) {
-        bi::Bi2Params p2 = params.bi2[0];
-        p2.start_date = 0;             // 1970 — the whole timeline
-        p2.end_date = mid + 36500;     // ~100 years past the data
-        p2.threshold = 0;
-        params.bi2.push_back(p2);
-      }
-      if (!params.bi3.empty()) {
-        const core::CivilDate c = core::CivilFromDate(mid);
-        params.bi3.push_back({c.year, c.month});
-      }
-    }
-  }
 
   util::ThreadPool pool(opt.threads);
   engine::DispatchModel model(opt.threads,
@@ -336,22 +303,6 @@ int main(int argc, char** argv) {
     ++failures;
   };
   for (const KernelReport& r : reports) {
-    if (!r.results_match) {
-      fail(r.name + ": plans disagree with the naive oracle");
-    }
-    // Zone-mapped scans must have pruned at least one unit. BI 6 is exempt:
-    // it scans tag adjacency, not the date index — its pruning is the
-    // per-candidate bound check below.
-    if (r.query != 6 &&
-        r.blocks_skipped_date + r.blocks_skipped_bound == 0) {
-      fail(r.name + ": no blocks skipped (zone pruning never fired)");
-    }
-    // Bounded top-k finishers must have dropped at least one candidate.
-    // BI 18 is exempt: it is a full-histogram query with no top-k bound.
-    if (r.query != 18 &&
-        r.blocks_skipped_bound + r.rows_skipped_bound == 0) {
-      fail(r.name + ": no bound skips (CP-1.3 pushdown never fired)");
-    }
     // The adaptive model may only fan out when fanning out actually paid
     // off in this very run.
     if (r.has_morsel_variant && r.adaptive_chose_morsel &&
@@ -360,7 +311,7 @@ int main(int argc, char** argv) {
     }
   }
   if (failures > 0) return 1;
-  std::fprintf(stderr, "smoke OK: pruning fired on every kernel, all plans "
-                       "bit-identical\n");
+  std::fprintf(stderr, "smoke OK: adaptive fanned out only where the "
+                       "measured speedup was at least 1x\n");
   return 0;
 }

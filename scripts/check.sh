@@ -18,21 +18,21 @@
 #   8. scale smoke    — streaming datagen at 10× the bench scale under a
 #                       bounded sorter budget, loaded, validated, and held
 #                       to the bytes/edge compression budget
-#   9. kernel smoke   — bench_kernels --smoke: pushdown engines vs the naive
-#                       oracle, with scan counters asserting the bound/zone
-#                       pruning actually fires on every top-k query
-#  10. thread-safety  — clang -Wthread-safety -Werror=thread-safety build
-#  11. gcc-analyzer   — gcc -fanalyzer over the tree, opt-in via
+#   9. thread-safety  — clang -Wthread-safety -Werror=thread-safety build
+#  10. gcc-analyzer   — gcc -fanalyzer over the tree, opt-in via
 #                       SNB_FANALYZER=1 (skipped with a notice otherwise:
 #                       GCC's analyzer is still experimental for C++ and
 #                       too noisy to gate on)
+#
+# The pruning gate (bound and zone pruning must fire on every top-k kernel)
+# is ctest's pushdown_test PruningGateTest, so stage 3 runs it.
 #
 # Lock order is checked twice over: statically on every path by snb_lint's
 # static-lock-cycle and blocking-while-locked-static (stage 1, and ctest
 # snb_lint_repo in stage 3), and at runtime by TSan's lock-order-inversion
 # report on the paths stage 5 drives.
 #
-# Stages 1 and 3–9 run on any GCC machine; 2 and 10 need clang and are
+# Stages 1 and 3–8 run on any GCC machine; 2 and 9 need clang and are
 # skipped with a notice when it is absent — the matrix must stay useful on
 # the GCC-only tier-1 machines. Run from anywhere; builds land in build*/
 # at the repo root.
@@ -124,15 +124,6 @@ rm -rf "$scale_dir"
   --max-bytes-per-edge 6.0
 "$repo/build/tools/snb_validate" --load "$scale_dir"
 rm -rf "$scale_dir"
-
-echo "== kernel smoke: bound pushdown prunes on every top-k query =="
-# bench_kernels --smoke cross-validates the pushdown engines against the
-# naive oracle and *asserts* the scan counters show pruning (blocks or rows
-# skipped > 0 on every pushdown query) — a silently disabled bound or zone
-# map fails this stage even though results would still be correct.
-cmake --build "$repo/build" -j --target bench_kernels
-"$repo/build/bench/bench_kernels" --persons=2000 --reps=1 --smoke \
-  --out="$repo/build/BENCH_kernels_smoke.json"
 
 echo "== thread-safety: clang -Wthread-safety -Werror=thread-safety =="
 if command -v clang++ >/dev/null 2>&1; then

@@ -7,11 +7,12 @@
 // reconstructed from the official 0.3.3 reference definitions; each such
 // reconstruction is documented at its declaration (see DESIGN.md).
 //
-// The scan-dominated templates (BI 1, 2, 3, 6, 12, 13, 14, 17, 20, 23, 24)
-// take an optional intra-query pool: each is one init/fold/merge kernel over
-// engine::ParallelAggregate, partitioned into morsels of its scan domain. A
-// null pool runs one slot inline on the calling thread; any pool size
-// returns bit-identical rows.
+// The scan-dominated templates (BI 1, 2, 3, 6, 9, 12, 13, 14, 17, 20, 23,
+// 24) take an optional intra-query pool: each is one init/fold/merge kernel
+// over engine::ParallelAggregate, partitioned into morsels of its scan
+// domain. A null pool runs one slot inline on the calling thread; any pool
+// size returns bit-identical rows. BI 9, 20 and 24 scan the tag→message
+// posting lists of their tag classes, not the message table.
 //
 // A naive tuple-at-a-time baseline of every query lives in bi/naive.h with
 // (pool-less) signatures; tests cross-validate the engines on generated
@@ -21,6 +22,7 @@
 #define SNB_BI_BI_H_
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +37,10 @@ class ThreadPool;
 namespace snb::bi {
 
 using storage::Graph;
+
+/// Positions per morsel of the tag→message posting-list walks (BI 6, and
+/// the tag-class walks of BI 9/20/24).
+inline constexpr size_t kPostingMorselSize = 1024;
 
 // ---------------------------------------------------------------------------
 // BI 1 — Posting summary.
@@ -255,7 +261,13 @@ struct Bi9Row {
   bool operator==(const Bi9Row&) const = default;
 };
 
-std::vector<Bi9Row> RunBi9(const Graph& graph, const Bi9Params& params);
+std::vector<Bi9Row> RunBi9(const Graph& graph, const Bi9Params& params,
+                           util::ThreadPool* pool = nullptr);
+
+/// Positions RunBi9 walks: the posts-only posting-list length of each
+/// distinct class's tags. The scheduler prices its dispatch with it, as for
+/// Bi20Work and Bi24Work.
+size_t Bi9Work(const Graph& graph, const Bi9Params& params);
 
 // ---------------------------------------------------------------------------
 // BI 10 — Central person for a tag. [reconstructed]
@@ -520,6 +532,10 @@ struct Bi20Row {
 std::vector<Bi20Row> RunBi20(const Graph& graph, const Bi20Params& params,
                              util::ThreadPool* pool = nullptr);
 
+/// Positions RunBi20 walks: per class, the posting-list length (posts and
+/// comments) of its transitive tags, summed over the classes.
+size_t Bi20Work(const Graph& graph, const Bi20Params& params);
+
 // ---------------------------------------------------------------------------
 // BI 21 — Zombies in a country.
 // Zombies: persons of $country created before $endDate averaging < 1 message
@@ -617,6 +633,10 @@ struct Bi24Row {
 
 std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params,
                              util::ThreadPool* pool = nullptr);
+
+/// Positions RunBi24 walks: the posting-list length (posts and comments) of
+/// the class's direct tags.
+size_t Bi24Work(const Graph& graph, const Bi24Params& params);
 
 // ---------------------------------------------------------------------------
 // BI 25 — Trusted connection paths. [reconstructed]

@@ -57,7 +57,7 @@ std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params,
           target.likes += a.likes;
         }
       },
-      /*morsel_size=*/1024);
+      kPostingMorselSize);
 
   // Top-k finisher with CP-1.3 bound pushdown: the score is computable from
   // the aggregate alone, so a person strictly below the k-th score is

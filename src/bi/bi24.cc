@@ -1,4 +1,5 @@
-#include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "bi/bi.h"
 #include "bi/cancel.h"
@@ -7,42 +8,52 @@
 
 namespace snb::bi {
 
+namespace {
+
+using internal::ClassPostings;
+
+// The walk: the posting lists, posts and comments, of the class's direct
+// tags.
+constexpr ClassPostings::Messages kMessages =
+    ClassPostings::Messages::kPostsAndComments;
+
+std::vector<uint32_t> WalkTags(const Graph& graph, const Bi24Params& params) {
+  return internal::ClassTagList(graph, params.tag_class,
+                                /*transitive=*/false);
+}
+
+}  // namespace
+
+size_t Bi24Work(const Graph& graph, const Bi24Params& params) {
+  return ClassPostings::Length(graph, WalkTags(graph, params), kMessages);
+}
+
 std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params,
                              util::ThreadPool* pool) {
   using internal::ContinentOfCountry;
-  const std::vector<bool> class_tags =
-      internal::TagsOfClass(graph, params.tag_class, /*transitive=*/false);
+  PollCancel();
+  ClassPostings postings(graph, WalkTags(graph, params), kMessages);
 
-  struct Key {
-    int32_t year;
-    int32_t month;
-    uint32_t continent;
-    bool operator<(const Key& o) const {
-      if (year != o.year) return year < o.year;
-      if (month != o.month) return month < o.month;
-      return continent < o.continent;
-    }
-  };
   struct Agg {
     int64_t messages = 0;
     int64_t likes = 0;
   };
-  using GroupMap = std::map<Key, Agg>;
+  // Group key (year, month, continent index) packed into one word.
+  auto pack = [](int32_t year, int32_t month, uint32_t continent) {
+    return (uint64_t{static_cast<uint32_t>(year)} << 36) |
+           (uint64_t{static_cast<uint32_t>(month)} << 32) | continent;
+  };
+  using GroupMap = std::unordered_map<uint64_t, Agg>;
   const GroupMap groups = internal::Aggregate(
-      pool, graph.NumMessages(), [] { return GroupMap{}; },
+      pool, postings.size(), [] { return GroupMap{}; },
       [&](GroupMap& local, size_t begin, size_t end) {
         PollCancel();
-        graph.ForEachMessage(begin, end, [&](uint32_t msg) {
-          bool match = false;
-          graph.ForEachMessageTag(msg, [&](uint32_t tag) {
-            if (class_tags[tag]) match = true;
-          });
-          if (!match) return;
-          core::DateTime created = graph.MessageCreationDate(msg);
-          uint32_t continent =
+        postings.ForEach(begin, end, [&](uint32_t msg) {
+          const core::CivilDate created = core::CivilFromDate(
+              core::DateFromDateTime(graph.MessageCreationDate(msg)));
+          const uint32_t continent =
               ContinentOfCountry(graph, graph.MessageCountry(msg));
-          Agg& agg =
-              local[{core::Year(created), core::Month(created), continent}];
+          Agg& agg = local[pack(created.year, created.month, continent)];
           ++agg.messages;
           agg.likes += internal::MessageLikeCount(graph, msg);
         });
@@ -53,18 +64,21 @@ std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params,
           target.messages += agg.messages;
           target.likes += agg.likes;
         }
-      });
+      },
+      kPostingMorselSize);
 
   std::vector<Bi24Row> rows;
   rows.reserve(groups.size());
   for (const auto& [key, agg] : groups) {
-    rows.push_back({agg.messages, agg.likes, key.year, key.month,
-                    key.continent == storage::kNoIdx
+    const auto continent = static_cast<uint32_t>(key);
+    rows.push_back({agg.messages, agg.likes, static_cast<int32_t>(key >> 36),
+                    static_cast<int32_t>((key >> 32) & 0xf),
+                    continent == storage::kNoIdx
                         ? std::string()
-                        : graph.PlaceAt(key.continent).name});
+                        : graph.PlaceAt(continent).name});
   }
-  // The map order is (year ↑, month ↑, continent-index ↑); re-sort by the
-  // continent *name* for the final tie-break before applying the limit.
+  // Continent names are unique, so (year, month, continent name) is a total
+  // order over the groups.
   engine::SortAndLimit(
       rows,
       [](const Bi24Row& a, const Bi24Row& b) {

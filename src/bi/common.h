@@ -4,6 +4,7 @@
 #ifndef SNB_BI_COMMON_H_
 #define SNB_BI_COMMON_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "bi/cancel.h"
+#include "engine/claim_bitmap.h"
 #include "engine/morsel.h"
 #include "storage/graph.h"
 #include "storage/scan_stats.h"
@@ -48,15 +50,14 @@ auto Aggregate(util::ThreadPool* pool, size_t n, Init&& init, Fold&& fold,
       std::forward<Merge>(merge), morsel_size);
 }
 
-/// Tag bitmap (size NumTags) of tags whose class is `class_name`;
-/// `transitive` includes descendant classes. All-false when the class is
-/// unknown.
-inline std::vector<bool> TagsOfClass(const Graph& graph,
-                                     const std::string& class_name,
-                                     bool transitive) {
-  std::vector<bool> mask(graph.NumTags(), false);
+/// Tags whose class is `class_name`, class by class; `transitive` includes
+/// descendant classes. Empty when the class is unknown.
+inline std::vector<uint32_t> ClassTagList(const Graph& graph,
+                                          const std::string& class_name,
+                                          bool transitive) {
+  std::vector<uint32_t> tags;
   uint32_t root = graph.TagClassByName(class_name);
-  if (root == kNoIdx) return mask;
+  if (root == kNoIdx) return tags;
   std::vector<uint32_t> classes{root};
   if (transitive) {
     for (size_t i = 0; i < classes.size(); ++i) {
@@ -65,10 +66,99 @@ inline std::vector<bool> TagsOfClass(const Graph& graph,
     }
   }
   for (uint32_t tc : classes) {
-    graph.TagClassTags().ForEach(tc, [&](uint32_t t) { mask[t] = true; });
+    graph.TagClassTags().ForEach(tc, [&](uint32_t t) { tags.push_back(t); });
+  }
+  return tags;
+}
+
+/// ClassTagList as a tag bitmap (size NumTags).
+inline std::vector<bool> TagsOfClass(const Graph& graph,
+                                     const std::string& class_name,
+                                     bool transitive) {
+  std::vector<bool> mask(graph.NumTags(), false);
+  for (uint32_t t : ClassTagList(graph, class_name, transitive)) {
+    mask[t] = true;
   }
   return mask;
 }
+
+/// The tag→message posting lists (TagPosts, and unless posts-only
+/// TagComments) of a set of tags as one position space — each tag's posts,
+/// then its comments, tag by tag — so BI 9/20/24 start from the selective
+/// side, tag class → tags → messages (CP-2.1), instead of scanning every
+/// message. Disjoint position slices of [0, size()) partition one walk,
+/// each list read through AdjacencyList::ForEachSlice (sorted base, then
+/// the insert-overflow chain), as BI 6 slices one tag's list.
+///
+/// ForEach visits every live message on the lists exactly once over the
+/// whole walk, however it is sliced and by however many threads: a message
+/// reached through several tags — or listed twice under one tag — is
+/// claimed in a seen bitmap by its first visit. Kernels slice the walk in
+/// morsels of kPostingMorselSize positions.
+class ClassPostings {
+ public:
+  enum class Messages { kPostsAndComments, kPostsOnly };
+
+  ClassPostings(const Graph& graph, const std::vector<uint32_t>& tags,
+                Messages messages);
+  ClassPostings(const ClassPostings&) = delete;
+  ClassPostings& operator=(const ClassPostings&) = delete;
+
+  /// Posting-list length: the sum of the tags' list degrees (a message is
+  /// counted once per list entry, so this bounds the distinct messages).
+  size_t size() const { return size_; }
+
+  /// size() of the walk over `tags`, without building its seen bitmap.
+  static size_t Length(const Graph& graph, const std::vector<uint32_t>& tags,
+                       Messages messages);
+
+  /// Visits f(msg) for the live messages at positions [begin, end) that no
+  /// earlier visit of this walk claimed.
+  template <typename F>
+  void ForEach(size_t begin, size_t end, F&& f) {
+    auto seg = std::upper_bound(
+        segments_.begin(), segments_.end(), begin,
+        [](size_t pos, const Segment& s) { return pos < s.end; });
+    for (; seg != segments_.end() && seg->begin < end; ++seg) {
+      const size_t lo = std::max(begin, seg->begin) - seg->begin;
+      const size_t hi = std::min(end, seg->end) - seg->begin;
+      if (seg->comments) {
+        graph_.TagComments().ForEachSlice(
+            seg->tag, lo, hi, [&](uint32_t comment) {
+              if (graph_.CommentAlive(comment) &&
+                  seen_.Claim(graph_.NumPosts() + comment)) {
+                f(Graph::MessageOfComment(comment));
+              }
+            });
+      } else {
+        graph_.TagPosts().ForEachSlice(seg->tag, lo, hi, [&](uint32_t post) {
+          if (graph_.PostAlive(post) && seen_.Claim(post)) {
+            f(Graph::MessageOfPost(post));
+          }
+        });
+      }
+    }
+  }
+
+ private:
+  /// One tag's post or comment list at positions [begin, end).
+  struct Segment {
+    uint32_t tag;
+    bool comments;
+    size_t begin;
+    size_t end;
+  };
+
+  /// The non-empty lists of `tags` laid end to end.
+  static std::vector<Segment> Segments(const Graph& graph,
+                                       const std::vector<uint32_t>& tags,
+                                       Messages messages);
+
+  const Graph& graph_;
+  std::vector<Segment> segments_;
+  size_t size_ = 0;
+  engine::ClaimBitmap seen_;  // posts, then comments
+};
 
 /// Country place index by name; kNoIdx when absent or not a country.
 inline uint32_t CountryIdx(const Graph& graph, const std::string& name) {

@@ -234,7 +234,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                                return g.TagPosts().Degree(tag) +
                                       g.TagComments().Degree(tag);
                              },
-                             /*morsel_size=*/1024, bi::RunBi6),
+                             bi::kPostingMorselSize, bi::RunBi6),
                          [](Hasher& h, const bi::Bi6Row& r) {
                            AddFields(h, r.person_id, r.reply_count,
                                      r.like_count, r.message_count, r.score);
@@ -253,7 +253,9 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
                          });
         break;
       case 9:
-        out = RunAndHash(graph, params.bi9, op.binding, bi::RunBi9,
+        out = RunAndHash(graph, params.bi9, op.binding,
+                         with_pool(bi::Bi9Work, bi::kPostingMorselSize,
+                                   bi::RunBi9),
                          [](Hasher& h, const bi::Bi9Row& r) {
                            AddFields(h, r.forum_id, r.count1, r.count2);
                          });
@@ -351,7 +353,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 20:
         out = RunAndHash(graph, params.bi20, op.binding,
-                         with_pool(all_messages, engine::kDefaultMorselSize,
+                         with_pool(bi::Bi20Work, bi::kPostingMorselSize,
                                    bi::RunBi20),
                          [](Hasher& h, const bi::Bi20Row& r) {
                            AddFields(h, r.tag_class, r.message_count);
@@ -382,7 +384,7 @@ OpOutcome ExecuteStreamOp(const storage::Graph& graph,
         break;
       case 24:
         out = RunAndHash(graph, params.bi24, op.binding,
-                         with_pool(all_messages, engine::kDefaultMorselSize,
+                         with_pool(bi::Bi24Work, bi::kPostingMorselSize,
                                    bi::RunBi24),
                          [](Hasher& h, const bi::Bi24Row& r) {
                            AddFields(h, r.message_count, r.like_count, r.year,

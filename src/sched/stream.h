@@ -65,8 +65,8 @@ struct OpOutcome {
 /// cancelled = true with rows = 0. latency_ms is left 0 (the scheduler
 /// owns timing).
 ///
-/// The scan-dominated templates (BI 1, 2, 3, 6, 12, 13, 14, 17, 20, 23, 24)
-/// are morsel-partitioned kernels. When both `intra_pool` and `dispatch`
+/// The scan-dominated templates (BI 1, 2, 3, 6, 9, 12, 13, 14, 17, 20, 23,
+/// 24) are morsel-partitioned kernels. When both `intra_pool` and `dispatch`
 /// are non-null, the cost model prices each such query and hands the kernel
 /// the pool only when the predicted speedup clears the model's margin
 /// (CP-1.2 work sizing); otherwise — and for every other template — the

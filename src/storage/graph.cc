@@ -506,7 +506,7 @@ uint32_t Graph::AddPerson(const core::Person& person) {
 void Graph::AddLikePost(core::Id person, core::Id post, core::DateTime date) {
   uint32_t p = PersonIdx(person);
   uint32_t m = PostIdx(post);
-  SNB_CHECK(p != kNoIdx && m != kNoIdx);
+  if (p == kNoIdx || m == kNoIdx || !PersonAlive(p) || !PostAlive(m)) return;
   // Raise the like-count zone max *before* the like becomes visible, so a
   // concurrent bound-pruned scan never sees a degree above its block's zone.
   message_index_.NoteLike(
@@ -520,7 +520,9 @@ void Graph::AddLikeComment(core::Id person, core::Id comment,
                            core::DateTime date) {
   uint32_t p = PersonIdx(person);
   uint32_t m = CommentIdx(comment);
-  SNB_CHECK(p != kNoIdx && m != kNoIdx);
+  if (p == kNoIdx || m == kNoIdx || !PersonAlive(p) || !CommentAlive(m)) {
+    return;
+  }
   message_index_.NoteLike(
       MessageOfComment(m), comment_creation_[m],
       static_cast<uint32_t>(comment_likers_.Degree(m)) + 1);
@@ -553,7 +555,7 @@ void Graph::AddMembership(core::Id person, core::Id forum,
                           core::DateTime join_date) {
   uint32_t p = PersonIdx(person);
   uint32_t f = ForumIdx(forum);
-  SNB_CHECK(p != kNoIdx && f != kNoIdx);
+  if (p == kNoIdx || f == kNoIdx || !PersonAlive(p) || !ForumAlive(f)) return;
   forum_members_.Append(f, p, join_date);
   person_forums_.Append(p, f, join_date);
 }
@@ -647,7 +649,7 @@ uint32_t Graph::AddComment(const core::Comment& comment) {
 void Graph::AddKnows(core::Id person1, core::Id person2, core::DateTime date) {
   uint32_t a = PersonIdx(person1);
   uint32_t b = PersonIdx(person2);
-  SNB_CHECK(a != kNoIdx && b != kNoIdx);
+  if (a == kNoIdx || b == kNoIdx || !PersonAlive(a) || !PersonAlive(b)) return;
   knows_.Append(a, b, date);
   knows_.Append(b, a, date);
 }

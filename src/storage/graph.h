@@ -482,6 +482,13 @@ class Graph {
   const AdjacencyList& TagClassTags() const { return tag_class_tags_; }
 
   // ---- Mutators (Interactive updates IU 1–8) --------------------------------
+  //
+  // The edge inserts (IU 2/3/5/8) are no-ops when an endpoint is missing or
+  // deleted, as the Delete* mutators are on missing targets: with
+  // interleaved insert and delete streams an insert can name an entity that
+  // an earlier cascade tombstoned or a compaction removed, and the edge
+  // would die with that entity anyway. Either way the graph answers as its
+  // compaction would.
 
   uint32_t AddPerson(const core::Person& person);              // IU 1
   void AddLikePost(core::Id person, core::Id post,

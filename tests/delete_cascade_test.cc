@@ -5,7 +5,7 @@
 //     edges) and nothing else, and the tombstoned graph passes the
 //     tombstone-* validator invariants;
 //   - a delete-heavy refresh publishes a graph whose results for every
-//     morsel-partitioned BI kernel (BI 1/2/3/6/12/13/14/17/20/23/24) are
+//     morsel-partitioned BI kernel (BI 1/2/3/6/9/12/13/14/17/20/23/24) are
 //     bit-identical to loading the post-delete dataset from scratch, and to
 //     the naive engine, with no pool and under 1/2/4/8-thread pools, and
 //     identical whether the published snapshot is compacted or still
@@ -119,6 +119,7 @@ struct BiProbeResults {
   std::vector<std::vector<bi::Bi2Row>> bi2;
   std::vector<std::vector<bi::Bi3Row>> bi3;
   std::vector<std::vector<bi::Bi6Row>> bi6;
+  std::vector<std::vector<bi::Bi9Row>> bi9;
   std::vector<std::vector<bi::Bi12Row>> bi12;
   std::vector<std::vector<bi::Bi13Row>> bi13;
   std::vector<std::vector<bi::Bi14Row>> bi14;
@@ -131,7 +132,7 @@ struct BiProbeResults {
 };
 
 #define SNB_FOR_EACH_PROBE(X) \
-  X(1) X(2) X(3) X(6) X(12) X(13) X(14) X(17) X(20) X(23) X(24)
+  X(1) X(2) X(3) X(6) X(9) X(12) X(13) X(14) X(17) X(20) X(23) X(24)
 
 /// The kernels' results; `pool` null runs each on one slot inline.
 BiProbeResults RunProbes(const Graph& graph,

@@ -3,23 +3,28 @@
 // inline) and at every pool size; the creation-date index must visit
 // exactly the messages a filtered full scan visits, under any partition of
 // its scan positions and including messages appended to the unsorted tail
-// by updates; cancellation must surface from inside a morsel loop without
-// wedging the pool.
+// by updates; the tag-class posting-list walks of BI 9/20/24 must count a
+// message once however many of the class's tags it lists, through
+// descendant classes and insert-overflow chains; cancellation must surface
+// from inside a morsel loop without wedging the pool.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "bi/bi.h"
 #include "bi/cancel.h"
 #include "bi/naive.h"
+#include "core/schema.h"
 #include "datagen/datagen.h"
 #include "engine/morsel.h"
 #include "params/parameter_curation.h"
 #include "storage/graph.h"
 #include "storage/message_index.h"
 #include "storage/scan_stats.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace snb {
@@ -105,6 +110,10 @@ TEST_F(ParallelFixture, Bi6MatchesNaiveAtEverySlotCount) {
   CheckQuery("BI 6", params().bi6, bi::RunBi6, bi::naive::RunBi6);
 }
 
+TEST_F(ParallelFixture, Bi9MatchesNaiveAtEverySlotCount) {
+  CheckQuery("BI 9", params().bi9, bi::RunBi9, bi::naive::RunBi9);
+}
+
 TEST_F(ParallelFixture, Bi12MatchesNaiveAtEverySlotCount) {
   CheckQuery("BI 12", params().bi12, bi::RunBi12, bi::naive::RunBi12);
 }
@@ -145,12 +154,150 @@ TEST_F(ParallelFixture, CancelledTokenAbortsParallelQueryAndPoolSurvives) {
                  bi::QueryCancelled);
     EXPECT_THROW(bi::RunBi20(graph(), params().bi20[0], &pool()),
                  bi::QueryCancelled);
+    EXPECT_THROW(bi::RunBi9(graph(), params().bi9[0], &pool()),
+                 bi::QueryCancelled);
+    EXPECT_THROW(bi::RunBi24(graph(), params().bi24[0]), bi::QueryCancelled);
     // The one-slot inline path polls the same token.
     EXPECT_THROW(bi::RunBi13(graph(), params().bi13[0]), bi::QueryCancelled);
   }
   // The abandoned morsels must not leave the pool wedged or poisoned.
   EXPECT_EQ(bi::RunBi1(graph(), params().bi1[0], &pool()),
             bi::RunBi1(graph(), params().bi1[0]));
+}
+
+// ---- Tag-class posting lists (BI 9/20/24) ---------------------------------
+
+// A generated network with hand-placed posting-list edge cases:
+//   - tag class "PostingLeaf" under the class of tag 0 ("the class"), whose
+//     one tag is reached from the class only through that descendant;
+//   - a post and a comment that list the same tag twice (so the message
+//     sits twice on one posting list);
+//   - a post and a comment that carry two tags of the class;
+// plus posts and comments appended after the bulk load with the same tag
+// shapes, so every walk also reads the insert-overflow chains.
+class PostingListFixture : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    engine::internal::GlobalMorselTuning().min_morsels_for_fanout = 1;
+    engine::internal::GlobalMorselTuning().morsel_size_cap = 64;
+    datagen::DatagenConfig cfg;
+    cfg.num_persons = 150;
+    cfg.activity_scale = 0.5;
+    core::SocialNetwork net = datagen::Generate(cfg).network;
+
+    const core::Id a = net.tags.front().id;
+    const core::Id class_id = net.tags.front().tag_class;
+    core::Id tag_b = core::kNoId;
+    for (const core::Tag& t : net.tags) {
+      if (t.id != a && t.tag_class == class_id) tag_b = t.id;
+    }
+    SNB_CHECK_NE(tag_b, core::kNoId);
+    core::Id max_class = 0, max_tag = 0;
+    for (const core::TagClass& c : net.tag_classes) {
+      max_class = std::max(max_class, c.id);
+      if (c.id == class_id) class_name_ = c.name;
+    }
+    for (const core::Tag& t : net.tags) max_tag = std::max(max_tag, t.id);
+    net.tag_classes.push_back(
+        {max_class + 1, "PostingLeaf", "http://example.org/leaf", class_id});
+    const core::Id leaf = max_tag + 1;
+    net.tags.push_back(
+        {leaf, "posting-leaf-tag", "http://example.org/leaf-tag",
+         max_class + 1});
+    const std::vector<std::vector<core::Id>> shapes = {
+        {a, a}, {a, tag_b}, {leaf}, {tag_b, leaf, tag_b}, {leaf, a}};
+    SNB_CHECK_GT(net.posts.size(), shapes.size());
+    SNB_CHECK_GT(net.comments.size(), shapes.size());
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      net.posts[i].tags = shapes[i];
+      net.comments[i].tags = shapes[i];
+    }
+    duplicated_post_ = net.posts[0].id;
+    graph_ = new storage::Graph(std::move(net));
+
+    // Appended after the bulk load: the same shapes on fresh posts and on
+    // comments replying to them, landing in the overflow chains.
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      core::Post post = graph_->PostAt(static_cast<uint32_t>(i));
+      post.id = (core::Id{1} << 40) + i;
+      post.tags = shapes[i];
+      graph_->AddPost(post);
+      core::Comment comment = graph_->CommentAt(static_cast<uint32_t>(i));
+      comment.id = (core::Id{1} << 40) + i;
+      comment.reply_of_post = post.id;
+      comment.reply_of_comment = core::kNoId;
+      comment.tags = shapes[shapes.size() - 1 - i];
+      graph_->AddComment(comment);
+    }
+  }
+  static void TearDownTestSuite() {
+    delete graph_;
+    engine::internal::GlobalMorselTuning() = engine::internal::MorselTuning{};
+  }
+  static const storage::Graph& graph() { return *graph_; }
+  static const std::string& class_name() { return class_name_; }
+
+  /// Kernel with no pool and at 1/2/4/8 threads vs the naive engine.
+  template <typename Params, typename RunFn, typename NaiveFn>
+  static void Check(const char* name, const Params& p, RunFn run,
+                    NaiveFn naive) {
+    const auto expected = naive(graph(), p);
+    EXPECT_EQ(run(graph(), p, nullptr), expected) << name << " (no pool)";
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      util::ThreadPool pool(threads);
+      EXPECT_EQ(run(graph(), p, &pool), expected)
+          << name << " threads=" << threads;
+    }
+  }
+
+  static storage::Graph* graph_;
+  static std::string class_name_;
+  static core::Id duplicated_post_;
+};
+
+storage::Graph* PostingListFixture::graph_ = nullptr;
+std::string PostingListFixture::class_name_;
+core::Id PostingListFixture::duplicated_post_ = core::kNoId;
+
+TEST_F(PostingListFixture, FixtureHoldsTheEdgeCases) {
+  const uint32_t tag = graph().TagIdx(graph().PostAt(0).tags.front());
+  const uint32_t post = graph().PostIdx(duplicated_post_);
+  size_t listed = 0;
+  graph().TagPosts().ForEach(tag, [&](uint32_t p) { listed += p == post; });
+  EXPECT_EQ(listed, 2u) << "the post must sit twice on one posting list";
+  EXPECT_GT(graph().TagPosts().num_overflow_edges(), 0u);
+  EXPECT_GT(graph().TagComments().num_overflow_edges(), 0u);
+  // The leaf tag is on three shapes, each on a bulk-loaded and an appended
+  // post and comment: twelve distinct messages.
+  const std::vector<bi::Bi20Row> leaf =
+      bi::RunBi20(graph(), bi::Bi20Params{{"PostingLeaf"}});
+  ASSERT_EQ(leaf.size(), 1u);
+  EXPECT_EQ(leaf[0].message_count, 12);
+}
+
+TEST_F(PostingListFixture, Bi9MatchesNaive) {
+  for (int64_t threshold : {0, 2}) {
+    Check("BI 9", bi::Bi9Params{class_name(), "PostingLeaf", threshold},
+          bi::RunBi9, bi::naive::RunBi9);
+    Check("BI 9 same class", bi::Bi9Params{class_name(), class_name(),
+                                           threshold},
+          bi::RunBi9, bi::naive::RunBi9);
+    Check("BI 9 unknown class",
+          bi::Bi9Params{"NoSuchClass", class_name(), threshold}, bi::RunBi9,
+          bi::naive::RunBi9);
+  }
+}
+
+TEST_F(PostingListFixture, Bi20MatchesNaiveThroughDescendantClass) {
+  Check("BI 20", bi::Bi20Params{{class_name(), "PostingLeaf", "Thing"}},
+        bi::RunBi20, bi::naive::RunBi20);
+}
+
+TEST_F(PostingListFixture, Bi24MatchesNaive) {
+  Check("BI 24", bi::Bi24Params{class_name()}, bi::RunBi24,
+        bi::naive::RunBi24);
+  Check("BI 24 leaf", bi::Bi24Params{"PostingLeaf"}, bi::RunBi24,
+        bi::naive::RunBi24);
 }
 
 // ---- Creation-date index / zone-map pruning ------------------------------

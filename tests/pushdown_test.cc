@@ -22,6 +22,7 @@
 #include "engine/dispatch.h"
 #include "engine/morsel.h"
 #include "engine/top_k.h"
+#include "params/parameter_curation.h"
 #include "storage/graph.h"
 #include "storage/message_index.h"
 #include "storage/scan_stats.h"
@@ -256,6 +257,83 @@ TEST_F(PushdownFixture, CountersAggregateAcrossMorselSlots) {
   // Helper threads must re-install the caller's sink: a parallel run
   // decodes the same candidate set, so the counter cannot be zero.
   EXPECT_GT(stats.rows_decoded.load(), 0u);
+}
+
+// ---- Pruning gate: every top-k kernel ---------------------------------------
+
+TEST(PruningGateTest, PruningFiresOnEveryTopKKernel) {
+  // Each bound-pushdown kernel (BI 2/3/6/12/14) and the hot-column BI 18
+  // must match the naive oracle with no pool and with a pool, and its scan
+  // counters must show that pruning fired: zone maps skipped blocks (every
+  // kernel but BI 6, which scans tag adjacency, not the date index) and the
+  // CP-1.3 bound dropped candidates (every kernel but BI 18, which has no
+  // top-k bound). A silently disabled zone map or bound fails here even
+  // though the results would still be correct. The graph must hold more
+  // than 100 candidate groups per kernel, or no top-100 heap ever fills.
+  datagen::DatagenConfig cfg;
+  cfg.num_persons = 2000;
+  cfg.activity_scale = 0.5;
+  const storage::Graph graph(datagen::Generate(cfg).network);
+  params::CurationConfig pc;
+  pc.per_query = 1;
+  params::WorkloadParameters p = params::CurateParameters(graph, pc);
+  // Bindings that reach every pruning path by construction, whatever the
+  // curation picked: a mid-index date makes the date zones prune about
+  // half the base, and zero thresholds over wide windows overfill the
+  // top-100 so the bound must start dropping candidates.
+  const storage::MessageDateIndex& index = graph.MessageIndex();
+  const core::Date mid =
+      core::DateFromDateTime(index.BaseDateAt(index.base_size() / 2));
+  p.bi12.push_back({mid, 0});
+  bi::Bi18Params p18 = p.bi18.at(0);
+  p18.date = mid;
+  p18.length_threshold = 1 << 30;
+  p18.languages.push_back(graph.PostAt(0).language);
+  p.bi18.push_back(p18);
+  bi::Bi2Params p2 = p.bi2.at(0);
+  p2.start_date = 0;          // 1970: the whole timeline
+  p2.end_date = mid + 36500;  // ~100 years past the data
+  p2.threshold = 0;
+  p.bi2.push_back(p2);
+  const core::CivilDate c = core::CivilFromDate(mid);
+  p.bi3.push_back({c.year, c.month});
+
+  util::ThreadPool pool(4);
+  auto check = [&](const char* name, const auto& bindings, auto run,
+                   auto naive, bool zone_mapped, bool bounded) {
+    ASSERT_FALSE(bindings.empty()) << name;
+    storage::ScanStats stats;
+    for (const auto& b : bindings) {
+      const auto expected = naive(graph, b);
+      {
+        storage::ScopedScanStats guard(&stats);
+        EXPECT_EQ(run(graph, b, nullptr), expected) << name;
+      }
+      EXPECT_EQ(run(graph, b, &pool), expected) << name << " (pool)";
+    }
+    if (zone_mapped) {
+      EXPECT_GT(stats.blocks_skipped_date.load() +
+                    stats.blocks_skipped_bound.load(),
+                0u)
+          << name << ": no blocks skipped (zone pruning never fired)";
+    }
+    if (bounded) {
+      EXPECT_GT(stats.blocks_skipped_bound.load() +
+                    stats.rows_skipped_bound.load(),
+                0u)
+          << name << ": no bound skips (CP-1.3 pushdown never fired)";
+    }
+  };
+  check("BI 2", p.bi2, bi::RunBi2, bi::naive::RunBi2, true, true);
+  check("BI 3", p.bi3, bi::RunBi3, bi::naive::RunBi3, true, true);
+  check("BI 6", p.bi6, bi::RunBi6, bi::naive::RunBi6, false, true);
+  check("BI 12", p.bi12, bi::RunBi12, bi::naive::RunBi12, true, true);
+  check("BI 14", p.bi14, bi::RunBi14, bi::naive::RunBi14, true, true);
+  check(
+      "BI 18", p.bi18,
+      [](const storage::Graph& g, const bi::Bi18Params& b,
+         util::ThreadPool*) { return bi::RunBi18(g, b); },
+      bi::naive::RunBi18, true, false);
 }
 
 // ---- Materialized 2-hop endpoints ------------------------------------------

@@ -1,6 +1,7 @@
 // Scheduler tests: concurrent streams over a shared read-only graph produce
 // results bit-identical to the sequential engine, cooperative cancellation
-// fires on tight deadlines, histogram percentiles stay within bucket
+// fires on tight deadlines, the tag-class kernels (BI 9/20/24) are priced by
+// their posting-list length, histogram percentiles stay within bucket
 // resolution, and the Power/Throughput score formulas hold.
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "bi/bi.h"
 #include "datagen/datagen.h"
+#include "engine/dispatch.h"
 #include "params/parameter_curation.h"
 #include "sched/histogram.h"
 #include "sched/scheduler.h"
@@ -19,6 +22,7 @@
 #include "sched/stream.h"
 #include "storage/graph.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace snb::sched {
 namespace {
@@ -166,6 +170,61 @@ TEST_F(SchedFixture, IntraStreamOverlapPreservesResults) {
       EXPECT_EQ(o.fingerprint, ref.at({o.op.query, o.op.binding}).fingerprint)
           << StreamOpName(o.op);
     }
+  }
+}
+
+TEST_F(SchedFixture, TagClassKernelsArePricedByTheirPostingLists) {
+  // Expected work, derived independently of the kernels' helpers: every
+  // tag whose class is the parameter class (or, transitively, one of its
+  // descendants) contributes its posting-list degrees.
+  auto length = [](const std::string& name, bool transitive,
+                   bool posts_only) {
+    const storage::Graph& g = graph();
+    const uint32_t root = g.TagClassByName(name);
+    size_t n = 0;
+    for (uint32_t t = 0; t < g.NumTags(); ++t) {
+      uint32_t c = g.TagClassOfTag(t);
+      while (transitive && c != root && c != storage::kNoIdx) {
+        c = g.TagClassParent(c);
+      }
+      if (root == storage::kNoIdx || c != root) continue;
+      n += g.TagPosts().Degree(t);
+      if (!posts_only) n += g.TagComments().Degree(t);
+    }
+    return n;
+  };
+  util::ThreadPool pool(2);
+  const engine::DispatchModel model(/*workers=*/2, /*hardware_threads=*/8);
+  auto priced = [&](int query, size_t binding) {
+    const OpOutcome out = ExecuteStreamOp(graph(), params(), {query, binding},
+                                          nullptr, &pool, &model);
+    EXPECT_TRUE(out.dispatch_considered) << "BI " << query;
+    return out.dispatch.elements;
+  };
+  ASSERT_FALSE(params().bi9.empty());
+  ASSERT_FALSE(params().bi20.empty());
+  ASSERT_FALSE(params().bi24.empty());
+  for (size_t b = 0; b < params().bi9.size(); ++b) {
+    const bi::Bi9Params& p = params().bi9[b];
+    size_t expected = length(p.tag_class1, false, true);
+    if (p.tag_class2 != p.tag_class1) {
+      expected += length(p.tag_class2, false, true);
+    }
+    EXPECT_EQ(priced(9, b), expected) << "BI 9 binding " << b;
+  }
+  for (size_t b = 0; b < params().bi20.size(); ++b) {
+    size_t expected = 0;
+    for (const std::string& c : params().bi20[b].tag_classes) {
+      expected += length(c, true, false);
+    }
+    EXPECT_EQ(priced(20, b), expected) << "BI 20 binding " << b;
+  }
+  for (size_t b = 0; b < params().bi24.size(); ++b) {
+    const size_t expected = length(params().bi24[b].tag_class, false, false);
+    EXPECT_EQ(priced(24, b), expected) << "BI 24 binding " << b;
+    // A direct class's lists are a fraction of the message table, which
+    // the kernels no longer scan.
+    EXPECT_LT(expected, graph().NumMessages()) << "BI 24 binding " << b;
   }
 }
 

@@ -1,7 +1,8 @@
 // Graph store tests: adjacency CSR + overflow, index consistency between
 // forward and reverse relations, message references, precomputed thread
 // roots, and the update mutators (incrementally applying the update stream
-// must converge to the graph built from the full network).
+// must converge to the graph built from the full network; an edge insert
+// whose endpoint is missing or deleted is a no-op).
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,9 @@
 #include "datagen/datagen.h"
 #include "interactive/updates.h"
 #include "storage/adjacency.h"
+#include "storage/export.h"
 #include "storage/graph.h"
+#include "validate/validator.h"
 
 namespace snb::storage {
 namespace {
@@ -307,6 +310,67 @@ TEST(GraphUpdateTest, IncrementalUpdatesConvergeToFullGraph) {
     EXPECT_EQ(incremental.PostLikers().Degree(j),
               reference.PostLikers().Degree(i));
   }
+}
+
+TEST(GraphUpdateTest, EdgeInsertsWithAGoneEndpointAreNoOps) {
+  // With interleaved insert and delete streams an IU 2/3/5/8 insert can
+  // name a person a cascade tombstoned, or one a compaction then removed.
+  datagen::GeneratedData data = datagen::Generate(SmallConfig());
+  const core::Id gone = data.network.persons.front().id;
+  const core::Id missing = core::Id{1} << 50;
+  const core::DateTime at = core::DateTimeFromCivil(2013, 1, 1);
+  Graph graph(std::move(data.network));
+  ASSERT_TRUE(interactive::ApplyUpdate(
+                  graph, {datagen::UpdateKind::kDelPerson, at, at,
+                          datagen::Delete{gone, core::kNoId}})
+                  .ok());
+  ASSERT_FALSE(graph.PersonAlive(graph.PersonIdx(gone)));
+
+  // Live endpoints for the other side of each edge.
+  uint32_t person = 0, post = 0, comment = 0, forum = 0;
+  while (!graph.PersonAlive(person)) ++person;
+  while (!graph.PostAlive(post)) ++post;
+  while (!graph.CommentAlive(comment)) ++comment;
+  while (!graph.ForumAlive(forum)) ++forum;
+  const core::Id live = graph.PersonAt(person).id;
+  const core::Id post_id = graph.PostAt(post).id;
+  const core::Id comment_id = graph.CommentAt(comment).id;
+  const core::Id forum_id = graph.ForumAt(forum).id;
+
+  using datagen::UpdateKind;
+  const std::vector<datagen::UpdateEvent> inserts = {
+      {UpdateKind::kAddLikePost, at, at, core::Like{gone, post_id, true, at}},
+      {UpdateKind::kAddLikePost, at, at,
+       core::Like{missing, post_id, true, at}},
+      {UpdateKind::kAddLikePost, at, at, core::Like{live, missing, true, at}},
+      {UpdateKind::kAddLikeComment, at, at,
+       core::Like{gone, comment_id, false, at}},
+      {UpdateKind::kAddLikeComment, at, at,
+       core::Like{live, missing, false, at}},
+      {UpdateKind::kAddMembership, at, at,
+       core::ForumMembership{forum_id, gone, at}},
+      {UpdateKind::kAddMembership, at, at,
+       core::ForumMembership{missing, live, at}},
+      {UpdateKind::kAddKnows, at, at, core::Knows{gone, live, at}},
+      {UpdateKind::kAddKnows, at, at, core::Knows{live, missing, at}},
+  };
+  auto expect_no_ops = [&](Graph& g, const char* state) {
+    const size_t likes = g.PersonLikes().num_edges();
+    const size_t members = g.ForumMembers().num_edges();
+    const size_t knows = g.Knows().num_edges();
+    for (const datagen::UpdateEvent& event : inserts) {
+      ASSERT_TRUE(interactive::ApplyUpdate(g, event).ok()) << state;
+    }
+    EXPECT_EQ(g.PersonLikes().num_edges(), likes) << state;
+    EXPECT_EQ(g.ForumMembers().num_edges(), members) << state;
+    EXPECT_EQ(g.Knows().num_edges(), knows) << state;
+    validate::ValidationReport report = validate::ValidateGraph(g);
+    EXPECT_TRUE(report.ok()) << state << ": " << report.ToString();
+  };
+  expect_no_ops(graph, "tombstoned");
+  Graph compacted(ExportNetwork(graph), graph.CompactionEpoch() + 1);
+  ASSERT_EQ(compacted.PersonIdx(gone), kNoIdx);
+  expect_no_ops(compacted, "compacted");
 }
 
 }  // namespace
