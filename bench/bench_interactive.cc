@@ -93,7 +93,7 @@ BENCHMARK(BM_Is3Friends);
 
 void BM_Is7Replies(benchmark::State& state) {
   BenchData& data = DataFor(kPersons);
-  core::Id post = data.graph.PostAt(0).id;
+  core::Id post = data.graph.PostId(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(interactive::RunIs7(data.graph, post, true));
   }

@@ -10,12 +10,20 @@
 // parsed event and reparsing it must succeed (the WAL writes exactly that
 // formatted form, so "parseable once but not after a rewrite" would be a
 // recovery-breaking bug, not a nit).
+//
+// Every accepted event is then applied through interactive::ApplyUpdate to
+// a copy of one small fixed graph (fuzz_graph.h): the IU 1–8 and DEL 1–8
+// mutators must never abort either, whatever the event names — missing,
+// tombstoned or already-present ids are Ok no-ops.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "datagen/update_stream.h"
+#include "fuzz_graph.h"
+#include "interactive/updates.h"
+#include "storage/graph.h"
 #include "util/check.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -32,5 +40,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // The canonical form is a fixed point: formatting the reparsed event
   // must reproduce it byte for byte.
   SNB_CHECK(snb::datagen::FormatUpdateEventLine(reparsed) == canonical);
+
+  static const snb::storage::Graph* const base =
+      new snb::storage::Graph(snb::fuzz::MakeFuzzNetwork());
+  snb::storage::Graph graph(*base);
+  SNB_CHECK(snb::interactive::ApplyUpdate(graph, event).ok());
   return 0;
 }

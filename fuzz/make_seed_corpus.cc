@@ -21,6 +21,7 @@
 #include "core/schema.h"
 #include "datagen/datagen.h"
 #include "datagen/update_stream.h"
+#include "fuzz_graph.h"
 #include "storage/columnar/column_block.h"
 #include "storage/wal.h"
 #include "util/check.h"
@@ -166,6 +167,76 @@ std::vector<UpdateEvent> DeleteEvents() {
   return events;
 }
 
+/// Events whose references all resolve in fuzz_update_event's fixed graph
+/// (fuzz_graph.h), so the harness reaches the mutators' live paths: rows
+/// and edges that land, replies to a post and to a comment, and cascades.
+std::vector<UpdateEvent> LiveEvents() {
+  namespace fz = snb::fuzz;
+  std::vector<UpdateEvent> events;
+  const snb::core::DateTime at = Dt("2012-06-01T10:00:05.000+0000");
+
+  snb::core::Person p;
+  p.id = 1235;
+  p.gender = "male";
+  p.creation_date = at;
+  p.city = fz::kCity;
+  p.interests = {fz::kTagB, fz::kTagC};
+  events.push_back(Event(UpdateKind::kAddPerson, p));
+
+  snb::core::Forum forum;
+  forum.id = 8801;
+  forum.title = "Group for b";
+  forum.creation_date = at;
+  forum.moderator = fz::kMember;
+  forum.tags = {fz::kTagB};
+  forum.kind = snb::core::ForumKind::kGroup;
+  events.push_back(Event(UpdateKind::kAddForum, forum));
+
+  snb::core::Post post;
+  post.id = 777010;
+  post.image_file = "photo777010.jpg";
+  post.creation_date = at;
+  post.location_ip = "31.41.59.28";
+  post.browser_used = "Safari";
+  post.creator = fz::kMember;
+  post.forum = fz::kForum;
+  post.country = fz::kCountry;
+  post.tags = {fz::kTagC};
+  events.push_back(Event(UpdateKind::kAddPost, post));
+
+  snb::core::Comment comment;
+  comment.id = 777011;
+  comment.creation_date = at;
+  comment.location_ip = "31.41.59.29";
+  comment.browser_used = "Opera";
+  comment.content = "ok";
+  comment.length = 2;
+  comment.creator = fz::kFriend;
+  comment.country = fz::kCountry;
+  comment.reply_of_post = fz::kPost;
+  comment.tags = {fz::kTagA};
+  events.push_back(Event(UpdateKind::kAddComment, comment));
+  comment.id = 777012;
+  comment.reply_of_post = snb::core::kNoId;
+  comment.reply_of_comment = fz::kComment;
+  events.push_back(Event(UpdateKind::kAddComment, comment));
+
+  auto del = [&](UpdateKind kind, snb::core::Id a, snb::core::Id b) {
+    snb::datagen::Delete d;
+    d.a = a;
+    d.b = b;
+    events.push_back(Event(kind, d));
+  };
+  del(UpdateKind::kDelLikePost, fz::kMember, fz::kPost);
+  del(UpdateKind::kDelLikeComment, fz::kFriend, fz::kComment);
+  del(UpdateKind::kDelMembership, fz::kMember, fz::kForum);
+  del(UpdateKind::kDelPost, fz::kPost, 0);
+  del(UpdateKind::kDelComment, fz::kComment, 0);
+  del(UpdateKind::kDelKnows, fz::kMember, fz::kFriend);
+  del(UpdateKind::kDelPerson, fz::kMember, 0);
+  return events;
+}
+
 void WriteUpdateEventCorpus(const std::filesystem::path& dir) {
   std::filesystem::create_directories(dir);
   const std::vector<UpdateEvent> events = SampleEvents();
@@ -177,6 +248,11 @@ void WriteUpdateEventCorpus(const std::filesystem::path& dir) {
   for (size_t i = 0; i < deletes.size(); ++i) {
     WriteFile(dir / ("del" + std::to_string(i + 1) + ".txt"),
               snb::datagen::FormatUpdateEventLine(deletes[i]));
+  }
+  const std::vector<UpdateEvent> live = LiveEvents();
+  for (size_t i = 0; i < live.size(); ++i) {
+    WriteFile(dir / ("live" + std::to_string(i + 1) + ".txt"),
+              snb::datagen::FormatUpdateEventLine(live[i]));
   }
   WriteFile(dir / "short.txt", "123|456");
   WriteFile(dir / "unknown_op.txt", "123|456|99|x|y");

@@ -37,9 +37,10 @@ std::vector<Bi11Row> RunBi11(const Graph& graph, const Bi11Params& params) {
       if (overlap) return;
 
       // No blacklisted word in the content.
-      const std::string& content = graph.CommentAt(comment).content;
+      const auto content =
+          graph.MessageContent(Graph::MessageOfComment(comment));
       for (const std::string& word : params.blacklist) {
-        if (!word.empty() && content.find(word) != std::string::npos) return;
+        if (!word.empty() && content.find(word) != content.npos) return;
       }
 
       int64_t likes =

@@ -36,13 +36,12 @@ std::vector<Bi18Row> RunBi18(const Graph& graph, const Bi18Params& params) {
       after + 1, storage::kMaxMessageDate, [&](uint32_t msg) {
         poll.Tick();
         if (graph.MessageLength(msg) >= params.length_threshold) return;
+        if (!graph.MessageHasContent(msg)) return;  // e.g. image posts
         if (Graph::IsPost(msg)) {
-          if (!graph.MessageHasContent(msg)) return;  // image posts
           if (!language_ok(graph.PostLanguageCode(msg))) return;
           ++message_count[graph.PostCreator(msg)];
         } else {
           const uint32_t comment = Graph::AsComment(msg);
-          if (graph.CommentAt(comment).content.empty()) return;
           // A comment's language is the language of its thread's root post.
           if (!language_ok(graph.CommentRootLanguageCode(comment))) return;
           ++message_count[graph.CommentCreator(comment)];

@@ -32,12 +32,12 @@ std::vector<Bi1Row> RunBi1(const Graph& graph, const Bi1Params& params) {
     ++total;
   };
   for (uint32_t i = 0; i < graph.NumPosts(); ++i) {
-    const core::Post& p = graph.PostAt(i);
-    add(p.creation_date, false, p.length);
+    add(graph.PostCreation(i), false,
+        graph.MessageLength(Graph::MessageOfPost(i)));
   }
   for (uint32_t i = 0; i < graph.NumComments(); ++i) {
-    const core::Comment& c = graph.CommentAt(i);
-    add(c.creation_date, true, c.length);
+    add(graph.CommentCreation(i), true,
+        graph.MessageLength(Graph::MessageOfComment(i)));
   }
   std::vector<Bi1Row> rows;
   for (const auto& [key, g] : groups) {
@@ -164,7 +164,7 @@ std::vector<Bi4Row> RunBi4(const Graph& graph, const Bi4Params& params) {
          internal::MessageTagsSlow(graph, Graph::MessageOfPost(post))) {
       if (class_tags[tag]) match = true;
     }
-    if (match) ++posts_per_forum[graph.ForumIdx(graph.PostAt(post).forum)];
+    if (match) ++posts_per_forum[graph.PostForum(post)];
   }
 
   std::vector<Bi4Row> rows;
@@ -221,9 +221,8 @@ std::vector<Bi5Row> RunBi5(const Graph& graph, const Bi5Params& params) {
         if (top_forums.contains(forum)) post_count.emplace(person, 0);
       });
   for (uint32_t post = 0; post < graph.NumPosts(); ++post) {
-    uint32_t forum = graph.ForumIdx(graph.PostAt(post).forum);
-    if (!top_forums.contains(forum)) continue;
-    auto it = post_count.find(graph.PersonIdx(graph.PostAt(post).creator));
+    if (!top_forums.contains(graph.PostForum(post))) continue;
+    auto it = post_count.find(graph.PostCreator(post));
     if (it != post_count.end()) ++it->second;
   }
 

@@ -13,7 +13,7 @@ using internal::kNoIdx;
 
 namespace {
 
-/// True when the message's record carries the given tag.
+/// True when the message carries the given tag.
 bool MessageHasTag(const Graph& graph, uint32_t msg, uint32_t tag) {
   for (uint32_t t : internal::MessageTagsSlow(graph, msg)) {
     if (t == tag) return true;
@@ -40,7 +40,7 @@ std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params) {
   // Direct reply counts per message from one comment scan.
   std::unordered_map<uint32_t, int64_t> reply_counts;
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    ++reply_counts[internal::ReplyOfSlow(graph, c)];
+    ++reply_counts[graph.CommentReplyOf(c)];
   }
 
   struct Agg {
@@ -120,10 +120,9 @@ std::vector<Bi8Row> RunBi8(const Graph& graph, const Bi8Params& params) {
 
   std::unordered_map<std::string, int64_t> counts;
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    const core::Comment& comment = graph.CommentAt(c);
-    if (comment.reply_of_post == core::kNoId) continue;
-    uint32_t post = graph.PostIdx(comment.reply_of_post);
-    if (!MessageHasTag(graph, Graph::MessageOfPost(post), tag)) continue;
+    const uint32_t parent = graph.CommentReplyOf(c);
+    if (!Graph::IsPost(parent)) continue;
+    if (!MessageHasTag(graph, parent, tag)) continue;
     for (uint32_t t :
          internal::MessageTagsSlow(graph, Graph::MessageOfComment(c))) {
       if (t != tag) ++counts[graph.TagAt(t).name];
@@ -159,7 +158,7 @@ std::vector<Bi9Row> RunBi9(const Graph& graph, const Bi9Params& params) {
       if (class1[tag]) in1 = true;
       if (class2[tag]) in2 = true;
     }
-    uint32_t forum = graph.ForumIdx(graph.PostAt(post).forum);
+    const uint32_t forum = graph.PostForum(post);
     if (in1) ++count1[forum];
     if (in2) ++count2[forum];
   }

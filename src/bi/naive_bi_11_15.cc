@@ -26,30 +26,31 @@ std::vector<Bi11Row> RunBi11(const Graph& graph, const Bi11Params& params) {
   };
   std::map<std::pair<core::Id, std::string>, Agg> groups;
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    const core::Comment& comment = graph.CommentAt(c);
-    if (comment.reply_of_post == core::kNoId) continue;
-    uint32_t person = graph.PersonIdx(comment.creator);
+    const uint32_t msg = Graph::MessageOfComment(c);
+    const uint32_t parent = graph.CommentReplyOf(c);
+    if (!Graph::IsPost(parent)) continue;
+    uint32_t person = graph.CommentCreator(c);
     if (internal::PersonCountrySlow(graph, person) != country) continue;
-    uint32_t post = graph.PostIdx(comment.reply_of_post);
+    const std::vector<uint32_t> tags = internal::MessageTagsSlow(graph, msg);
     bool overlap = false;
-    for (core::Id ct : comment.tags) {
-      for (core::Id pt : graph.PostAt(post).tags) {
+    for (uint32_t ct : tags) {
+      for (uint32_t pt : internal::MessageTagsSlow(graph, parent)) {
         if (ct == pt) overlap = true;
       }
     }
     if (overlap) continue;
     bool blacklisted = false;
+    const auto content = graph.MessageContent(msg);
     for (const std::string& word : params.blacklist) {
-      if (!word.empty() && comment.content.find(word) != std::string::npos) {
+      if (!word.empty() && content.find(word) != content.npos) {
         blacklisted = true;
       }
     }
     if (blacklisted) continue;
     auto lk = like_counts.find(c);
     int64_t likes = lk == like_counts.end() ? 0 : lk->second;
-    for (core::Id t : comment.tags) {
-      Agg& agg = groups[{graph.PersonAt(person).id,
-                         graph.TagAt(graph.TagIdx(t)).name}];
+    for (uint32_t t : tags) {
+      Agg& agg = groups[{graph.PersonAt(person).id, graph.TagAt(t).name}];
       ++agg.replies;
       agg.likes += likes;
     }
@@ -113,7 +114,7 @@ std::vector<Bi13Row> RunBi13(const Graph& graph, const Bi13Params& params) {
   };
   std::map<MonthKey, std::map<std::string, int64_t>> groups;
   graph.ForEachMessage([&](uint32_t msg) {
-    if (internal::MessageCountrySlow(graph, msg) != country) return;
+    if (graph.MessageCountry(msg) != country) return;
     core::DateTime created = graph.MessageCreationDate(msg);
     auto& tags = groups[{core::Year(created), core::Month(created)}];
     for (uint32_t t : internal::MessageTagsSlow(graph, msg)) {
@@ -146,21 +147,21 @@ std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params) {
   };
   std::unordered_map<uint32_t, Agg> by_person;
   auto post_in_window = [&](uint32_t post) {
-    core::DateTime created = graph.PostAt(post).creation_date;
+    core::DateTime created = graph.PostCreation(post);
     return created >= begin && created < end;
   };
   for (uint32_t post = 0; post < graph.NumPosts(); ++post) {
     if (!post_in_window(post)) continue;
-    Agg& a = by_person[graph.PersonIdx(graph.PostAt(post).creator)];
+    Agg& a = by_person[graph.PostCreator(post)];
     ++a.threads;
     ++a.messages;
   }
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    core::DateTime created = graph.CommentAt(c).creation_date;
+    core::DateTime created = graph.CommentCreation(c);
     if (created < begin || created >= end) continue;
     uint32_t root = internal::RootPostSlow(graph, c);
     if (!post_in_window(root)) continue;
-    ++by_person[graph.PersonIdx(graph.PostAt(root).creator)].messages;
+    ++by_person[graph.PostCreator(root)].messages;
   }
 
   std::vector<Bi14Row> rows;

@@ -120,30 +120,33 @@ std::vector<Bi17Row> RunBi17(const Graph& graph, const Bi17Params& params) {
 
 std::vector<Bi18Row> RunBi18(const Graph& graph, const Bi18Params& params) {
   const core::DateTime after = core::DateTimeFromDate(params.date);
-  auto language_ok = [&](const std::string& lang) {
+  auto language_ok = [&](uint32_t code) {
+    const std::string& lang = graph.Dict().Decode(code);
     return std::find(params.languages.begin(), params.languages.end(),
                      lang) != params.languages.end();
   };
 
   std::unordered_map<uint32_t, int64_t> message_count;
   for (uint32_t post = 0; post < graph.NumPosts(); ++post) {
-    const core::Post& p = graph.PostAt(post);
-    if (p.content.empty() || p.length >= params.length_threshold ||
-        p.creation_date <= after || !language_ok(p.language)) {
+    const uint32_t msg = Graph::MessageOfPost(post);
+    if (!graph.MessageHasContent(msg) ||
+        graph.MessageLength(msg) >= params.length_threshold ||
+        graph.PostCreation(post) <= after ||
+        !language_ok(graph.PostLanguageCode(post))) {
       continue;
     }
-    ++message_count[graph.PersonIdx(p.creator)];
+    ++message_count[graph.PostCreator(post)];
   }
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    const core::Comment& comment = graph.CommentAt(c);
-    if (comment.content.empty() ||
-        comment.length >= params.length_threshold ||
-        comment.creation_date <= after) {
+    const uint32_t msg = Graph::MessageOfComment(c);
+    if (!graph.MessageHasContent(msg) ||
+        graph.MessageLength(msg) >= params.length_threshold ||
+        graph.CommentCreation(c) <= after) {
       continue;
     }
     uint32_t root = internal::RootPostSlow(graph, c);
-    if (!language_ok(graph.PostAt(root).language)) continue;
-    ++message_count[graph.PersonIdx(comment.creator)];
+    if (!language_ok(graph.PostLanguageCode(root))) continue;
+    ++message_count[graph.CommentCreator(c)];
   }
 
   std::map<int64_t, int64_t> histogram;
@@ -197,9 +200,9 @@ std::vector<Bi19Row> RunBi19(const Graph& graph, const Bi19Params& params) {
   };
   std::unordered_map<uint32_t, Agg> by_person;
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    uint32_t person = graph.PersonIdx(graph.CommentAt(c).creator);
+    uint32_t person = graph.CommentCreator(c);
     if (graph.PersonAt(person).birthday <= params.date) continue;
-    uint32_t msg = internal::ReplyOfSlow(graph, c);
+    uint32_t msg = graph.CommentReplyOf(c);
     while (true) {
       uint32_t author = graph.MessageCreator(msg);
       if (in1[author] && in2[author] && author != person &&
@@ -210,7 +213,7 @@ std::vector<Bi19Row> RunBi19(const Graph& graph, const Bi19Params& params) {
         ++agg.interactions;
       }
       if (Graph::IsPost(msg)) break;
-      msg = internal::ReplyOfSlow(graph, Graph::AsComment(msg));
+      msg = graph.CommentReplyOf(Graph::AsComment(msg));
     }
   }
 

@@ -88,9 +88,9 @@ std::vector<Bi22Row> RunBi22(const Graph& graph, const Bi22Params& params) {
     if (in1[b] && in2[a] && a != b) score[{b, a}] += points;
   };
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    uint32_t replier = graph.PersonIdx(graph.CommentAt(c).creator);
+    uint32_t replier = graph.CommentCreator(c);
     uint32_t target =
-        graph.MessageCreator(internal::ReplyOfSlow(graph, c));
+        graph.MessageCreator(graph.CommentReplyOf(c));
     credit(replier, target, 4);
   }
   internal::ForEachLike(graph,
@@ -128,7 +128,7 @@ std::vector<Bi23Row> RunBi23(const Graph& graph, const Bi23Params& params) {
   graph.ForEachMessage([&](uint32_t msg) {
     uint32_t creator = graph.MessageCreator(msg);
     if (internal::PersonCountrySlow(graph, creator) != home) return;
-    uint32_t dest = internal::MessageCountrySlow(graph, msg);
+    uint32_t dest = graph.MessageCountry(msg);
     if (dest == home) return;
     ++counts[{graph.PlaceAt(dest).name,
               core::Month(graph.MessageCreationDate(msg))}];
@@ -165,7 +165,7 @@ std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params) {
       if (class_tags[t]) match = true;
     }
     if (!match) return;
-    uint32_t country = internal::MessageCountrySlow(graph, msg);
+    uint32_t country = graph.MessageCountry(msg);
     core::Id continent_id = graph.PlaceAt(country).part_of;
     std::string continent =
         continent_id == core::kNoId
@@ -260,16 +260,15 @@ std::vector<Bi25Row> RunBi25(const Graph& graph, const Bi25Params& params) {
     uint32_t post = Graph::IsPost(msg)
                         ? Graph::AsPost(msg)
                         : internal::RootPostSlow(graph, Graph::AsComment(msg));
-    uint32_t forum = graph.ForumIdx(graph.PostAt(post).forum);
-    core::DateTime created = graph.ForumAt(forum).creation_date;
+    core::DateTime created = graph.ForumAt(graph.PostForum(post)).creation_date;
     return created >= start && created < end;
   };
   auto pair_weight = [&](uint32_t a, uint32_t b) {
     double w = 0;
     for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-      uint32_t replier = graph.PersonIdx(graph.CommentAt(c).creator);
+      uint32_t replier = graph.CommentCreator(c);
       if (replier != a && replier != b) continue;
-      uint32_t parent = internal::ReplyOfSlow(graph, c);
+      uint32_t parent = graph.CommentReplyOf(c);
       uint32_t author = graph.MessageCreator(parent);
       if (!((replier == a && author == b) || (replier == b && author == a))) {
         continue;

@@ -1,5 +1,6 @@
-// Helpers for the naive engine: record-chasing equivalents of the optimized
-// engine's precomputed columns and reverse indexes. Internal.
+// Helpers for the naive engine: pointer-chasing equivalents of the optimized
+// engine's precomputed columns and reverse indexes, over person/forum
+// records and the messages' base columns and adjacency. Internal.
 
 #ifndef SNB_BI_NAIVE_COMMON_H_
 #define SNB_BI_NAIVE_COMMON_H_
@@ -17,38 +18,14 @@ using storage::kNoIdx;
 /// Country place index of a person, chased through city records.
 inline uint32_t PersonCountrySlow(const Graph& graph, uint32_t person) {
   uint32_t city = graph.PlaceIdx(graph.PersonAt(person).city);
-  if (city == kNoIdx) return kNoIdx;
-  const core::Place& place = graph.PlaceAt(city);
-  if (place.type == core::PlaceType::kCountry) return city;
-  return graph.PlaceIdx(place.part_of);
+  return graph.PlaceIdx(graph.PlaceAt(city).part_of);  // a City (Graph checks)
 }
 
-/// Country place index recorded on a message.
-inline uint32_t MessageCountrySlow(const Graph& graph, uint32_t msg) {
-  core::Id country = Graph::IsPost(msg)
-                         ? graph.PostAt(Graph::AsPost(msg)).country
-                         : graph.CommentAt(Graph::AsComment(msg)).country;
-  return graph.PlaceIdx(country);
-}
-
-/// Thread-root post of a comment, chased reply-by-reply through records.
+/// Thread-root post of a comment, chased reply-by-reply.
 inline uint32_t RootPostSlow(const Graph& graph, uint32_t comment) {
-  while (true) {
-    const core::Comment& c = graph.CommentAt(comment);
-    if (c.reply_of_post != core::kNoId) {
-      return graph.PostIdx(c.reply_of_post);
-    }
-    comment = graph.CommentIdx(c.reply_of_comment);
-  }
-}
-
-/// The direct reply target of a comment as a message reference.
-inline uint32_t ReplyOfSlow(const Graph& graph, uint32_t comment) {
-  const core::Comment& c = graph.CommentAt(comment);
-  if (c.reply_of_post != core::kNoId) {
-    return Graph::MessageOfPost(graph.PostIdx(c.reply_of_post));
-  }
-  return Graph::MessageOfComment(graph.CommentIdx(c.reply_of_comment));
+  uint32_t msg = graph.CommentReplyOf(comment);
+  while (!Graph::IsPost(msg)) msg = graph.CommentReplyOf(Graph::AsComment(msg));
+  return Graph::AsPost(msg);
 }
 
 /// Full scan of the undirected knows relation; f(a, b) once per edge, a < b.
@@ -111,25 +88,12 @@ inline std::vector<bool> TagsOfClassSlow(const Graph& graph,
   return tags;
 }
 
-/// Tag indices of a message from its record.
+/// Tag indices of a message, materialized from its tag adjacency.
 inline std::vector<uint32_t> MessageTagsSlow(const Graph& graph,
                                              uint32_t msg) {
-  const std::vector<core::Id>& ids =
-      Graph::IsPost(msg) ? graph.PostAt(Graph::AsPost(msg)).tags
-                         : graph.CommentAt(Graph::AsComment(msg)).tags;
   std::vector<uint32_t> out;
-  out.reserve(ids.size());
-  for (core::Id id : ids) out.push_back(graph.TagIdx(id));
+  graph.ForEachMessageTag(msg, [&](uint32_t tag) { out.push_back(tag); });
   return out;
-}
-
-/// Likes received by a message, by scanning the whole likes relation.
-inline int64_t MessageLikesSlow(const Graph& graph, uint32_t msg) {
-  int64_t count = 0;
-  ForEachLike(graph, [&](uint32_t, uint32_t m, core::DateTime) {
-    if (m == msg) ++count;
-  });
-  return count;
 }
 
 }  // namespace snb::bi::naive::internal

@@ -119,14 +119,14 @@ std::vector<Ic8Row> RunIc8(const Graph& graph, const Ic8Params& params) {
   auto handle_reply = [&](uint32_t comment) {
     Ic8Row row;
     row.creation_date = graph.CommentCreation(comment);
-    row.comment_id = graph.CommentAt(comment).id;
+    row.comment_id = graph.CommentId(comment);
     if (!top.WouldAccept(row)) return;
     const core::Person& author =
         graph.PersonAt(graph.CommentCreator(comment));
     row.person_id = author.id;
     row.first_name = author.first_name;
     row.last_name = author.last_name;
-    row.content = graph.CommentAt(comment).content;
+    row.content = graph.MessageContent(Graph::MessageOfComment(comment));
     top.Add(std::move(row));
   };
   graph.PersonPosts().ForEach(start, [&](uint32_t post) {

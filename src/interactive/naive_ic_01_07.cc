@@ -109,8 +109,8 @@ std::vector<Ic2Row> MessagesOfCohort(const Graph& graph,
     if (created >= before) return;
     const core::Person& rec = graph.PersonAt(creator);
     rows.push_back({rec.id, rec.first_name, rec.last_name,
-                    graph.MessageId(msg), graph.MessageContent(msg),
-                    created});
+                    graph.MessageId(msg),
+                    std::string(graph.MessageContent(msg)), created});
   });
   std::sort(rows.begin(), rows.end(), [](const Ic2Row& a, const Ic2Row& b) {
     if (a.creation_date != b.creation_date) {
@@ -157,7 +157,7 @@ std::vector<Ic3Row> RunIc3(const Graph& graph, const Ic3Params& params) {
     if (home == country_x || home == country_y) return;
     core::DateTime created = graph.MessageCreationDate(msg);
     if (created < window_start || created >= window_end) return;
-    uint32_t where = internal::MessageCountrySlow(graph, msg);
+    uint32_t where = graph.MessageCountry(msg);
     if (where == country_x) ++counts[creator].first;
     if (where == country_y) ++counts[creator].second;
   });
@@ -193,12 +193,13 @@ std::vector<Ic4Row> RunIc4(const Graph& graph, const Ic4Params& params) {
   std::unordered_map<std::string, int64_t> in_window;
   std::unordered_set<std::string> before_window;
   for (uint32_t post = 0; post < graph.NumPosts(); ++post) {
-    const core::Post& p = graph.PostAt(post);
-    if (!friends[graph.PersonIdx(p.creator)]) continue;
-    if (p.creation_date >= window_end) continue;
-    bool in = p.creation_date >= window_start;
-    for (core::Id t : p.tags) {
-      const std::string& name = graph.TagAt(graph.TagIdx(t)).name;
+    if (!friends[graph.PostCreator(post)]) continue;
+    const core::DateTime created = graph.PostCreation(post);
+    if (created >= window_end) continue;
+    bool in = created >= window_start;
+    for (uint32_t t :
+         internal::MessageTagsSlow(graph, Graph::MessageOfPost(post))) {
+      const std::string& name = graph.TagAt(t).name;
       if (in) {
         ++in_window[name];
       } else {
@@ -234,8 +235,8 @@ std::vector<Ic5Row> RunIc5(const Graph& graph, const Ic5Params& params) {
   for (const auto& [forum, members] : joiners) {
     int64_t post_count = 0;
     for (uint32_t post = 0; post < graph.NumPosts(); ++post) {
-      if (graph.ForumIdx(graph.PostAt(post).forum) != forum) continue;
-      if (members.contains(graph.PersonIdx(graph.PostAt(post).creator))) {
+      if (graph.PostForum(post) != forum) continue;
+      if (members.contains(graph.PostCreator(post))) {
         ++post_count;
       }
     }
@@ -259,16 +260,12 @@ std::vector<Ic6Row> RunIc6(const Graph& graph, const Ic6Params& params) {
 
   std::unordered_map<std::string, int64_t> counts;
   for (uint32_t post = 0; post < graph.NumPosts(); ++post) {
-    const core::Post& p = graph.PostAt(post);
-    uint32_t creator = graph.PersonIdx(p.creator);
+    uint32_t creator = graph.PostCreator(post);
     if (creator == start || dist[creator] < 1) continue;
-    bool has_tag = false;
-    for (core::Id t : p.tags) {
-      if (graph.TagIdx(t) == tag) has_tag = true;
-    }
-    if (!has_tag) continue;
-    for (core::Id t : p.tags) {
-      uint32_t other = graph.TagIdx(t);
+    const std::vector<uint32_t> tags =
+        internal::MessageTagsSlow(graph, Graph::MessageOfPost(post));
+    if (std::find(tags.begin(), tags.end(), tag) == tags.end()) continue;
+    for (uint32_t other : tags) {
       if (other != tag) ++counts[graph.TagAt(other).name];
     }
   }
@@ -312,7 +309,7 @@ std::vector<Ic7Row> RunIc7(const Graph& graph, const Ic7Params& params) {
   for (const auto& [liker, b] : best_like) {
     const core::Person& rec = graph.PersonAt(liker);
     rows.push_back({rec.id, rec.first_name, rec.last_name, b.like_date,
-                    b.message_id, graph.MessageContent(b.msg),
+                    b.message_id, std::string(graph.MessageContent(b.msg)),
                     core::MinutesBetween(b.message_date, b.like_date),
                     !friends[liker]});
   }

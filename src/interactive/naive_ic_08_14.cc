@@ -48,13 +48,13 @@ std::vector<Ic8Row> RunIc8(const Graph& graph, const Ic8Params& params) {
   uint32_t start = graph.PersonIdx(params.person_id);
   if (start == kNoIdx) return rows;
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    uint32_t parent = internal::ReplyOfSlow(graph, c);
+    uint32_t parent = graph.CommentReplyOf(c);
     if (graph.MessageCreator(parent) != start) continue;
-    const core::Comment& comment = graph.CommentAt(c);
-    const core::Person& author =
-        graph.PersonAt(graph.PersonIdx(comment.creator));
-    rows.push_back({author.id, author.first_name, author.last_name,
-                    comment.creation_date, comment.id, comment.content});
+    const core::Person& author = graph.PersonAt(graph.CommentCreator(c));
+    rows.push_back(
+        {author.id, author.first_name, author.last_name,
+         graph.CommentCreation(c), graph.CommentId(c),
+         std::string(graph.MessageContent(Graph::MessageOfComment(c)))});
   }
   std::sort(rows.begin(), rows.end(), [](const Ic8Row& a, const Ic8Row& b) {
     if (a.creation_date != b.creation_date) {
@@ -79,8 +79,8 @@ std::vector<Ic9Row> RunIc9(const Graph& graph, const Ic9Params& params) {
     if (created >= before) return;
     const core::Person& rec = graph.PersonAt(creator);
     rows.push_back({rec.id, rec.first_name, rec.last_name,
-                    graph.MessageId(msg), graph.MessageContent(msg),
-                    created});
+                    graph.MessageId(msg),
+                    std::string(graph.MessageContent(msg)), created});
   });
   std::sort(rows.begin(), rows.end(), [](const Ic9Row& a, const Ic9Row& b) {
     if (a.creation_date != b.creation_date) {
@@ -105,12 +105,12 @@ std::vector<Ic10Row> RunIc10(const Graph& graph, const Ic10Params& params) {
   // Post statistics per candidate from one post scan.
   std::unordered_map<uint32_t, std::pair<int64_t, int64_t>> common_uncommon;
   for (uint32_t post = 0; post < graph.NumPosts(); ++post) {
-    const core::Post& p = graph.PostAt(post);
-    uint32_t creator = graph.PersonIdx(p.creator);
+    uint32_t creator = graph.PostCreator(post);
     if (dist[creator] != 2) continue;
     bool common = false;
-    for (core::Id t : p.tags) {
-      if (interests.contains(t)) common = true;
+    for (uint32_t t :
+         internal::MessageTagsSlow(graph, Graph::MessageOfPost(post))) {
+      if (interests.contains(graph.TagAt(t).id)) common = true;
     }
     if (common) {
       ++common_uncommon[creator].first;
@@ -196,16 +196,13 @@ std::vector<Ic12Row> RunIc12(const Graph& graph, const Ic12Params& params) {
   };
   std::unordered_map<uint32_t, Agg> by_friend;
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    const core::Comment& comment = graph.CommentAt(c);
-    if (comment.reply_of_post == core::kNoId) continue;
-    uint32_t author = graph.PersonIdx(comment.creator);
+    const uint32_t parent = graph.CommentReplyOf(c);
+    if (!Graph::IsPost(parent)) continue;
+    uint32_t author = graph.CommentCreator(c);
     if (!friends[author]) continue;
-    const core::Post& post =
-        graph.PostAt(graph.PostIdx(comment.reply_of_post));
     bool qualifies = false;
     std::vector<std::string> matched;
-    for (core::Id t : post.tags) {
-      uint32_t tag = graph.TagIdx(t);
+    for (uint32_t tag : internal::MessageTagsSlow(graph, parent)) {
       if (class_tags[tag]) {
         qualifies = true;
         matched.push_back(graph.TagAt(tag).name);
@@ -295,9 +292,9 @@ std::vector<Ic14Row> RunIc14(const Graph& graph, const Ic14Params& params) {
   auto pair_weight = [&](uint32_t a, uint32_t b) {
     double w = 0;
     for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-      uint32_t replier = graph.PersonIdx(graph.CommentAt(c).creator);
+      uint32_t replier = graph.CommentCreator(c);
       if (replier != a && replier != b) continue;
-      uint32_t parent = internal::ReplyOfSlow(graph, c);
+      uint32_t parent = graph.CommentReplyOf(c);
       uint32_t author = graph.MessageCreator(parent);
       if ((replier == a && author == b) || (replier == b && author == a)) {
         w += Graph::IsPost(parent) ? 1.0 : 0.5;

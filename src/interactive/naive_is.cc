@@ -34,9 +34,8 @@ std::vector<Is2Row> RunIs2(const Graph& graph, core::Id person_id) {
     uint32_t root = Graph::IsPost(msg)
                         ? Graph::AsPost(msg)
                         : internal::RootPostSlow(graph, Graph::AsComment(msg));
-    row.original_post_id = graph.PostAt(root).id;
-    const core::Person& author =
-        graph.PersonAt(graph.PersonIdx(graph.PostAt(root).creator));
+    row.original_post_id = graph.PostId(root);
+    const core::Person& author = graph.PersonAt(graph.PostCreator(root));
     row.original_post_author_id = author.id;
     row.original_post_author_first_name = author.first_name;
     row.original_post_author_last_name = author.last_name;
@@ -91,7 +90,8 @@ std::vector<Is4Row> RunIs4(const Graph& graph, core::Id message_id,
                            bool is_post) {
   uint32_t msg = ResolveMessage(graph, message_id, is_post);
   if (msg == kNoIdx) return {};
-  return {{graph.MessageCreationDate(msg), graph.MessageContent(msg)}};
+  return {{graph.MessageCreationDate(msg),
+           std::string(graph.MessageContent(msg))}};
 }
 
 std::vector<Is5Row> RunIs5(const Graph& graph, core::Id message_id,
@@ -109,8 +109,7 @@ std::vector<Is6Row> RunIs6(const Graph& graph, core::Id message_id,
   uint32_t root = Graph::IsPost(msg)
                       ? Graph::AsPost(msg)
                       : internal::RootPostSlow(graph, Graph::AsComment(msg));
-  uint32_t forum = graph.ForumIdx(graph.PostAt(root).forum);
-  const core::Forum& f = graph.ForumAt(forum);
+  const core::Forum& f = graph.ForumAt(graph.PostForum(root));
   const core::Person& mod = graph.PersonAt(graph.PersonIdx(f.moderator));
   return {{f.id, f.title, mod.id, mod.first_name, mod.last_name}};
 }
@@ -123,9 +122,8 @@ std::vector<Is7Row> RunIs7(const Graph& graph, core::Id message_id,
 
   std::vector<Is7Row> rows;
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
-    if (internal::ReplyOfSlow(graph, c) != msg) continue;
-    const core::Comment& comment = graph.CommentAt(c);
-    uint32_t author = graph.PersonIdx(comment.creator);
+    if (graph.CommentReplyOf(c) != msg) continue;
+    uint32_t author = graph.CommentCreator(c);
     bool knows = false;
     internal::ForEachKnowsEdge(graph, [&](uint32_t a, uint32_t b) {
       if ((a == author && b == original_author) ||
@@ -134,9 +132,11 @@ std::vector<Is7Row> RunIs7(const Graph& graph, core::Id message_id,
       }
     });
     const core::Person& rec = graph.PersonAt(author);
-    rows.push_back({comment.id, comment.content, comment.creation_date,
-                    rec.id, rec.first_name, rec.last_name,
-                    author != original_author && knows});
+    rows.push_back(
+        {graph.CommentId(c),
+         std::string(graph.MessageContent(Graph::MessageOfComment(c))),
+         graph.CommentCreation(c), rec.id, rec.first_name, rec.last_name,
+         author != original_author && knows});
   }
   std::sort(rows.begin(), rows.end(), [](const Is7Row& a, const Is7Row& b) {
     if (a.creation_date != b.creation_date) {

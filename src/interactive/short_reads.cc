@@ -40,7 +40,7 @@ std::vector<Is2Row> RunIs2(const Graph& graph, core::Id person_id) {
     uint32_t root = Graph::IsPost(msg)
                         ? Graph::AsPost(msg)
                         : graph.CommentRootPost(Graph::AsComment(msg));
-    row.original_post_id = graph.PostAt(root).id;
+    row.original_post_id = graph.PostId(root);
     const core::Person& author = graph.PersonAt(graph.PostCreator(root));
     row.original_post_author_id = author.id;
     row.original_post_author_first_name = author.first_name;
@@ -91,7 +91,8 @@ std::vector<Is4Row> RunIs4(const Graph& graph, core::Id message_id,
                            bool is_post) {
   uint32_t msg = ResolveMessage(graph, message_id, is_post);
   if (msg == kNoIdx) return {};
-  return {{graph.MessageCreationDate(msg), graph.MessageContent(msg)}};
+  return {{graph.MessageCreationDate(msg),
+           std::string(graph.MessageContent(msg))}};
 }
 
 std::vector<Is5Row> RunIs5(const Graph& graph, core::Id message_id,
@@ -126,13 +127,14 @@ std::vector<Is7Row> RunIs7(const Graph& graph, core::Id message_id,
 
   std::vector<Is7Row> rows;
   auto handle_reply = [&](uint32_t comment) {
-    const core::Comment& c = graph.CommentAt(comment);
     uint32_t author = graph.CommentCreator(comment);
     const core::Person& rec = graph.PersonAt(author);
-    rows.push_back({c.id, c.content, c.creation_date, rec.id, rec.first_name,
-                    rec.last_name,
-                    author != original_author &&
-                        author_friends.contains(author)});
+    rows.push_back(
+        {graph.CommentId(comment),
+         std::string(graph.MessageContent(Graph::MessageOfComment(comment))),
+         graph.CommentCreation(comment), rec.id, rec.first_name,
+         rec.last_name,
+         author != original_author && author_friends.contains(author)});
   };
   if (Graph::IsPost(msg)) {
     graph.PostReplies().ForEach(Graph::AsPost(msg), handle_reply);

@@ -10,12 +10,12 @@
 
 namespace snb::interactive {
 
-/// Applies one update event to the graph. For inserts (IU 1–8) referenced
-/// entities must already exist — the driver enforces dependency ordering via
-/// the events' dependency timestamps — and the return is always Ok. For
-/// deletes (DEL 1–8) missing targets are Ok no-ops (idempotent replay); a
-/// non-Ok return means a cascade was torn mid-flight (injected fault) and
-/// the graph must be discarded, not retried in place.
+/// Applies one update event to the graph. Inserts (IU 1–8) return Ok; one
+/// naming a missing or tombstoned entity, or an id that already exists,
+/// leaves the graph unchanged. For deletes (DEL 1–8) missing targets are Ok
+/// no-ops (idempotent replay); a non-Ok return means a cascade was torn
+/// mid-flight (injected fault) and the graph must be discarded, not retried
+/// in place.
 util::Status ApplyUpdate(storage::Graph& graph,
                          const datagen::UpdateEvent& event);
 

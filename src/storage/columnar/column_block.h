@@ -83,13 +83,6 @@ class ColumnBlock {
   /// Appends the self-describing byte format to `out`.
   void SerializeTo(std::string* out) const;
 
-  /// Test-only corruption hook: overwrites packed slot `i` (masked to the
-  /// block width) without touching the zone metadata — exactly the damage
-  /// the block-zone-covers-contents invariant exists to catch.
-  void CorruptPackedSlotForTest(size_t i, uint64_t raw) {
-    packed_.Set(i, raw);
-  }
-
   /// Test-only: rewrites slot `i` so it decodes to `v`. kForPacked blocks
   /// only; `v` must be representable at the block's width and base.
   void SetValueForTest(size_t i, uint64_t v) {

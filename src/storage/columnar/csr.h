@@ -74,7 +74,6 @@ class CompressedCsr {
   const ZonedColumn& targets() const { return targets_; }
   const ZonedColumn& dates() const { return dates_; }
   ZonedColumn& mutable_targets() { return targets_; }
-  ZonedColumn& mutable_dates() { return dates_; }
 
   /// Heap bytes held by the packed columns.
   size_t ByteSize() const {

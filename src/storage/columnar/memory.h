@@ -1,10 +1,10 @@
 // Memory accounting for the columnar store.
 //
-// Every column family reports the heap bytes it actually holds AND the
-// bytes the seed (uncompressed) layout would have needed for the same
-// logical content — so the compression win is a measured pair of numbers
-// on the same store, not a cross-run comparison. Graph::Memory() aggregates
-// families and derives the two headline densities the bench tracks:
+// Every member of the store is in some family; each reports the heap bytes
+// it holds AND the bytes the seed (uncompressed) layout would need for the
+// same content — so the compression win is a measured pair of numbers on
+// the same store. Graph::Memory() aggregates families and derives the two
+// headline densities the bench tracks:
 //
 //   bytes/edge     Σ adjacency-family bytes / Σ stored directed edges
 //   bytes/message  (message-date index + per-message hot columns) /

@@ -16,24 +16,22 @@ std::vector<std::string> CheckGraphConsistency(const Graph& graph) {
   std::vector<std::string> issues;
 
   // ---- Id maps round-trip ---------------------------------------------------
-  for (uint32_t i = 0; i < graph.NumPersons(); ++i) {
-    if (graph.PersonIdx(graph.PersonAt(i).id) != i) {
-      issues.push_back("person id map broken at index " + std::to_string(i));
-      break;
+  auto round_trip = [&](const char* what, size_t n, auto idx_of_row) {
+    for (uint32_t i = 0; i < n; ++i) {
+      if (idx_of_row(i) != i) {
+        issues.push_back(std::string(what) + " id map broken at index " +
+                         std::to_string(i));
+        return;
+      }
     }
-  }
-  for (uint32_t i = 0; i < graph.NumPosts(); ++i) {
-    if (graph.PostIdx(graph.PostAt(i).id) != i) {
-      issues.push_back("post id map broken at index " + std::to_string(i));
-      break;
-    }
-  }
-  for (uint32_t i = 0; i < graph.NumComments(); ++i) {
-    if (graph.CommentIdx(graph.CommentAt(i).id) != i) {
-      issues.push_back("comment id map broken at index " + std::to_string(i));
-      break;
-    }
-  }
+  };
+  round_trip("person", graph.NumPersons(), [&](uint32_t i) {
+    return graph.PersonIdx(graph.PersonAt(i).id);
+  });
+  round_trip("post", graph.NumPosts(),
+             [&](uint32_t i) { return graph.PostIdx(graph.PostId(i)); });
+  round_trip("comment", graph.NumComments(),
+             [&](uint32_t i) { return graph.CommentIdx(graph.CommentId(i)); });
 
   // ---- Knows symmetry --------------------------------------------------------
   {

@@ -2,45 +2,81 @@
 
 namespace snb::storage {
 
+namespace {
+
+/// The attributes posts and comments share, read through the message ref.
+template <typename Row>
+Row ExportMessage(const Graph& graph, uint32_t msg) {
+  Row r;
+  r.id = graph.MessageId(msg);
+  r.creation_date = graph.MessageCreationDate(msg);
+  r.location_ip = graph.MessageLocationIp(msg);
+  r.browser_used = graph.Dict().Decode(graph.MessageBrowserCode(msg));
+  r.length = graph.MessageLength(msg);
+  r.creator = graph.PersonAt(graph.MessageCreator(msg)).id;
+  const uint32_t country = graph.MessageCountry(msg);
+  r.country = country == kNoIdx ? core::kNoId : graph.PlaceAt(country).id;
+  graph.ForEachMessageTag(
+      msg, [&](uint32_t tag) { r.tags.push_back(graph.TagAt(tag).id); });
+  return r;
+}
+
+}  // namespace
+
+core::Post ExportPost(const Graph& graph, uint32_t i) {
+  core::Post p = ExportMessage<core::Post>(graph, Graph::MessageOfPost(i));
+  p.image_file = graph.PostImageFile(i);
+  p.language = graph.Dict().Decode(graph.PostLanguageCode(i));
+  p.content = graph.PostContent(i);
+  p.forum = graph.ForumAt(graph.PostForum(i)).id;
+  return p;
+}
+
+core::Comment ExportComment(const Graph& graph, uint32_t i) {
+  const uint32_t msg = Graph::MessageOfComment(i);
+  core::Comment c = ExportMessage<core::Comment>(graph, msg);
+  c.content = graph.MessageContent(msg);
+  const uint32_t parent = graph.CommentReplyOf(i);
+  (Graph::IsPost(parent) ? c.reply_of_post : c.reply_of_comment) =
+      graph.MessageId(parent);
+  return c;
+}
+
 core::SocialNetwork ExportNetwork(const Graph& graph) {
   core::SocialNetwork net;
 
-  // Static entities and entity records are stored verbatim.
-  net.places.reserve(graph.NumPlaces());
-  for (uint32_t i = 0; i < graph.NumPlaces(); ++i) {
-    net.places.push_back(graph.PlaceAt(i));
-  }
-  net.organisations.reserve(graph.NumOrganisations());
-  for (uint32_t i = 0; i < graph.NumOrganisations(); ++i) {
-    net.organisations.push_back(graph.OrganisationAt(i));
-  }
-  net.tag_classes.reserve(graph.NumTagClasses());
-  for (uint32_t i = 0; i < graph.NumTagClasses(); ++i) {
-    net.tag_classes.push_back(graph.TagClassAt(i));
-  }
-  net.tags.reserve(graph.NumTags());
-  for (uint32_t i = 0; i < graph.NumTags(); ++i) {
-    net.tags.push_back(graph.TagAt(i));
-  }
+  // Appends row(i) for each i in [0, n) that keep(i) admits.
+  auto rows = [](auto& out, size_t n, auto keep, auto row) {
+    out.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      if (keep(i)) out.push_back(row(i));
+    }
+  };
+  const Graph& g = graph;
+  auto all = [](uint32_t) { return true; };
+
+  // Static entities, persons and forums are stored as records; posts and
+  // comments are rebuilt from their columns.
+  rows(net.places, g.NumPlaces(), all,
+       [&](uint32_t i) { return g.PlaceAt(i); });
+  rows(net.organisations, g.NumOrganisations(), all,
+       [&](uint32_t i) { return g.OrganisationAt(i); });
+  rows(net.tag_classes, g.NumTagClasses(), all,
+       [&](uint32_t i) { return g.TagClassAt(i); });
+  rows(net.tags, g.NumTags(), all, [&](uint32_t i) { return g.TagAt(i); });
 
   // Dynamic entities: tombstoned rows are dropped here — export followed by
   // a rebuild *is* compaction, the only point where deletes become physical.
-  net.persons.reserve(graph.NumLivePersons());
-  for (uint32_t i = 0; i < graph.NumPersons(); ++i) {
-    if (graph.PersonAlive(i)) net.persons.push_back(graph.PersonAt(i));
-  }
-  net.forums.reserve(graph.NumLiveForums());
-  for (uint32_t i = 0; i < graph.NumForums(); ++i) {
-    if (graph.ForumAlive(i)) net.forums.push_back(graph.ForumAt(i));
-  }
-  net.posts.reserve(graph.NumLivePosts());
-  for (uint32_t i = 0; i < graph.NumPosts(); ++i) {
-    if (graph.PostAlive(i)) net.posts.push_back(graph.PostAt(i));
-  }
-  net.comments.reserve(graph.NumLiveComments());
-  for (uint32_t i = 0; i < graph.NumComments(); ++i) {
-    if (graph.CommentAlive(i)) net.comments.push_back(graph.CommentAt(i));
-  }
+  rows(net.persons, g.NumPersons(),
+       [&](uint32_t i) { return g.PersonAlive(i); },
+       [&](uint32_t i) { return g.PersonAt(i); });
+  rows(net.forums, g.NumForums(), [&](uint32_t i) { return g.ForumAlive(i); },
+       [&](uint32_t i) { return g.ForumAt(i); });
+  rows(net.posts, g.NumPosts(), [&](uint32_t i) { return g.PostAlive(i); },
+       [&](uint32_t i) { return ExportPost(g, i); });
+  rows(net.comments, g.NumComments(),
+       [&](uint32_t i) { return g.CommentAlive(i); },
+       [&](uint32_t i) { return ExportComment(g, i); });
 
   // Pure-edge relations are only held in adjacency; rebuild their rows,
   // filtering edges whose endpoints died or that were tombstoned directly.

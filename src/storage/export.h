@@ -12,6 +12,11 @@
 
 namespace snb::storage {
 
+/// Rebuilds post / comment row `i` from the graph's columns and adjacency
+/// (tags in adjacency order), whether or not the row is tombstoned.
+core::Post ExportPost(const Graph& graph, uint32_t i);
+core::Comment ExportComment(const Graph& graph, uint32_t i);
+
 /// Materializes the graph's current state (bulk data plus every applied
 /// update) as a raw network. Round-trip property:
 /// Graph(ExportNetwork(g)) is observationally equal to g.

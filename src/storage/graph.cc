@@ -1,6 +1,7 @@
 #include "storage/graph.h"
 
-#include <algorithm>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "util/check.h"
@@ -22,40 +23,49 @@ std::unordered_map<core::Id, uint32_t> IndexById(const std::vector<T>& rows) {
   return map;
 }
 
+// Heap accounting for Graph::Memory().
+
+template <typename T>
+size_t VecBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+/// Heap block of a string past the small-string buffer (libstdc++: 15 B).
+size_t StringHeap(const std::string& s) {
+  return s.capacity() > 15 ? s.capacity() + 1 : 0;
+}
+
+/// Bucket array plus one node per element: next pointer and value, plus
+/// the cached hash that libstdc++ keeps for string keys.
+template <typename Table>
+size_t HashBytes(const Table& t) {
+  constexpr bool kCachesHash =
+      std::is_same_v<typename Table::key_type, std::string>;
+  return t.bucket_count() * sizeof(void*) +
+         t.size() * (sizeof(void*) + sizeof(typename Table::value_type) +
+                     (kCachesHash ? sizeof(size_t) : 0));
+}
+
 }  // namespace
 
 Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
-    : persons_(std::move(net.persons)),
-      forums_(std::move(net.forums)),
-      posts_(std::move(net.posts)),
-      comments_(std::move(net.comments)),
+    : forums_(std::move(net.forums)),
       tags_(std::move(net.tags)),
       tag_classes_(std::move(net.tag_classes)),
       places_(std::move(net.places)),
       organisations_(std::move(net.organisations)),
       compaction_epoch_(compaction_epoch) {
-  person_dead_.Resize(persons_.size());
-  forum_dead_.Resize(forums_.size());
-  post_dead_.Resize(posts_.size());
-  comment_dead_.Resize(comments_.size());
-  person_idx_ = IndexById(persons_);
   forum_idx_ = IndexById(forums_);
-  post_idx_ = IndexById(posts_);
-  comment_idx_ = IndexById(comments_);
   tag_idx_ = IndexById(tags_);
   tag_class_idx_ = IndexById(tag_classes_);
   place_idx_ = IndexById(places_);
   organisation_idx_ = IndexById(organisations_);
 
-  place_name_code_.resize(places_.size());
   for (size_t i = 0; i < places_.size(); ++i) {
     place_by_name_[places_[i].name] = static_cast<uint32_t>(i);
-    place_name_code_[i] = dict_.GetOrAdd(places_[i].name);
   }
-  tag_name_code_.resize(tags_.size());
   for (size_t i = 0; i < tags_.size(); ++i) {
     tag_by_name_[tags_[i].name] = static_cast<uint32_t>(i);
-    tag_name_code_[i] = dict_.GetOrAdd(tags_[i].name);
   }
   for (size_t i = 0; i < tag_classes_.size(); ++i) {
     tag_class_by_name_[tag_classes_[i].name] = static_cast<uint32_t>(i);
@@ -92,28 +102,18 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
     tag_class_tags_.Build(tag_classes_.size(), std::move(class_tags), false);
   }
 
-  // ---- Person columns -------------------------------------------------------
-  person_creation_.resize(persons_.size());
-  person_city_.resize(persons_.size());
-  person_country_.resize(persons_.size());
-  person_is_female_.resize(persons_.size());
+  // ---- Persons --------------------------------------------------------------
+  person_idx_.reserve(net.persons.size() * 2);
   {
     std::vector<EdgeInput> country_persons, interests;
-    person_gender_code_.resize(persons_.size());
-    person_browser_code_.resize(persons_.size());
-    for (size_t i = 0; i < persons_.size(); ++i) {
-      person_creation_[i] = persons_[i].creation_date;
-      person_is_female_[i] = persons_[i].gender == "female" ? 1 : 0;
-      person_gender_code_[i] = dict_.GetOrAdd(persons_[i].gender);
-      person_browser_code_[i] = dict_.GetOrAdd(persons_[i].browser_used);
-      person_city_[i] = PlaceIdx(persons_[i].city);
-      SNB_CHECK_NE(person_city_[i], kNoIdx);
-      person_country_[i] = CountryOfPlace(person_city_[i]);
-      country_persons.push_back(
-          {person_country_[i], static_cast<uint32_t>(i)});
-      for (core::Id t : persons_[i].interests) {
-        interests.push_back({static_cast<uint32_t>(i), TagIdx(t)});
-      }
+    for (core::Person& p : net.persons) {
+      const uint32_t city = PlaceIdx(p.city);
+      const uint32_t country = CountryOfCity(city);
+      SNB_CHECK_NE(country, kNoIdx);
+      const uint32_t i = static_cast<uint32_t>(persons_.size());
+      for (core::Id t : p.interests) interests.push_back({i, TagIdx(t)});
+      AppendPersonRow(std::move(p), city, country);
+      country_persons.push_back({country, i});
     }
     country_persons_.Build(places_.size(), std::move(country_persons), false);
     std::vector<EdgeInput> interests_rev;
@@ -143,6 +143,7 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   {
     std::vector<EdgeInput> moderates, ftags, tag_forums;
     for (size_t i = 0; i < forums_.size(); ++i) {
+      forum_dead_.Append();
       uint32_t mod = PersonIdx(forums_[i].moderator);
       SNB_CHECK_NE(mod, kNoIdx);
       moderates.push_back({mod, static_cast<uint32_t>(i)});
@@ -171,115 +172,73 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   }
 
   // ---- Posts -----------------------------------------------------------------
-  post_creation_.resize(posts_.size());
-  post_creator_.resize(posts_.size());
-  post_forum_.resize(posts_.size());
-  post_country_.resize(posts_.size());
-  // Per-person message-date zones start at the empty sentinel (min above
-  // max), so persons without messages overlap no window.
-  person_msg_date_min_.assign(persons_.size(), kMaxMessageDate);
-  person_msg_date_max_.assign(persons_.size(), kMinMessageDate);
+  // Exact-size the string columns, the bulk of a message's bytes: the
+  // bulk-loaded snapshot then holds no growth slack in them.
+  auto reserve = [](columnar::StringColumn& col, const auto& rows, auto field) {
+    size_t chars = 0;
+    for (const auto& row : rows) chars += (row.*field).size();
+    col.Reserve(rows.size(), chars);
+  };
+  reserve(post_content_, net.posts, &core::Post::content);
+  reserve(post_image_file_, net.posts, &core::Post::image_file);
+  reserve(post_location_ip_, net.posts, &core::Post::location_ip);
+  reserve(comment_content_, net.comments, &core::Comment::content);
+  reserve(comment_location_ip_, net.comments, &core::Comment::location_ip);
+  post_idx_.reserve(net.posts.size() * 2);
   {
     std::vector<EdgeInput> person_posts, forum_posts, ptags, tag_posts;
-    post_browser_code_.resize(posts_.size());
-    post_length_class_code_.resize(posts_.size());
-    post_language_code_.resize(posts_.size());
-    for (size_t i = 0; i < posts_.size(); ++i) {
-      const core::Post& p = posts_[i];
-      post_creation_[i] = p.creation_date;
-      post_browser_code_[i] = dict_.GetOrAdd(p.browser_used);
-      post_length_class_code_[i] = dict_.GetOrAdd(LengthClassName(p.length));
-      post_language_code_[i] = dict_.GetOrAdd(p.language);
-      post_creator_[i] = PersonIdx(p.creator);
-      post_forum_[i] = ForumIdx(p.forum);
-      post_country_[i] = PlaceIdx(p.country);
-      SNB_CHECK_NE(post_creator_[i], kNoIdx);
-      SNB_CHECK_NE(post_forum_[i], kNoIdx);
-      person_msg_date_min_[post_creator_[i]] =
-          std::min(person_msg_date_min_[post_creator_[i]], p.creation_date);
-      person_msg_date_max_[post_creator_[i]] =
-          std::max(person_msg_date_max_[post_creator_[i]], p.creation_date);
-      person_posts.push_back({post_creator_[i], static_cast<uint32_t>(i)});
-      forum_posts.push_back({post_forum_[i], static_cast<uint32_t>(i)});
+    for (const core::Post& p : net.posts) {
+      const uint32_t creator = PersonIdx(p.creator);
+      const uint32_t forum = ForumIdx(p.forum);
+      SNB_CHECK(creator != kNoIdx && forum != kNoIdx);
+      const uint32_t i = AppendPostRow(p, creator, forum, PlaceIdx(p.country));
+      person_posts.push_back({creator, i});
+      forum_posts.push_back({forum, i});
       for (core::Id t : p.tags) {
-        uint32_t tag = TagIdx(t);
-        ptags.push_back({static_cast<uint32_t>(i), tag});
-        tag_posts.push_back({tag, static_cast<uint32_t>(i)});
+        const uint32_t tag = TagIdx(t);
+        ptags.push_back({i, tag});
+        tag_posts.push_back({tag, i});
       }
     }
     person_posts_.Build(persons_.size(), std::move(person_posts), false);
     forum_posts_.Build(forums_.size(), std::move(forum_posts), false);
-    post_tags_.Build(posts_.size(), std::move(ptags), false);
+    post_tags_.Build(NumPosts(), std::move(ptags), false);
     tag_posts_.Build(tags_.size(), std::move(tag_posts), false);
   }
 
   // ---- Comments --------------------------------------------------------------
-  comment_creation_.resize(comments_.size());
-  comment_creator_.resize(comments_.size());
-  comment_country_.resize(comments_.size());
-  comment_reply_of_.resize(comments_.size());
-  comment_root_post_.resize(comments_.size());
+  comment_idx_.reserve(net.comments.size() * 2);
   {
     std::vector<EdgeInput> person_comments, post_replies, comment_replies,
         ctags, tag_comments;
-    comment_browser_code_.resize(comments_.size());
-    comment_length_class_code_.resize(comments_.size());
-    comment_root_language_code_.resize(comments_.size());
-    for (size_t i = 0; i < comments_.size(); ++i) {
-      const core::Comment& c = comments_[i];
-      comment_creation_[i] = c.creation_date;
-      comment_browser_code_[i] = dict_.GetOrAdd(c.browser_used);
-      comment_length_class_code_[i] =
-          dict_.GetOrAdd(LengthClassName(c.length));
-      comment_creator_[i] = PersonIdx(c.creator);
-      comment_country_[i] = PlaceIdx(c.country);
-      SNB_CHECK_NE(comment_creator_[i], kNoIdx);
-      person_msg_date_min_[comment_creator_[i]] =
-          std::min(person_msg_date_min_[comment_creator_[i]], c.creation_date);
-      person_msg_date_max_[comment_creator_[i]] =
-          std::max(person_msg_date_max_[comment_creator_[i]], c.creation_date);
-      person_comments.push_back(
-          {comment_creator_[i], static_cast<uint32_t>(i)});
-      if (c.reply_of_post != core::kNoId) {
-        uint32_t post = PostIdx(c.reply_of_post);
-        SNB_CHECK_NE(post, kNoIdx);
-        comment_reply_of_[i] = MessageOfPost(post);
-        comment_root_post_[i] = post;
-        post_replies.push_back({post, static_cast<uint32_t>(i)});
-      } else {
-        uint32_t parent = CommentIdx(c.reply_of_comment);
-        SNB_CHECK_NE(parent, kNoIdx);
-        // Datagen emits comments in thread order, but loaded data may not be
-        // ordered; resolve roots transitively afterwards when needed.
-        SNB_CHECK_LT(parent, i);  // replies always follow their target
-        comment_reply_of_[i] = MessageOfComment(parent);
-        comment_root_post_[i] = comment_root_post_[parent];
-        comment_replies.push_back({parent, static_cast<uint32_t>(i)});
-      }
-      comment_root_language_code_[i] =
-          post_language_code_[comment_root_post_[i]];
+    std::vector<uint32_t> forums;  // comment → thread's forum
+    for (const core::Comment& c : net.comments) {
+      const uint32_t creator = PersonIdx(c.creator);
+      // Replies always follow their target (datagen emits comments in
+      // thread order), so the target is already indexed.
+      const uint32_t reply_of = ReplyTarget(c);
+      SNB_CHECK(creator != kNoIdx && reply_of != kNoIdx);
+      const uint32_t i =
+          AppendCommentRow(c, creator, PlaceIdx(c.country), reply_of);
+      (IsPost(reply_of) ? post_replies : comment_replies)
+          .push_back({MessageRow(reply_of), i});
+      person_comments.push_back({creator, i});
+      forums.push_back(post_forum_[comment_root_post_[i]]);
       for (core::Id t : c.tags) {
-        uint32_t tag = TagIdx(t);
-        ctags.push_back({static_cast<uint32_t>(i), tag});
-        tag_comments.push_back({tag, static_cast<uint32_t>(i)});
+        const uint32_t tag = TagIdx(t);
+        ctags.push_back({i, tag});
+        tag_comments.push_back({tag, i});
       }
     }
     person_comments_.Build(persons_.size(), std::move(person_comments),
                            false);
-    post_replies_.Build(posts_.size(), std::move(post_replies), false);
-    comment_replies_.Build(comments_.size(), std::move(comment_replies),
-                           false);
-    comment_tags_.Build(comments_.size(), std::move(ctags), false);
+    post_replies_.Build(NumPosts(), std::move(post_replies), false);
+    comment_replies_.Build(NumComments(), std::move(comment_replies), false);
+    comment_tags_.Build(NumComments(), std::move(ctags), false);
     tag_comments_.Build(tags_.size(), std::move(tag_comments), false);
-  }
-  {
     // Materialize the comment → forum 2-hop endpoint (via the thread's root
     // post) as a bit-packed column: the hot loops of BI 4/5/25-style forum
     // joins become one probe instead of two dependent loads.
-    std::vector<uint32_t> forums(comments_.size());
-    for (size_t i = 0; i < comments_.size(); ++i) {
-      forums[i] = post_forum_[comment_root_post_[i]];
-    }
     comment_forum_ = columnar::AppendableU32Column(forums);
   }
 
@@ -288,24 +247,17 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
     std::vector<EdgeInput> person_likes, post_likers, comment_likers;
     person_likes.reserve(net.likes.size());
     for (const core::Like& l : net.likes) {
-      uint32_t person = PersonIdx(l.person);
-      SNB_CHECK_NE(person, kNoIdx);
-      if (l.is_post) {
-        uint32_t post = PostIdx(l.message);
-        SNB_CHECK_NE(post, kNoIdx);
-        person_likes.push_back({person, MessageOfPost(post), l.creation_date});
-        post_likers.push_back({post, person, l.creation_date});
-      } else {
-        uint32_t comment = CommentIdx(l.message);
-        SNB_CHECK_NE(comment, kNoIdx);
-        person_likes.push_back(
-            {person, MessageOfComment(comment), l.creation_date});
-        comment_likers.push_back({comment, person, l.creation_date});
-      }
+      const uint32_t person = PersonIdx(l.person);
+      const uint32_t msg = l.is_post ? MessageOfPost(PostIdx(l.message))
+                                     : MessageOfComment(CommentIdx(l.message));
+      SNB_CHECK(person != kNoIdx && msg != kNoIdx);
+      person_likes.push_back({person, msg, l.creation_date});
+      (l.is_post ? post_likers : comment_likers)
+          .push_back({MessageRow(msg), person, l.creation_date});
     }
     person_likes_.Build(persons_.size(), std::move(person_likes), true);
-    post_likers_.Build(posts_.size(), std::move(post_likers), true);
-    comment_likers_.Build(comments_.size(), std::move(comment_likers), true);
+    post_likers_.Build(NumPosts(), std::move(post_likers), true);
+    comment_likers_.Build(NumComments(), std::move(comment_likers), true);
   }
 
   // ---- Creation-date message index -------------------------------------------
@@ -314,14 +266,12 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   // degrees (the update path maintains them through NoteLike).
   message_index_.BuildLikeZones([this](uint32_t ref) -> uint32_t {
     return static_cast<uint32_t>(
-        IsPost(ref) ? post_likers_.Degree(ref)
-                    : comment_likers_.Degree(AsComment(ref)));
+        (IsPost(ref) ? post_likers_ : comment_likers_).Degree(MessageRow(ref)));
   });
 }
 
 columnar::MemoryBreakdown Graph::Memory() const {
   columnar::MemoryBreakdown mb;
-
   const std::pair<const char*, const AdjacencyList*> relations[] = {
       {"adj/knows", &knows_},
       {"adj/person-posts", &person_posts_},
@@ -347,106 +297,195 @@ columnar::MemoryBreakdown Graph::Memory() const {
       {"adj/tag-class-children", &tag_class_children_},
       {"adj/tag-class-tags", &tag_class_tags_},
   };
+  auto add = [&mb](const char* name, size_t bytes, size_t raw_bytes,
+                   size_t items) {
+    mb.families.push_back({name, bytes, raw_bytes, items});
+  };
   for (const auto& [name, adj] : relations) {
-    columnar::MemoryFamily f;
-    f.name = name;
-    f.bytes = adj->ByteSize();
-    f.raw_bytes = adj->RawByteSize();
-    f.items = adj->num_edges();
-    mb.edge_bytes += f.bytes;
-    mb.edge_raw_bytes += f.raw_bytes;
-    mb.num_edges += f.items;
-    mb.families.push_back(std::move(f));
+    add(name, adj->ByteSize(), adj->RawByteSize(), adj->num_edges());
+    mb.edge_bytes += adj->ByteSize();
+    mb.edge_raw_bytes += adj->RawByteSize();
+    mb.num_edges += adj->num_edges();
   }
-
-  {
-    columnar::MemoryFamily f;
-    f.name = "index/message-date";
-    f.bytes = message_index_.ByteSize();
-    f.raw_bytes = message_index_.RawByteSize();
-    f.items = message_index_.size();
-    mb.message_bytes += f.bytes;
-    mb.message_raw_bytes += f.raw_bytes;
-    mb.families.push_back(std::move(f));
-  }
-  {
-    // Per-message hot columns: same flat layout in both representations.
-    columnar::MemoryFamily f;
-    f.name = "cols/message";
-    auto vec_bytes = [](const auto& v) {
-      return v.capacity() * sizeof(v[0]);
-    };
-    f.bytes = vec_bytes(post_creation_) + vec_bytes(post_creator_) +
-              vec_bytes(post_forum_) + vec_bytes(post_country_) +
-              vec_bytes(comment_creation_) + vec_bytes(comment_creator_) +
-              vec_bytes(comment_country_) + vec_bytes(comment_reply_of_) +
-              vec_bytes(comment_root_post_);
-    f.raw_bytes = f.bytes;
-    f.items = NumMessages();
-    mb.message_bytes += f.bytes;
-    mb.message_raw_bytes += f.raw_bytes;
-    mb.families.push_back(std::move(f));
-  }
+  // Per-message hot columns: same flat layout in both representations.
+  const size_t hot = VecBytes(post_creation_) + VecBytes(post_creator_) +
+                     VecBytes(post_forum_) + VecBytes(post_country_) +
+                     VecBytes(comment_creation_) + VecBytes(comment_creator_) +
+                     VecBytes(comment_country_) + VecBytes(comment_reply_of_) +
+                     VecBytes(comment_root_post_);
+  add("index/message-date", message_index_.ByteSize(),
+      message_index_.RawByteSize(), message_index_.size());
+  add("cols/message", hot, hot, NumMessages());
+  mb.message_bytes = message_index_.ByteSize() + hot;
+  mb.message_raw_bytes = message_index_.RawByteSize() + hot;
   mb.num_messages = NumMessages();
 
-  {
-    columnar::MemoryFamily f;
-    f.name = "dict";
-    f.bytes = dict_.ByteSize();
-    // Raw equivalent: the strings stay inline in the entity structs either
-    // way (SSO); the dictionary itself is pure addition, so raw is zero.
-    f.raw_bytes = 0;
-    f.items = dict_.size();
-    mb.families.push_back(std::move(f));
+  // Pure additions over the seed layout (raw 0): the dictionary, its code
+  // columns, the comment → thread forum endpoint and the per-person
+  // message-date zones.
+  add("dict", dict_.ByteSize(), 0, dict_.size());
+  add("cols/codes",
+      VecBytes(post_browser_code_) + VecBytes(comment_browser_code_) +
+          VecBytes(post_language_code_) +
+          VecBytes(comment_root_language_code_),
+      0, NumMessages() * 2);
+  add("cols/comment-forum", comment_forum_.ByteSize(), 0,
+      comment_forum_.size());
+  add("cols/person-msg-zones",
+      VecBytes(person_msg_date_min_) + VecBytes(person_msg_date_max_), 0,
+      persons_.size());
+
+  // Everything else has one layout only (raw == bytes) and sits outside
+  // both headline densities.
+  auto add_plain = [&add](const char* name, size_t bytes, size_t items) {
+    add(name, bytes, bytes, items);
+  };
+  add_plain("cols/message-attrs",
+            VecBytes(post_id_) + VecBytes(comment_id_) +
+                VecBytes(post_length_) + VecBytes(comment_length_),
+            NumMessages());
+  add_plain("strings/message",
+            post_content_.ByteSize() + post_image_file_.ByteSize() +
+                post_location_ip_.ByteSize() + comment_content_.ByteSize() +
+                comment_location_ip_.ByteSize(),
+            NumMessages());
+  add_plain("cols/person+static",
+            VecBytes(person_creation_) + VecBytes(person_city_) +
+                VecBytes(person_country_) + VecBytes(person_is_female_) +
+                VecBytes(place_part_of_) + VecBytes(tag_class_parent_) +
+                VecBytes(tag_class_of_tag_),
+            persons_.size() + places_.size() + tag_classes_.size() +
+                tags_.size());
+
+  // Person, forum and static records with their string and vector heap.
+  size_t records = VecBytes(persons_) + VecBytes(forums_) +
+                   VecBytes(places_) + VecBytes(organisations_) +
+                   VecBytes(tags_) + VecBytes(tag_classes_);
+  for (const core::Person& p : persons_) {
+    records += StringHeap(p.first_name) + StringHeap(p.last_name) +
+               StringHeap(p.gender) + StringHeap(p.location_ip) +
+               StringHeap(p.browser_used) + VecBytes(p.emails) +
+               VecBytes(p.speaks) + VecBytes(p.interests) +
+               VecBytes(p.study_at) + VecBytes(p.work_at);
+    for (const std::string& e : p.emails) records += StringHeap(e);
+    for (const std::string& l : p.speaks) records += StringHeap(l);
   }
-  {
-    columnar::MemoryFamily f;
-    f.name = "cols/codes";
-    auto vec_bytes = [](const std::vector<uint32_t>& v) {
-      return v.capacity() * sizeof(uint32_t);
-    };
-    f.bytes = vec_bytes(person_gender_code_) +
-              vec_bytes(person_browser_code_) + vec_bytes(post_browser_code_) +
-              vec_bytes(comment_browser_code_) +
-              vec_bytes(post_length_class_code_) +
-              vec_bytes(comment_length_class_code_) +
-              vec_bytes(tag_name_code_) + vec_bytes(place_name_code_) +
-              vec_bytes(post_language_code_) +
-              vec_bytes(comment_root_language_code_);
-    f.raw_bytes = 0;  // pure addition over the seed layout
-    f.items = persons_.size() * 2 + posts_.size() * 3 + comments_.size() * 3 +
-              tags_.size() + places_.size();
-    mb.families.push_back(std::move(f));
+  for (const core::Forum& f : forums_) {
+    records += StringHeap(f.title) + VecBytes(f.tags);
   }
-  {
-    // Materialized 2-hop endpoint: comment → thread's forum, bit-packed.
-    columnar::MemoryFamily f;
-    f.name = "cols/comment-forum";
-    f.bytes = comment_forum_.ByteSize();
-    f.raw_bytes = 0;  // pure addition over the seed layout
-    f.items = comment_forum_.size();
-    mb.families.push_back(std::move(f));
+  auto named = [&records](const auto& rows) {
+    for (const auto& r : rows) {
+      records += StringHeap(r.name) + StringHeap(r.url);
+    }
+  };
+  named(places_);
+  named(organisations_);
+  named(tags_);
+  named(tag_classes_);
+  add_plain("records", records,
+            NumPersons() + NumForums() + NumPlaces() + NumOrganisations() +
+                NumTags() + NumTagClasses());
+
+  add_plain("maps/id",
+            HashBytes(person_idx_) + HashBytes(forum_idx_) +
+                HashBytes(post_idx_) + HashBytes(comment_idx_) +
+                HashBytes(tag_idx_) + HashBytes(tag_class_idx_) +
+                HashBytes(place_idx_) + HashBytes(organisation_idx_),
+            NumPersons() + NumForums() + NumMessages() + NumTags() +
+                NumTagClasses() + NumPlaces() + NumOrganisations());
+  size_t names = 0;
+  for (const auto* map :
+       {&place_by_name_, &tag_by_name_, &tag_class_by_name_}) {
+    names += HashBytes(*map);
+    for (const auto& entry : *map) names += StringHeap(entry.first);
   }
-  {
-    // Per-person message-date zones (scan pruning at person granularity).
-    columnar::MemoryFamily f;
-    f.name = "cols/person-msg-zones";
-    f.bytes = person_msg_date_min_.capacity() * sizeof(core::DateTime) +
-              person_msg_date_max_.capacity() * sizeof(core::DateTime);
-    f.raw_bytes = 0;  // pure addition over the seed layout
-    f.items = persons_.size();
-    mb.families.push_back(std::move(f));
-  }
+  add_plain("maps/name", names,
+            place_by_name_.size() + tag_by_name_.size() +
+                tag_class_by_name_.size());
+  add_plain("tombstones",
+            person_dead_.ByteSize() + forum_dead_.ByteSize() +
+                post_dead_.ByteSize() + comment_dead_.ByteSize() +
+                HashBytes(deleted_likes_) + HashBytes(deleted_memberships_) +
+                HashBytes(deleted_knows_) + HashBytes(dead_likes_per_msg_) +
+                HashBytes(dead_replies_per_msg_),
+            person_dead_.count() + forum_dead_.count() + post_dead_.count() +
+                comment_dead_.count() + deleted_likes_.size() +
+                deleted_memberships_.size() + deleted_knows_.size());
 
   return mb;
 }
 
-uint32_t Graph::CountryOfPlace(uint32_t place) const {
-  // Walks city → country; a country maps to itself.
-  if (places_[place].type == core::PlaceType::kCountry) return place;
-  uint32_t parent = place_part_of_[place];
-  SNB_CHECK_NE(parent, kNoIdx);
-  return parent;
+bool Graph::ResolveTags(const std::vector<core::Id>& ids,
+                        std::vector<uint32_t>* tags) const {
+  tags->clear();
+  for (core::Id id : ids) {
+    const uint32_t tag = TagIdx(id);
+    if (tag == kNoIdx) return false;
+    tags->push_back(tag);
+  }
+  return true;
+}
+
+uint32_t Graph::AppendPersonRow(core::Person person, uint32_t city,
+                                uint32_t country) {
+  const uint32_t idx = static_cast<uint32_t>(persons_.size());
+  const bool inserted = person_idx_.emplace(person.id, idx).second;
+  SNB_CHECK(inserted);  // ids must be unique within an entity type
+  person_dead_.Append();
+  person_creation_.push_back(person.creation_date);
+  person_is_female_.push_back(person.gender == "female" ? 1 : 0);
+  person_city_.push_back(city);
+  person_country_.push_back(country);
+  // The empty message-date zone (min above max) overlaps no window.
+  person_msg_date_min_.push_back(kMaxMessageDate);
+  person_msg_date_max_.push_back(kMinMessageDate);
+  persons_.push_back(std::move(person));
+  return idx;
+}
+
+uint32_t Graph::AppendPostRow(const core::Post& post, uint32_t creator,
+                              uint32_t forum, uint32_t country) {
+  const uint32_t idx = static_cast<uint32_t>(NumPosts());
+  const bool inserted = post_idx_.emplace(post.id, idx).second;
+  SNB_CHECK(inserted);  // ids must be unique within an entity type
+  post_id_.push_back(post.id);
+  post_dead_.Append();
+  post_creation_.push_back(post.creation_date);
+  post_length_.push_back(post.length);
+  post_content_.Append(post.content);
+  post_image_file_.Append(post.image_file);
+  post_location_ip_.Append(post.location_ip);
+  post_browser_code_.push_back(dict_.GetOrAdd(post.browser_used));
+  post_language_code_.push_back(dict_.GetOrAdd(post.language));
+  post_creator_.push_back(creator);
+  post_forum_.push_back(forum);
+  post_country_.push_back(country);
+  NoteMessageDate(creator, post.creation_date);
+  return idx;
+}
+
+uint32_t Graph::AppendCommentRow(const core::Comment& comment,
+                                 uint32_t creator, uint32_t country,
+                                 uint32_t reply_of) {
+  const uint32_t root_post =
+      IsPost(reply_of) ? reply_of : comment_root_post_[AsComment(reply_of)];
+  const uint32_t idx = static_cast<uint32_t>(NumComments());
+  const bool inserted = comment_idx_.emplace(comment.id, idx).second;
+  SNB_CHECK(inserted);  // ids must be unique within an entity type
+  comment_id_.push_back(comment.id);
+  comment_dead_.Append();
+  comment_creation_.push_back(comment.creation_date);
+  comment_length_.push_back(comment.length);
+  comment_content_.Append(comment.content);
+  comment_location_ip_.Append(comment.location_ip);
+  comment_browser_code_.push_back(dict_.GetOrAdd(comment.browser_used));
+  comment_creator_.push_back(creator);
+  comment_country_.push_back(country);
+  comment_reply_of_.push_back(reply_of);
+  comment_root_post_.push_back(root_post);
+  comment_root_language_code_.push_back(post_language_code_[root_post]);
+  NoteMessageDate(creator, comment.creation_date);
+  return idx;
 }
 
 uint32_t Graph::PlaceByName(const std::string& name) const {
@@ -469,24 +508,15 @@ uint32_t Graph::TagClassByName(const std::string& name) const {
 // ---------------------------------------------------------------------------
 
 uint32_t Graph::AddPerson(const core::Person& person) {
-  SNB_CHECK_EQ(PersonIdx(person.id), kNoIdx);
-  uint32_t idx = static_cast<uint32_t>(persons_.size());
-  persons_.push_back(person);
-  person_dead_.Append();
-  person_idx_[person.id] = idx;
-  person_creation_.push_back(person.creation_date);
-  person_is_female_.push_back(person.gender == "female" ? 1 : 0);
-  person_gender_code_.push_back(dict_.GetOrAdd(person.gender));
-  person_browser_code_.push_back(dict_.GetOrAdd(person.browser_used));
-  uint32_t city = PlaceIdx(person.city);
-  SNB_CHECK_NE(city, kNoIdx);
-  person_city_.push_back(city);
-  uint32_t country = CountryOfPlace(city);
-  person_country_.push_back(country);
+  const uint32_t city = PlaceIdx(person.city);
+  const uint32_t country = CountryOfCity(city);
+  std::vector<uint32_t> interests;
+  if (PersonIdx(person.id) != kNoIdx || country == kNoIdx ||
+      !ResolveTags(person.interests, &interests)) {
+    return kNoIdx;
+  }
+  const uint32_t idx = AppendPersonRow(person, city, country);
   country_persons_.Append(country, idx);
-  person_msg_date_min_.push_back(kMaxMessageDate);  // empty zone sentinel
-  person_msg_date_max_.push_back(kMinMessageDate);
-
   knows_.AddNodes(1);
   person_posts_.AddNodes(1);
   person_comments_.AddNodes(1);
@@ -494,57 +524,52 @@ uint32_t Graph::AddPerson(const core::Person& person) {
   person_forums_.AddNodes(1);
   person_moderates_.AddNodes(1);
   person_interests_.AddNodes(1);
-  for (core::Id t : person.interests) {
-    uint32_t tag = TagIdx(t);
-    SNB_CHECK_NE(tag, kNoIdx);
+  for (uint32_t tag : interests) {
     person_interests_.Append(idx, tag);
     tag_persons_.Append(tag, idx);
   }
   return idx;
 }
 
-void Graph::AddLikePost(core::Id person, core::Id post, core::DateTime date) {
-  uint32_t p = PersonIdx(person);
-  uint32_t m = PostIdx(post);
-  if (p == kNoIdx || m == kNoIdx || !PersonAlive(p) || !PostAlive(m)) return;
+void Graph::AddLike(uint32_t p, uint32_t msg, core::DateTime date) {
+  if (p == kNoIdx || msg == kNoIdx || !PersonAlive(p) || !MessageAlive(msg)) {
+    return;
+  }
+  AdjacencyList& likers = IsPost(msg) ? post_likers_ : comment_likers_;
+  const uint32_t row = MessageRow(msg);
   // Raise the like-count zone max *before* the like becomes visible, so a
   // concurrent bound-pruned scan never sees a degree above its block's zone.
-  message_index_.NoteLike(
-      MessageOfPost(m), post_creation_[m],
-      static_cast<uint32_t>(post_likers_.Degree(m)) + 1);
-  person_likes_.Append(p, MessageOfPost(m), date);
-  post_likers_.Append(m, p, date);
+  message_index_.NoteLike(msg, MessageCreationDate(msg),
+                          static_cast<uint32_t>(likers.Degree(row)) + 1);
+  person_likes_.Append(p, msg, date);
+  likers.Append(row, p, date);
+}
+
+void Graph::AddLikePost(core::Id person, core::Id post, core::DateTime date) {
+  AddLike(PersonIdx(person), MessageOfPost(PostIdx(post)), date);
 }
 
 void Graph::AddLikeComment(core::Id person, core::Id comment,
                            core::DateTime date) {
-  uint32_t p = PersonIdx(person);
-  uint32_t m = CommentIdx(comment);
-  if (p == kNoIdx || m == kNoIdx || !PersonAlive(p) || !CommentAlive(m)) {
-    return;
-  }
-  message_index_.NoteLike(
-      MessageOfComment(m), comment_creation_[m],
-      static_cast<uint32_t>(comment_likers_.Degree(m)) + 1);
-  person_likes_.Append(p, MessageOfComment(m), date);
-  comment_likers_.Append(m, p, date);
+  AddLike(PersonIdx(person), MessageOfComment(CommentIdx(comment)), date);
 }
 
 uint32_t Graph::AddForum(const core::Forum& forum) {
-  SNB_CHECK_EQ(ForumIdx(forum.id), kNoIdx);
-  uint32_t idx = static_cast<uint32_t>(forums_.size());
+  const uint32_t mod = PersonIdx(forum.moderator);
+  std::vector<uint32_t> tags;
+  if (ForumIdx(forum.id) != kNoIdx || mod == kNoIdx || !PersonAlive(mod) ||
+      !ResolveTags(forum.tags, &tags)) {
+    return kNoIdx;
+  }
+  const uint32_t idx = static_cast<uint32_t>(forums_.size());
   forums_.push_back(forum);
   forum_dead_.Append();
   forum_idx_[forum.id] = idx;
   forum_members_.AddNodes(1);
   forum_posts_.AddNodes(1);
   forum_tags_.AddNodes(1);
-  uint32_t mod = PersonIdx(forum.moderator);
-  SNB_CHECK_NE(mod, kNoIdx);
   person_moderates_.Append(mod, idx);
-  for (core::Id t : forum.tags) {
-    uint32_t tag = TagIdx(t);
-    SNB_CHECK_NE(tag, kNoIdx);
+  for (uint32_t tag : tags) {
     forum_tags_.Append(idx, tag);
     tag_forums_.Append(tag, idx);
   }
@@ -561,35 +586,22 @@ void Graph::AddMembership(core::Id person, core::Id forum,
 }
 
 uint32_t Graph::AddPost(const core::Post& post) {
-  SNB_CHECK_EQ(PostIdx(post.id), kNoIdx);
-  uint32_t idx = static_cast<uint32_t>(posts_.size());
-  posts_.push_back(post);
-  post_dead_.Append();
-  post_idx_[post.id] = idx;
-  post_creation_.push_back(post.creation_date);
-  post_browser_code_.push_back(dict_.GetOrAdd(post.browser_used));
-  post_length_class_code_.push_back(
-      dict_.GetOrAdd(LengthClassName(post.length)));
-  post_language_code_.push_back(dict_.GetOrAdd(post.language));
-  uint32_t creator = PersonIdx(post.creator);
-  uint32_t forum = ForumIdx(post.forum);
-  uint32_t country = PlaceIdx(post.country);
-  SNB_CHECK(creator != kNoIdx && forum != kNoIdx && country != kNoIdx);
-  post_creator_.push_back(creator);
-  post_forum_.push_back(forum);
-  post_country_.push_back(country);
-  person_msg_date_min_[creator] =
-      std::min(person_msg_date_min_[creator], post.creation_date);
-  person_msg_date_max_[creator] =
-      std::max(person_msg_date_max_[creator], post.creation_date);
+  const uint32_t creator = PersonIdx(post.creator);
+  const uint32_t forum = ForumIdx(post.forum);
+  const uint32_t country = PlaceIdx(post.country);
+  std::vector<uint32_t> tags;
+  if (PostIdx(post.id) != kNoIdx || creator == kNoIdx ||
+      !PersonAlive(creator) || forum == kNoIdx || !ForumAlive(forum) ||
+      country == kNoIdx || !ResolveTags(post.tags, &tags)) {
+    return kNoIdx;
+  }
+  const uint32_t idx = AppendPostRow(post, creator, forum, country);
   person_posts_.Append(creator, idx);
   forum_posts_.Append(forum, idx);
   post_tags_.AddNodes(1);
   post_replies_.AddNodes(1);
   post_likers_.AddNodes(1);
-  for (core::Id t : post.tags) {
-    uint32_t tag = TagIdx(t);
-    SNB_CHECK_NE(tag, kNoIdx);
+  for (uint32_t tag : tags) {
     post_tags_.Append(idx, tag);
     tag_posts_.Append(tag, idx);
   }
@@ -598,47 +610,24 @@ uint32_t Graph::AddPost(const core::Post& post) {
 }
 
 uint32_t Graph::AddComment(const core::Comment& comment) {
-  SNB_CHECK_EQ(CommentIdx(comment.id), kNoIdx);
-  uint32_t idx = static_cast<uint32_t>(comments_.size());
-  comments_.push_back(comment);
-  comment_dead_.Append();
-  comment_idx_[comment.id] = idx;
-  comment_creation_.push_back(comment.creation_date);
-  comment_browser_code_.push_back(dict_.GetOrAdd(comment.browser_used));
-  comment_length_class_code_.push_back(
-      dict_.GetOrAdd(LengthClassName(comment.length)));
-  uint32_t creator = PersonIdx(comment.creator);
-  uint32_t country = PlaceIdx(comment.country);
-  SNB_CHECK(creator != kNoIdx && country != kNoIdx);
-  comment_creator_.push_back(creator);
-  comment_country_.push_back(country);
-  person_msg_date_min_[creator] =
-      std::min(person_msg_date_min_[creator], comment.creation_date);
-  person_msg_date_max_[creator] =
-      std::max(person_msg_date_max_[creator], comment.creation_date);
+  const uint32_t creator = PersonIdx(comment.creator);
+  const uint32_t country = PlaceIdx(comment.country);
+  const uint32_t reply_of = ReplyTarget(comment);
+  std::vector<uint32_t> tags;
+  if (CommentIdx(comment.id) != kNoIdx || creator == kNoIdx ||
+      !PersonAlive(creator) || country == kNoIdx || reply_of == kNoIdx ||
+      !MessageAlive(reply_of) || !ResolveTags(comment.tags, &tags)) {
+    return kNoIdx;
+  }
+  const uint32_t idx = AppendCommentRow(comment, creator, country, reply_of);
   person_comments_.Append(creator, idx);
   comment_tags_.AddNodes(1);
   comment_replies_.AddNodes(1);
   comment_likers_.AddNodes(1);
-  if (comment.reply_of_post != core::kNoId) {
-    uint32_t post = PostIdx(comment.reply_of_post);
-    SNB_CHECK_NE(post, kNoIdx);
-    comment_reply_of_.push_back(MessageOfPost(post));
-    comment_root_post_.push_back(post);
-    post_replies_.Append(post, idx);
-  } else {
-    uint32_t parent = CommentIdx(comment.reply_of_comment);
-    SNB_CHECK_NE(parent, kNoIdx);
-    comment_reply_of_.push_back(MessageOfComment(parent));
-    comment_root_post_.push_back(comment_root_post_[parent]);
-    comment_replies_.Append(parent, idx);
-  }
-  comment_forum_.Append(post_forum_[comment_root_post_.back()]);
-  comment_root_language_code_.push_back(
-      post_language_code_[comment_root_post_.back()]);
-  for (core::Id t : comment.tags) {
-    uint32_t tag = TagIdx(t);
-    SNB_CHECK_NE(tag, kNoIdx);
+  (IsPost(reply_of) ? post_replies_ : comment_replies_)
+      .Append(MessageRow(reply_of), idx);
+  comment_forum_.Append(post_forum_[comment_root_post_[idx]]);
+  for (uint32_t tag : tags) {
     comment_tags_.Append(idx, tag);
     tag_comments_.Append(tag, idx);
   }
@@ -659,9 +648,8 @@ void Graph::AddKnows(core::Id person1, core::Id person2, core::DateTime date) {
 // ---------------------------------------------------------------------------
 
 void Graph::MarkMessageDead(uint32_t msg, std::vector<uint32_t>* work) {
-  TombstoneBitmap& bitmap = IsPost(msg) ? post_dead_ : comment_dead_;
-  const uint32_t row = IsPost(msg) ? msg : AsComment(msg);
-  if (!bitmap.Set(row)) return;  // already dead: cascades are idempotent
+  // Already dead: cascades are idempotent.
+  if (!(IsPost(msg) ? post_dead_ : comment_dead_).Set(MessageRow(msg))) return;
   work->push_back(msg);
   if (!IsPost(msg)) {
     // The parent's live-reply delta only matters while the parent itself is
@@ -713,7 +701,7 @@ util::Status Graph::RunCascade(CascadeTargets targets) {
     const uint32_t msg = work[i];
     const AdjacencyList& replies =
         IsPost(msg) ? post_replies_ : comment_replies_;
-    replies.ForEach(IsPost(msg) ? msg : AsComment(msg), [&](uint32_t c) {
+    replies.ForEach(MessageRow(msg), [&](uint32_t c) {
       MarkMessageDead(MessageOfComment(c), &work);
     });
   }
@@ -760,38 +748,27 @@ util::Status Graph::DeletePerson(core::Id person) {
   return RunCascade(std::move(targets));
 }
 
-util::Status Graph::DeleteLikePost(core::Id person, core::Id post) {
-  const uint32_t p = PersonIdx(person);
-  const uint32_t m = PostIdx(post);
-  if (p == kNoIdx || m == kNoIdx) return util::Status::Ok();
-  if (!PersonAlive(p) || !PostAlive(m)) return util::Status::Ok();
-  const uint32_t msg = MessageOfPost(m);
-  if (deleted_likes_.find(EdgeKey(p, msg)) != deleted_likes_.end()) {
+util::Status Graph::DeleteLike(uint32_t p, uint32_t msg) {
+  if (p == kNoIdx || msg == kNoIdx) return util::Status::Ok();
+  if (!PersonAlive(p) || !MessageAlive(msg)) return util::Status::Ok();
+  const uint64_t key = EdgeKey(p, msg);
+  if (deleted_likes_.find(key) != deleted_likes_.end()) {
     return util::Status::Ok();
   }
   bool found = false;
   person_likes_.ForEach(p, [&](uint32_t ref) { found |= ref == msg; });
   if (!found) return util::Status::Ok();  // replayed after compaction
   CascadeTargets targets;
-  targets.like_keys.push_back(EdgeKey(p, msg));
+  targets.like_keys.push_back(key);
   return RunCascade(std::move(targets));
 }
 
+util::Status Graph::DeleteLikePost(core::Id person, core::Id post) {
+  return DeleteLike(PersonIdx(person), MessageOfPost(PostIdx(post)));
+}
+
 util::Status Graph::DeleteLikeComment(core::Id person, core::Id comment) {
-  const uint32_t p = PersonIdx(person);
-  const uint32_t m = CommentIdx(comment);
-  if (p == kNoIdx || m == kNoIdx) return util::Status::Ok();
-  if (!PersonAlive(p) || !CommentAlive(m)) return util::Status::Ok();
-  const uint32_t msg = MessageOfComment(m);
-  if (deleted_likes_.find(EdgeKey(p, msg)) != deleted_likes_.end()) {
-    return util::Status::Ok();
-  }
-  bool found = false;
-  person_likes_.ForEach(p, [&](uint32_t ref) { found |= ref == msg; });
-  if (!found) return util::Status::Ok();
-  CascadeTargets targets;
-  targets.like_keys.push_back(EdgeKey(p, msg));
-  return RunCascade(std::move(targets));
+  return DeleteLike(PersonIdx(person), MessageOfComment(CommentIdx(comment)));
 }
 
 util::Status Graph::DeleteForum(core::Id forum) {

@@ -1,10 +1,10 @@
 // The in-memory social-network graph store.
 //
-// Entities live in columnar-ish tables (the raw record vectors plus flat
-// "hot" columns for scan-heavy attributes); every relation is materialized
-// as forward and, where queries need it, reverse appendable-CSR adjacency
-// (see adjacency.h). External spec ids map to dense uint32 indices at build
-// time; all traversal is index-based.
+// Posts and comments exist only as columns and adjacency; the other
+// entities keep raw records next to their hot columns. Every relation is
+// materialized as forward and, where queries need it, reverse appendable-CSR
+// adjacency (see adjacency.h). External spec ids map to dense uint32
+// indices at build time; all traversal is index-based.
 //
 // Posts and comments are distinct tables; a *message reference* encodes
 // either in one uint32: bit 31 clear → post index, bit 31 set → comment
@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "storage/columnar/dictionary.h"
 #include "storage/columnar/memory.h"
 #include "storage/columnar/packed_column.h"
+#include "storage/columnar/string_column.h"
 #include "storage/message_index.h"
 #include "storage/tombstone.h"
 #include "util/status.h"
@@ -69,9 +71,9 @@ class Graph {
 
   size_t NumPersons() const { return persons_.size(); }
   size_t NumForums() const { return forums_.size(); }
-  size_t NumPosts() const { return posts_.size(); }
-  size_t NumComments() const { return comments_.size(); }
-  size_t NumMessages() const { return posts_.size() + comments_.size(); }
+  size_t NumPosts() const { return post_id_.size(); }
+  size_t NumComments() const { return comment_id_.size(); }
+  size_t NumMessages() const { return NumPosts() + NumComments(); }
   size_t NumTags() const { return tags_.size(); }
   size_t NumTagClasses() const { return tag_classes_.size(); }
   size_t NumPlaces() const { return places_.size(); }
@@ -79,8 +81,6 @@ class Graph {
 
   const core::Person& PersonAt(uint32_t i) const { return persons_[i]; }
   const core::Forum& ForumAt(uint32_t i) const { return forums_[i]; }
-  const core::Post& PostAt(uint32_t i) const { return posts_[i]; }
-  const core::Comment& CommentAt(uint32_t i) const { return comments_[i]; }
   const core::Tag& TagAt(uint32_t i) const { return tags_[i]; }
   const core::TagClass& TagClassAt(uint32_t i) const {
     return tag_classes_[i];
@@ -118,6 +118,9 @@ class Graph {
   static bool IsPost(uint32_t msg) { return (msg & kCommentBit) == 0; }
   static uint32_t AsPost(uint32_t msg) { return msg; }
   static uint32_t AsComment(uint32_t msg) { return msg & ~kCommentBit; }
+  /// Row of a message reference within its own table (post or comment).
+  static uint32_t MessageRow(uint32_t msg) { return msg & ~kCommentBit; }
+  /// Both map kNoIdx to kNoIdx, so a failed id lookup stays kNoIdx.
   static uint32_t MessageOfPost(uint32_t post) { return post; }
   static uint32_t MessageOfComment(uint32_t comment) {
     return comment | kCommentBit;
@@ -151,9 +154,9 @@ class Graph {
 
   size_t NumLivePersons() const { return persons_.size() - person_dead_.count(); }
   size_t NumLiveForums() const { return forums_.size() - forum_dead_.count(); }
-  size_t NumLivePosts() const { return posts_.size() - post_dead_.count(); }
+  size_t NumLivePosts() const { return NumPosts() - post_dead_.count(); }
   size_t NumLiveComments() const {
-    return comments_.size() - comment_dead_.count();
+    return NumComments() - comment_dead_.count();
   }
 
   /// True when any logical deletion exists (vertex or edge) — the signal for
@@ -202,7 +205,7 @@ class Graph {
   /// graphs take the unfiltered fast path.
   template <typename F>
   void ForEachMessage(size_t begin, size_t end, F&& f) const {
-    const size_t num_posts = posts_.size();
+    const size_t num_posts = NumPosts();
     const uint32_t post_end = static_cast<uint32_t>(std::min(end, num_posts));
     const uint32_t comment_begin =
         static_cast<uint32_t>(begin > num_posts ? begin - num_posts : 0);
@@ -311,23 +314,36 @@ class Graph {
     return IsPost(msg) ? post_country_[msg] : comment_country_[AsComment(msg)];
   }
   int32_t MessageLength(uint32_t msg) const {
-    return IsPost(msg) ? posts_[msg].length
-                       : comments_[AsComment(msg)].length;
+    return IsPost(msg) ? post_length_[msg] : comment_length_[AsComment(msg)];
   }
-  /// Message id in the external id space of its entity type.
+  /// External ids, each in the id space of its entity type.
+  core::Id PostId(uint32_t i) const { return post_id_[i]; }
+  core::Id CommentId(uint32_t i) const { return comment_id_[i]; }
   core::Id MessageId(uint32_t msg) const {
-    return IsPost(msg) ? posts_[msg].id : comments_[AsComment(msg)].id;
+    return IsPost(msg) ? post_id_[msg] : comment_id_[AsComment(msg)];
   }
-  /// content for comments and text posts, imageFile for image posts.
-  const std::string& MessageContent(uint32_t msg) const {
+  /// content for comments and text posts, imageFile for image posts. The
+  /// string views returned here are invalidated by the next IU append.
+  std::string_view MessageContent(uint32_t msg) const {
     if (IsPost(msg)) {
-      const core::Post& p = posts_[msg];
-      return p.content.empty() ? p.image_file : p.content;
+      return MessageHasContent(msg) ? post_content_.At(msg)
+                                    : post_image_file_.At(msg);
     }
-    return comments_[AsComment(msg)].content;
+    return comment_content_.At(AsComment(msg));
   }
+  /// False for image posts (and for any message with empty content).
   bool MessageHasContent(uint32_t msg) const {
-    return IsPost(msg) ? !posts_[msg].content.empty() : true;
+    return IsPost(msg) ? !post_content_.At(msg).empty()
+                       : !comment_content_.At(AsComment(msg)).empty();
+  }
+  /// The raw content / imageFile of a post (exactly one is nonempty).
+  std::string_view PostContent(uint32_t i) const { return post_content_.At(i); }
+  std::string_view PostImageFile(uint32_t i) const {
+    return post_image_file_.At(i);
+  }
+  std::string_view MessageLocationIp(uint32_t msg) const {
+    return IsPost(msg) ? post_location_ip_.At(msg)
+                       : comment_location_ip_.At(AsComment(msg));
   }
 
   /// Visits the tag indices of a message.
@@ -340,47 +356,23 @@ class Graph {
     }
   }
 
-  // ---- Hot columns ----------------------------------------------------------
-
   // ---- Dictionary-encoded columns -------------------------------------------
-  // One dictionary shared across every low-cardinality string family
-  // (genders, browsers, place names, tag names, content-length classes):
-  // stable dense uint32 codes assigned at load, O(1) decode, appended to —
-  // never reassigned — by the IU update path. The validator's
-  // dictionary-code-in-range invariant checks every code column below
-  // against Dict().size().
+  // One dictionary for the message browsers and languages: stable dense
+  // uint32 codes assigned at load, O(1) decode, appended to — never
+  // reassigned — by the IU path. The codes are the only copy of those
+  // strings; the validator's dictionary-code-in-range invariant checks
+  // every code column against Dict().size().
 
   const columnar::Dictionary& Dict() const { return dict_; }
 
-  uint32_t PersonGenderCode(uint32_t p) const {
-    return person_gender_code_[p];
-  }
-  uint32_t PersonBrowserCode(uint32_t p) const {
-    return person_browser_code_[p];
-  }
-  uint32_t TagNameCode(uint32_t t) const { return tag_name_code_[t]; }
-  uint32_t PlaceNameCode(uint32_t pl) const { return place_name_code_[pl]; }
   uint32_t MessageBrowserCode(uint32_t msg) const {
     return IsPost(msg) ? post_browser_code_[msg]
                        : comment_browser_code_[AsComment(msg)];
   }
-  uint32_t MessageLengthClassCode(uint32_t msg) const {
-    return IsPost(msg) ? post_length_class_code_[msg]
-                       : comment_length_class_code_[AsComment(msg)];
-  }
 
-  /// Content-length class of a message (BI queries group by the spec's
-  /// short/medium/long split rather than raw lengths).
-  static const char* LengthClassName(int32_t length) {
-    if (length <= 0) return "len:empty";
-    if (length < 40) return "len:short";
-    if (length < 160) return "len:medium";
-    return "len:long";
-  }
-
-  /// Per-family heap accounting for the columnar store: bytes held vs the
-  /// seed layout's bytes for the same content, plus bytes/edge and
-  /// bytes/message (see storage/columnar/memory.h).
+  /// Per-family heap bytes of every member, the compressed families also
+  /// with the seed layout's bytes, plus bytes/edge and bytes/message (see
+  /// storage/columnar/memory.h).
   columnar::MemoryBreakdown Memory() const;
 
   core::DateTime PersonCreation(uint32_t p) const {
@@ -407,9 +399,8 @@ class Graph {
   core::DateTime PostCreation(uint32_t i) const { return post_creation_[i]; }
   uint32_t PostCreator(uint32_t i) const { return post_creator_[i]; }
   uint32_t PostForum(uint32_t i) const { return post_forum_[i]; }
-  uint32_t PostCountry(uint32_t i) const { return post_country_[i]; }
-  /// Dictionary code of the post's language (kNoCode when the post has no
-  /// language, e.g. image posts).
+  /// Dictionary code of the post's language (image posts carry the code of
+  /// the empty string).
   uint32_t PostLanguageCode(uint32_t i) const {
     return post_language_code_[i];
   }
@@ -418,7 +409,6 @@ class Graph {
     return comment_creation_[i];
   }
   uint32_t CommentCreator(uint32_t i) const { return comment_creator_[i]; }
-  uint32_t CommentCountry(uint32_t i) const { return comment_country_[i]; }
   /// Direct reply target as a message reference.
   uint32_t CommentReplyOf(uint32_t i) const { return comment_reply_of_[i]; }
   /// Post at the root of the comment's thread (precomputed).
@@ -483,12 +473,13 @@ class Graph {
 
   // ---- Mutators (Interactive updates IU 1–8) --------------------------------
   //
-  // The edge inserts (IU 2/3/5/8) are no-ops when an endpoint is missing or
+  // Every insert is a no-op when an entity it references is missing or
   // deleted, as the Delete* mutators are on missing targets: with
   // interleaved insert and delete streams an insert can name an entity that
-  // an earlier cascade tombstoned or a compaction removed, and the edge
-  // would die with that entity anyway. Either way the graph answers as its
-  // compaction would.
+  // an earlier cascade tombstoned or a compaction removed, and the new row
+  // or edge would die with that entity anyway. The vertex inserts (IU
+  // 1/4/6/7) resolve every reference before their first mutation, are also
+  // no-ops when the new id exists, and then return kNoIdx.
 
   uint32_t AddPerson(const core::Person& person);              // IU 1
   void AddLikePost(core::Id person, core::Id post,
@@ -537,7 +528,39 @@ class Graph {
     return it == map.end() ? kNoIdx : it->second;
   }
 
-  uint32_t CountryOfPlace(uint32_t place) const;
+  /// A comment's reply target as a message reference; kNoIdx if missing.
+  uint32_t ReplyTarget(const core::Comment& c) const {
+    return c.reply_of_post != core::kNoId
+               ? MessageOfPost(PostIdx(c.reply_of_post))
+               : MessageOfComment(CommentIdx(c.reply_of_comment));
+  }
+
+  /// Tag indices of `ids`; false when any id names no tag.
+  bool ResolveTags(const std::vector<core::Id>& ids,
+                   std::vector<uint32_t>* tags) const;
+
+  /// Widens `person`'s message-date zone to cover `date`.
+  void NoteMessageDate(uint32_t person, core::DateTime date) {
+    person_msg_date_min_[person] = std::min(person_msg_date_min_[person], date);
+    person_msg_date_max_[person] = std::max(person_msg_date_max_[person], date);
+  }
+
+  /// Country of a City place; kNoIdx for anything else.
+  uint32_t CountryOfCity(uint32_t city) const {
+    return city != kNoIdx && places_[city].type == core::PlaceType::kCity
+               ? place_part_of_[city]
+               : kNoIdx;
+  }
+
+  // Fill a person, post or comment row for the bulk build and IU 1/6/7
+  // alike; callers resolve the references and add the edges.
+
+  uint32_t AppendPersonRow(core::Person person, uint32_t city,
+                           uint32_t country);
+  uint32_t AppendPostRow(const core::Post& post, uint32_t creator,
+                         uint32_t forum, uint32_t country);
+  uint32_t AppendCommentRow(const core::Comment& comment, uint32_t creator,
+                            uint32_t country, uint32_t reply_of);
 
   // ---- Cascade machinery ----------------------------------------------------
 
@@ -569,15 +592,18 @@ class Graph {
   /// re-run or discard.
   util::Status RunCascade(CascadeTargets targets);
 
+  /// The like insert/delete shared by IU 2/3 and DEL 2/3; `p` or `msg`
+  /// kNoIdx when the id lookup failed.
+  void AddLike(uint32_t p, uint32_t msg, core::DateTime date);
+  util::Status DeleteLike(uint32_t p, uint32_t msg);
+
   /// Marks one message dead; appends it to `work` (the BFS frontier) when
   /// newly dead and maintains the parent's live-reply delta.
   void MarkMessageDead(uint32_t msg, std::vector<uint32_t>* work);
 
-  // Raw entity tables.
+  // Raw entity tables (messages have none: see the message columns below).
   std::vector<core::Person> persons_;
   std::vector<core::Forum> forums_;
-  std::vector<core::Post> posts_;
-  std::vector<core::Comment> comments_;
   std::vector<core::Tag> tags_;
   std::vector<core::TagClass> tag_classes_;
   std::vector<core::Place> places_;
@@ -593,6 +619,11 @@ class Graph {
   std::vector<core::DateTime> person_creation_;
   std::vector<uint32_t> person_city_, person_country_;
   std::vector<uint8_t> person_is_female_;
+  // Message columns: the only copy of a post or comment row.
+  std::vector<core::Id> post_id_, comment_id_;
+  std::vector<int32_t> post_length_, comment_length_;
+  columnar::StringColumn post_content_, post_image_file_, post_location_ip_;
+  columnar::StringColumn comment_content_, comment_location_ip_;
   std::vector<core::DateTime> post_creation_;
   std::vector<uint32_t> post_creator_, post_forum_, post_country_;
   std::vector<core::DateTime> comment_creation_;
@@ -602,12 +633,9 @@ class Graph {
   std::vector<uint32_t> place_part_of_;
   std::vector<uint32_t> tag_class_parent_, tag_class_of_tag_;
 
-  // Shared dictionary + code columns (low-cardinality string families).
+  // Shared dictionary + message code columns.
   columnar::Dictionary dict_;
-  std::vector<uint32_t> person_gender_code_, person_browser_code_;
   std::vector<uint32_t> post_browser_code_, comment_browser_code_;
-  std::vector<uint32_t> post_length_class_code_, comment_length_class_code_;
-  std::vector<uint32_t> tag_name_code_, place_name_code_;
   std::vector<uint32_t> post_language_code_, comment_root_language_code_;
 
   // Materialized hot endpoints + per-person message-date zones.

@@ -32,14 +32,8 @@ struct TestAccess {
   static std::vector<uint32_t>& PostCreator(Graph& g) {
     return g.post_creator_;
   }
-  static std::vector<uint32_t>& PersonGenderCode(Graph& g) {
-    return g.person_gender_code_;
-  }
-  static std::vector<uint32_t>& TagNameCode(Graph& g) {
-    return g.tag_name_code_;
-  }
-  static std::vector<uint32_t>& CommentCreator(Graph& g) {
-    return g.comment_creator_;
+  static std::vector<uint32_t>& PostBrowserCode(Graph& g) {
+    return g.post_browser_code_;
   }
   static columnar::AppendableU32Column& CommentForum(Graph& g) {
     return g.comment_forum_;
@@ -57,8 +51,6 @@ struct TestAccess {
     return g.person_msg_date_max_;
   }
   static AdjacencyList& Knows(Graph& g) { return g.knows_; }
-  static AdjacencyList& PersonPosts(Graph& g) { return g.person_posts_; }
-  static AdjacencyList& ForumMembers(Graph& g) { return g.forum_members_; }
   static MessageDateIndex& MessageIndex(Graph& g) { return g.message_index_; }
 
   // ---- Tombstone state ------------------------------------------------------
@@ -68,16 +60,9 @@ struct TestAccess {
   // invariants catch each one.
 
   static TombstoneBitmap& PersonDead(Graph& g) { return g.person_dead_; }
-  static TombstoneBitmap& ForumDead(Graph& g) { return g.forum_dead_; }
-  static TombstoneBitmap& PostDead(Graph& g) { return g.post_dead_; }
-  static TombstoneBitmap& CommentDead(Graph& g) { return g.comment_dead_; }
   static std::unordered_map<uint32_t, uint32_t>& DeadLikesPerMsg(Graph& g) {
     return g.dead_likes_per_msg_;
   }
-  static std::unordered_map<uint32_t, uint32_t>& DeadRepliesPerMsg(Graph& g) {
-    return g.dead_replies_per_msg_;
-  }
-  static uint32_t& TombstoneEpoch(Graph& g) { return g.tombstone_epoch_; }
 
   // ---- Adjacency representation --------------------------------------------
 
@@ -97,12 +82,6 @@ struct TestAccess {
   }
   static columnar::ZonedColumn& BaseDateColumn(MessageDateIndex& idx) {
     return idx.base_dates_;
-  }
-  static std::vector<uint32_t>& TailRefs(MessageDateIndex& idx) {
-    return idx.tail_refs_;
-  }
-  static std::vector<core::DateTime>& TailDates(MessageDateIndex& idx) {
-    return idx.tail_dates_;
   }
   static std::vector<MessageDateIndex::Zone>& TailZones(
       MessageDateIndex& idx) {

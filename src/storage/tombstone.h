@@ -18,24 +18,15 @@
 namespace snb::storage {
 
 /// Word-packed deletion bitmap over a dense row space. Append-only in size
-/// (rows are added by the IU insert path), monotone in content (a set bit is
-/// never cleared — resurrection is not a benchmark operation; compaction
-/// rebuilds instead).
+/// (the bulk build and the IU inserts append rows), monotone in content (a
+/// set bit is never cleared — resurrection is not a benchmark operation;
+/// compaction rebuilds instead).
 class TombstoneBitmap {
  public:
-  TombstoneBitmap() = default;
-  explicit TombstoneBitmap(size_t n) { Resize(n); }
-
-  /// Grows the row space to `n` rows (new rows live). Never shrinks.
-  void Resize(size_t n) {
-    if (n > size_) {
-      size_ = n;
-      words_.resize((n + 63) / 64, 0);
-    }
+  /// Appends one live row (bulk build and IU inserts alike).
+  void Append() {
+    if (size_++ % 64 == 0) words_.push_back(0);
   }
-
-  /// Appends one live row — the insert-path hook.
-  void Append() { Resize(size_ + 1); }
 
   size_t size() const { return size_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "storage/consistency.h"
@@ -185,12 +184,14 @@ void CheckAdjacencyOrder(const Graph& g, Recorder& rec) {
 
 void CheckAdjacencyDedup(const Graph& g, Recorder& rec) {
   rec.BeginInvariant("adjacency-dedup");
+  std::vector<uint32_t> all;  // one buffer: no allocation per node
   for (const Relation& r : AllRelations(g)) {
     const size_t nodes = std::min<size_t>(r.adj->num_nodes(),
                                           r.expected_nodes);
     for (uint32_t node = 0; node < nodes; ++node) {
       // Merged list (base + overflow): every relation is semantically a set.
-      std::vector<uint32_t> all = r.adj->Collect(node);
+      all.clear();
+      r.adj->ForEach(node, [&all](uint32_t t) { all.push_back(t); });
       std::sort(all.begin(), all.end());
       auto dup = std::adjacent_find(all.begin(), all.end());
       if (dup != all.end()) {
@@ -211,15 +212,21 @@ void CheckMessageIndex(const Graph& g, Recorder& rec) {
     rec.Addf("index holds ", idx.size(), " entries but the store has ",
              g.NumMessages(), " messages");
   }
-  std::unordered_set<uint32_t> seen;
-  seen.reserve(idx.size());
+  std::vector<bool> seen(g.NumMessages());  // posts, then comments
+  auto first_sight = [&](uint32_t msg) {
+    const size_t at = Graph::IsPost(msg) ? msg
+                                         : g.NumPosts() + Graph::AsComment(msg);
+    const bool first = !seen[at];
+    seen[at] = true;
+    return first;
+  };
   std::pair<core::DateTime, uint32_t> prev;
   idx.ForEachBase([&](size_t i, uint32_t msg, core::DateTime date) {
     if (!ValidMessageRef(g, msg)) {
       rec.Addf("base[", i, "]: invalid message ref");
       return;
     }
-    if (!seen.insert(msg).second) {
+    if (!first_sight(msg)) {
       rec.Addf("base[", i, "]: message indexed twice");
     }
     if (date != g.MessageCreationDate(msg)) {
@@ -239,7 +246,7 @@ void CheckMessageIndex(const Graph& g, Recorder& rec) {
       rec.Addf("tail[", i, "]: invalid message ref");
       continue;
     }
-    if (!seen.insert(msg).second) {
+    if (!first_sight(msg)) {
       rec.Addf("tail[", i, "]: message indexed twice");
     }
     if (idx.TailDateAt(i) != g.MessageCreationDate(msg)) {
@@ -279,42 +286,19 @@ void CheckMessageIndex(const Graph& g, Recorder& rec) {
 void CheckDictionaryCodes(const Graph& g, Recorder& rec) {
   rec.BeginInvariant("dictionary-code-in-range");
   const size_t bound = g.Dict().size();
-  struct CodeColumn {
-    const char* name;
-    size_t rows;
-    uint32_t (Graph::*code)(uint32_t) const;
-  };
-  const CodeColumn columns[] = {
-      {"person-gender", g.NumPersons(), &Graph::PersonGenderCode},
-      {"person-browser", g.NumPersons(), &Graph::PersonBrowserCode},
-      {"tag-name", g.NumTags(), &Graph::TagNameCode},
-      {"place-name", g.NumPlaces(), &Graph::PlaceNameCode},
-  };
-  for (const CodeColumn& col : columns) {
-    for (uint32_t i = 0; i < col.rows; ++i) {
-      const uint32_t code = (g.*col.code)(i);
-      if (code >= bound) {
-        rec.Addf(col.name, "[", i, "]: code ", code, " >= dictionary size ",
-                 bound);
-      }
-    }
-  }
-  // Message code columns go through the ref-based accessors so posts and
-  // comments are both covered.
   for (uint32_t i = 0; i < g.NumPosts(); ++i) {
     const uint32_t m = Graph::MessageOfPost(i);
-    if (g.MessageBrowserCode(m) >= bound ||
-        g.MessageLengthClassCode(m) >= bound) {
-      rec.Addf("post[", i, "]: browser/length-class code >= dictionary size ",
+    if (g.MessageBrowserCode(m) >= bound || g.PostLanguageCode(i) >= bound) {
+      rec.Addf("post[", i, "]: browser/language code >= dictionary size ",
                bound);
     }
   }
   for (uint32_t i = 0; i < g.NumComments(); ++i) {
     const uint32_t m = Graph::MessageOfComment(i);
     if (g.MessageBrowserCode(m) >= bound ||
-        g.MessageLengthClassCode(m) >= bound) {
+        g.CommentRootLanguageCode(i) >= bound) {
       rec.Addf("comment[", i,
-               "]: browser/length-class code >= dictionary size ", bound);
+               "]: browser/root-language code >= dictionary size ", bound);
     }
   }
 }
@@ -370,10 +354,6 @@ void CheckHotColumnEndpoints(const Graph& g, Recorder& rec) {
     if (code >= dict) {
       rec.Addf("post ", i, ": language code ", code, " >= dictionary size ",
                dict);
-    } else if (g.Dict().Decode(code) != g.PostAt(i).language) {
-      rec.Addf("post ", i, ": language column decodes to \"",
-               g.Dict().Decode(code), "\" but Post::language is \"",
-               g.PostAt(i).language, "\"");
     }
   }
   for (uint32_t c = 0; c < g.NumComments(); ++c) {
@@ -642,11 +622,14 @@ void CheckHotColumnGender(const Graph& g, Recorder& rec) {
 
 template <typename GetId>
 void CheckUniqueIds(Recorder& rec, const char* table, size_t n, GetId&& id) {
-  std::unordered_set<core::Id> seen;
-  seen.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!seen.insert(id(i)).second) {
-      rec.Addf(table, " ", i, ": duplicate external id ", id(i));
+  // Sorted pairs, not a hash set: no per-row node in a fragmented heap.
+  std::vector<std::pair<core::Id, uint32_t>> rows(n);
+  for (uint32_t i = 0; i < n; ++i) rows[i] = {id(i), i};
+  std::sort(rows.begin(), rows.end());
+  for (size_t k = 1; k < n; ++k) {
+    if (rows[k].first == rows[k - 1].first) {
+      rec.Addf(table, " ", rows[k].second, ": duplicate external id ",
+               rows[k].first);
     }
   }
 }
@@ -658,9 +641,9 @@ void CheckUniqueId(const Graph& g, Recorder& rec) {
   CheckUniqueIds(rec, "forum", g.NumForums(),
                  [&](uint32_t i) { return g.ForumAt(i).id; });
   CheckUniqueIds(rec, "post", g.NumPosts(),
-                 [&](uint32_t i) { return g.PostAt(i).id; });
+                 [&](uint32_t i) { return g.PostId(i); });
   CheckUniqueIds(rec, "comment", g.NumComments(),
-                 [&](uint32_t i) { return g.CommentAt(i).id; });
+                 [&](uint32_t i) { return g.CommentId(i); });
   CheckUniqueIds(rec, "tag", g.NumTags(),
                  [&](uint32_t i) { return g.TagAt(i).id; });
 }

@@ -93,7 +93,7 @@ TEST_P(IcCrossValTest, ShortReadsMatchNaive) {
   // Message-centric short reads over a few posts and comments.
   for (uint32_t post = 0; post < 6 && post < wb.graph.NumPosts();
        post += 2) {
-    core::Id id = wb.graph.PostAt(post).id;
+    core::Id id = wb.graph.PostId(post);
     EXPECT_EQ(RunIs4(wb.graph, id, true), naive::RunIs4(wb.graph, id, true));
     EXPECT_EQ(RunIs5(wb.graph, id, true), naive::RunIs5(wb.graph, id, true));
     EXPECT_EQ(RunIs6(wb.graph, id, true), naive::RunIs6(wb.graph, id, true));
@@ -101,7 +101,7 @@ TEST_P(IcCrossValTest, ShortReadsMatchNaive) {
   }
   for (uint32_t comment = 0; comment < 6 && comment < wb.graph.NumComments();
        comment += 2) {
-    core::Id id = wb.graph.CommentAt(comment).id;
+    core::Id id = wb.graph.CommentId(comment);
     EXPECT_EQ(RunIs4(wb.graph, id, false),
               naive::RunIs4(wb.graph, id, false));
     EXPECT_EQ(RunIs7(wb.graph, id, false),

@@ -286,7 +286,7 @@ TEST_F(InteractiveInvariantsTest, Ic10OnlyFoafsWithBirthdayWindow) {
 TEST_F(InteractiveInvariantsTest, Is7KnowsFlagConsistent) {
   // For the first few posts, the knows flag must agree with IC 13 == 1.
   for (uint32_t post = 0; post < 10 && post < graph().NumPosts(); ++post) {
-    core::Id post_id = graph().PostAt(post).id;
+    core::Id post_id = graph().PostId(post);
     core::Id author = graph().PersonAt(graph().PostCreator(post)).id;
     for (const Is7Row& row : RunIs7(graph(), post_id, true)) {
       int32_t d =

@@ -21,6 +21,7 @@
 #include "datagen/datagen.h"
 #include "engine/morsel.h"
 #include "params/parameter_curation.h"
+#include "storage/export.h"
 #include "storage/graph.h"
 #include "storage/message_index.h"
 #include "storage/scan_stats.h"
@@ -218,11 +219,12 @@ class PostingListFixture : public ::testing::Test {
     // Appended after the bulk load: the same shapes on fresh posts and on
     // comments replying to them, landing in the overflow chains.
     for (size_t i = 0; i < shapes.size(); ++i) {
-      core::Post post = graph_->PostAt(static_cast<uint32_t>(i));
+      const uint32_t row = static_cast<uint32_t>(i);
+      core::Post post = storage::ExportPost(*graph_, row);
       post.id = (core::Id{1} << 40) + i;
       post.tags = shapes[i];
       graph_->AddPost(post);
-      core::Comment comment = graph_->CommentAt(static_cast<uint32_t>(i));
+      core::Comment comment = storage::ExportComment(*graph_, row);
       comment.id = (core::Id{1} << 40) + i;
       comment.reply_of_post = post.id;
       comment.reply_of_comment = core::kNoId;
@@ -260,7 +262,8 @@ std::string PostingListFixture::class_name_;
 core::Id PostingListFixture::duplicated_post_ = core::kNoId;
 
 TEST_F(PostingListFixture, FixtureHoldsTheEdgeCases) {
-  const uint32_t tag = graph().TagIdx(graph().PostAt(0).tags.front());
+  const uint32_t tag =
+      graph().TagIdx(storage::ExportPost(graph(), 0).tags.front());
   const uint32_t post = graph().PostIdx(duplicated_post_);
   size_t listed = 0;
   graph().TagPosts().ForEach(tag, [&](uint32_t p) { listed += p == post; });
@@ -358,7 +361,8 @@ TEST_F(MessageIndexFixture, RangeViewSlicesPartitionTheRangeScan) {
   // Three tail blocks: one in the window, one straddling its end, one past
   // it (date-skipped whole).
   for (uint32_t i = 0; i < 600; ++i) {
-    core::Post post = graph().PostAt(i % graph().NumPosts());
+    core::Post post =
+        storage::ExportPost(graph(), i % graph().NumPosts());
     post.id = (1u << 30) + i;
     post.creation_date =
         i < 300 ? start + i * core::kMillisPerDay / 4
@@ -417,11 +421,11 @@ TEST_F(MessageIndexFixture, AppendedMessagesLandInTheTailAndAreVisible) {
   // Append clones of existing records with fresh ids; creation dates far
   // outside the generated range make them easy to address with a window.
   const core::DateTime tail_date = core::DateTimeFromCivil(2030, 6, 15);
-  core::Post post = graph().PostAt(0);
+  core::Post post = storage::ExportPost(graph(), 0);
   post.id = 1u << 30;
   post.creation_date = tail_date;
   graph().AddPost(post);
-  core::Comment comment = graph().CommentAt(0);
+  core::Comment comment = storage::ExportComment(graph(), 0);
   comment.id = 1u << 30;
   comment.creation_date = tail_date + core::kMillisPerDay;
   graph().AddComment(comment);

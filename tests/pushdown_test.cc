@@ -23,6 +23,7 @@
 #include "engine/morsel.h"
 #include "engine/top_k.h"
 #include "params/parameter_curation.h"
+#include "storage/export.h"
 #include "storage/graph.h"
 #include "storage/message_index.h"
 #include "storage/scan_stats.h"
@@ -288,7 +289,7 @@ TEST(PruningGateTest, PruningFiresOnEveryTopKKernel) {
   bi::Bi18Params p18 = p.bi18.at(0);
   p18.date = mid;
   p18.length_threshold = 1 << 30;
-  p18.languages.push_back(graph.PostAt(0).language);
+  p18.languages.push_back(storage::ExportPost(graph, 0).language);
   p.bi18.push_back(p18);
   bi::Bi2Params p2 = p.bi2.at(0);
   p2.start_date = 0;          // 1970: the whole timeline
@@ -381,7 +382,7 @@ TEST(NoteLikeTest, AddLikeRaisesZoneMaxSoBoundPruningStaysSound) {
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (graph.PostLikers().Degree(post) > old_zone) break;
     if (likers.contains(p)) continue;
-    graph.AddLikePost(graph.PersonAt(p).id, graph.PostAt(post).id, when);
+    graph.AddLikePost(graph.PersonAt(p).id, graph.PostId(post), when);
   }
   ASSERT_GT(graph.PostLikers().Degree(post), old_zone)
       << "fixture too small to overtake the zone max";
@@ -389,7 +390,7 @@ TEST(NoteLikeTest, AddLikeRaisesZoneMaxSoBoundPruningStaysSound) {
 
   // A message appended through the update path lands in the tail; liking it
   // must raise the tail block's like zone the same way.
-  core::Post fresh = graph.PostAt(0);
+  core::Post fresh = storage::ExportPost(graph, 0);
   fresh.id = 1u << 30;
   fresh.creation_date = core::DateTimeFromCivil(2030, 6, 15);
   fresh.tags.clear();

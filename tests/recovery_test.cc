@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "bi/bi.h"
@@ -21,6 +22,52 @@
 namespace snb::storage {
 namespace {
 
+std::vector<core::Id> SortedTags(std::vector<core::Id> tags) {
+  std::sort(tags.begin(), tags.end());
+  return tags;
+}
+
+// Every field of every post and comment, in row order; tags as sorted sets
+// (export emits them in adjacency order).
+void ExpectSameMessages(const core::SocialNetwork& want,
+                        const core::SocialNetwork& got) {
+  ASSERT_EQ(got.posts.size(), want.posts.size());
+  for (size_t i = 0; i < want.posts.size(); ++i) {
+    const core::Post& w = want.posts[i];
+    const core::Post& g = got.posts[i];
+    SCOPED_TRACE(testing::Message() << "post row " << i << " id " << w.id);
+    EXPECT_EQ(g.id, w.id);
+    EXPECT_EQ(g.image_file, w.image_file);
+    EXPECT_EQ(g.creation_date, w.creation_date);
+    EXPECT_EQ(g.location_ip, w.location_ip);
+    EXPECT_EQ(g.browser_used, w.browser_used);
+    EXPECT_EQ(g.language, w.language);
+    EXPECT_EQ(g.content, w.content);
+    EXPECT_EQ(g.length, w.length);
+    EXPECT_EQ(g.creator, w.creator);
+    EXPECT_EQ(g.forum, w.forum);
+    EXPECT_EQ(g.country, w.country);
+    EXPECT_EQ(SortedTags(g.tags), SortedTags(w.tags));
+  }
+  ASSERT_EQ(got.comments.size(), want.comments.size());
+  for (size_t i = 0; i < want.comments.size(); ++i) {
+    const core::Comment& w = want.comments[i];
+    const core::Comment& g = got.comments[i];
+    SCOPED_TRACE(testing::Message() << "comment row " << i << " id " << w.id);
+    EXPECT_EQ(g.id, w.id);
+    EXPECT_EQ(g.creation_date, w.creation_date);
+    EXPECT_EQ(g.location_ip, w.location_ip);
+    EXPECT_EQ(g.browser_used, w.browser_used);
+    EXPECT_EQ(g.content, w.content);
+    EXPECT_EQ(g.length, w.length);
+    EXPECT_EQ(g.creator, w.creator);
+    EXPECT_EQ(g.country, w.country);
+    EXPECT_EQ(g.reply_of_post, w.reply_of_post);
+    EXPECT_EQ(g.reply_of_comment, w.reply_of_comment);
+    EXPECT_EQ(SortedTags(g.tags), SortedTags(w.tags));
+  }
+}
+
 TEST(ExportTest, RoundTripPreservesEverything) {
   datagen::DatagenConfig cfg;
   cfg.num_persons = 220;
@@ -31,12 +78,11 @@ TEST(ExportTest, RoundTripPreservesEverything) {
 
   core::SocialNetwork exported = ExportNetwork(graph);
   EXPECT_EQ(exported.persons.size(), original.persons.size());
-  EXPECT_EQ(exported.posts.size(), original.posts.size());
-  EXPECT_EQ(exported.comments.size(), original.comments.size());
   EXPECT_EQ(exported.knows.size(), original.knows.size());
   EXPECT_EQ(exported.likes.size(), original.likes.size());
   EXPECT_EQ(exported.memberships.size(), original.memberships.size());
   EXPECT_EQ(exported.NumEdges(), original.NumEdges());
+  ExpectSameMessages(original, exported);
 
   // The re-built graph passes every representation invariant and answers
   // queries identically.
@@ -45,6 +91,23 @@ TEST(ExportTest, RoundTripPreservesEverything) {
   EXPECT_TRUE(vr.ok()) << vr.ToString();
   bi::Bi1Params probe{core::DateFromCivil(2013, 1, 1)};
   EXPECT_EQ(bi::RunBi1(rebuilt, probe), bi::RunBi1(graph, probe));
+
+  // Appended rows (IU 6/7) export field by field too. The stream's other
+  // inserts go in as well, since its posts and comments reference them.
+  size_t inserted = 0;
+  for (const datagen::UpdateEvent& e : data.updates) {
+    if (datagen::IsDeleteKind(e.kind)) continue;
+    ASSERT_TRUE(interactive::ApplyUpdate(graph, e).ok());
+    if (e.kind == datagen::UpdateKind::kAddPost) {
+      original.posts.push_back(std::get<core::Post>(e.payload));
+      ++inserted;
+    } else if (e.kind == datagen::UpdateKind::kAddComment) {
+      original.comments.push_back(std::get<core::Comment>(e.payload));
+      ++inserted;
+    }
+  }
+  ASSERT_GT(inserted, 0u);
+  ExpectSameMessages(original, ExportNetwork(graph));
 }
 
 TEST(RecoveryTest, CheckpointAfterUpdatesSurvivesCrash) {

@@ -257,7 +257,7 @@ size_t ZoneRaisingBatch(const Graph& graph, core::Date day, Events* batch) {
     if (likers.count(p) > 0) continue;
     core::Like like;
     like.person = graph.PersonAt(p).id;
-    like.message = graph.PostAt(post).id;
+    like.message = graph.PostId(post);
     like.is_post = true;
     like.creation_date = at;
     batch->push_back({datagen::UpdateKind::kAddLikePost, at, at, like});

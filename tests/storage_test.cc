@@ -1,11 +1,15 @@
 // Graph store tests: adjacency CSR + overflow, index consistency between
 // forward and reverse relations, message references, precomputed thread
-// roots, and the update mutators (incrementally applying the update stream
-// must converge to the graph built from the full network; an edge insert
-// whose endpoint is missing or deleted is a no-op).
+// roots, the update mutators (incrementally applying the update stream
+// must converge to the graph built from the full network; an insert that
+// names a missing or deleted entity is a no-op), and Graph::Memory()
+// against the allocator's own count.
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -127,7 +131,7 @@ TEST_F(GraphFixture, IdLookupsRoundtrip) {
     EXPECT_EQ(graph().PersonIdx(graph().PersonAt(i).id), i);
   }
   for (uint32_t i = 0; i < graph().NumPosts(); ++i) {
-    EXPECT_EQ(graph().PostIdx(graph().PostAt(i).id), i);
+    EXPECT_EQ(graph().PostIdx(graph().PostId(i)), i);
   }
   EXPECT_EQ(graph().PersonIdx(99999999), kNoIdx);
   EXPECT_EQ(graph().PlaceByName("Atlantis"), kNoIdx);
@@ -302,7 +306,7 @@ TEST(GraphUpdateTest, IncrementalUpdatesConvergeToFullGraph) {
               reference.PersonForums().Degree(i));
   }
   for (uint32_t i = 0; i < reference.NumPosts(); ++i) {
-    core::Id id = reference.PostAt(i).id;
+    core::Id id = reference.PostId(i);
     uint32_t j = incremental.PostIdx(id);
     ASSERT_NE(j, kNoIdx);
     EXPECT_EQ(incremental.PostReplies().Degree(j),
@@ -333,8 +337,8 @@ TEST(GraphUpdateTest, EdgeInsertsWithAGoneEndpointAreNoOps) {
   while (!graph.CommentAlive(comment)) ++comment;
   while (!graph.ForumAlive(forum)) ++forum;
   const core::Id live = graph.PersonAt(person).id;
-  const core::Id post_id = graph.PostAt(post).id;
-  const core::Id comment_id = graph.CommentAt(comment).id;
+  const core::Id post_id = graph.PostId(post);
+  const core::Id comment_id = graph.CommentId(comment);
   const core::Id forum_id = graph.ForumAt(forum).id;
 
   using datagen::UpdateKind;
@@ -371,6 +375,163 @@ TEST(GraphUpdateTest, EdgeInsertsWithAGoneEndpointAreNoOps) {
   Graph compacted(ExportNetwork(graph), graph.CompactionEpoch() + 1);
   ASSERT_EQ(compacted.PersonIdx(gone), kNoIdx);
   expect_no_ops(compacted, "compacted");
+}
+
+TEST(GraphUpdateTest, VertexInsertsWithAGoneReferenceAreNoOps) {
+  // IU 1/4/6/7 resolve every reference before they mutate: a missing or
+  // tombstoned creator, moderator, forum, reply target, city, country or
+  // tag — or an id that already exists — leaves the graph untouched.
+  datagen::GeneratedData data = datagen::Generate(SmallConfig());
+  const core::Id gone = data.network.persons.front().id;
+  const core::Id missing = core::Id{1} << 50;
+  const core::Id fresh = core::Id{1} << 51;
+  const core::DateTime at = core::DateTimeFromCivil(2013, 1, 1);
+  Graph graph(std::move(data.network));
+  ASSERT_TRUE(interactive::ApplyUpdate(
+                  graph, {datagen::UpdateKind::kDelPerson, at, at,
+                          datagen::Delete{gone, core::kNoId}})
+                  .ok());
+
+  // A live and a dead row of each message-bearing table.
+  uint32_t forum = 0, dead_forum = 0, post = 0, dead_post = 0, comment = 0,
+           dead_comment = 0, country = 0;
+  while (!graph.ForumAlive(forum)) ++forum;
+  while (graph.ForumAlive(dead_forum)) ++dead_forum;
+  while (!graph.PostAlive(post)) ++post;
+  while (graph.PostAlive(dead_post)) ++dead_post;
+  while (!graph.CommentAlive(comment)) ++comment;
+  while (graph.CommentAlive(dead_comment)) ++dead_comment;
+  while (graph.PlaceAt(country).type != core::PlaceType::kCountry) ++country;
+
+  const core::Person person = graph.PersonAt(graph.PostCreator(post));
+  core::Forum new_forum = graph.ForumAt(forum);
+  new_forum.id = fresh;
+  core::Post new_post = ExportPost(graph, post);
+  new_post.id = fresh;
+  core::Comment new_comment = ExportComment(graph, comment);
+  new_comment.id = fresh;
+  new_comment.reply_of_post = graph.PostId(post);
+  new_comment.reply_of_comment = core::kNoId;
+
+  using datagen::UpdateKind;
+  std::vector<datagen::UpdateEvent> inserts;
+  auto add_person = [&](auto mutate) {
+    core::Person p = person;
+    p.id = fresh;
+    mutate(p);
+    inserts.push_back({UpdateKind::kAddPerson, at, at, p});
+  };
+  add_person([&](core::Person& p) { p.id = person.id; });
+  add_person([&](core::Person& p) { p.city = missing; });
+  add_person(
+      [&](core::Person& p) { p.city = graph.PlaceAt(country).id; });
+  add_person([&](core::Person& p) { p.interests.push_back(missing); });
+  auto add_forum = [&](auto mutate) {
+    core::Forum f = new_forum;
+    mutate(f);
+    inserts.push_back({UpdateKind::kAddForum, at, at, f});
+  };
+  add_forum([&](core::Forum& f) { f.id = graph.ForumAt(forum).id; });
+  add_forum([&](core::Forum& f) { f.moderator = gone; });
+  add_forum([&](core::Forum& f) { f.moderator = missing; });
+  add_forum([&](core::Forum& f) { f.tags.push_back(missing); });
+  auto add_post = [&](auto mutate) {
+    core::Post p = new_post;
+    mutate(p);
+    inserts.push_back({UpdateKind::kAddPost, at, at, p});
+  };
+  add_post([&](core::Post& p) { p.id = graph.PostId(post); });
+  add_post([&](core::Post& p) { p.creator = gone; });
+  add_post([&](core::Post& p) { p.creator = missing; });
+  add_post([&](core::Post& p) { p.forum = graph.ForumAt(dead_forum).id; });
+  add_post([&](core::Post& p) { p.forum = missing; });
+  add_post([&](core::Post& p) { p.country = missing; });
+  add_post([&](core::Post& p) { p.tags.push_back(missing); });
+  auto add_comment = [&](auto mutate) {
+    core::Comment c = new_comment;
+    mutate(c);
+    inserts.push_back({UpdateKind::kAddComment, at, at, c});
+  };
+  add_comment([&](core::Comment& c) { c.id = graph.CommentId(comment); });
+  add_comment([&](core::Comment& c) { c.creator = gone; });
+  add_comment([&](core::Comment& c) { c.creator = missing; });
+  add_comment([&](core::Comment& c) { c.country = missing; });
+  add_comment([&](core::Comment& c) { c.tags.push_back(missing); });
+  add_comment([&](core::Comment& c) { c.reply_of_post = missing; });
+  add_comment(
+      [&](core::Comment& c) { c.reply_of_post = graph.PostId(dead_post); });
+  add_comment([&](core::Comment& c) { c.reply_of_post = core::kNoId; });
+  add_comment([&](core::Comment& c) {
+    c.reply_of_post = core::kNoId;
+    c.reply_of_comment = graph.CommentId(dead_comment);
+  });
+
+  // Every row and edge count of the export.
+  auto shape = [](const core::SocialNetwork& net) {
+    size_t tags = 0;
+    for (const core::Post& p : net.posts) tags += p.tags.size();
+    for (const core::Comment& c : net.comments) tags += c.tags.size();
+    return std::vector<size_t>{net.persons.size(),  net.forums.size(),
+                               net.posts.size(),    net.comments.size(),
+                               net.knows.size(),    net.likes.size(),
+                               net.memberships.size(), net.NumEdges(),
+                               tags};
+  };
+  auto expect_no_ops = [&](Graph& g, const char* state) {
+    const std::vector<size_t> before = shape(ExportNetwork(g));
+    for (const datagen::UpdateEvent& event : inserts) {
+      ASSERT_TRUE(interactive::ApplyUpdate(g, event).ok()) << state;
+    }
+    EXPECT_EQ(shape(ExportNetwork(g)), before) << state;
+    EXPECT_EQ(g.PostIdx(fresh), kNoIdx) << state;
+    EXPECT_EQ(g.CommentIdx(fresh), kNoIdx) << state;
+    validate::ValidationReport report = validate::ValidateGraph(g);
+    EXPECT_TRUE(report.ok()) << state << ": " << report.ToString();
+  };
+  expect_no_ops(graph, "tombstoned");
+  // A tombstoned id still exists until compaction removes it.
+  core::Person new_person = person;
+  new_person.id = gone;
+  EXPECT_EQ(graph.AddPerson(new_person), kNoIdx);
+  Graph compacted(ExportNetwork(graph), graph.CompactionEpoch() + 1);
+  expect_no_ops(compacted, "compacted");
+
+  // The unmutated templates do insert: the cases above fail on exactly the
+  // reference each one breaks.
+  new_person.id = fresh;
+  EXPECT_NE(graph.AddPerson(new_person), kNoIdx);
+  EXPECT_NE(graph.AddPost(new_post), kNoIdx);
+  EXPECT_NE(graph.AddComment(new_comment), kNoIdx);
+  EXPECT_NE(graph.AddForum(new_forum), kNoIdx);
+}
+
+TEST(GraphMemoryTest, MemoryMatchesTheHeapGrowthOfACopy) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+  GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
+#endif
+#endif
+  datagen::DatagenConfig cfg = SmallConfig();
+  datagen::GeneratedData data = datagen::Generate(cfg);
+  const std::vector<datagen::UpdateEvent> updates = std::move(data.updates);
+  Graph graph(std::move(data.network));
+  // Overflow appends, tombstones and dead-delta maps all hold heap too.
+  for (size_t i = 0; i < updates.size() / 2; ++i) {
+    ASSERT_TRUE(interactive::ApplyUpdate(graph, updates[i]).ok());
+  }
+  ASSERT_TRUE(graph.DeletePerson(graph.PersonAt(0).id).ok());
+
+  const size_t before = mallinfo2().uordblks;
+  auto copy = std::make_unique<Graph>(graph);
+  const size_t grown = mallinfo2().uordblks - before;
+  const size_t counted = copy->Memory().total_bytes();
+  EXPECT_GT(static_cast<double>(counted), 0.8 * static_cast<double>(grown))
+      << copy->Memory().ToString();
+  EXPECT_LT(static_cast<double>(counted), 1.2 * static_cast<double>(grown))
+      << copy->Memory().ToString();
 }
 
 }  // namespace

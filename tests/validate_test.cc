@@ -10,6 +10,7 @@
 
 #include "core/scale_factors.h"
 #include "datagen/datagen.h"
+#include "storage/export.h"
 #include "storage/graph.h"
 #include "storage/test_access.h"
 #include "validate/validator.h"
@@ -104,7 +105,7 @@ TEST(ValidateTest, SwappedIndexBaseCaughtByMessageIndexOrder) {
 TEST(ValidateTest, StaleZoneMapCaughtByZoneMapCoverage) {
   auto graph = MakeGraph();
   // Route one message through the update path so the index grows a tail…
-  core::Post post = graph->PostAt(0);
+  core::Post post = storage::ExportPost(*graph, 0);
   post.id = 1u << 30;  // unique in the micro id space
   post.tags.clear();
   graph->AddPost(post);
@@ -120,7 +121,7 @@ TEST(ValidateTest, StaleZoneMapCaughtByZoneMapCoverage) {
 
 TEST(ValidateTest, OutOfRangeCodeCaughtByDictionaryCodeInRange) {
   auto graph = MakeGraph();
-  auto& codes = TestAccess::PersonGenderCode(*graph);
+  auto& codes = TestAccess::PostBrowserCode(*graph);
   ASSERT_FALSE(codes.empty());
   codes[0] = static_cast<uint32_t>(graph->Dict().size()) + 7;
   ValidationReport report = ValidateGraph(*graph, Lenient());
@@ -225,6 +226,16 @@ TEST(ValidateTest, HotColumnFlipCaughtByHotColumnGender) {
   is_female[0] ^= 1;
   ValidationReport report = ValidateGraph(*graph, Lenient());
   EXPECT_TRUE(report.Has("hot-column-gender")) << report.ToString();
+}
+
+TEST(ValidateTest, DoublyIndexedMessageCaughtByMessageIndexOrder) {
+  auto graph = MakeGraph();
+  auto& refs = TestAccess::BaseRefs(TestAccess::MessageIndex(*graph));
+  ASSERT_GE(refs.size(), 2u);
+  refs[1] = refs[0];
+  ValidationReport report = ValidateGraph(*graph, Lenient());
+  EXPECT_NE(report.ToString().find("message indexed twice"), std::string::npos)
+      << report.ToString();
 }
 
 TEST(ValidateTest, DuplicateExternalIdCaughtByUniqueId) {
