@@ -9,10 +9,12 @@
 #   5. TSan           — scheduler, morsel, refresh and recovery tests under
 #                       -fsanitize=thread with deadlock detection on: data
 #                       races and lock-order inversions both fail the stage
-#   6. ASan           — fail-point + crash-recovery tests under
-#                       -fsanitize=address, then the delete-cascade crash
-#                       loop (torn cascades at every graph.delete.* stage)
-#                       via ctest so its 600 s TIMEOUT governs the forks
+#   6. ASan           — fail-point + crash-recovery tests, the range-scan
+#                       and kernel cross-checks (per-block stack buffers,
+#                       partial-block slices) under -fsanitize=address,
+#                       then the delete-cascade crash loop (torn cascades
+#                       at every graph.delete.* stage) via ctest so its
+#                       600 s TIMEOUT governs the forks
 #   7. fuzz smoke     — the parser/decoder fuzz harnesses, fixed-iteration
 #                       deterministic replay under ASan+UBSan
 #   8. scale smoke    — streaming datagen at 10× the bench scale under a
@@ -73,14 +75,20 @@ cmake --build "$repo/build-tsan" -j --target sched_test parallel_test \
 "$repo/build-tsan/tests/wal_recovery_test" --gtest_filter='*WhileReadersServe*'
 unset TSAN_OPTIONS
 
-echo "== ASan: crash-recovery loop under -fsanitize=address =="
+echo "== ASan: crash-recovery loop and range-scan kernels under -fsanitize=address =="
 # The fail-point crash loop forks, _Exit()s children mid-write and replays
 # torn WALs — exactly the code that hides use-after-free and leaks from a
-# plain build. ASan children keep the instrumentation across fork.
+# plain build. ASan children keep the instrumentation across fork. The
+# range scan partitions every decoded block into per-family stack buffers;
+# parallel_test slices it at widths that split blocks, and
+# bi_crossval_test runs every kernel over bulk-loaded and updated graphs.
 cmake -B "$repo/build-asan" -S "$repo" -DSNB_SANITIZE=address
-cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test
+cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
+  parallel_test bi_crossval_test
 "$repo/build-asan/tests/failpoint_test"
 "$repo/build-asan/tests/wal_recovery_test"
+"$repo/build-asan/tests/parallel_test"
+"$repo/build-asan/tests/bi_crossval_test"
 
 echo "== ASan: delete-cascade crash loop =="
 # Torn cascades at every graph.delete.* stage: the tests arm each cascade

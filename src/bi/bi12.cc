@@ -43,37 +43,49 @@ std::vector<Bi12Row> RunBi12(const Graph& graph, const Bi12Params& params,
   auto key_of = [](const Bi12Row& r) { return r.like_count; };
 
   // Index range scan over [date+1, ∞) instead of a full scan with a
-  // per-message date filter.
+  // per-message date filter. The per-family form reads each family's like
+  // degree without a per-row post/comment branch; only the few candidates
+  // that pass the threshold and the bound reach the unified accessors.
   const Graph::MessageRangeView range =
       graph.MessageRange(after, storage::kMaxMessageDate);
   Top top = internal::Aggregate(
       pool, range.size(), [&better] { return Top(100, better); },
       [&](Top& local, size_t begin, size_t end) {
         PollCancel();
+        uint64_t rows_skipped = 0;  // counted once per morsel
+        auto consider = [&](int64_t likes, uint32_t msg) {
+          // Branch-free until a row can place: a row over the threshold
+          // but under the bound is only counted.
+          const bool over = likes > params.like_threshold;
+          const bool placeable = !bound.CannotPlace(likes);
+          rows_skipped += over & !placeable;
+          if (!(over & placeable)) return;
+          Bi12Row row;
+          row.message_id = graph.MessageId(msg);
+          row.like_count = likes;
+          row.creation_date = graph.MessageCreationDate(msg);
+          if (!local.WouldAccept(row)) return;  // skip the projection
+          const core::Person& creator =
+              graph.PersonAt(graph.MessageCreator(msg));
+          row.creator_first_name = creator.first_name;
+          row.creator_last_name = creator.last_name;
+          if (local.Add(std::move(row))) local.PublishBound(bound, key_of);
+        };
         range.ForEachBounded(
             begin, end,
             [&](int64_t block_max_likes) {
               return block_max_likes <= params.like_threshold ||
                      bound.CannotPlace(block_max_likes);
             },
-            [&](uint32_t msg) {
-              int64_t likes = internal::MessageLikeCount(graph, msg);
-              if (likes <= params.like_threshold) return;
-              if (bound.CannotPlace(likes)) {
-                storage::CountRowsSkippedBound(1);
-                return;
-              }
-              Bi12Row row;
-              row.message_id = graph.MessageId(msg);
-              row.like_count = likes;
-              row.creation_date = graph.MessageCreationDate(msg);
-              if (!local.WouldAccept(row)) return;  // skip the projection
-              const core::Person& creator =
-                  graph.PersonAt(graph.MessageCreator(msg));
-              row.creator_first_name = creator.first_name;
-              row.creator_last_name = creator.last_name;
-              if (local.Add(std::move(row))) local.PublishBound(bound, key_of);
+            [&](uint32_t post) {
+              consider(graph.LivePostLikeCount(post),
+                       Graph::MessageOfPost(post));
+            },
+            [&](uint32_t comment) {
+              consider(graph.LiveCommentLikeCount(comment),
+                       Graph::MessageOfComment(comment));
             });
+        storage::CountRowsSkippedBound(rows_skipped);
       },
       [](Top& into, Top& from) {
         for (Bi12Row& row : from.Take()) into.Add(std::move(row));

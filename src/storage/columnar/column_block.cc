@@ -85,11 +85,7 @@ ColumnBlock ColumnBlock::EncodeDelta(std::span<const uint64_t> values) {
   return block;
 }
 
-uint64_t ColumnBlock::At(size_t i) const {
-  SNB_DCHECK(i < count_);
-  if (encoding_ == BlockEncoding::kForPacked) {
-    return base_ + packed_.At(i);
-  }
+uint64_t ColumnBlock::DeltaAt(size_t i) const {
   uint64_t v = base_;
   for (size_t k = 0; k < i; ++k) v += packed_.At(k);
   return v;

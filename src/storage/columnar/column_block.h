@@ -72,7 +72,12 @@ class ColumnBlock {
 
   /// Value at `i`. O(1) for kForPacked; O(i) prefix sum for kDeltaPacked —
   /// delta blocks are meant to be scanned via DecodeAll or zone-searched.
-  uint64_t At(size_t i) const;
+  /// Inline: CSR degree and span lookups call it per row.
+  uint64_t At(size_t i) const {
+    SNB_DCHECK(i < count_);
+    if (encoding_ == BlockEncoding::kForPacked) return base_ + packed_.At(i);
+    return DeltaAt(i);
+  }
 
   /// Appends all `size()` values to `out` in order (sequential decode).
   void DecodeAll(std::vector<uint64_t>* out) const;
@@ -101,6 +106,9 @@ class ColumnBlock {
  private:
   friend util::Status DecodeColumnBlock(std::span<const uint8_t> bytes,
                                         ColumnBlock* out, size_t* consumed);
+
+  /// At() of a kDeltaPacked block: the prefix sum up to `i`.
+  uint64_t DeltaAt(size_t i) const;
 
   BlockEncoding encoding_ = BlockEncoding::kForPacked;
   uint32_t count_ = 0;

@@ -176,27 +176,25 @@ class Graph {
   /// Number of likes whose target is `msg` and whose edge is still live —
   /// the delete-aware replacement for PostLikers()/CommentLikers() Degree.
   int64_t LiveLikeCount(uint32_t msg) const {
-    int64_t n = static_cast<int64_t>(
-        IsPost(msg) ? post_likers_.Degree(msg)
-                    : comment_likers_.Degree(AsComment(msg)));
-    if (!dead_likes_per_msg_.empty()) {
-      auto it = dead_likes_per_msg_.find(msg);
-      if (it != dead_likes_per_msg_.end()) n -= it->second;
-    }
-    return n;
+    return IsPost(msg) ? LivePostLikeCount(msg)
+                       : LiveCommentLikeCount(AsComment(msg));
+  }
+  /// LiveLikeCount of a post / a comment row (per-family scans).
+  int64_t LivePostLikeCount(uint32_t post) const {
+    return LiveDegree(post_likers_.Degree(post), dead_likes_per_msg_,
+                      MessageOfPost(post));
+  }
+  int64_t LiveCommentLikeCount(uint32_t comment) const {
+    return LiveDegree(comment_likers_.Degree(comment), dead_likes_per_msg_,
+                      MessageOfComment(comment));
   }
 
   /// Live direct replies of `msg` (only meaningful for live messages: a dead
   /// parent's counter is not maintained past its own death).
   int64_t LiveReplyCount(uint32_t msg) const {
-    int64_t n = static_cast<int64_t>(
-        IsPost(msg) ? post_replies_.Degree(msg)
-                    : comment_replies_.Degree(AsComment(msg)));
-    if (!dead_replies_per_msg_.empty()) {
-      auto it = dead_replies_per_msg_.find(msg);
-      if (it != dead_replies_per_msg_.end()) n -= it->second;
-    }
-    return n;
+    return LiveDegree(IsPost(msg) ? post_replies_.Degree(msg)
+                                  : comment_replies_.Degree(AsComment(msg)),
+                      dead_replies_per_msg_, msg);
   }
 
   /// Visits every live message reference at flat positions [begin, end) of
@@ -240,17 +238,27 @@ class Graph {
   /// zone-map filtered (CP-2.2/2.3), and tombstoned messages are filtered
   /// out. Scanning disjoint position slices of [0, size()) — from one
   /// thread or many — visits each message exactly once. Visit order is date
-  /// order over the base followed by arrival order over the tail — callers
-  /// must be order-insensitive.
+  /// order over the base followed by arrival order over the tail, with each
+  /// decoded block's posts before its comments — callers must be
+  /// order-insensitive.
   class MessageRangeView {
    public:
     /// Scan positions to partition: the base slice plus the whole tail.
     size_t size() const { return window_.size(); }
 
-    /// Visits the window's live messages at positions [begin, end).
+    /// Visits the window's live messages at positions [begin, end) as
+    /// message references.
     template <typename F>
     void ForEach(size_t begin, size_t end, F&& f) const {
       ForEachBounded(begin, end, [](int64_t) { return false; }, f);
+    }
+
+    /// Per-family form: on_post(post row) and on_comment(comment row).
+    template <typename PostFn, typename CommentFn>
+    void ForEach(size_t begin, size_t end, PostFn&& on_post,
+                 CommentFn&& on_comment) const {
+      ForEachBounded(
+          begin, end, [](int64_t) { return false; }, on_post, on_comment);
     }
 
     /// Bound-pushdown form (CP-1.3): before a zone-mapped block is decoded,
@@ -265,14 +273,32 @@ class Graph {
     template <typename SkipFn, typename F>
     void ForEachBounded(size_t begin, size_t end, SkipFn&& skip,
                         F&& f) const {
+      ForEachBounded(
+          begin, end, skip, [&f](uint32_t post) { f(MessageOfPost(post)); },
+          [&f](uint32_t comment) { f(MessageOfComment(comment)); });
+    }
+
+    /// Per-family bound-pushdown form, the one the others wrap: each
+    /// decoded block hands its live posts to on_post(post row), then its
+    /// live comments to on_comment(comment row) (see
+    /// MessageDateIndex::ScanWindow), so a kernel reads each family's
+    /// columns without a per-row family branch.
+    template <typename SkipFn, typename PostFn, typename CommentFn>
+    void ForEachBounded(size_t begin, size_t end, SkipFn&& skip,
+                        PostFn&& on_post, CommentFn&& on_comment) const {
       const MessageDateIndex& index = graph_->message_index_;
       if (!graph_->HasDeadMessages()) {
-        index.ScanWindow(window_, begin, end, skip, f);
+        index.ScanWindow(window_, begin, end, skip, on_post, on_comment);
         return;
       }
-      index.ScanWindow(window_, begin, end, skip, [this, &f](uint32_t msg) {
-        if (graph_->MessageAlive(msg)) f(msg);
-      });
+      index.ScanWindow(
+          window_, begin, end, skip,
+          [this, &on_post](uint32_t post) {
+            if (graph_->PostAlive(post)) on_post(post);
+          },
+          [this, &on_comment](uint32_t comment) {
+            if (graph_->CommentAlive(comment)) on_comment(comment);
+          });
     }
 
    private:
@@ -287,15 +313,6 @@ class Graph {
   MessageRangeView MessageRange(core::DateTime start,
                                 core::DateTime end) const {
     return {this, message_index_.ResolveWindow(start, end)};
-  }
-
-  /// Visits exactly the live messages with creationDate in [start, end):
-  /// the whole of MessageRange(start, end) in one slice.
-  template <typename F>
-  void ForEachMessageInRange(core::DateTime start, core::DateTime end,
-                             F&& f) const {
-    const MessageRangeView range = MessageRange(start, end);
-    range.ForEach(0, range.size(), f);
   }
 
   /// The underlying creation-date index (zone-map introspection for tests
@@ -314,8 +331,10 @@ class Graph {
     return IsPost(msg) ? post_country_[msg] : comment_country_[AsComment(msg)];
   }
   int32_t MessageLength(uint32_t msg) const {
-    return IsPost(msg) ? post_length_[msg] : comment_length_[AsComment(msg)];
+    return IsPost(msg) ? PostLength(msg) : CommentLength(AsComment(msg));
   }
+  int32_t PostLength(uint32_t i) const { return post_length_[i]; }
+  int32_t CommentLength(uint32_t i) const { return comment_length_[i]; }
   /// External ids, each in the id space of its entity type.
   core::Id PostId(uint32_t i) const { return post_id_[i]; }
   core::Id CommentId(uint32_t i) const { return comment_id_[i]; }
@@ -333,8 +352,12 @@ class Graph {
   }
   /// False for image posts (and for any message with empty content).
   bool MessageHasContent(uint32_t msg) const {
-    return IsPost(msg) ? !post_content_.At(msg).empty()
-                       : !comment_content_.At(AsComment(msg)).empty();
+    return IsPost(msg) ? PostHasContent(msg)
+                       : CommentHasContent(AsComment(msg));
+  }
+  bool PostHasContent(uint32_t i) const { return !post_content_.At(i).empty(); }
+  bool CommentHasContent(uint32_t i) const {
+    return !comment_content_.At(i).empty();
   }
   /// The raw content / imageFile of a post (exactly one is nonempty).
   std::string_view PostContent(uint32_t i) const { return post_content_.At(i); }
@@ -569,6 +592,18 @@ class Graph {
   }
   static uint64_t UnorderedEdgeKey(uint32_t a, uint32_t b) {
     return a < b ? EdgeKey(a, b) : EdgeKey(b, a);
+  }
+
+  /// A raw adjacency degree of `msg` minus its dead-edge delta.
+  static int64_t LiveDegree(
+      size_t degree, const std::unordered_map<uint32_t, uint32_t>& dead,
+      uint32_t msg) {
+    int64_t n = static_cast<int64_t>(degree);
+    if (!dead.empty()) {
+      auto it = dead.find(msg);
+      if (it != dead.end()) n -= it->second;
+    }
+    return n;
   }
 
   bool HasDeadMessages() const {

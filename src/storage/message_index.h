@@ -177,18 +177,28 @@ class MessageDateIndex {
   }
 
   /// Visits the in-window messages at scan positions [pos_begin, pos_end)
-  /// of `w`: base entries in date order, then tail entries in arrival
-  /// order. Tail blocks whose date zone misses the window are skipped
-  /// whole. Before any block is decoded, `skip(block_max_likes)` is offered
-  /// its like-count zone max — a true return prunes the block unseen
-  /// (CP-1.3 over the CP-2.2/2.3 zones); `skip` must be monotone in its
-  /// argument (a block max that fails implies every member fails). A block
-  /// split across slices counts its skip once, in the slice holding the
-  /// block's first position.
-  template <typename SkipFn, typename F>
+  /// of `w`, one family at a time: on_post(post row) for posts and
+  /// on_comment(comment row) for comments. Base entries come in date
+  /// order, then tail entries in arrival order; within each decoded block
+  /// the block's posts come first, then its comments. Tail blocks whose
+  /// date zone misses the window are skipped whole. Before any block is
+  /// decoded, `skip(block_max_likes)` is offered its like-count zone max —
+  /// a true return prunes the block unseen (CP-1.3 over the CP-2.2/2.3
+  /// zones); `skip` must be monotone in its argument (a block max that
+  /// fails implies every member fails). A block split across slices counts
+  /// its skip once, in the slice holding the block's first position.
+  ///
+  /// Why per family: the index interleaves posts and comments about 50/50,
+  /// so a per-row "post or comment?" branch in a kernel mispredicts half
+  /// the time (CP-4.3). Each decoded block is partitioned branch-free into
+  /// a post run and a comment run on the stack, and each run is handed to
+  /// a callback that knows its family statically.
+  template <typename SkipFn, typename PostFn, typename CommentFn>
   void ScanWindow(const Window& w, size_t pos_begin, size_t pos_end,
-                  SkipFn&& skip, F&& f) const {
+                  SkipFn&& skip, PostFn&& on_post,
+                  CommentFn&& on_comment) const {
     const size_t kBlock = columnar::ColumnBlock::kMaxValues;
+    FamilyRuns runs;
     const size_t base_n = w.base_hi - w.base_lo;
     size_t i = w.base_lo + std::min(pos_begin, base_n);
     const size_t base_end = w.base_lo + std::min(pos_end, base_n);
@@ -200,7 +210,9 @@ class MessageDateIndex {
         continue;
       }
       CountRowsDecoded(block_end - i);
-      for (; i < block_end; ++i) f(base_refs_[i]);
+      runs.Clear();
+      for (; i < block_end; ++i) runs.Add(base_refs_[i], 1);
+      runs.Visit(on_post, on_comment);
     }
     size_t t = pos_begin > base_n ? pos_begin - base_n : 0;
     const size_t tail_end =
@@ -221,11 +233,13 @@ class MessageDateIndex {
         continue;
       }
       CountRowsDecoded(block_end - t);
+      runs.Clear();
       for (; t < block_end; ++t) {
-        if (tail_dates_[t] >= w.start && tail_dates_[t] < w.end) {
-          f(tail_refs_[t]);
-        }
+        const core::DateTime d = tail_dates_[t];
+        runs.Add(tail_refs_[t],
+                 static_cast<uint32_t>(d >= w.start) & (d < w.end));
       }
+      runs.Visit(on_post, on_comment);
     }
   }
 
@@ -270,6 +284,33 @@ class MessageDateIndex {
 
  private:
   friend struct TestAccess;  // corruption seeding in tests (test_access.h)
+
+  /// One decoded block split by family: every ref is written to both
+  /// buffers and only its family's cursor advances (by `keep`, 0 or 1), so
+  /// the split has no data-dependent branch. Lives on the scanning thread's
+  /// stack: 8 KiB for a full base block.
+  struct FamilyRuns {
+    static constexpr uint32_t kCommentBit = 0x80000000u;
+
+    uint32_t posts[columnar::ColumnBlock::kMaxValues];
+    uint32_t comments[columnar::ColumnBlock::kMaxValues];
+    size_t num_posts = 0;
+    size_t num_comments = 0;
+
+    void Clear() { num_posts = num_comments = 0; }
+    void Add(uint32_t ref, uint32_t keep) {
+      const uint32_t is_comment = ref >> 31;
+      posts[num_posts] = ref;
+      comments[num_comments] = ref & ~kCommentBit;
+      num_posts += keep & (is_comment ^ 1u);
+      num_comments += keep & is_comment;
+    }
+    template <typename PostFn, typename CommentFn>
+    void Visit(PostFn& on_post, CommentFn& on_comment) const {
+      for (size_t k = 0; k < num_posts; ++k) on_post(posts[k]);
+      for (size_t k = 0; k < num_comments; ++k) on_comment(comments[k]);
+    }
+  };
 
   /// Base-date blocks overlapped by positions [lo, hi).
   static size_t TouchedBlocks(size_t lo, size_t hi) {

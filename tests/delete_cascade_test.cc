@@ -9,7 +9,8 @@
 //     bit-identical to loading the post-delete dataset from scratch, and to
 //     the naive engine, with no pool and under 1/2/4/8-thread pools, and
 //     identical whether the published snapshot is compacted or still
-//     carries tombstones (scan-path bit-identity);
+//     carries tombstones (scan-path bit-identity); BI 18 and 19 answer the
+//     tombstoned graph like the naive engine on its compaction;
 //   - a torn cascade (fail-point mid-stage) returns non-OK, leaves the
 //     tombstone epoch unbumped, and the torn graph is *detectable* — the
 //     new validator invariants name the damage;
@@ -275,6 +276,42 @@ TEST_F(DeleteCascadeTest, BiResultsMatchFromScratchLoadAcrossPools) {
     ExpectSameProbes(RunProbes(oracle, &pool), expected,
                      "clean load, " + std::to_string(threads) + " threads");
   }
+}
+
+// BI 18 and 19 take no pool but read through the tombstone filters too:
+// every curated BI 18 binding, and BI 19 over every pair of the tag classes
+// that tag a forum, with a date before every birthday, so each dead
+// comment, membership, forum and knows edge can move a count.
+TEST_F(DeleteCascadeTest, Bi18And19MatchNaiveOnTheCompaction) {
+  std::unique_ptr<Graph> owned = TombstonedGraph();
+  const Graph& tombstoned = *owned;
+  const Graph compacted(ExportNetwork(tombstoned),
+                        tombstoned.CompactionEpoch() + 1);
+  ASSERT_FALSE(Fixture().probes.bi18.empty());
+  for (const bi::Bi18Params& b : Fixture().probes.bi18) {
+    EXPECT_EQ(bi::RunBi18(tombstoned, b), bi::naive::RunBi18(compacted, b));
+  }
+
+  std::set<std::string> classes;
+  for (uint32_t f = 0; f < compacted.NumForums(); ++f) {
+    compacted.ForumTags().ForEach(f, [&](uint32_t tag) {
+      classes.insert(
+          compacted.TagClassAt(compacted.TagClassOfTag(tag)).name);
+    });
+  }
+  ASSERT_GE(classes.size(), 2u);
+  size_t answered = 0;
+  for (const std::string& class1 : classes) {
+    for (const std::string& class2 : classes) {
+      if (class2 < class1) continue;
+      const bi::Bi19Params b{core::DateFromCivil(1900, 1, 1), class1, class2};
+      const std::vector<bi::Bi19Row> rows = bi::RunBi19(tombstoned, b);
+      EXPECT_EQ(rows, bi::naive::RunBi19(compacted, b))
+          << class1 << " / " << class2;
+      answered += rows.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(answered, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 // Tests for the parallel execution paths: every morsel-partitioned kernel
 // (CP-1.2) must be bit-identical to the naive engine with no pool (one slot
 // inline) and at every pool size; the creation-date index must visit
-// exactly the messages a filtered full scan visits, under any partition of
-// its scan positions and including messages appended to the unsorted tail
-// by updates; the tag-class posting-list walks of BI 9/20/24 must count a
-// message once however many of the class's tags it lists, through
-// descendant classes and insert-overflow chains; cancellation must surface
-// from inside a morsel loop without wedging the pool.
+// exactly the live messages a filtered full scan visits (family by family
+// in its per-family form), under any partition of its scan positions and
+// including messages appended to the unsorted tail by updates and
+// tombstoned messages of the base and the tail; the tag-class posting-list
+// walks of BI 9/20/24 must count a message once however many of the class's
+// tags it lists, through descendant classes and insert-overflow chains;
+// cancellation must surface from inside a morsel loop without wedging the
+// pool.
 
 #include <gtest/gtest.h>
 
@@ -331,8 +333,9 @@ class MessageIndexFixture : public ::testing::Test {
 
   std::vector<uint32_t> RangeScan(core::DateTime start, core::DateTime end) {
     std::vector<uint32_t> out;
-    graph().ForEachMessageInRange(start, end,
-                                  [&](uint32_t msg) { out.push_back(msg); });
+    const storage::Graph::MessageRangeView view =
+        graph().MessageRange(start, end);
+    view.ForEach(0, view.size(), [&](uint32_t msg) { out.push_back(msg); });
     std::sort(out.begin(), out.end());
     return out;
   }
@@ -356,49 +359,115 @@ TEST_F(MessageIndexFixture, RangeScanVisitsExactlyTheWindowMessages) {
 }
 
 TEST_F(MessageIndexFixture, RangeViewSlicesPartitionTheRangeScan) {
+  using storage::Graph;
   const core::DateTime start = core::DateTimeFromCivil(2010, 6, 1);
   const core::DateTime end = core::DateTimeFromCivil(2010, 9, 1);
-  // Three tail blocks: one in the window, one straddling its end, one past
-  // it (date-skipped whole).
+  // Three tail blocks of posts and comments, alternating: one in the
+  // window, one straddling its end, one past it (date-skipped whole).
   for (uint32_t i = 0; i < 600; ++i) {
-    core::Post post =
-        storage::ExportPost(graph(), i % graph().NumPosts());
-    post.id = (1u << 30) + i;
-    post.creation_date =
+    const core::DateTime date =
         i < 300 ? start + i * core::kMillisPerDay / 4
                 : core::DateTimeFromCivil(2030, 6, 15);
-    graph().AddPost(post);
+    if (i % 2 == 0) {
+      core::Post post = storage::ExportPost(graph(), i % graph().NumPosts());
+      post.id = (1u << 30) + i;
+      post.creation_date = date;
+      ASSERT_NE(graph().AddPost(post), storage::kNoIdx);
+    } else {
+      core::Comment comment =
+          storage::ExportComment(graph(), i % graph().NumComments());
+      comment.id = (1u << 30) + i;
+      comment.creation_date = date;
+      ASSERT_NE(graph().AddComment(comment), storage::kNoIdx);
+    }
   }
   ASSERT_EQ(graph().MessageIndex().NumTailBlocks(), 3u);
 
-  const storage::Graph::MessageRangeView view =
-      graph().MessageRange(start, end);
-  auto scan = [&](size_t width, storage::ScanStats& stats) {
-    storage::ScopedScanStats guard(&stats);
-    std::vector<uint32_t> visited;
-    for (size_t begin = 0; begin < view.size(); begin += width) {
-      view.ForEach(begin, std::min(view.size(), begin + width),
-                   [&](uint32_t msg) { visited.push_back(msg); });
-    }
-    std::sort(visited.begin(), visited.end());
-    return visited;
+  // Tombstone a few in-window posts and comments of the base and the tail
+  // (the cascades take their reply subtrees along).
+  std::vector<uint32_t> in_window = FilteredFullScan(start, end);
+  std::vector<uint32_t> window_posts, window_comments;
+  for (uint32_t msg : in_window) {
+    (Graph::IsPost(msg) ? window_posts : window_comments)
+        .push_back(Graph::MessageRow(msg));
+  }
+  ASSERT_GT(window_comments.size(), 40u);
+  ASSERT_GT(window_posts.size(), 40u);
+  for (size_t k = 0; k < 4; ++k) {
+    const uint32_t post = window_posts[k * 10];
+    const uint32_t comment = window_comments[k * 10];
+    const uint32_t tail_post = window_posts[window_posts.size() - 1 - k];
+    const uint32_t tail_comment =
+        window_comments[window_comments.size() - 1 - k];
+    ASSERT_TRUE(graph().DeletePost(graph().PostId(post)).ok());
+    ASSERT_TRUE(graph().DeleteComment(graph().CommentId(comment)).ok());
+    ASSERT_TRUE(graph().DeletePost(graph().PostId(tail_post)).ok());
+    ASSERT_TRUE(graph().DeleteComment(graph().CommentId(tail_comment)).ok());
+  }
+  const std::vector<uint32_t> expected = FilteredFullScan(start, end);
+  ASSERT_LT(expected.size(), in_window.size());
+  std::vector<uint32_t> live_posts, live_comments;
+  for (uint32_t msg : expected) {
+    (Graph::IsPost(msg) ? live_posts : live_comments)
+        .push_back(Graph::MessageRow(msg));
+  }
+
+  const Graph::MessageRangeView view = graph().MessageRange(start, end);
+  // Both forms over slices of `width` positions: the per-family form's
+  // post and comment rows, sorted, and the single-callback form's
+  // message references, sorted, each scan with its own counters.
+  struct Scan {
+    std::vector<uint32_t> posts, comments, messages;
+    storage::ScanStats family_stats, single_stats;
   };
-  storage::ScanStats whole;
-  const std::vector<uint32_t> expected = scan(view.size(), whole);
-  EXPECT_EQ(expected, FilteredFullScan(start, end));
-  EXPECT_GT(whole.blocks_skipped_date.load(), 0u);
+  auto scan = [&](size_t width, Scan& out) {
+    for (size_t begin = 0; begin < view.size(); begin += width) {
+      const size_t slice_end = std::min(view.size(), begin + width);
+      {
+        storage::ScopedScanStats guard(&out.family_stats);
+        view.ForEach(
+            begin, slice_end,
+            [&](uint32_t post) { out.posts.push_back(post); },
+            [&](uint32_t comment) { out.comments.push_back(comment); });
+      }
+      storage::ScopedScanStats guard(&out.single_stats);
+      view.ForEach(begin, slice_end,
+                   [&](uint32_t msg) { out.messages.push_back(msg); });
+    }
+    std::sort(out.posts.begin(), out.posts.end());
+    std::sort(out.comments.begin(), out.comments.end());
+    std::sort(out.messages.begin(), out.messages.end());
+  };
+  Scan whole;
+  scan(view.size(), whole);
+  EXPECT_EQ(whole.messages, expected);
+  EXPECT_EQ(whole.posts, live_posts);
+  EXPECT_EQ(whole.comments, live_comments);
+  EXPECT_GT(whole.single_stats.blocks_skipped_date.load(), 0u);
   // Slice widths that split base and tail blocks, on and off block bounds:
   // the same messages, and the same decode/skip counts, as one slice.
   for (size_t width : {size_t{1}, size_t{7}, size_t{256}, size_t{1000},
                        size_t{1024}}) {
-    storage::ScanStats sliced;
-    EXPECT_EQ(scan(width, sliced), expected) << "width=" << width;
-    EXPECT_EQ(sliced.rows_decoded.load(), whole.rows_decoded.load())
-        << "width=" << width;
-    EXPECT_EQ(sliced.blocks_skipped_date.load(),
-              whole.blocks_skipped_date.load())
-        << "width=" << width;
+    Scan sliced;
+    scan(width, sliced);
+    EXPECT_EQ(sliced.posts, live_posts) << "width=" << width;
+    EXPECT_EQ(sliced.comments, live_comments) << "width=" << width;
+    EXPECT_EQ(sliced.messages, expected) << "width=" << width;
+    for (const storage::ScanStats* stats :
+         {&sliced.family_stats, &sliced.single_stats}) {
+      EXPECT_EQ(stats->rows_decoded.load(),
+                whole.single_stats.rows_decoded.load())
+          << "width=" << width;
+      EXPECT_EQ(stats->blocks_skipped_date.load(),
+                whole.single_stats.blocks_skipped_date.load())
+          << "width=" << width;
+      EXPECT_EQ(stats->blocks_skipped_bound.load(),
+                whole.single_stats.blocks_skipped_bound.load())
+          << "width=" << width;
+    }
   }
+  EXPECT_EQ(whole.family_stats.rows_decoded.load(),
+            whole.single_stats.rows_decoded.load());
 }
 
 TEST_F(MessageIndexFixture, OneMonthWindowExaminesStrictlyFewerCandidates) {
