@@ -62,12 +62,8 @@ void BM_Ic9_RandomParams(benchmark::State& state) {
   util::Rng rng(1234);
   std::vector<core::Id> persons;
   for (size_t i = 0; i < data.params.ic9.size(); ++i) {
-    persons.push_back(data.graph
-                          .PersonAt(static_cast<uint32_t>(rng.UniformInt(
-                              0,
-                              static_cast<int64_t>(data.graph.NumPersons()) -
-                                  1)))
-                          .id);
+    persons.push_back(data.graph.PersonId(static_cast<uint32_t>(rng.UniformInt(
+        0, static_cast<int64_t>(data.graph.NumPersons()) - 1))));
   }
   MeasureVariance(state, persons);
 }
@@ -113,12 +109,8 @@ void BM_WorkVariance_Random(benchmark::State& state) {
   util::Rng rng(777);
   std::vector<core::Id> persons;
   for (size_t i = 0; i < data.params.ic2.size(); ++i) {
-    persons.push_back(data.graph
-                          .PersonAt(static_cast<uint32_t>(rng.UniformInt(
-                              0,
-                              static_cast<int64_t>(data.graph.NumPersons()) -
-                                  1)))
-                          .id);
+    persons.push_back(data.graph.PersonId(static_cast<uint32_t>(rng.UniformInt(
+        0, static_cast<int64_t>(data.graph.NumPersons()) - 1))));
   }
   double cv = 0;
   for (auto _ : state) {

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "datagen/datagen.h"
 #include "interactive/interactive.h"
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (graph.Knows().Degree(p) > graph.Knows().Degree(me_idx)) me_idx = p;
   }
-  core::Id me = graph.PersonAt(me_idx).id;
+  core::Id me = graph.PersonId(me_idx);
 
   auto profile = interactive::RunIs1(graph, me);
   std::printf("Logged in as %s %s (person %lld, %zu friends)\n",
@@ -71,13 +72,13 @@ int main(int argc, char** argv) {
   std::printf("\n-- Posting an update (IU 6) --\n");
   uint32_t wall = storage::kNoIdx;
   graph.PersonModerates().ForEach(me_idx, [&](uint32_t forum) {
-    if (graph.ForumAt(forum).kind == core::ForumKind::kWall) wall = forum;
+    if (graph.ForumKind(forum) == core::ForumKind::kWall) wall = forum;
   });
   core::Post post;
   post.id = static_cast<core::Id>(graph.NumPosts()) + 1000000;
   post.creation_date = core::DateTimeFromCivil(2012, 12, 30, 12, 0, 0);
   post.creator = me;
-  post.forum = graph.ForumAt(wall).id;
+  post.forum = graph.ForumId(wall);
   post.country = graph.PlaceAt(graph.PersonCountry(me_idx)).id;
   post.language = "en";
   post.content = "Trying out the new analytics dashboard!";
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
   graph.AddPost(post);
   std::printf("  posted message %lld to \"%s\"\n",
               static_cast<long long>(post.id),
-              graph.ForumAt(wall).title.c_str());
+              std::string(graph.ForumTitle(wall)).c_str());
 
   if (!friends.empty()) {
     graph.AddLikePost(friends[0].person_id, post.id,

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   }
 
   // 4. An Interactive read: IC 13 shortest path between two persons.
-  core::Id a = graph.PersonAt(0).id;
-  core::Id b = graph.PersonAt(static_cast<uint32_t>(graph.NumPersons() / 2)).id;
+  core::Id a = graph.PersonId(0);
+  core::Id b = graph.PersonId(static_cast<uint32_t>(graph.NumPersons() / 2));
   interactive::Ic13Row path = interactive::RunIc13(graph, {a, b});
   std::printf("\nIC 13 — shortest knows-path between person %lld and %lld: "
               "%d hops\n",

@@ -11,10 +11,11 @@
 #                       races and lock-order inversions both fail the stage
 #   6. ASan           — fail-point + crash-recovery tests, the range-scan
 #                       and kernel cross-checks (per-block stack buffers,
-#                       partial-block slices) under -fsanitize=address,
-#                       then the delete-cascade crash loop (torn cascades
-#                       at every graph.delete.* stage) via ctest so its
-#                       600 s TIMEOUT governs the forks
+#                       partial-block slices), the storage, export and
+#                       Interactive tests (string and list columns) under
+#                       -fsanitize=address, then the delete-cascade crash
+#                       loop (torn cascades at every graph.delete.* stage)
+#                       via ctest so its 600 s TIMEOUT governs the forks
 #   7. fuzz smoke     — the parser/decoder fuzz harnesses, fixed-iteration
 #                       deterministic replay under ASan+UBSan
 #   8. scale smoke    — streaming datagen at 10× the bench scale under a
@@ -82,13 +83,19 @@ echo "== ASan: crash-recovery loop and range-scan kernels under -fsanitize=addre
 # range scan partitions every decoded block into per-family stack buffers;
 # parallel_test slices it at widths that split blocks, and
 # bi_crossval_test runs every kernel over bulk-loaded and updated graphs.
+# Person, forum and message rows live in offset-addressed string and list
+# columns; storage_test and recovery_test append, copy and export them,
+# and interactive_test reads them through the IC/IS kernels.
 cmake -B "$repo/build-asan" -S "$repo" -DSNB_SANITIZE=address
 cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
-  parallel_test bi_crossval_test
+  parallel_test bi_crossval_test storage_test recovery_test interactive_test
 "$repo/build-asan/tests/failpoint_test"
 "$repo/build-asan/tests/wal_recovery_test"
 "$repo/build-asan/tests/parallel_test"
 "$repo/build-asan/tests/bi_crossval_test"
+"$repo/build-asan/tests/storage_test"
+"$repo/build-asan/tests/recovery_test"
+"$repo/build-asan/tests/interactive_test"
 
 echo "== ASan: delete-cascade crash loop =="
 # Torn cascades at every graph.delete.* stage: the tests arm each cascade

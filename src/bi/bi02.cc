@@ -34,7 +34,7 @@ std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params,
   // Age group: whole 5-year buckets of the person's age at simulation end.
   auto age_group_of = [&](uint32_t person) {
     core::DateTime birth =
-        core::DateTimeFromDate(graph.PersonAt(person).birthday);
+        core::DateTimeFromDate(graph.PersonBirthday(person));
     int64_t years = (sim_end - birth) / (365 * core::kMillisPerDay);
     return static_cast<int32_t>(years / 5);
   };

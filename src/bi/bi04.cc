@@ -27,9 +27,10 @@ std::vector<Bi4Row> RunBi4(const Graph& graph, const Bi4Params& params) {
         if (has_class_tag) ++post_count;
       });
       if (post_count == 0) return;
-      const core::Forum& f = graph.ForumAt(forum);
-      rows.push_back({f.id, f.title, f.creation_date,
-                      graph.PersonAt(moderator).id, post_count});
+      rows.push_back({graph.ForumId(forum),
+                      std::string(graph.ForumTitle(forum)),
+                      graph.ForumCreation(forum), graph.PersonId(moderator),
+                      post_count});
     });
   });
 

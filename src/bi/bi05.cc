@@ -35,7 +35,7 @@ std::vector<Bi5Row> RunBi5(const Graph& graph, const Bi5Params& params) {
   };
   engine::TopK<ForumPop, decltype(forum_better)> top_forums(100, forum_better);
   for (const auto& [forum, members] : popularity) {
-    top_forums.Add({forum, graph.ForumAt(forum).id, members});
+    top_forums.Add({forum, graph.ForumId(forum), members});
   }
   std::vector<ForumPop> forums = top_forums.Take();
 
@@ -58,9 +58,10 @@ std::vector<Bi5Row> RunBi5(const Graph& graph, const Bi5Params& params) {
 
   rows.reserve(post_count.size());
   for (const auto& [person, count] : post_count) {
-    const core::Person& rec = graph.PersonAt(person);
-    rows.push_back(
-        {rec.id, rec.first_name, rec.last_name, rec.creation_date, count});
+    rows.push_back({graph.PersonId(person),
+                    std::string(graph.PersonFirstName(person)),
+                    std::string(graph.PersonLastName(person)),
+                    graph.PersonCreation(person), count});
   }
   engine::SortAndLimit(
       rows,

@@ -84,7 +84,7 @@ std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params,
       storage::CountRowsSkippedBound(1);
       continue;
     }
-    Cand c{graph.PersonAt(person).id, a.replies, a.likes, a.messages, score};
+    Cand c{graph.PersonId(person), a.replies, a.likes, a.messages, score};
     if (top.Add(c)) top.PublishBound(bound, key_of);
   }
 

@@ -58,7 +58,7 @@ std::vector<Bi7Row> RunBi7(const Graph& graph, const Bi7Params& params) {
       poll.Tick();
       score += popularity(q);
     }
-    rows.push_back({graph.PersonAt(author).id, score});
+    rows.push_back({graph.PersonId(author), score});
   }
   engine::SortAndLimit(
       rows,

@@ -104,7 +104,7 @@ std::vector<Bi9Row> RunBi9(const Graph& graph, const Bi9Params& params,
     if (!graph.ForumAlive(forum) || live_members(forum) <= params.threshold) {
       continue;
     }
-    rows.push_back({graph.ForumAt(forum).id, counts.count1, count2});
+    rows.push_back({graph.ForumId(forum), counts.count1, count2});
   }
   engine::SortAndLimit(
       rows,

@@ -41,7 +41,7 @@ std::vector<Bi10Row> RunBi10(const Graph& graph, const Bi10Params& params) {
   auto emit = [&](uint32_t person) {
     auto s = score.find(person);
     auto fs = friends_score.find(person);
-    rows.push_back({graph.PersonAt(person).id,
+    rows.push_back({graph.PersonId(person),
                     s == score.end() ? 0 : s->second,
                     fs == friends_score.end() ? 0 : fs->second});
   };

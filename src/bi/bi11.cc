@@ -57,7 +57,7 @@ std::vector<Bi11Row> RunBi11(const Graph& graph, const Bi11Params& params) {
   for (const auto& [key, agg] : groups) {
     uint32_t person = static_cast<uint32_t>(key >> 32);
     uint32_t tag = static_cast<uint32_t>(key);
-    rows.push_back({graph.PersonAt(person).id, graph.TagAt(tag).name,
+    rows.push_back({graph.PersonId(person), graph.TagAt(tag).name,
                     agg.likes, agg.replies});
   }
   engine::SortAndLimit(

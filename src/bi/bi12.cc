@@ -65,10 +65,9 @@ std::vector<Bi12Row> RunBi12(const Graph& graph, const Bi12Params& params,
           row.like_count = likes;
           row.creation_date = graph.MessageCreationDate(msg);
           if (!local.WouldAccept(row)) return;  // skip the projection
-          const core::Person& creator =
-              graph.PersonAt(graph.MessageCreator(msg));
-          row.creator_first_name = creator.first_name;
-          row.creator_last_name = creator.last_name;
+          const uint32_t creator = graph.MessageCreator(msg);
+          row.creator_first_name = graph.PersonFirstName(creator);
+          row.creator_last_name = graph.PersonLastName(creator);
           if (local.Add(std::move(row))) local.PublishBound(bound, key_of);
         };
         range.ForEachBounded(

@@ -77,15 +77,16 @@ std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params,
       storage::CountRowsSkippedBound(1);
       continue;
     }
-    Cand c{person, graph.PersonAt(person).id, a.threads, a.messages};
+    Cand c{person, graph.PersonId(person), a.threads, a.messages};
     if (top.Add(c)) top.PublishBound(bound, key_of);
   }
 
   std::vector<Bi14Row> rows;
   for (const Cand& c : top.Take()) {
-    const core::Person& rec = graph.PersonAt(c.person);
-    rows.push_back(
-        {rec.id, rec.first_name, rec.last_name, c.threads, c.messages});
+    rows.push_back({graph.PersonId(c.person),
+                    std::string(graph.PersonFirstName(c.person)),
+                    std::string(graph.PersonLastName(c.person)), c.threads,
+                    c.messages});
   }
   return rows;
 }

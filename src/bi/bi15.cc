@@ -34,7 +34,7 @@ std::vector<Bi15Row> RunBi15(const Graph& graph, const Bi15Params& params) {
 
   for (size_t i = 0; i < locals.size(); ++i) {
     if (counts[i] == floor_avg) {
-      rows.push_back({graph.PersonAt(locals[i]).id, counts[i]});
+      rows.push_back({graph.PersonId(locals[i]), counts[i]});
     }
   }
   engine::SortAndLimit(

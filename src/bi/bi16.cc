@@ -54,7 +54,7 @@ std::vector<Bi16Row> RunBi16(const Graph& graph, const Bi16Params& params) {
   for (const auto& [key, count] : counts) {
     uint32_t person = static_cast<uint32_t>(key >> 32);
     uint32_t tag = static_cast<uint32_t>(key);
-    rows.push_back({graph.PersonAt(person).id, graph.TagAt(tag).name, count});
+    rows.push_back({graph.PersonId(person), graph.TagAt(tag).name, count});
   }
   engine::SortAndLimit(
       rows,

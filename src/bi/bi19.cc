@@ -61,7 +61,7 @@ std::vector<Bi19Row> RunBi19(const Graph& graph, const Bi19Params& params) {
   std::vector<uint32_t> parents;  // one person's replied-to messages
   CancelPoller poll;
   for (uint32_t person = 0; person < num_persons; ++person) {
-    if (graph.PersonAt(person).birthday <= params.date) continue;
+    if (graph.PersonBirthday(person) <= params.date) continue;
     // Gather the direct reply targets first: these loads are independent
     // and overlap, unlike the dependent loads of the chain walks below.
     parents.clear();
@@ -101,7 +101,7 @@ std::vector<Bi19Row> RunBi19(const Graph& graph, const Bi19Params& params) {
       }
     }
     if (interactions > 0) {
-      rows.push_back({graph.PersonAt(person).id, strangers, interactions});
+      rows.push_back({graph.PersonId(person), strangers, interactions});
     }
   }
 

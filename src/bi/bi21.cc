@@ -60,7 +60,7 @@ std::vector<Bi21Row> RunBi21(const Graph& graph, const Bi21Params& params) {
     double score = total_likes == 0 ? 0.0
                                     : static_cast<double>(zombie_likes) /
                                           static_cast<double>(total_likes);
-    rows.push_back({graph.PersonAt(p).id, zombie_likes, total_likes, score});
+    rows.push_back({graph.PersonId(p), zombie_likes, total_likes, score});
   });
 
   engine::SortAndLimit(

@@ -54,7 +54,7 @@ std::vector<Bi22Row> RunBi22(const Graph& graph, const Bi22Params& params) {
   for (const auto& [key, s] : score) {
     uint32_t p1 = static_cast<uint32_t>(key >> 32);
     uint32_t p2 = static_cast<uint32_t>(key);
-    rows.push_back({graph.PersonAt(p1).id, graph.PersonAt(p2).id,
+    rows.push_back({graph.PersonId(p1), graph.PersonId(p2),
                     graph.PlaceAt(graph.PersonCity(p1)).name, s});
   }
   engine::SortAndLimit(

@@ -24,7 +24,7 @@ std::vector<Bi25Row> RunBi25(const Graph& graph, const Bi25Params& params) {
 
   auto forum_in_window = [&](uint32_t msg) {
     uint32_t forum = internal::ForumOfMessage(graph, msg);
-    core::DateTime created = graph.ForumAt(forum).creation_date;
+    core::DateTime created = graph.ForumCreation(forum);
     return created >= start && created < end;
   };
 
@@ -56,7 +56,7 @@ std::vector<Bi25Row> RunBi25(const Graph& graph, const Bi25Params& params) {
   for (const std::vector<uint32_t>& path : paths) {
     Bi25Row row;
     row.person_ids.reserve(path.size());
-    for (uint32_t p : path) row.person_ids.push_back(graph.PersonAt(p).id);
+    for (uint32_t p : path) row.person_ids.push_back(graph.PersonId(p));
     for (size_t i = 0; i + 1 < path.size(); ++i) {
       row.weight += pair_weight(path[i], path[i + 1]);
     }

@@ -6,12 +6,18 @@
 // harness uses the gap as the "system quality" axis of the evaluation.
 //
 // Ground rules for what "naive" may touch:
-//   * entity tables (PersonAt, PostAt, …) and their raw record fields,
+//   * each entity's own attributes — the columns that are the only copy of
+//     a row (PersonBirthday, PersonCity, PersonGender, ForumModerator,
+//     PostForum, MessageCreator, CommentReplyOf, …) and the static tables'
+//     records (PlaceAt, TagAt, …),
 //   * id → index lookups (primary-key access),
-//   * full scans of edge collections (knows, likes, memberships) through
-//     the forward adjacency lists — equivalent to scanning an edge table.
+//   * full scans of edge collections (knows, likes, memberships, interests,
+//     forum and message tags) through the forward adjacency lists —
+//     equivalent to scanning an edge table.
 // It may NOT use reverse indexes (TagPosts, CountryPersons, PostLikers, …),
-// hot columns, or precomputed transitive results.
+// derived columns (PersonCountry, PersonIsFemale, CommentRootPost,
+// CommentForum, the message-date index and zones), or precomputed
+// transitive results.
 
 #ifndef SNB_BI_NAIVE_H_
 #define SNB_BI_NAIVE_H_

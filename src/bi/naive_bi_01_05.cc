@@ -79,13 +79,14 @@ std::vector<Bi2Row> RunBi2(const Graph& graph, const Bi2Params& params) {
     uint32_t creator = graph.MessageCreator(msg);
     uint32_t country = internal::PersonCountrySlow(graph, creator);
     if (country != c1 && country != c2) return;
-    const core::Person& person = graph.PersonAt(creator);
-    int64_t years = (sim_end - core::DateTimeFromDate(person.birthday)) /
-                    (365 * core::kMillisPerDay);
+    int64_t years =
+        (sim_end - core::DateTimeFromDate(graph.PersonBirthday(creator))) /
+        (365 * core::kMillisPerDay);
     int32_t age_group = static_cast<int32_t>(years / 5);
     for (uint32_t tag : internal::MessageTagsSlow(graph, msg)) {
       ++counts[{graph.PlaceAt(country).name, core::Month(created),
-                person.gender, age_group, graph.TagAt(tag).name}];
+                graph.PersonGender(creator), age_group,
+                graph.TagAt(tag).name}];
     }
   };
   graph.ForEachMessage(handle);
@@ -169,13 +170,13 @@ std::vector<Bi4Row> RunBi4(const Graph& graph, const Bi4Params& params) {
 
   std::vector<Bi4Row> rows;
   for (uint32_t forum = 0; forum < graph.NumForums(); ++forum) {
-    const core::Forum& f = graph.ForumAt(forum);
-    uint32_t moderator = graph.PersonIdx(f.moderator);
+    uint32_t moderator = graph.ForumModerator(forum);
     if (internal::PersonCountrySlow(graph, moderator) != country) continue;
     auto it = posts_per_forum.find(forum);
     if (it == posts_per_forum.end()) continue;
-    rows.push_back({f.id, f.title, f.creation_date,
-                    graph.PersonAt(moderator).id, it->second});
+    rows.push_back({graph.ForumId(forum), std::string(graph.ForumTitle(forum)),
+                    graph.ForumCreation(forum), graph.PersonId(moderator),
+                    it->second});
   }
   std::sort(rows.begin(), rows.end(), [](const Bi4Row& a, const Bi4Row& b) {
     if (a.post_count != b.post_count) return a.post_count > b.post_count;
@@ -205,7 +206,7 @@ std::vector<Bi5Row> RunBi5(const Graph& graph, const Bi5Params& params) {
   };
   std::vector<ForumPop> pops;
   for (const auto& [forum, members] : popularity) {
-    pops.push_back({forum, graph.ForumAt(forum).id, members});
+    pops.push_back({forum, graph.ForumId(forum), members});
   }
   std::sort(pops.begin(), pops.end(), [](const ForumPop& a, const ForumPop& b) {
     if (a.members != b.members) return a.members > b.members;
@@ -227,9 +228,10 @@ std::vector<Bi5Row> RunBi5(const Graph& graph, const Bi5Params& params) {
   }
 
   for (const auto& [person, count] : post_count) {
-    const core::Person& rec = graph.PersonAt(person);
-    rows.push_back(
-        {rec.id, rec.first_name, rec.last_name, rec.creation_date, count});
+    rows.push_back({graph.PersonId(person),
+                    std::string(graph.PersonFirstName(person)),
+                    std::string(graph.PersonLastName(person)),
+                    graph.PersonCreation(person), count});
   }
   std::sort(rows.begin(), rows.end(), [](const Bi5Row& a, const Bi5Row& b) {
     if (a.post_count != b.post_count) return a.post_count > b.post_count;

@@ -59,7 +59,7 @@ std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params) {
   });
 
   for (const auto& [person, a] : by_person) {
-    rows.push_back({graph.PersonAt(person).id, a.replies, a.likes, a.messages,
+    rows.push_back({graph.PersonId(person), a.replies, a.likes, a.messages,
                     a.messages + 2 * a.replies + 10 * a.likes});
   }
   std::sort(rows.begin(), rows.end(), [](const Bi6Row& a, const Bi6Row& b) {
@@ -101,7 +101,7 @@ std::vector<Bi7Row> RunBi7(const Graph& graph, const Bi7Params& params) {
       auto it = popularity.find(q);
       if (it != popularity.end()) score += it->second;
     }
-    rows.push_back({graph.PersonAt(author).id, score});
+    rows.push_back({graph.PersonId(author), score});
   }
   std::sort(rows.begin(), rows.end(), [](const Bi7Row& a, const Bi7Row& b) {
     if (a.authority_score != b.authority_score) {
@@ -167,7 +167,7 @@ std::vector<Bi9Row> RunBi9(const Graph& graph, const Bi9Params& params) {
   for (uint32_t forum = 0; forum < graph.NumForums(); ++forum) {
     if (member_count[forum] <= params.threshold) continue;
     if (count1[forum] == 0 && count2[forum] == 0) continue;
-    rows.push_back({graph.ForumAt(forum).id, count1[forum], count2[forum]});
+    rows.push_back({graph.ForumId(forum), count1[forum], count2[forum]});
   }
   std::sort(rows.begin(), rows.end(), [](const Bi9Row& a, const Bi9Row& b) {
     if (a.count1 != b.count1) return a.count1 > b.count1;
@@ -186,9 +186,9 @@ std::vector<Bi10Row> RunBi10(const Graph& graph, const Bi10Params& params) {
 
   std::unordered_map<uint32_t, int64_t> score;
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
-    for (core::Id t : graph.PersonAt(p).interests) {
-      if (graph.TagIdx(t) == tag) score[p] += 100;
-    }
+    graph.PersonInterests().ForEach(p, [&](uint32_t t) {
+      if (t == tag) score[p] += 100;
+    });
   }
   graph.ForEachMessage([&](uint32_t msg) {
     if (graph.MessageCreationDate(msg) <= after) return;
@@ -209,7 +209,7 @@ std::vector<Bi10Row> RunBi10(const Graph& graph, const Bi10Params& params) {
     if (!emitted.insert(person).second) return;
     auto s = score.find(person);
     auto fs = friends_score.find(person);
-    rows.push_back({graph.PersonAt(person).id,
+    rows.push_back({graph.PersonId(person),
                     s == score.end() ? 0 : s->second,
                     fs == friends_score.end() ? 0 : fs->second});
   };

@@ -50,7 +50,7 @@ std::vector<Bi11Row> RunBi11(const Graph& graph, const Bi11Params& params) {
     auto lk = like_counts.find(c);
     int64_t likes = lk == like_counts.end() ? 0 : lk->second;
     for (uint32_t t : tags) {
-      Agg& agg = groups[{graph.PersonAt(person).id, graph.TagAt(t).name}];
+      Agg& agg = groups[{graph.PersonId(person), graph.TagAt(t).name}];
       ++agg.replies;
       agg.likes += likes;
     }
@@ -80,9 +80,10 @@ std::vector<Bi12Row> RunBi12(const Graph& graph, const Bi12Params& params) {
     auto it = like_counts.find(msg);
     int64_t likes = it == like_counts.end() ? 0 : it->second;
     if (likes <= params.like_threshold) return;
-    const core::Person& creator = graph.PersonAt(graph.MessageCreator(msg));
+    const uint32_t creator = graph.MessageCreator(msg);
     rows.push_back({graph.MessageId(msg), graph.MessageCreationDate(msg),
-                    creator.first_name, creator.last_name, likes});
+                    std::string(graph.PersonFirstName(creator)),
+                    std::string(graph.PersonLastName(creator)), likes});
   });
   // Same total tie-break order as the optimized engines (see bi12.cc).
   std::sort(rows.begin(), rows.end(), [](const Bi12Row& a, const Bi12Row& b) {
@@ -166,9 +167,10 @@ std::vector<Bi14Row> RunBi14(const Graph& graph, const Bi14Params& params) {
 
   std::vector<Bi14Row> rows;
   for (const auto& [person, a] : by_person) {
-    const core::Person& rec = graph.PersonAt(person);
-    rows.push_back(
-        {rec.id, rec.first_name, rec.last_name, a.threads, a.messages});
+    rows.push_back({graph.PersonId(person),
+                    std::string(graph.PersonFirstName(person)),
+                    std::string(graph.PersonLastName(person)), a.threads,
+                    a.messages});
   }
   std::sort(rows.begin(), rows.end(), [](const Bi14Row& a, const Bi14Row& b) {
     if (a.message_count != b.message_count) {
@@ -209,7 +211,7 @@ std::vector<Bi15Row> RunBi15(const Graph& graph, const Bi15Params& params) {
 
   for (uint32_t p : locals) {
     if (counts[p] == floor_avg) {
-      rows.push_back({graph.PersonAt(p).id, counts[p]});
+      rows.push_back({graph.PersonId(p), counts[p]});
     }
   }
   std::sort(rows.begin(), rows.end(), [](const Bi15Row& a, const Bi15Row& b) {

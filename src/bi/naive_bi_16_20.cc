@@ -67,7 +67,7 @@ std::vector<Bi16Row> RunBi16(const Graph& graph, const Bi16Params& params) {
     }
     if (!qualifies) return;
     for (uint32_t t : tags) {
-      ++counts[{graph.PersonAt(creator).id, graph.TagAt(t).name}];
+      ++counts[{graph.PersonId(creator), graph.TagAt(t).name}];
     }
   });
   for (const auto& [key, count] : counts) {
@@ -173,12 +173,11 @@ std::vector<Bi19Row> RunBi19(const Graph& graph, const Bi19Params& params) {
   std::vector<bool> class2 =
       internal::TagsOfClassSlow(graph, params.tag_class2, false);
 
-  // Forum → carries tag of class; via forum records.
+  // Forum → carries tag of class; via the forum → tag edges.
   auto forum_in_class = [&](uint32_t forum, const std::vector<bool>& cls) {
-    for (core::Id t : graph.ForumAt(forum).tags) {
-      if (cls[graph.TagIdx(t)]) return true;
-    }
-    return false;
+    bool match = false;
+    graph.ForumTags().ForEach(forum, [&](uint32_t t) { match |= cls[t]; });
+    return match;
   };
   std::vector<bool> in1(graph.NumPersons(), false),
       in2(graph.NumPersons(), false);
@@ -201,7 +200,7 @@ std::vector<Bi19Row> RunBi19(const Graph& graph, const Bi19Params& params) {
   std::unordered_map<uint32_t, Agg> by_person;
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
     uint32_t person = graph.CommentCreator(c);
-    if (graph.PersonAt(person).birthday <= params.date) continue;
+    if (graph.PersonBirthday(person) <= params.date) continue;
     uint32_t msg = graph.CommentReplyOf(c);
     while (true) {
       uint32_t author = graph.MessageCreator(msg);
@@ -219,7 +218,7 @@ std::vector<Bi19Row> RunBi19(const Graph& graph, const Bi19Params& params) {
 
   std::vector<Bi19Row> rows;
   for (const auto& [person, agg] : by_person) {
-    rows.push_back({graph.PersonAt(person).id,
+    rows.push_back({graph.PersonId(person),
                     static_cast<int64_t>(agg.strangers.size()),
                     agg.interactions});
   }

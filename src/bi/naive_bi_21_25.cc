@@ -27,7 +27,7 @@ std::vector<Bi21Row> RunBi21(const Graph& graph, const Bi21Params& params) {
   });
   std::vector<bool> zombie(graph.NumPersons(), false);
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
-    core::DateTime created = graph.PersonAt(p).creation_date;
+    core::DateTime created = graph.PersonCreation(p);
     if (created >= end) continue;
     if (messages[p] < core::MonthsSpanInclusive(created, end)) {
       zombie[p] = true;
@@ -41,7 +41,7 @@ std::vector<Bi21Row> RunBi21(const Graph& graph, const Bi21Params& params) {
   internal::ForEachLike(graph,
                         [&](uint32_t liker, uint32_t msg, core::DateTime) {
     if (graph.MessageCreationDate(msg) >= end) return;
-    if (graph.PersonAt(liker).creation_date >= end) return;
+    if (graph.PersonCreation(liker) >= end) return;
     uint32_t author = graph.MessageCreator(msg);
     if (!zombie[author]) return;
     if (internal::PersonCountrySlow(graph, author) != country) return;
@@ -58,7 +58,7 @@ std::vector<Bi21Row> RunBi21(const Graph& graph, const Bi21Params& params) {
     int64_t tl = it == by_author.end() ? 0 : it->second.total_likes;
     double score =
         tl == 0 ? 0.0 : static_cast<double>(zl) / static_cast<double>(tl);
-    rows.push_back({graph.PersonAt(p).id, zl, tl, score});
+    rows.push_back({graph.PersonId(p), zl, tl, score});
   }
   std::sort(rows.begin(), rows.end(), [](const Bi21Row& a, const Bi21Row& b) {
     if (a.zombie_score != b.zombie_score) {
@@ -103,11 +103,9 @@ std::vector<Bi22Row> RunBi22(const Graph& graph, const Bi22Params& params) {
   });
 
   for (const auto& [pair, s] : score) {
-    rows.push_back({graph.PersonAt(pair.first).id,
-                    graph.PersonAt(pair.second).id,
-                    graph.PlaceAt(graph.PlaceIdx(
-                                      graph.PersonAt(pair.first).city))
-                        .name,
+    rows.push_back({graph.PersonId(pair.first),
+                    graph.PersonId(pair.second),
+                    graph.PlaceAt(graph.PersonCity(pair.first)).name,
                     s});
   }
   std::sort(rows.begin(), rows.end(), [](const Bi22Row& a, const Bi22Row& b) {
@@ -260,7 +258,7 @@ std::vector<Bi25Row> RunBi25(const Graph& graph, const Bi25Params& params) {
     uint32_t post = Graph::IsPost(msg)
                         ? Graph::AsPost(msg)
                         : internal::RootPostSlow(graph, Graph::AsComment(msg));
-    core::DateTime created = graph.ForumAt(graph.PostForum(post)).creation_date;
+    core::DateTime created = graph.ForumCreation(graph.PostForum(post));
     return created >= start && created < end;
   };
   auto pair_weight = [&](uint32_t a, uint32_t b) {
@@ -281,7 +279,7 @@ std::vector<Bi25Row> RunBi25(const Graph& graph, const Bi25Params& params) {
 
   for (const std::vector<uint32_t>& path : paths) {
     Bi25Row row;
-    for (uint32_t p : path) row.person_ids.push_back(graph.PersonAt(p).id);
+    for (uint32_t p : path) row.person_ids.push_back(graph.PersonId(p));
     for (size_t i = 0; i + 1 < path.size(); ++i) {
       row.weight += pair_weight(path[i], path[i + 1]);
     }

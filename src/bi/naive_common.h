@@ -1,6 +1,6 @@
 // Helpers for the naive engine: pointer-chasing equivalents of the optimized
-// engine's precomputed columns and reverse indexes, over person/forum
-// records and the messages' base columns and adjacency. Internal.
+// engine's precomputed columns and reverse indexes, over the base columns
+// and forward adjacency of persons, forums and messages. Internal.
 
 #ifndef SNB_BI_NAIVE_COMMON_H_
 #define SNB_BI_NAIVE_COMMON_H_
@@ -15,10 +15,10 @@ namespace snb::bi::naive::internal {
 using storage::Graph;
 using storage::kNoIdx;
 
-/// Country place index of a person, chased through city records.
+/// Country place index of a person, chased through the city record.
 inline uint32_t PersonCountrySlow(const Graph& graph, uint32_t person) {
-  uint32_t city = graph.PlaceIdx(graph.PersonAt(person).city);
-  return graph.PlaceIdx(graph.PlaceAt(city).part_of);  // a City (Graph checks)
+  const uint32_t city = graph.PersonCity(person);  // a City (Graph checks)
+  return graph.PlaceIdx(graph.PlaceAt(city).part_of);
 }
 
 /// Thread-root post of a comment, chased reply-by-reply.

@@ -15,6 +15,11 @@ namespace snb::driver {
 
 namespace {
 
+// Backoff shape between retries (see RetryConfig).
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffMs = 1000.0;
+constexpr double kJitter = 0.2;
+
 /// Runs `attempt` up to retry.max_attempts times, sleeping exponential
 /// backoff with jitter between tries. Only kTransient failures are retried;
 /// anything else (and an exhausted budget) propagates to the caller.
@@ -28,12 +33,10 @@ util::Status RetryTransient(const RetryConfig& retry, util::Rng& rng,
       return st;
     }
     ++*retries;
-    double jitter_scale =
-        1.0 + retry.jitter * (2.0 * rng.NextDouble() - 1.0);
+    double jitter_scale = 1.0 + kJitter * (2.0 * rng.NextDouble() - 1.0);
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(backoff_ms * jitter_scale));
-    backoff_ms = std::min(backoff_ms * retry.backoff_multiplier,
-                          retry.max_backoff_ms);
+    backoff_ms = std::min(backoff_ms * kBackoffMultiplier, kMaxBackoffMs);
   }
 }
 

@@ -84,13 +84,10 @@ struct RetryConfig {
   /// first attempt counts, so 1 means "no retries".
   int max_attempts = 5;
 
-  /// Exponential backoff: sleep initial_backoff_ms * multiplier^k between
-  /// attempt k and k+1, each scaled by a uniform jitter in
-  /// [1 - jitter, 1 + jitter] to de-synchronize colliding retriers.
+  /// Exponential backoff: sleep initial_backoff_ms * 2^k (at most 1 s)
+  /// between attempt k and k+1, each scaled by a uniform jitter in
+  /// [0.8, 1.2] to de-synchronize colliding retriers.
   double initial_backoff_ms = 1.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 1000.0;
-  double jitter = 0.2;
 };
 
 struct RefreshConfig {

@@ -20,27 +20,26 @@ std::vector<Ic1Row> RunIc1(const Graph& graph, const Ic1Params& params) {
 
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (p == start || dist[p] < 1) continue;
-    const core::Person& rec = graph.PersonAt(p);
-    if (rec.first_name != params.first_name) continue;
+    if (graph.PersonFirstName(p) != params.first_name) continue;
     Ic1Row row;
-    row.friend_id = rec.id;
-    row.last_name = rec.last_name;
+    row.friend_id = graph.PersonId(p);
+    row.last_name = graph.PersonLastName(p);
     row.distance = dist[p];
-    row.birthday = rec.birthday;
-    row.creation_date = rec.creation_date;
-    row.gender = rec.gender;
-    row.browser_used = rec.browser_used;
-    row.location_ip = rec.location_ip;
-    row.emails = rec.emails;
-    row.languages = rec.speaks;
+    row.birthday = graph.PersonBirthday(p);
+    row.creation_date = graph.PersonCreation(p);
+    row.gender = graph.PersonGender(p);
+    row.browser_used = graph.PersonBrowser(p);
+    row.location_ip = graph.PersonLocationIp(p);
+    row.emails = graph.PersonEmails(p);
+    row.languages = graph.PersonSpeaks(p);
     row.city_name = internal::CityName(graph, p);
-    for (const core::StudyAt& s : rec.study_at) {
+    for (const core::StudyAt& s : graph.PersonStudyAt(p)) {
       uint32_t org = graph.OrganisationIdx(s.university);
       uint32_t city = graph.PlaceIdx(graph.OrganisationAt(org).place);
       row.universities.emplace_back(graph.OrganisationAt(org).name,
                                     s.class_year, graph.PlaceAt(city).name);
     }
-    for (const core::WorkAt& w : rec.work_at) {
+    for (const core::WorkAt& w : graph.PersonWorkAt(p)) {
       uint32_t org = graph.OrganisationIdx(w.company);
       uint32_t country = graph.PlaceIdx(graph.OrganisationAt(org).place);
       row.companies.emplace_back(graph.OrganisationAt(org).name, w.work_from,
@@ -76,7 +75,6 @@ std::vector<Ic2Row> RecentMessagesOf(const Graph& graph,
   };
   engine::TopK<Ic2Row, decltype(better)> top(20, better);
   for (uint32_t p : cohort) {
-    const core::Person& rec = graph.PersonAt(p);
     auto handle = [&](uint32_t msg) {
       core::DateTime created = graph.MessageCreationDate(msg);
       if (created >= before) return;
@@ -84,9 +82,9 @@ std::vector<Ic2Row> RecentMessagesOf(const Graph& graph,
       row.creation_date = created;
       row.message_id = graph.MessageId(msg);
       if (!top.WouldAccept(row)) return;
-      row.person_id = rec.id;
-      row.first_name = rec.first_name;
-      row.last_name = rec.last_name;
+      row.person_id = graph.PersonId(p);
+      row.first_name = graph.PersonFirstName(p);
+      row.last_name = graph.PersonLastName(p);
       row.content = graph.MessageContent(msg);
       top.Add(std::move(row));
     };
@@ -138,8 +136,8 @@ std::vector<Ic3Row> RunIc3(const Graph& graph, const Ic3Params& params) {
       handle(Graph::MessageOfComment(comment));
     });
     if (x > 0 && y > 0) {
-      const core::Person& rec = graph.PersonAt(p);
-      rows.push_back({rec.id, rec.first_name, rec.last_name, x, y, x + y});
+      rows.push_back({graph.PersonId(p), std::string(graph.PersonFirstName(p)),
+                      std::string(graph.PersonLastName(p)), x, y, x + y});
     }
   }
   engine::SortAndLimit(
@@ -215,7 +213,8 @@ std::vector<Ic5Row> RunIc5(const Graph& graph, const Ic5Params& params) {
       if (members.contains(graph.PostCreator(post))) ++post_count;
     });
     rows.push_back(
-        {graph.ForumAt(forum).title, graph.ForumAt(forum).id, post_count});
+        {std::string(graph.ForumTitle(forum)), graph.ForumId(forum),
+         post_count});
   }
   engine::SortAndLimit(
       rows,

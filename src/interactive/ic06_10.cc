@@ -80,11 +80,10 @@ std::vector<Ic7Row> RunIc7(const Graph& graph, const Ic7Params& params) {
 
   rows.reserve(best_like.size());
   for (const auto& [liker, b] : best_like) {
-    const core::Person& rec = graph.PersonAt(liker);
     Ic7Row row;
-    row.person_id = rec.id;
-    row.first_name = rec.first_name;
-    row.last_name = rec.last_name;
+    row.person_id = graph.PersonId(liker);
+    row.first_name = graph.PersonFirstName(liker);
+    row.last_name = graph.PersonLastName(liker);
     row.like_creation_date = b.like_date;
     row.message_id = b.message_id;
     row.content = graph.MessageContent(b.msg);
@@ -121,11 +120,10 @@ std::vector<Ic8Row> RunIc8(const Graph& graph, const Ic8Params& params) {
     row.creation_date = graph.CommentCreation(comment);
     row.comment_id = graph.CommentId(comment);
     if (!top.WouldAccept(row)) return;
-    const core::Person& author =
-        graph.PersonAt(graph.CommentCreator(comment));
-    row.person_id = author.id;
-    row.first_name = author.first_name;
-    row.last_name = author.last_name;
+    const uint32_t author = graph.CommentCreator(comment);
+    row.person_id = graph.PersonId(author);
+    row.first_name = graph.PersonFirstName(author);
+    row.last_name = graph.PersonLastName(author);
     row.content = graph.MessageContent(Graph::MessageOfComment(comment));
     top.Add(std::move(row));
   };
@@ -153,7 +151,6 @@ std::vector<Ic9Row> RunIc9(const Graph& graph, const Ic9Params& params) {
   };
   engine::TopK<Ic9Row, decltype(better)> top(20, better);
   for (uint32_t p : cohort) {
-    const core::Person& rec = graph.PersonAt(p);
     auto handle = [&](uint32_t msg) {
       core::DateTime created = graph.MessageCreationDate(msg);
       if (created >= before) return;
@@ -161,9 +158,9 @@ std::vector<Ic9Row> RunIc9(const Graph& graph, const Ic9Params& params) {
       row.creation_date = created;
       row.message_id = graph.MessageId(msg);
       if (!top.WouldAccept(row)) return;
-      row.person_id = rec.id;
-      row.first_name = rec.first_name;
-      row.last_name = rec.last_name;
+      row.person_id = graph.PersonId(p);
+      row.first_name = graph.PersonFirstName(p);
+      row.last_name = graph.PersonLastName(p);
       row.content = graph.MessageContent(msg);
       top.Add(std::move(row));
     };
@@ -198,8 +195,7 @@ std::vector<Ic10Row> RunIc10(const Graph& graph, const Ic10Params& params) {
   std::vector<int32_t> dist = internal::KnowsDistances(graph, start, 2);
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (dist[p] != 2) continue;  // exactly friends-of-friends
-    const core::Person& rec = graph.PersonAt(p);
-    if (!birthday_matches(rec.birthday)) continue;
+    if (!birthday_matches(graph.PersonBirthday(p))) continue;
     int64_t common = 0, uncommon = 0;
     graph.PersonPosts().ForEach(p, [&](uint32_t post) {
       bool has_common = false;
@@ -212,8 +208,9 @@ std::vector<Ic10Row> RunIc10(const Graph& graph, const Ic10Params& params) {
         ++uncommon;
       }
     });
-    rows.push_back({rec.id, rec.first_name, rec.last_name, common - uncommon,
-                    rec.gender, internal::CityName(graph, p)});
+    rows.push_back({graph.PersonId(p), std::string(graph.PersonFirstName(p)),
+                    std::string(graph.PersonLastName(p)), common - uncommon,
+                    graph.PersonGender(p), internal::CityName(graph, p)});
   }
   engine::SortAndLimit(
       rows,

@@ -20,14 +20,14 @@ std::vector<Ic11Row> RunIc11(const Graph& graph, const Ic11Params& params) {
   if (start == kNoIdx || country == kNoIdx) return rows;
 
   for (uint32_t p : internal::FriendsAndFoafs(graph, start)) {
-    const core::Person& rec = graph.PersonAt(p);
-    for (const core::WorkAt& w : rec.work_at) {
+    for (const core::WorkAt& w : graph.PersonWorkAt(p)) {
       if (w.work_from >= params.work_from_year) continue;
       uint32_t org = graph.OrganisationIdx(w.company);
       if (graph.PlaceIdx(graph.OrganisationAt(org).place) != country) {
         continue;
       }
-      rows.push_back({rec.id, rec.first_name, rec.last_name,
+      rows.push_back({graph.PersonId(p), std::string(graph.PersonFirstName(p)),
+                      std::string(graph.PersonLastName(p)),
                       graph.OrganisationAt(org).name, w.work_from});
     }
   }
@@ -86,8 +86,8 @@ std::vector<Ic12Row> RunIc12(const Graph& graph, const Ic12Params& params) {
 
   rows.reserve(by_friend.size());
   for (const auto& [fr, agg] : by_friend) {
-    const core::Person& rec = graph.PersonAt(fr);
-    rows.push_back({rec.id, rec.first_name, rec.last_name,
+    rows.push_back({graph.PersonId(fr), std::string(graph.PersonFirstName(fr)),
+                    std::string(graph.PersonLastName(fr)),
                     {agg.tags.begin(), agg.tags.end()}, agg.replies});
   }
   engine::SortAndLimit(
@@ -145,7 +145,7 @@ std::vector<Ic14Row> RunIc14(const Graph& graph, const Ic14Params& params) {
   for (const std::vector<uint32_t>& path : paths) {
     Ic14Row row;
     for (uint32_t p : path) {
-      row.person_ids_in_path.push_back(graph.PersonAt(p).id);
+      row.person_ids_in_path.push_back(graph.PersonId(p));
     }
     for (size_t i = 0; i + 1 < path.size(); ++i) {
       row.path_weight += pair_weight(path[i], path[i + 1]);

@@ -41,10 +41,6 @@ std::vector<int32_t> EdgeListBfs(const Graph& graph, uint32_t src,
   return dist;
 }
 
-std::string CityNameSlow(const Graph& graph, uint32_t person) {
-  return graph.PlaceAt(graph.PlaceIdx(graph.PersonAt(person).city)).name;
-}
-
 }  // namespace
 
 std::vector<Ic1Row> RunIc1(const Graph& graph, const Ic1Params& params) {
@@ -54,28 +50,27 @@ std::vector<Ic1Row> RunIc1(const Graph& graph, const Ic1Params& params) {
   std::vector<int32_t> dist = EdgeListBfs(graph, start, 3);
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (p == start || dist[p] < 1) continue;
-    const core::Person& rec = graph.PersonAt(p);
-    if (rec.first_name != params.first_name) continue;
+    if (graph.PersonFirstName(p) != params.first_name) continue;
     Ic1Row row;
-    row.friend_id = rec.id;
-    row.last_name = rec.last_name;
+    row.friend_id = graph.PersonId(p);
+    row.last_name = graph.PersonLastName(p);
     row.distance = dist[p];
-    row.birthday = rec.birthday;
-    row.creation_date = rec.creation_date;
-    row.gender = rec.gender;
-    row.browser_used = rec.browser_used;
-    row.location_ip = rec.location_ip;
-    row.emails = rec.emails;
-    row.languages = rec.speaks;
-    row.city_name = CityNameSlow(graph, p);
-    for (const core::StudyAt& s : rec.study_at) {
+    row.birthday = graph.PersonBirthday(p);
+    row.creation_date = graph.PersonCreation(p);
+    row.gender = graph.PersonGender(p);
+    row.browser_used = graph.PersonBrowser(p);
+    row.location_ip = graph.PersonLocationIp(p);
+    row.emails = graph.PersonEmails(p);
+    row.languages = graph.PersonSpeaks(p);
+    row.city_name = graph.PlaceAt(graph.PersonCity(p)).name;
+    for (const core::StudyAt& s : graph.PersonStudyAt(p)) {
       const core::Organisation& org =
           graph.OrganisationAt(graph.OrganisationIdx(s.university));
       row.universities.emplace_back(
           org.name, s.class_year,
           graph.PlaceAt(graph.PlaceIdx(org.place)).name);
     }
-    for (const core::WorkAt& w : rec.work_at) {
+    for (const core::WorkAt& w : graph.PersonWorkAt(p)) {
       const core::Organisation& org =
           graph.OrganisationAt(graph.OrganisationIdx(w.company));
       row.companies.emplace_back(
@@ -107,8 +102,9 @@ std::vector<Ic2Row> MessagesOfCohort(const Graph& graph,
     if (!cohort[creator]) return;
     core::DateTime created = graph.MessageCreationDate(msg);
     if (created >= before) return;
-    const core::Person& rec = graph.PersonAt(creator);
-    rows.push_back({rec.id, rec.first_name, rec.last_name,
+    rows.push_back({graph.PersonId(creator),
+                    std::string(graph.PersonFirstName(creator)),
+                    std::string(graph.PersonLastName(creator)),
                     graph.MessageId(msg),
                     std::string(graph.MessageContent(msg)), created});
   });
@@ -163,8 +159,8 @@ std::vector<Ic3Row> RunIc3(const Graph& graph, const Ic3Params& params) {
   });
   for (const auto& [p, xy] : counts) {
     if (xy.first > 0 && xy.second > 0) {
-      const core::Person& rec = graph.PersonAt(p);
-      rows.push_back({rec.id, rec.first_name, rec.last_name, xy.first,
+      rows.push_back({graph.PersonId(p), std::string(graph.PersonFirstName(p)),
+                      std::string(graph.PersonLastName(p)), xy.first,
                       xy.second, xy.first + xy.second});
     }
   }
@@ -241,7 +237,8 @@ std::vector<Ic5Row> RunIc5(const Graph& graph, const Ic5Params& params) {
       }
     }
     rows.push_back(
-        {graph.ForumAt(forum).title, graph.ForumAt(forum).id, post_count});
+        {std::string(graph.ForumTitle(forum)), graph.ForumId(forum),
+         post_count});
   }
   std::sort(rows.begin(), rows.end(), [](const Ic5Row& a, const Ic5Row& b) {
     if (a.post_count != b.post_count) return a.post_count > b.post_count;
@@ -307,8 +304,9 @@ std::vector<Ic7Row> RunIc7(const Graph& graph, const Ic7Params& params) {
     if (b == start) friends[a] = true;
   });
   for (const auto& [liker, b] : best_like) {
-    const core::Person& rec = graph.PersonAt(liker);
-    rows.push_back({rec.id, rec.first_name, rec.last_name, b.like_date,
+    rows.push_back({graph.PersonId(liker),
+                    std::string(graph.PersonFirstName(liker)),
+                    std::string(graph.PersonLastName(liker)), b.like_date,
                     b.message_id, std::string(graph.MessageContent(b.msg)),
                     core::MinutesBetween(b.message_date, b.like_date),
                     !friends[liker]});

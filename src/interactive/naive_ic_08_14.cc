@@ -50,10 +50,11 @@ std::vector<Ic8Row> RunIc8(const Graph& graph, const Ic8Params& params) {
   for (uint32_t c = 0; c < graph.NumComments(); ++c) {
     uint32_t parent = graph.CommentReplyOf(c);
     if (graph.MessageCreator(parent) != start) continue;
-    const core::Person& author = graph.PersonAt(graph.CommentCreator(c));
+    const uint32_t author = graph.CommentCreator(c);
     rows.push_back(
-        {author.id, author.first_name, author.last_name,
-         graph.CommentCreation(c), graph.CommentId(c),
+        {graph.PersonId(author), std::string(graph.PersonFirstName(author)),
+         std::string(graph.PersonLastName(author)), graph.CommentCreation(c),
+         graph.CommentId(c),
          std::string(graph.MessageContent(Graph::MessageOfComment(c)))});
   }
   std::sort(rows.begin(), rows.end(), [](const Ic8Row& a, const Ic8Row& b) {
@@ -77,8 +78,9 @@ std::vector<Ic9Row> RunIc9(const Graph& graph, const Ic9Params& params) {
     if (creator == start || dist[creator] < 1) return;
     core::DateTime created = graph.MessageCreationDate(msg);
     if (created >= before) return;
-    const core::Person& rec = graph.PersonAt(creator);
-    rows.push_back({rec.id, rec.first_name, rec.last_name,
+    rows.push_back({graph.PersonId(creator),
+                    std::string(graph.PersonFirstName(creator)),
+                    std::string(graph.PersonLastName(creator)),
                     graph.MessageId(msg),
                     std::string(graph.MessageContent(msg)), created});
   });
@@ -99,8 +101,9 @@ std::vector<Ic10Row> RunIc10(const Graph& graph, const Ic10Params& params) {
   std::vector<int32_t> dist = EdgeListBfs(graph, start, 2);
 
   int32_t next_month = params.month == 12 ? 1 : params.month + 1;
-  std::set<core::Id> interests(graph.PersonAt(start).interests.begin(),
-                               graph.PersonAt(start).interests.end());
+  std::set<core::Id> interests;
+  graph.PersonInterests().ForEach(
+      start, [&](uint32_t t) { interests.insert(graph.TagAt(t).id); });
 
   // Post statistics per candidate from one post scan.
   std::unordered_map<uint32_t, std::pair<int64_t, int64_t>> common_uncommon;
@@ -121,8 +124,7 @@ std::vector<Ic10Row> RunIc10(const Graph& graph, const Ic10Params& params) {
 
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (dist[p] != 2) continue;
-    const core::Person& rec = graph.PersonAt(p);
-    core::CivilDate b = core::CivilFromDate(rec.birthday);
+    core::CivilDate b = core::CivilFromDate(graph.PersonBirthday(p));
     bool in_window = (b.month == params.month && b.day >= 21) ||
                      (b.month == next_month && b.day < 22);
     if (!in_window) continue;
@@ -130,8 +132,9 @@ std::vector<Ic10Row> RunIc10(const Graph& graph, const Ic10Params& params) {
     int64_t score =
         it == common_uncommon.end() ? 0 : it->second.first - it->second.second;
     rows.push_back(
-        {rec.id, rec.first_name, rec.last_name, score, rec.gender,
-         graph.PlaceAt(graph.PlaceIdx(rec.city)).name});
+        {graph.PersonId(p), std::string(graph.PersonFirstName(p)),
+         std::string(graph.PersonLastName(p)), score, graph.PersonGender(p),
+         graph.PlaceAt(graph.PersonCity(p)).name});
   }
   std::sort(rows.begin(), rows.end(), [](const Ic10Row& a, const Ic10Row& b) {
     if (a.common_interest_score != b.common_interest_score) {
@@ -151,14 +154,14 @@ std::vector<Ic11Row> RunIc11(const Graph& graph, const Ic11Params& params) {
   std::vector<int32_t> dist = EdgeListBfs(graph, start, 2);
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (p == start || dist[p] < 1) continue;
-    const core::Person& rec = graph.PersonAt(p);
-    for (const core::WorkAt& w : rec.work_at) {
+    for (const core::WorkAt& w : graph.PersonWorkAt(p)) {
       if (w.work_from >= params.work_from_year) continue;
       const core::Organisation& org =
           graph.OrganisationAt(graph.OrganisationIdx(w.company));
       if (graph.PlaceIdx(org.place) != country) continue;
       rows.push_back(
-          {rec.id, rec.first_name, rec.last_name, org.name, w.work_from});
+          {graph.PersonId(p), std::string(graph.PersonFirstName(p)),
+           std::string(graph.PersonLastName(p)), org.name, w.work_from});
     }
   }
   std::sort(rows.begin(), rows.end(), [](const Ic11Row& a, const Ic11Row& b) {
@@ -214,8 +217,8 @@ std::vector<Ic12Row> RunIc12(const Graph& graph, const Ic12Params& params) {
     for (std::string& name : matched) agg.tags.insert(std::move(name));
   }
   for (const auto& [fr, agg] : by_friend) {
-    const core::Person& rec = graph.PersonAt(fr);
-    rows.push_back({rec.id, rec.first_name, rec.last_name,
+    rows.push_back({graph.PersonId(fr), std::string(graph.PersonFirstName(fr)),
+                    std::string(graph.PersonLastName(fr)),
                     {agg.tags.begin(), agg.tags.end()}, agg.replies});
   }
   std::sort(rows.begin(), rows.end(), [](const Ic12Row& a, const Ic12Row& b) {
@@ -305,7 +308,7 @@ std::vector<Ic14Row> RunIc14(const Graph& graph, const Ic14Params& params) {
   for (const std::vector<uint32_t>& path : paths) {
     Ic14Row row;
     for (uint32_t p : path) {
-      row.person_ids_in_path.push_back(graph.PersonAt(p).id);
+      row.person_ids_in_path.push_back(graph.PersonId(p));
     }
     for (size_t i = 0; i + 1 < path.size(); ++i) {
       row.path_weight += pair_weight(path[i], path[i + 1]);

@@ -15,10 +15,11 @@ using internal::kNoIdx;
 std::vector<Is1Row> RunIs1(const Graph& graph, core::Id person_id) {
   uint32_t p = graph.PersonIdx(person_id);
   if (p == kNoIdx) return {};
-  const core::Person& rec = graph.PersonAt(p);
-  return {{rec.first_name, rec.last_name, rec.birthday, rec.location_ip,
-           rec.browser_used, graph.PlaceAt(graph.PlaceIdx(rec.city)).id,
-           rec.gender, rec.creation_date}};
+  return {{std::string(graph.PersonFirstName(p)),
+           std::string(graph.PersonLastName(p)), graph.PersonBirthday(p),
+           std::string(graph.PersonLocationIp(p)),
+           graph.PersonBrowser(p), graph.PlaceAt(graph.PersonCity(p)).id,
+           graph.PersonGender(p), graph.PersonCreation(p)}};
 }
 
 std::vector<Is2Row> RunIs2(const Graph& graph, core::Id person_id) {
@@ -35,10 +36,10 @@ std::vector<Is2Row> RunIs2(const Graph& graph, core::Id person_id) {
                         ? Graph::AsPost(msg)
                         : internal::RootPostSlow(graph, Graph::AsComment(msg));
     row.original_post_id = graph.PostId(root);
-    const core::Person& author = graph.PersonAt(graph.PostCreator(root));
-    row.original_post_author_id = author.id;
-    row.original_post_author_first_name = author.first_name;
-    row.original_post_author_last_name = author.last_name;
+    const uint32_t author = graph.PostCreator(root);
+    row.original_post_author_id = graph.PersonId(author);
+    row.original_post_author_first_name = graph.PersonFirstName(author);
+    row.original_post_author_last_name = graph.PersonLastName(author);
     rows.push_back(std::move(row));
   });
   std::sort(rows.begin(), rows.end(), [](const Is2Row& a, const Is2Row& b) {
@@ -59,8 +60,8 @@ std::vector<Is3Row> RunIs3(const Graph& graph, core::Id person_id) {
   for (uint32_t a = 0; a < graph.NumPersons(); ++a) {
     graph.Knows().ForEachDated(a, [&](uint32_t b, core::DateTime when) {
       if (a != p || b == p) return;
-      const core::Person& rec = graph.PersonAt(b);
-      rows.push_back({rec.id, rec.first_name, rec.last_name, when});
+      rows.push_back({graph.PersonId(b), std::string(graph.PersonFirstName(b)),
+                      std::string(graph.PersonLastName(b)), when});
     });
   }
   std::sort(rows.begin(), rows.end(), [](const Is3Row& a, const Is3Row& b) {
@@ -98,8 +99,9 @@ std::vector<Is5Row> RunIs5(const Graph& graph, core::Id message_id,
                            bool is_post) {
   uint32_t msg = ResolveMessage(graph, message_id, is_post);
   if (msg == kNoIdx) return {};
-  const core::Person& rec = graph.PersonAt(graph.MessageCreator(msg));
-  return {{rec.id, rec.first_name, rec.last_name}};
+  const uint32_t creator = graph.MessageCreator(msg);
+  return {{graph.PersonId(creator), std::string(graph.PersonFirstName(creator)),
+           std::string(graph.PersonLastName(creator))}};
 }
 
 std::vector<Is6Row> RunIs6(const Graph& graph, core::Id message_id,
@@ -109,9 +111,12 @@ std::vector<Is6Row> RunIs6(const Graph& graph, core::Id message_id,
   uint32_t root = Graph::IsPost(msg)
                       ? Graph::AsPost(msg)
                       : internal::RootPostSlow(graph, Graph::AsComment(msg));
-  const core::Forum& f = graph.ForumAt(graph.PostForum(root));
-  const core::Person& mod = graph.PersonAt(graph.PersonIdx(f.moderator));
-  return {{f.id, f.title, mod.id, mod.first_name, mod.last_name}};
+  const uint32_t forum = graph.PostForum(root);
+  const uint32_t mod = graph.ForumModerator(forum);
+  return {{graph.ForumId(forum), std::string(graph.ForumTitle(forum)),
+           graph.PersonId(mod),
+           std::string(graph.PersonFirstName(mod)),
+           std::string(graph.PersonLastName(mod))}};
 }
 
 std::vector<Is7Row> RunIs7(const Graph& graph, core::Id message_id,
@@ -131,11 +136,12 @@ std::vector<Is7Row> RunIs7(const Graph& graph, core::Id message_id,
         knows = true;
       }
     });
-    const core::Person& rec = graph.PersonAt(author);
     rows.push_back(
         {graph.CommentId(c),
          std::string(graph.MessageContent(Graph::MessageOfComment(c))),
-         graph.CommentCreation(c), rec.id, rec.first_name, rec.last_name,
+         graph.CommentCreation(c), graph.PersonId(author),
+         std::string(graph.PersonFirstName(author)),
+         std::string(graph.PersonLastName(author)),
          author != original_author && knows});
   }
   std::sort(rows.begin(), rows.end(), [](const Is7Row& a, const Is7Row& b) {

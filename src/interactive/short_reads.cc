@@ -14,10 +14,11 @@ using internal::kNoIdx;
 std::vector<Is1Row> RunIs1(const Graph& graph, core::Id person_id) {
   uint32_t p = graph.PersonIdx(person_id);
   if (p == kNoIdx) return {};
-  const core::Person& rec = graph.PersonAt(p);
-  return {{rec.first_name, rec.last_name, rec.birthday, rec.location_ip,
-           rec.browser_used, graph.PlaceAt(graph.PersonCity(p)).id,
-           rec.gender, rec.creation_date}};
+  return {{std::string(graph.PersonFirstName(p)),
+           std::string(graph.PersonLastName(p)), graph.PersonBirthday(p),
+           std::string(graph.PersonLocationIp(p)),
+           graph.PersonBrowser(p), graph.PlaceAt(graph.PersonCity(p)).id,
+           graph.PersonGender(p), graph.PersonCreation(p)}};
 }
 
 std::vector<Is2Row> RunIs2(const Graph& graph, core::Id person_id) {
@@ -41,10 +42,10 @@ std::vector<Is2Row> RunIs2(const Graph& graph, core::Id person_id) {
                         ? Graph::AsPost(msg)
                         : graph.CommentRootPost(Graph::AsComment(msg));
     row.original_post_id = graph.PostId(root);
-    const core::Person& author = graph.PersonAt(graph.PostCreator(root));
-    row.original_post_author_id = author.id;
-    row.original_post_author_first_name = author.first_name;
-    row.original_post_author_last_name = author.last_name;
+    const uint32_t author = graph.PostCreator(root);
+    row.original_post_author_id = graph.PersonId(author);
+    row.original_post_author_first_name = graph.PersonFirstName(author);
+    row.original_post_author_last_name = graph.PersonLastName(author);
     top.Add(std::move(row));
   };
   graph.PersonPosts().ForEach(
@@ -60,8 +61,8 @@ std::vector<Is3Row> RunIs3(const Graph& graph, core::Id person_id) {
   if (p == kNoIdx) return {};
   std::vector<Is3Row> rows;
   graph.Knows().ForEachDated(p, [&](uint32_t f, core::DateTime when) {
-    const core::Person& rec = graph.PersonAt(f);
-    rows.push_back({rec.id, rec.first_name, rec.last_name, when});
+    rows.push_back({graph.PersonId(f), std::string(graph.PersonFirstName(f)),
+                    std::string(graph.PersonLastName(f)), when});
   });
   std::sort(rows.begin(), rows.end(), [](const Is3Row& a, const Is3Row& b) {
     if (a.friendship_creation_date != b.friendship_creation_date) {
@@ -99,8 +100,9 @@ std::vector<Is5Row> RunIs5(const Graph& graph, core::Id message_id,
                            bool is_post) {
   uint32_t msg = ResolveMessage(graph, message_id, is_post);
   if (msg == kNoIdx) return {};
-  const core::Person& rec = graph.PersonAt(graph.MessageCreator(msg));
-  return {{rec.id, rec.first_name, rec.last_name}};
+  const uint32_t creator = graph.MessageCreator(msg);
+  return {{graph.PersonId(creator), std::string(graph.PersonFirstName(creator)),
+           std::string(graph.PersonLastName(creator))}};
 }
 
 std::vector<Is6Row> RunIs6(const Graph& graph, core::Id message_id,
@@ -110,10 +112,12 @@ std::vector<Is6Row> RunIs6(const Graph& graph, core::Id message_id,
   uint32_t root = Graph::IsPost(msg)
                       ? Graph::AsPost(msg)
                       : graph.CommentRootPost(Graph::AsComment(msg));
-  uint32_t forum = graph.PostForum(root);
-  const core::Forum& f = graph.ForumAt(forum);
-  const core::Person& mod = graph.PersonAt(graph.PersonIdx(f.moderator));
-  return {{f.id, f.title, mod.id, mod.first_name, mod.last_name}};
+  const uint32_t forum = graph.PostForum(root);
+  const uint32_t mod = graph.ForumModerator(forum);
+  return {{graph.ForumId(forum), std::string(graph.ForumTitle(forum)),
+           graph.PersonId(mod),
+           std::string(graph.PersonFirstName(mod)),
+           std::string(graph.PersonLastName(mod))}};
 }
 
 std::vector<Is7Row> RunIs7(const Graph& graph, core::Id message_id,
@@ -128,12 +132,12 @@ std::vector<Is7Row> RunIs7(const Graph& graph, core::Id message_id,
   std::vector<Is7Row> rows;
   auto handle_reply = [&](uint32_t comment) {
     uint32_t author = graph.CommentCreator(comment);
-    const core::Person& rec = graph.PersonAt(author);
     rows.push_back(
         {graph.CommentId(comment),
          std::string(graph.MessageContent(Graph::MessageOfComment(comment))),
-         graph.CommentCreation(comment), rec.id, rec.first_name,
-         rec.last_name,
+         graph.CommentCreation(comment), graph.PersonId(author),
+         std::string(graph.PersonFirstName(author)),
+         std::string(graph.PersonLastName(author)),
          author != original_author && author_friends.contains(author)});
   };
   if (Graph::IsPost(msg)) {

@@ -118,10 +118,10 @@ WorkloadParameters CurateParameters(const Graph& graph,
   CuratedPersons persons = CuratePersons(graph, config);
   std::vector<core::Id> person_ids;
   for (const PersonCounts& c : persons.selected) {
-    person_ids.push_back(graph.PersonAt(c.person).id);
+    person_ids.push_back(graph.PersonId(c.person));
   }
   if (person_ids.empty() && graph.NumPersons() > 0) {
-    person_ids.push_back(graph.PersonAt(0).id);
+    person_ids.push_back(graph.PersonId(0));
   }
   auto person_at = [&](size_t i) {
     return person_ids[i % person_ids.size()];

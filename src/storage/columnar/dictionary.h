@@ -1,7 +1,8 @@
 // Shared dictionary encoder for low-cardinality strings.
 //
 // The store sees the same few dozen distinct strings millions of times:
-// the browsers and languages of posts and comments.
+// the genders and browsers of persons, the browsers and languages of posts
+// and comments.
 // The dictionary maps each distinct string to a stable dense uint32 code —
 // codes are assigned in first-seen order and never change or move, so a
 // code column written at load time stays valid across every later append

@@ -1,7 +1,7 @@
-// Append-only string column for free-text message attributes (content,
-// image file, location IP): every row's bytes back to back in one char
-// buffer, row i at [offsets[i], offsets[i + 1]). No per-row string header
-// or heap block, so the refresh writer's copy is two flat memcpys.
+// Append-only string column for free-text attributes (names, titles,
+// content, image file, location IP): every row's bytes back to back in one
+// char buffer, row i at [offsets[i], offsets[i + 1]). No per-row string
+// header or heap block, so the refresh writer's copy is two flat memcpys.
 
 #ifndef SNB_STORAGE_COLUMNAR_STRING_COLUMN_H_
 #define SNB_STORAGE_COLUMNAR_STRING_COLUMN_H_

@@ -26,7 +26,7 @@ std::vector<std::string> CheckGraphConsistency(const Graph& graph) {
     }
   };
   round_trip("person", graph.NumPersons(), [&](uint32_t i) {
-    return graph.PersonIdx(graph.PersonAt(i).id);
+    return graph.PersonIdx(graph.PersonId(i));
   });
   round_trip("post", graph.NumPosts(),
              [&](uint32_t i) { return graph.PostIdx(graph.PostId(i)); });

@@ -13,7 +13,7 @@ Row ExportMessage(const Graph& graph, uint32_t msg) {
   r.location_ip = graph.MessageLocationIp(msg);
   r.browser_used = graph.Dict().Decode(graph.MessageBrowserCode(msg));
   r.length = graph.MessageLength(msg);
-  r.creator = graph.PersonAt(graph.MessageCreator(msg)).id;
+  r.creator = graph.PersonId(graph.MessageCreator(msg));
   const uint32_t country = graph.MessageCountry(msg);
   r.country = country == kNoIdx ? core::kNoId : graph.PlaceAt(country).id;
   graph.ForEachMessageTag(
@@ -28,8 +28,42 @@ core::Post ExportPost(const Graph& graph, uint32_t i) {
   p.image_file = graph.PostImageFile(i);
   p.language = graph.Dict().Decode(graph.PostLanguageCode(i));
   p.content = graph.PostContent(i);
-  p.forum = graph.ForumAt(graph.PostForum(i)).id;
+  p.forum = graph.ForumId(graph.PostForum(i));
   return p;
+}
+
+core::Person ExportPerson(const Graph& graph, uint32_t i) {
+  core::Person p;
+  p.id = graph.PersonId(i);
+  p.first_name = graph.PersonFirstName(i);
+  p.last_name = graph.PersonLastName(i);
+  p.gender = graph.PersonGender(i);
+  p.birthday = graph.PersonBirthday(i);
+  p.creation_date = graph.PersonCreation(i);
+  p.location_ip = graph.PersonLocationIp(i);
+  p.browser_used = graph.PersonBrowser(i);
+  p.city = graph.PlaceAt(graph.PersonCity(i)).id;
+  p.emails = graph.PersonEmails(i);
+  p.speaks = graph.PersonSpeaks(i);
+  graph.PersonInterests().ForEach(
+      i, [&](uint32_t tag) { p.interests.push_back(graph.TagAt(tag).id); });
+  const auto study_at = graph.PersonStudyAt(i);
+  p.study_at.assign(study_at.begin(), study_at.end());
+  const auto work_at = graph.PersonWorkAt(i);
+  p.work_at.assign(work_at.begin(), work_at.end());
+  return p;
+}
+
+core::Forum ExportForum(const Graph& graph, uint32_t i) {
+  core::Forum f;
+  f.id = graph.ForumId(i);
+  f.title = graph.ForumTitle(i);
+  f.creation_date = graph.ForumCreation(i);
+  f.moderator = graph.PersonId(graph.ForumModerator(i));
+  graph.ForumTags().ForEach(
+      i, [&](uint32_t tag) { f.tags.push_back(graph.TagAt(tag).id); });
+  f.kind = graph.ForumKind(i);
+  return f;
 }
 
 core::Comment ExportComment(const Graph& graph, uint32_t i) {
@@ -55,7 +89,7 @@ core::SocialNetwork ExportNetwork(const Graph& graph) {
   const Graph& g = graph;
   auto all = [](uint32_t) { return true; };
 
-  // Static entities, persons and forums are stored as records; posts and
+  // Static entities are stored as records; persons, forums, posts and
   // comments are rebuilt from their columns.
   rows(net.places, g.NumPlaces(), all,
        [&](uint32_t i) { return g.PlaceAt(i); });
@@ -69,9 +103,9 @@ core::SocialNetwork ExportNetwork(const Graph& graph) {
   // a rebuild *is* compaction, the only point where deletes become physical.
   rows(net.persons, g.NumPersons(),
        [&](uint32_t i) { return g.PersonAlive(i); },
-       [&](uint32_t i) { return g.PersonAt(i); });
+       [&](uint32_t i) { return ExportPerson(g, i); });
   rows(net.forums, g.NumForums(), [&](uint32_t i) { return g.ForumAlive(i); },
-       [&](uint32_t i) { return g.ForumAt(i); });
+       [&](uint32_t i) { return ExportForum(g, i); });
   rows(net.posts, g.NumPosts(), [&](uint32_t i) { return g.PostAlive(i); },
        [&](uint32_t i) { return ExportPost(g, i); });
   rows(net.comments, g.NumComments(),
@@ -82,10 +116,10 @@ core::SocialNetwork ExportNetwork(const Graph& graph) {
   // filtering edges whose endpoints died or that were tombstoned directly.
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (!graph.PersonAlive(p)) continue;
-    core::Id p_id = graph.PersonAt(p).id;
+    core::Id p_id = graph.PersonId(p);
     graph.Knows().ForEachDated(p, [&](uint32_t q, core::DateTime when) {
       if (q > p && graph.KnowsAlive(p, q)) {  // one row per undirected edge
-        net.knows.push_back({p_id, graph.PersonAt(q).id, when});
+        net.knows.push_back({p_id, graph.PersonId(q), when});
       }
     });
     graph.PersonLikes().ForEachDated(p, [&](uint32_t msg,
@@ -98,11 +132,11 @@ core::SocialNetwork ExportNetwork(const Graph& graph) {
   }
   for (uint32_t f = 0; f < graph.NumForums(); ++f) {
     if (!graph.ForumAlive(f)) continue;
-    core::Id f_id = graph.ForumAt(f).id;
+    core::Id f_id = graph.ForumId(f);
     graph.ForumMembers().ForEachDated(
         f, [&](uint32_t member, core::DateTime join) {
           if (graph.MembershipAlive(member, f)) {
-            net.memberships.push_back({f_id, graph.PersonAt(member).id, join});
+            net.memberships.push_back({f_id, graph.PersonId(member), join});
           }
         });
   }

@@ -12,8 +12,11 @@
 
 namespace snb::storage {
 
-/// Rebuilds post / comment row `i` from the graph's columns and adjacency
-/// (tags in adjacency order), whether or not the row is tombstoned.
+/// Rebuilds person / forum / post / comment row `i` from the graph's
+/// columns and adjacency (interests and tags in adjacency order, the other
+/// lists in stored order), whether or not the row is tombstoned.
+core::Person ExportPerson(const Graph& graph, uint32_t i);
+core::Forum ExportForum(const Graph& graph, uint32_t i);
 core::Post ExportPost(const Graph& graph, uint32_t i);
 core::Comment ExportComment(const Graph& graph, uint32_t i);
 

@@ -49,13 +49,11 @@ size_t HashBytes(const Table& t) {
 }  // namespace
 
 Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
-    : forums_(std::move(net.forums)),
-      tags_(std::move(net.tags)),
+    : tags_(std::move(net.tags)),
       tag_classes_(std::move(net.tag_classes)),
       places_(std::move(net.places)),
       organisations_(std::move(net.organisations)),
       compaction_epoch_(compaction_epoch) {
-  forum_idx_ = IndexById(forums_);
   tag_idx_ = IndexById(tags_);
   tag_class_idx_ = IndexById(tag_classes_);
   place_idx_ = IndexById(places_);
@@ -102,26 +100,41 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
     tag_class_tags_.Build(tag_classes_.size(), std::move(class_tags), false);
   }
 
+  // Exact-size the string columns, the bulk of a row's bytes: the
+  // bulk-loaded snapshot then holds no growth slack in them.
+  auto reserve = [](columnar::StringColumn& col, const auto& rows, auto field) {
+    size_t chars = 0;
+    for (const auto& row : rows) chars += (row.*field).size();
+    col.Reserve(rows.size(), chars);
+  };
+  // Frees the consumed person and forum records at once, so the build's
+  // later allocations reuse their chunks instead of leaving them as holes
+  // between live ones (which slowed every later refresh copy).
+  auto release = [](auto& rows) { std::decay_t<decltype(rows)>().swap(rows); };
+
   // ---- Persons --------------------------------------------------------------
+  reserve(person_first_name_, net.persons, &core::Person::first_name);
+  reserve(person_last_name_, net.persons, &core::Person::last_name);
+  reserve(person_location_ip_, net.persons, &core::Person::location_ip);
   person_idx_.reserve(net.persons.size() * 2);
   {
     std::vector<EdgeInput> country_persons, interests;
-    for (core::Person& p : net.persons) {
+    for (const core::Person& p : net.persons) {
       const uint32_t city = PlaceIdx(p.city);
       const uint32_t country = CountryOfCity(city);
       SNB_CHECK_NE(country, kNoIdx);
-      const uint32_t i = static_cast<uint32_t>(persons_.size());
+      const uint32_t i = AppendPersonRow(p, city, country);
       for (core::Id t : p.interests) interests.push_back({i, TagIdx(t)});
-      AppendPersonRow(std::move(p), city, country);
       country_persons.push_back({country, i});
     }
+    release(net.persons);
     country_persons_.Build(places_.size(), std::move(country_persons), false);
     std::vector<EdgeInput> interests_rev;
     interests_rev.reserve(interests.size());
     for (const EdgeInput& e : interests) {
       interests_rev.push_back({e.dst, e.src});
     }
-    person_interests_.Build(persons_.size(), std::move(interests), false);
+    person_interests_.Build(NumPersons(), std::move(interests), false);
     tag_persons_.Build(tags_.size(), std::move(interests_rev), false);
   }
 
@@ -136,25 +149,28 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
       edges.push_back({a, b, k.creation_date});
       edges.push_back({b, a, k.creation_date});
     }
-    knows_.Build(persons_.size(), std::move(edges), true);
+    knows_.Build(NumPersons(), std::move(edges), true);
   }
 
   // ---- Forums ----------------------------------------------------------------
+  reserve(forum_title_, net.forums, &core::Forum::title);
+  forum_idx_.reserve(net.forums.size() * 2);
   {
     std::vector<EdgeInput> moderates, ftags, tag_forums;
-    for (size_t i = 0; i < forums_.size(); ++i) {
-      forum_dead_.Append();
-      uint32_t mod = PersonIdx(forums_[i].moderator);
+    for (const core::Forum& f : net.forums) {
+      const uint32_t mod = PersonIdx(f.moderator);
       SNB_CHECK_NE(mod, kNoIdx);
-      moderates.push_back({mod, static_cast<uint32_t>(i)});
-      for (core::Id t : forums_[i].tags) {
-        uint32_t tag = TagIdx(t);
-        ftags.push_back({static_cast<uint32_t>(i), tag});
-        tag_forums.push_back({tag, static_cast<uint32_t>(i)});
+      const uint32_t i = AppendForumRow(f, mod);
+      moderates.push_back({mod, i});
+      for (core::Id t : f.tags) {
+        const uint32_t tag = TagIdx(t);
+        ftags.push_back({i, tag});
+        tag_forums.push_back({tag, i});
       }
     }
-    person_moderates_.Build(persons_.size(), std::move(moderates), false);
-    forum_tags_.Build(forums_.size(), std::move(ftags), false);
+    release(net.forums);
+    person_moderates_.Build(NumPersons(), std::move(moderates), false);
+    forum_tags_.Build(NumForums(), std::move(ftags), false);
     tag_forums_.Build(tags_.size(), std::move(tag_forums), false);
 
     std::vector<EdgeInput> members, member_of;
@@ -167,18 +183,11 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
       members.push_back({f, p, m.join_date});
       member_of.push_back({p, f, m.join_date});
     }
-    forum_members_.Build(forums_.size(), std::move(members), true);
-    person_forums_.Build(persons_.size(), std::move(member_of), true);
+    forum_members_.Build(NumForums(), std::move(members), true);
+    person_forums_.Build(NumPersons(), std::move(member_of), true);
   }
 
   // ---- Posts -----------------------------------------------------------------
-  // Exact-size the string columns, the bulk of a message's bytes: the
-  // bulk-loaded snapshot then holds no growth slack in them.
-  auto reserve = [](columnar::StringColumn& col, const auto& rows, auto field) {
-    size_t chars = 0;
-    for (const auto& row : rows) chars += (row.*field).size();
-    col.Reserve(rows.size(), chars);
-  };
   reserve(post_content_, net.posts, &core::Post::content);
   reserve(post_image_file_, net.posts, &core::Post::image_file);
   reserve(post_location_ip_, net.posts, &core::Post::location_ip);
@@ -200,18 +209,18 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
         tag_posts.push_back({tag, i});
       }
     }
-    person_posts_.Build(persons_.size(), std::move(person_posts), false);
-    forum_posts_.Build(forums_.size(), std::move(forum_posts), false);
+    person_posts_.Build(NumPersons(), std::move(person_posts), false);
+    forum_posts_.Build(NumForums(), std::move(forum_posts), false);
     post_tags_.Build(NumPosts(), std::move(ptags), false);
     tag_posts_.Build(tags_.size(), std::move(tag_posts), false);
   }
 
   // ---- Comments --------------------------------------------------------------
   comment_idx_.reserve(net.comments.size() * 2);
+  comment_forum_.reserve(net.comments.size());
   {
     std::vector<EdgeInput> person_comments, post_replies, comment_replies,
         ctags, tag_comments;
-    std::vector<uint32_t> forums;  // comment → thread's forum
     for (const core::Comment& c : net.comments) {
       const uint32_t creator = PersonIdx(c.creator);
       // Replies always follow their target (datagen emits comments in
@@ -223,23 +232,17 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
       (IsPost(reply_of) ? post_replies : comment_replies)
           .push_back({MessageRow(reply_of), i});
       person_comments.push_back({creator, i});
-      forums.push_back(post_forum_[comment_root_post_[i]]);
       for (core::Id t : c.tags) {
         const uint32_t tag = TagIdx(t);
         ctags.push_back({i, tag});
         tag_comments.push_back({tag, i});
       }
     }
-    person_comments_.Build(persons_.size(), std::move(person_comments),
-                           false);
+    person_comments_.Build(NumPersons(), std::move(person_comments), false);
     post_replies_.Build(NumPosts(), std::move(post_replies), false);
     comment_replies_.Build(NumComments(), std::move(comment_replies), false);
     comment_tags_.Build(NumComments(), std::move(ctags), false);
     tag_comments_.Build(tags_.size(), std::move(tag_comments), false);
-    // Materialize the comment → forum 2-hop endpoint (via the thread's root
-    // post) as a bit-packed column: the hot loops of BI 4/5/25-style forum
-    // joins become one probe instead of two dependent loads.
-    comment_forum_ = columnar::AppendableU32Column(forums);
   }
 
   // ---- Likes -----------------------------------------------------------------
@@ -255,7 +258,7 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
       (l.is_post ? post_likers : comment_likers)
           .push_back({MessageRow(msg), person, l.creation_date});
     }
-    person_likes_.Build(persons_.size(), std::move(person_likes), true);
+    person_likes_.Build(NumPersons(), std::move(person_likes), true);
     post_likers_.Build(NumPosts(), std::move(post_likers), true);
     comment_likers_.Build(NumComments(), std::move(comment_likers), true);
   }
@@ -320,20 +323,20 @@ columnar::MemoryBreakdown Graph::Memory() const {
   mb.message_raw_bytes = message_index_.RawByteSize() + hot;
   mb.num_messages = NumMessages();
 
-  // Pure additions over the seed layout (raw 0): the dictionary, its code
-  // columns, the comment → thread forum endpoint and the per-person
-  // message-date zones.
+  // Pure additions over the seed layout (raw 0): the dictionary, its
+  // message code columns, the comment → thread forum endpoint and the
+  // per-person message-date zones.
   add("dict", dict_.ByteSize(), 0, dict_.size());
   add("cols/codes",
       VecBytes(post_browser_code_) + VecBytes(comment_browser_code_) +
           VecBytes(post_language_code_) +
           VecBytes(comment_root_language_code_),
       0, NumMessages() * 2);
-  add("cols/comment-forum", comment_forum_.ByteSize(), 0,
+  add("cols/comment-forum", VecBytes(comment_forum_), 0,
       comment_forum_.size());
   add("cols/person-msg-zones",
       VecBytes(person_msg_date_min_) + VecBytes(person_msg_date_max_), 0,
-      persons_.size());
+      NumPersons());
 
   // Everything else has one layout only (raw == bytes) and sits outside
   // both headline densities.
@@ -349,30 +352,31 @@ columnar::MemoryBreakdown Graph::Memory() const {
                 post_location_ip_.ByteSize() + comment_content_.ByteSize() +
                 comment_location_ip_.ByteSize(),
             NumMessages());
-  add_plain("cols/person+static",
-            VecBytes(person_creation_) + VecBytes(person_city_) +
-                VecBytes(person_country_) + VecBytes(person_is_female_) +
-                VecBytes(place_part_of_) + VecBytes(tag_class_parent_) +
+  add_plain("cols/person",
+            VecBytes(person_id_) + VecBytes(person_birthday_) +
+                VecBytes(person_creation_) + VecBytes(person_city_) +
+                VecBytes(person_country_) + VecBytes(person_gender_code_) +
+                VecBytes(person_browser_code_) + person_study_at_.ByteSize() +
+                person_work_at_.ByteSize(),
+            NumPersons());
+  add_plain("strings/person",
+            person_first_name_.ByteSize() + person_last_name_.ByteSize() +
+                person_location_ip_.ByteSize() + person_emails_.ByteSize() +
+                person_speaks_.ByteSize(),
+            NumPersons());
+  add_plain("cols/forum",
+            VecBytes(forum_id_) + VecBytes(forum_creation_) +
+                VecBytes(forum_moderator_) + VecBytes(forum_kind_),
+            NumForums());
+  add_plain("strings/forum", forum_title_.ByteSize(), NumForums());
+  add_plain("cols/static",
+            VecBytes(place_part_of_) + VecBytes(tag_class_parent_) +
                 VecBytes(tag_class_of_tag_),
-            persons_.size() + places_.size() + tag_classes_.size() +
-                tags_.size());
+            places_.size() + tag_classes_.size() + tags_.size());
 
-  // Person, forum and static records with their string and vector heap.
-  size_t records = VecBytes(persons_) + VecBytes(forums_) +
-                   VecBytes(places_) + VecBytes(organisations_) +
+  // Static reference records with their string heap.
+  size_t records = VecBytes(places_) + VecBytes(organisations_) +
                    VecBytes(tags_) + VecBytes(tag_classes_);
-  for (const core::Person& p : persons_) {
-    records += StringHeap(p.first_name) + StringHeap(p.last_name) +
-               StringHeap(p.gender) + StringHeap(p.location_ip) +
-               StringHeap(p.browser_used) + VecBytes(p.emails) +
-               VecBytes(p.speaks) + VecBytes(p.interests) +
-               VecBytes(p.study_at) + VecBytes(p.work_at);
-    for (const std::string& e : p.emails) records += StringHeap(e);
-    for (const std::string& l : p.speaks) records += StringHeap(l);
-  }
-  for (const core::Forum& f : forums_) {
-    records += StringHeap(f.title) + VecBytes(f.tags);
-  }
   auto named = [&records](const auto& rows) {
     for (const auto& r : rows) {
       records += StringHeap(r.name) + StringHeap(r.url);
@@ -383,8 +387,7 @@ columnar::MemoryBreakdown Graph::Memory() const {
   named(tags_);
   named(tag_classes_);
   add_plain("records", records,
-            NumPersons() + NumForums() + NumPlaces() + NumOrganisations() +
-                NumTags() + NumTagClasses());
+            NumPlaces() + NumOrganisations() + NumTags() + NumTagClasses());
 
   add_plain("maps/id",
             HashBytes(person_idx_) + HashBytes(forum_idx_) +
@@ -426,20 +429,42 @@ bool Graph::ResolveTags(const std::vector<core::Id>& ids,
   return true;
 }
 
-uint32_t Graph::AppendPersonRow(core::Person person, uint32_t city,
+uint32_t Graph::AppendPersonRow(const core::Person& person, uint32_t city,
                                 uint32_t country) {
-  const uint32_t idx = static_cast<uint32_t>(persons_.size());
+  const uint32_t idx = static_cast<uint32_t>(NumPersons());
   const bool inserted = person_idx_.emplace(person.id, idx).second;
   SNB_CHECK(inserted);  // ids must be unique within an entity type
+  person_id_.push_back(person.id);
   person_dead_.Append();
+  person_first_name_.Append(person.first_name);
+  person_last_name_.Append(person.last_name);
+  person_gender_code_.push_back(dict_.GetOrAdd(person.gender));
+  person_birthday_.push_back(person.birthday);
   person_creation_.push_back(person.creation_date);
-  person_is_female_.push_back(person.gender == "female" ? 1 : 0);
+  person_location_ip_.Append(person.location_ip);
+  person_browser_code_.push_back(dict_.GetOrAdd(person.browser_used));
   person_city_.push_back(city);
   person_country_.push_back(country);
+  person_emails_.Append(person.emails);
+  person_speaks_.Append(person.speaks);
+  person_study_at_.Append(person.study_at);
+  person_work_at_.Append(person.work_at);
   // The empty message-date zone (min above max) overlaps no window.
   person_msg_date_min_.push_back(kMaxMessageDate);
   person_msg_date_max_.push_back(kMinMessageDate);
-  persons_.push_back(std::move(person));
+  return idx;
+}
+
+uint32_t Graph::AppendForumRow(const core::Forum& forum, uint32_t moderator) {
+  const uint32_t idx = static_cast<uint32_t>(NumForums());
+  const bool inserted = forum_idx_.emplace(forum.id, idx).second;
+  SNB_CHECK(inserted);  // ids must be unique within an entity type
+  forum_id_.push_back(forum.id);
+  forum_dead_.Append();
+  forum_title_.Append(forum.title);
+  forum_creation_.push_back(forum.creation_date);
+  forum_moderator_.push_back(moderator);
+  forum_kind_.push_back(forum.kind);
   return idx;
 }
 
@@ -483,6 +508,7 @@ uint32_t Graph::AppendCommentRow(const core::Comment& comment,
   comment_country_.push_back(country);
   comment_reply_of_.push_back(reply_of);
   comment_root_post_.push_back(root_post);
+  comment_forum_.push_back(post_forum_[root_post]);
   comment_root_language_code_.push_back(post_language_code_[root_post]);
   NoteMessageDate(creator, comment.creation_date);
   return idx;
@@ -561,10 +587,7 @@ uint32_t Graph::AddForum(const core::Forum& forum) {
       !ResolveTags(forum.tags, &tags)) {
     return kNoIdx;
   }
-  const uint32_t idx = static_cast<uint32_t>(forums_.size());
-  forums_.push_back(forum);
-  forum_dead_.Append();
-  forum_idx_[forum.id] = idx;
+  const uint32_t idx = AppendForumRow(forum, mod);
   forum_members_.AddNodes(1);
   forum_posts_.AddNodes(1);
   forum_tags_.AddNodes(1);
@@ -626,7 +649,6 @@ uint32_t Graph::AddComment(const core::Comment& comment) {
   comment_likers_.AddNodes(1);
   (IsPost(reply_of) ? post_replies_ : comment_replies_)
       .Append(MessageRow(reply_of), idx);
-  comment_forum_.Append(post_forum_[comment_root_post_[idx]]);
   for (uint32_t tag : tags) {
     comment_tags_.Append(idx, tag);
     tag_comments_.Append(tag, idx);

@@ -1,10 +1,12 @@
 // The in-memory social-network graph store.
 //
-// Posts and comments exist only as columns and adjacency; the other
-// entities keep raw records next to their hot columns. Every relation is
-// materialized as forward and, where queries need it, reverse appendable-CSR
-// adjacency (see adjacency.h). External spec ids map to dense uint32
-// indices at build time; all traversal is index-based.
+// Persons, forums, posts and comments exist only as columns, dictionary
+// codes and adjacency; only the static reference tables (places,
+// organisations, tags, tag classes: never mutated after load) keep raw
+// records. Every relation is materialized as forward and, where queries
+// need it, reverse appendable-CSR adjacency (see adjacency.h). External
+// spec ids map to dense uint32 indices at build time; all traversal is
+// index-based.
 //
 // Posts and comments are distinct tables; a *message reference* encodes
 // either in one uint32: bit 31 clear → post index, bit 31 set → comment
@@ -32,6 +34,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,8 +44,8 @@
 #include "core/schema.h"
 #include "storage/adjacency.h"
 #include "storage/columnar/dictionary.h"
+#include "storage/columnar/list_column.h"
 #include "storage/columnar/memory.h"
-#include "storage/columnar/packed_column.h"
 #include "storage/columnar/string_column.h"
 #include "storage/message_index.h"
 #include "storage/tombstone.h"
@@ -69,8 +72,8 @@ class Graph {
 
   // ---- Entity tables ------------------------------------------------------
 
-  size_t NumPersons() const { return persons_.size(); }
-  size_t NumForums() const { return forums_.size(); }
+  size_t NumPersons() const { return person_id_.size(); }
+  size_t NumForums() const { return forum_id_.size(); }
   size_t NumPosts() const { return post_id_.size(); }
   size_t NumComments() const { return comment_id_.size(); }
   size_t NumMessages() const { return NumPosts() + NumComments(); }
@@ -79,8 +82,6 @@ class Graph {
   size_t NumPlaces() const { return places_.size(); }
   size_t NumOrganisations() const { return organisations_.size(); }
 
-  const core::Person& PersonAt(uint32_t i) const { return persons_[i]; }
-  const core::Forum& ForumAt(uint32_t i) const { return forums_[i]; }
   const core::Tag& TagAt(uint32_t i) const { return tags_[i]; }
   const core::TagClass& TagClassAt(uint32_t i) const {
     return tag_classes_[i];
@@ -152,8 +153,8 @@ class Graph {
                deleted_memberships_.end();
   }
 
-  size_t NumLivePersons() const { return persons_.size() - person_dead_.count(); }
-  size_t NumLiveForums() const { return forums_.size() - forum_dead_.count(); }
+  size_t NumLivePersons() const { return NumPersons() - person_dead_.count(); }
+  size_t NumLiveForums() const { return NumForums() - forum_dead_.count(); }
   size_t NumLivePosts() const { return NumPosts() - post_dead_.count(); }
   size_t NumLiveComments() const {
     return NumComments() - comment_dead_.count();
@@ -380,7 +381,8 @@ class Graph {
   }
 
   // ---- Dictionary-encoded columns -------------------------------------------
-  // One dictionary for the message browsers and languages: stable dense
+  // One dictionary for the person genders and browsers and the message
+  // browsers and languages: stable dense
   // uint32 codes assigned at load, O(1) decode, appended to — never
   // reassigned — by the IU path. The codes are the only copy of those
   // strings; the validator's dictionary-code-in-range invariant checks
@@ -392,22 +394,72 @@ class Graph {
     return IsPost(msg) ? post_browser_code_[msg]
                        : comment_browser_code_[AsComment(msg)];
   }
+  uint32_t PersonGenderCode(uint32_t p) const { return person_gender_code_[p]; }
+  uint32_t PersonBrowserCode(uint32_t p) const {
+    return person_browser_code_[p];
+  }
 
   /// Per-family heap bytes of every member, the compressed families also
   /// with the seed layout's bytes, plus bytes/edge and bytes/message (see
   /// storage/columnar/memory.h).
   columnar::MemoryBreakdown Memory() const;
 
+  // ---- Person columns: the only copy of a person row ----------------------
+  // The string views returned here are invalidated by the next IU append;
+  // interests are PersonInterests().
+
+  core::Id PersonId(uint32_t p) const { return person_id_[p]; }
+  std::string_view PersonFirstName(uint32_t p) const {
+    return person_first_name_.At(p);
+  }
+  std::string_view PersonLastName(uint32_t p) const {
+    return person_last_name_.At(p);
+  }
+  /// Gender and browser round-trip as the loaded strings.
+  const std::string& PersonGender(uint32_t p) const {
+    return dict_.Decode(person_gender_code_[p]);
+  }
+  /// The BI group-bys only need the binary split: one code compare.
+  bool PersonIsFemale(uint32_t p) const {
+    return person_gender_code_[p] == female_code_;
+  }
+  core::Date PersonBirthday(uint32_t p) const { return person_birthday_[p]; }
   core::DateTime PersonCreation(uint32_t p) const {
     return person_creation_[p];
+  }
+  std::string_view PersonLocationIp(uint32_t p) const {
+    return person_location_ip_.At(p);
+  }
+  const std::string& PersonBrowser(uint32_t p) const {
+    return dict_.Decode(person_browser_code_[p]);
   }
   /// City place index of the person.
   uint32_t PersonCity(uint32_t p) const { return person_city_[p]; }
   /// Country place index of the person (city's parent, precomputed).
   uint32_t PersonCountry(uint32_t p) const { return person_country_[p]; }
-  /// Gender hot column: the BI group-bys only ever need the binary split,
-  /// so scans avoid the per-row string compare against Person::gender.
-  bool PersonIsFemale(uint32_t p) const { return person_is_female_[p] != 0; }
+  /// The list attributes, in stored order.
+  std::vector<std::string> PersonEmails(uint32_t p) const {
+    return person_emails_.At(p);
+  }
+  std::vector<std::string> PersonSpeaks(uint32_t p) const {
+    return person_speaks_.At(p);
+  }
+  std::span<const core::StudyAt> PersonStudyAt(uint32_t p) const {
+    return person_study_at_.At(p);
+  }
+  std::span<const core::WorkAt> PersonWorkAt(uint32_t p) const {
+    return person_work_at_.At(p);
+  }
+
+  // ---- Forum columns: the only copy of a forum row ------------------------
+  // Tags are ForumTags().
+
+  core::Id ForumId(uint32_t f) const { return forum_id_[f]; }
+  std::string_view ForumTitle(uint32_t f) const { return forum_title_.At(f); }
+  core::DateTime ForumCreation(uint32_t f) const { return forum_creation_[f]; }
+  /// Person index of the moderator.
+  uint32_t ForumModerator(uint32_t f) const { return forum_moderator_[f]; }
+  core::ForumKind ForumKind(uint32_t f) const { return forum_kind_[f]; }
 
   /// Per-person creation-date zone over the person's own messages: true
   /// when `p` created at least one message in [start, end). Sentinel zones
@@ -437,9 +489,9 @@ class Graph {
   /// Post at the root of the comment's thread (precomputed).
   uint32_t CommentRootPost(uint32_t i) const { return comment_root_post_[i]; }
   /// Forum containing the comment's thread — the materialized 2-hop
-  /// endpoint (comment → root post → forum), bit-packed so the hot loop is
-  /// one column probe instead of two dependent loads (TuGraph idiom).
-  uint32_t CommentForum(uint32_t i) const { return comment_forum_.At(i); }
+  /// endpoint (comment → root post → forum), so the hot loop is one column
+  /// probe instead of two dependent loads (TuGraph idiom).
+  uint32_t CommentForum(uint32_t i) const { return comment_forum_[i]; }
   /// Language code of the comment's thread root post (2-hop endpoint).
   uint32_t CommentRootLanguageCode(uint32_t i) const {
     return comment_root_language_code_[i];
@@ -448,7 +500,7 @@ class Graph {
   /// Forum of any message reference: the post's forum, or the containing
   /// thread's forum for a comment — one probe either way.
   uint32_t MessageForum(uint32_t msg) const {
-    return IsPost(msg) ? post_forum_[msg] : comment_forum_.At(AsComment(msg));
+    return IsPost(msg) ? post_forum_[msg] : comment_forum_[AsComment(msg)];
   }
 
   /// Parent place index (city→country, country→continent); kNoIdx for
@@ -575,11 +627,12 @@ class Graph {
                : kNoIdx;
   }
 
-  // Fill a person, post or comment row for the bulk build and IU 1/6/7
-  // alike; callers resolve the references and add the edges.
+  // Fill a person, forum, post or comment row for the bulk build and IU
+  // 1/4/6/7 alike; callers resolve the references and add the edges.
 
-  uint32_t AppendPersonRow(core::Person person, uint32_t city,
+  uint32_t AppendPersonRow(const core::Person& person, uint32_t city,
                            uint32_t country);
+  uint32_t AppendForumRow(const core::Forum& forum, uint32_t moderator);
   uint32_t AppendPostRow(const core::Post& post, uint32_t creator,
                          uint32_t forum, uint32_t country);
   uint32_t AppendCommentRow(const core::Comment& comment, uint32_t creator,
@@ -636,9 +689,8 @@ class Graph {
   /// newly dead and maintains the parent's live-reply delta.
   void MarkMessageDead(uint32_t msg, std::vector<uint32_t>* work);
 
-  // Raw entity tables (messages have none: see the message columns below).
-  std::vector<core::Person> persons_;
-  std::vector<core::Forum> forums_;
+  // Raw records of the static reference tables (the dynamic entities have
+  // none: see the person, forum and message columns below).
   std::vector<core::Tag> tags_;
   std::vector<core::TagClass> tag_classes_;
   std::vector<core::Place> places_;
@@ -650,10 +702,22 @@ class Graph {
   std::unordered_map<std::string, uint32_t> place_by_name_, tag_by_name_,
       tag_class_by_name_;
 
-  // Hot columns.
+  // Person columns: the only copy of a person row.
+  std::vector<core::Id> person_id_;
+  std::vector<core::Date> person_birthday_;
   std::vector<core::DateTime> person_creation_;
   std::vector<uint32_t> person_city_, person_country_;
-  std::vector<uint8_t> person_is_female_;
+  columnar::StringColumn person_first_name_, person_last_name_,
+      person_location_ip_;
+  columnar::ListColumn<std::string> person_emails_, person_speaks_;
+  columnar::ListColumn<core::StudyAt> person_study_at_;
+  columnar::ListColumn<core::WorkAt> person_work_at_;
+  // Forum columns: the only copy of a forum row.
+  std::vector<core::Id> forum_id_;
+  columnar::StringColumn forum_title_;
+  std::vector<core::DateTime> forum_creation_;
+  std::vector<uint32_t> forum_moderator_;  // person index
+  std::vector<core::ForumKind> forum_kind_;
   // Message columns: the only copy of a post or comment row.
   std::vector<core::Id> post_id_, comment_id_;
   std::vector<int32_t> post_length_, comment_length_;
@@ -668,13 +732,15 @@ class Graph {
   std::vector<uint32_t> place_part_of_;
   std::vector<uint32_t> tag_class_parent_, tag_class_of_tag_;
 
-  // Shared dictionary + message code columns.
+  // Shared dictionary + person and message code columns.
   columnar::Dictionary dict_;
+  uint32_t female_code_ = dict_.GetOrAdd("female");
+  std::vector<uint32_t> person_gender_code_, person_browser_code_;
   std::vector<uint32_t> post_browser_code_, comment_browser_code_;
   std::vector<uint32_t> post_language_code_, comment_root_language_code_;
 
   // Materialized hot endpoints + per-person message-date zones.
-  columnar::AppendableU32Column comment_forum_;  // comment → thread's forum
+  std::vector<uint32_t> comment_forum_;  // comment → thread's forum
   std::vector<core::DateTime> person_msg_date_min_, person_msg_date_max_;
 
   // Adjacency.

@@ -141,8 +141,7 @@ util::Status InitStore(const std::string& store_dir,
   return WriteCheckpoint(store_dir, net, last_applied_day);
 }
 
-util::StatusOr<RecoveryResult> RecoveryManager::Recover(
-    const RecoveryOptions& options) const {
+util::StatusOr<RecoveryResult> RecoveryManager::Recover() const {
   StorePaths paths = MakeStorePaths(store_dir_);
   std::error_code ec;
 
@@ -231,13 +230,10 @@ util::StatusOr<RecoveryResult> RecoveryManager::Recover(
   }
 
   // 5. Never serve unvalidated data off a crash path.
-  if (options.validate) {
-    validate::ValidationReport report =
-        validate::ValidateGraph(*result.graph);
-    if (!report.ok()) {
-      return util::Status::Corruption("recovered store fails validation:\n" +
-                                      report.ToString());
-    }
+  validate::ValidationReport report = validate::ValidateGraph(*result.graph);
+  if (!report.ok()) {
+    return util::Status::Corruption("recovered store fails validation:\n" +
+                                    report.ToString());
   }
   return result;
 }

@@ -59,12 +59,6 @@ SNB_NODISCARD util::Status WriteCheckpoint(const std::string& store_dir,
                              const core::SocialNetwork& net,
                              core::Date last_applied_day);
 
-struct RecoveryOptions {
-  /// Run validate::ValidateGraph on the recovered graph; a violation turns
-  /// into kCorruption (a recovered store must never serve bad data).
-  bool validate = true;
-};
-
 struct RecoveryResult {
   std::unique_ptr<Graph> graph;
 
@@ -89,10 +83,11 @@ class RecoveryManager {
   explicit RecoveryManager(std::string store_dir)
       : store_dir_(std::move(store_dir)) {}
 
-  /// Recovers to the last committed batch. Idempotent: recovering an
+  /// Recovers to the last committed batch and validates the result with
+  /// validate::ValidateGraph; a violation turns into kCorruption (a
+  /// recovered store must never serve bad data). Idempotent: recovering an
   /// already-clean store is a no-op load.
-  SNB_NODISCARD util::StatusOr<RecoveryResult> Recover(
-      const RecoveryOptions& options = {}) const;
+  SNB_NODISCARD util::StatusOr<RecoveryResult> Recover() const;
 
  private:
   std::string store_dir_;

@@ -25,9 +25,9 @@ namespace snb::storage {
 struct TestAccess {
   // ---- Graph tables ---------------------------------------------------------
 
-  static std::vector<core::Person>& Persons(Graph& g) { return g.persons_; }
-  static std::vector<uint8_t>& PersonIsFemale(Graph& g) {
-    return g.person_is_female_;
+  static std::vector<core::Id>& PersonId(Graph& g) { return g.person_id_; }
+  static std::vector<uint32_t>& PersonGenderCode(Graph& g) {
+    return g.person_gender_code_;
   }
   static std::vector<uint32_t>& PostCreator(Graph& g) {
     return g.post_creator_;
@@ -35,7 +35,7 @@ struct TestAccess {
   static std::vector<uint32_t>& PostBrowserCode(Graph& g) {
     return g.post_browser_code_;
   }
-  static columnar::AppendableU32Column& CommentForum(Graph& g) {
+  static std::vector<uint32_t>& CommentForum(Graph& g) {
     return g.comment_forum_;
   }
   static std::vector<uint32_t>& PostLanguageCode(Graph& g) {

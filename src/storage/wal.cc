@@ -146,10 +146,6 @@ util::Status Wal::WriteRecord(uint8_t type, const void* payload, size_t len) {
     SNB_RETURN_IF_ERROR(WriteAll(fd_, buf.data(), buf.size()));
     offset_ += buf.size();
   }
-
-  if (options_.sync == WalSyncPolicy::kEveryRecord) {
-    SNB_RETURN_IF_ERROR(Sync());
-  }
   return util::Status::Ok();
 }
 

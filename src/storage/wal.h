@@ -50,7 +50,6 @@ namespace snb::storage {
 enum class WalSyncPolicy : uint8_t {
   kNone = 0,      // never fsync (tests, or callers who checkpoint often)
   kOnCommit = 1,  // fsync once per BatchCommit — the durability contract
-  kEveryRecord = 2,  // fsync after every record (paranoid / slow)
 };
 
 struct WalOptions {

@@ -286,6 +286,12 @@ void CheckMessageIndex(const Graph& g, Recorder& rec) {
 void CheckDictionaryCodes(const Graph& g, Recorder& rec) {
   rec.BeginInvariant("dictionary-code-in-range");
   const size_t bound = g.Dict().size();
+  for (uint32_t p = 0; p < g.NumPersons(); ++p) {
+    if (g.PersonGenderCode(p) >= bound || g.PersonBrowserCode(p) >= bound) {
+      rec.Addf("person[", p, "]: gender/browser code >= dictionary size ",
+               bound);
+    }
+  }
   for (uint32_t i = 0; i < g.NumPosts(); ++i) {
     const uint32_t m = Graph::MessageOfPost(i);
     if (g.MessageBrowserCode(m) >= bound || g.PostLanguageCode(i) >= bound) {
@@ -604,20 +610,6 @@ void CheckTombstoneZoneBounds(const Graph& g, Recorder& rec) {
   }
 }
 
-// ---- hot-column-gender ------------------------------------------------------
-
-void CheckHotColumnGender(const Graph& g, Recorder& rec) {
-  rec.BeginInvariant("hot-column-gender");
-  for (uint32_t p = 0; p < g.NumPersons(); ++p) {
-    const bool from_string = g.PersonAt(p).gender == "female";
-    if (g.PersonIsFemale(p) != from_string) {
-      rec.Addf("person ", p, ": hot column says ",
-               g.PersonIsFemale(p) ? "female" : "not female",
-               " but Person::gender is \"", g.PersonAt(p).gender, "\"");
-    }
-  }
-}
-
 // ---- unique-id --------------------------------------------------------------
 
 template <typename GetId>
@@ -637,9 +629,9 @@ void CheckUniqueIds(Recorder& rec, const char* table, size_t n, GetId&& id) {
 void CheckUniqueId(const Graph& g, Recorder& rec) {
   rec.BeginInvariant("unique-id");
   CheckUniqueIds(rec, "person", g.NumPersons(),
-                 [&](uint32_t i) { return g.PersonAt(i).id; });
+                 [&](uint32_t i) { return g.PersonId(i); });
   CheckUniqueIds(rec, "forum", g.NumForums(),
-                 [&](uint32_t i) { return g.ForumAt(i).id; });
+                 [&](uint32_t i) { return g.ForumId(i); });
   CheckUniqueIds(rec, "post", g.NumPosts(),
                  [&](uint32_t i) { return g.PostId(i); });
   CheckUniqueIds(rec, "comment", g.NumComments(),
@@ -704,7 +696,6 @@ ValidationReport ValidateGraph(const storage::Graph& graph,
   CheckTombstoneDangling(graph, rec);
   CheckTombstoneIndexAgreement(graph, rec);
   CheckTombstoneZoneBounds(graph, rec);
-  CheckHotColumnGender(graph, rec);
   CheckUniqueId(graph, rec);
   if (options.expect_sf.has_value()) {
     CheckCardinality(graph, *options.expect_sf, rec);

@@ -33,7 +33,6 @@
 //                        like-count zone maxima still upper-bound every
 //                        *live* row after deletes/compaction, so bound
 //                        pushdown never skips a live top-k candidate
-//   hot-column-gender    PersonIsFemale agrees with the gender string
 //   unique-id            external ids are unique per entity table
 //   cardinality          entity counts match the claimed scale factor
 //   store-consistency    the full O(V+E) forward/reverse cross-check

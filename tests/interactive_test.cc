@@ -274,8 +274,7 @@ TEST_F(InteractiveInvariantsTest, Ic10OnlyFoafsWithBirthdayWindow) {
           RunIc13(graph(), {p, row.person_id}).shortest_path_length;
       EXPECT_EQ(d, 2) << "IC10 must return exactly distance-2 persons";
       uint32_t idx = graph().PersonIdx(row.person_id);
-      core::CivilDate b =
-          core::CivilFromDate(graph().PersonAt(idx).birthday);
+      core::CivilDate b = core::CivilFromDate(graph().PersonBirthday(idx));
       bool in_window = (b.month == 4 && b.day >= 21) ||
                        (b.month == 5 && b.day < 22);
       EXPECT_TRUE(in_window);
@@ -287,7 +286,7 @@ TEST_F(InteractiveInvariantsTest, Is7KnowsFlagConsistent) {
   // For the first few posts, the knows flag must agree with IC 13 == 1.
   for (uint32_t post = 0; post < 10 && post < graph().NumPosts(); ++post) {
     core::Id post_id = graph().PostId(post);
-    core::Id author = graph().PersonAt(graph().PostCreator(post)).id;
+    core::Id author = graph().PersonId(graph().PostCreator(post));
     for (const Is7Row& row : RunIs7(graph(), post_id, true)) {
       int32_t d =
           RunIc13(graph(), {author, row.author_id}).shortest_path_length;

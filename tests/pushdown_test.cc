@@ -382,7 +382,7 @@ TEST(NoteLikeTest, AddLikeRaisesZoneMaxSoBoundPruningStaysSound) {
   for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
     if (graph.PostLikers().Degree(post) > old_zone) break;
     if (likers.contains(p)) continue;
-    graph.AddLikePost(graph.PersonAt(p).id, graph.PostId(post), when);
+    graph.AddLikePost(graph.PersonId(p), graph.PostId(post), when);
   }
   ASSERT_GT(graph.PostLikers().Degree(post), old_zone)
       << "fixture too small to overtake the zone max";
@@ -395,7 +395,7 @@ TEST(NoteLikeTest, AddLikeRaisesZoneMaxSoBoundPruningStaysSound) {
   fresh.creation_date = core::DateTimeFromCivil(2030, 6, 15);
   fresh.tags.clear();
   const uint32_t fresh_idx = graph.AddPost(fresh);
-  graph.AddLikePost(graph.PersonAt(0).id, fresh.id, when);
+  graph.AddLikePost(graph.PersonId(0), fresh.id, when);
   ASSERT_GT(idx.NumTailBlocks(), 0u);
   EXPECT_GE(idx.TailZoneAt(idx.NumTailBlocks() - 1).max_likes,
             graph.PostLikers().Degree(fresh_idx));

@@ -22,9 +22,10 @@
 namespace snb::storage {
 namespace {
 
-std::vector<core::Id> SortedTags(std::vector<core::Id> tags) {
-  std::sort(tags.begin(), tags.end());
-  return tags;
+template <typename T>
+std::vector<T> Sorted(std::vector<T> v) {
+  std::sort(v.begin(), v.end());
+  return v;
 }
 
 // Every field of every post and comment, in row order; tags as sorted sets
@@ -47,7 +48,7 @@ void ExpectSameMessages(const core::SocialNetwork& want,
     EXPECT_EQ(g.creator, w.creator);
     EXPECT_EQ(g.forum, w.forum);
     EXPECT_EQ(g.country, w.country);
-    EXPECT_EQ(SortedTags(g.tags), SortedTags(w.tags));
+    EXPECT_EQ(Sorted(g.tags), Sorted(w.tags));
   }
   ASSERT_EQ(got.comments.size(), want.comments.size());
   for (size_t i = 0; i < want.comments.size(); ++i) {
@@ -64,7 +65,54 @@ void ExpectSameMessages(const core::SocialNetwork& want,
     EXPECT_EQ(g.country, w.country);
     EXPECT_EQ(g.reply_of_post, w.reply_of_post);
     EXPECT_EQ(g.reply_of_comment, w.reply_of_comment);
-    EXPECT_EQ(SortedTags(g.tags), SortedTags(w.tags));
+    EXPECT_EQ(Sorted(g.tags), Sorted(w.tags));
+  }
+}
+
+// Every field of every person and forum, in row order: interests and forum
+// tags as sets, the other lists in stored order (IC 1 returns emails and
+// languages as stored), gender and browser as strings.
+void ExpectSamePersonsAndForums(const core::SocialNetwork& want,
+                                const core::SocialNetwork& got) {
+  ASSERT_EQ(got.persons.size(), want.persons.size());
+  for (size_t i = 0; i < want.persons.size(); ++i) {
+    const core::Person& w = want.persons[i];
+    const core::Person& g = got.persons[i];
+    SCOPED_TRACE(testing::Message() << "person row " << i << " id " << w.id);
+    EXPECT_EQ(g.id, w.id);
+    EXPECT_EQ(g.first_name, w.first_name);
+    EXPECT_EQ(g.last_name, w.last_name);
+    EXPECT_EQ(g.gender, w.gender);
+    EXPECT_EQ(g.birthday, w.birthday);
+    EXPECT_EQ(g.creation_date, w.creation_date);
+    EXPECT_EQ(g.location_ip, w.location_ip);
+    EXPECT_EQ(g.browser_used, w.browser_used);
+    EXPECT_EQ(g.city, w.city);
+    EXPECT_EQ(g.emails, w.emails);
+    EXPECT_EQ(g.speaks, w.speaks);
+    EXPECT_EQ(Sorted(g.interests), Sorted(w.interests));
+    ASSERT_EQ(g.study_at.size(), w.study_at.size());
+    for (size_t j = 0; j < w.study_at.size(); ++j) {
+      EXPECT_EQ(g.study_at[j].university, w.study_at[j].university);
+      EXPECT_EQ(g.study_at[j].class_year, w.study_at[j].class_year);
+    }
+    ASSERT_EQ(g.work_at.size(), w.work_at.size());
+    for (size_t j = 0; j < w.work_at.size(); ++j) {
+      EXPECT_EQ(g.work_at[j].company, w.work_at[j].company);
+      EXPECT_EQ(g.work_at[j].work_from, w.work_at[j].work_from);
+    }
+  }
+  ASSERT_EQ(got.forums.size(), want.forums.size());
+  for (size_t i = 0; i < want.forums.size(); ++i) {
+    const core::Forum& w = want.forums[i];
+    const core::Forum& g = got.forums[i];
+    SCOPED_TRACE(testing::Message() << "forum row " << i << " id " << w.id);
+    EXPECT_EQ(g.id, w.id);
+    EXPECT_EQ(g.title, w.title);
+    EXPECT_EQ(g.creation_date, w.creation_date);
+    EXPECT_EQ(g.moderator, w.moderator);
+    EXPECT_EQ(Sorted(g.tags), Sorted(w.tags));
+    EXPECT_EQ(g.kind, w.kind);
   }
 }
 
@@ -83,6 +131,7 @@ TEST(ExportTest, RoundTripPreservesEverything) {
   EXPECT_EQ(exported.memberships.size(), original.memberships.size());
   EXPECT_EQ(exported.NumEdges(), original.NumEdges());
   ExpectSameMessages(original, exported);
+  ExpectSamePersonsAndForums(original, exported);
 
   // The re-built graph passes every representation invariant and answers
   // queries identically.
@@ -92,22 +141,31 @@ TEST(ExportTest, RoundTripPreservesEverything) {
   bi::Bi1Params probe{core::DateFromCivil(2013, 1, 1)};
   EXPECT_EQ(bi::RunBi1(rebuilt, probe), bi::RunBi1(graph, probe));
 
-  // Appended rows (IU 6/7) export field by field too. The stream's other
-  // inserts go in as well, since its posts and comments reference them.
-  size_t inserted = 0;
+  // Appended rows (IU 1/4/6/7) export field by field too. The stream's
+  // edge inserts go in as well.
+  size_t inserted_vertices = 0, inserted_messages = 0;
   for (const datagen::UpdateEvent& e : data.updates) {
     if (datagen::IsDeleteKind(e.kind)) continue;
     ASSERT_TRUE(interactive::ApplyUpdate(graph, e).ok());
-    if (e.kind == datagen::UpdateKind::kAddPost) {
+    if (e.kind == datagen::UpdateKind::kAddPerson) {
+      original.persons.push_back(std::get<core::Person>(e.payload));
+      ++inserted_vertices;
+    } else if (e.kind == datagen::UpdateKind::kAddForum) {
+      original.forums.push_back(std::get<core::Forum>(e.payload));
+      ++inserted_vertices;
+    } else if (e.kind == datagen::UpdateKind::kAddPost) {
       original.posts.push_back(std::get<core::Post>(e.payload));
-      ++inserted;
+      ++inserted_messages;
     } else if (e.kind == datagen::UpdateKind::kAddComment) {
       original.comments.push_back(std::get<core::Comment>(e.payload));
-      ++inserted;
+      ++inserted_messages;
     }
   }
-  ASSERT_GT(inserted, 0u);
-  ExpectSameMessages(original, ExportNetwork(graph));
+  ASSERT_GT(inserted_vertices, 0u);
+  ASSERT_GT(inserted_messages, 0u);
+  const core::SocialNetwork updated = ExportNetwork(graph);
+  ExpectSameMessages(original, updated);
+  ExpectSamePersonsAndForums(original, updated);
 }
 
 TEST(RecoveryTest, CheckpointAfterUpdatesSurvivesCrash) {
@@ -221,7 +279,7 @@ TEST(RecoveryTest, CheckpointAfterUpdatesSurvivesCrash) {
   EXPECT_EQ(bi::RunBi1(recovered, probe), bi::RunBi1(live, probe));
   bi::Bi12Params trending{core::DateFromCivil(2010, 1, 1), 1};
   EXPECT_EQ(bi::RunBi12(recovered, trending), bi::RunBi12(live, trending));
-  interactive::Ic13Params path{live.PersonAt(0).id, live.PersonAt(50).id};
+  interactive::Ic13Params path{live.PersonId(0), live.PersonId(50)};
   EXPECT_EQ(interactive::RunIc13(recovered, path),
             interactive::RunIc13(live, path));
 }

@@ -257,7 +257,7 @@ size_t ZoneRaisingBatch(const Graph& graph, core::Date day, Events* batch) {
        ++p) {
     if (likers.count(p) > 0) continue;
     core::Like like;
-    like.person = graph.PersonAt(p).id;
+    like.person = graph.PersonId(p);
     like.message = graph.PostId(post);
     like.is_post = true;
     like.creation_date = at;

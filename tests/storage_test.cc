@@ -128,7 +128,7 @@ TEST_F(GraphFixture, CountsMatchSource) {
 
 TEST_F(GraphFixture, IdLookupsRoundtrip) {
   for (uint32_t i = 0; i < graph().NumPersons(); ++i) {
-    EXPECT_EQ(graph().PersonIdx(graph().PersonAt(i).id), i);
+    EXPECT_EQ(graph().PersonIdx(graph().PersonId(i)), i);
   }
   for (uint32_t i = 0; i < graph().NumPosts(); ++i) {
     EXPECT_EQ(graph().PostIdx(graph().PostId(i)), i);
@@ -291,7 +291,7 @@ TEST(GraphUpdateTest, IncrementalUpdatesConvergeToFullGraph) {
   // Per-entity spot checks across the boundary: degrees must agree for the
   // same external ids (indices may differ).
   for (uint32_t i = 0; i < reference.NumPersons(); ++i) {
-    core::Id id = reference.PersonAt(i).id;
+    core::Id id = reference.PersonId(i);
     uint32_t j = incremental.PersonIdx(id);
     ASSERT_NE(j, kNoIdx);
     EXPECT_EQ(incremental.Knows().Degree(j), reference.Knows().Degree(i))
@@ -336,10 +336,10 @@ TEST(GraphUpdateTest, EdgeInsertsWithAGoneEndpointAreNoOps) {
   while (!graph.PostAlive(post)) ++post;
   while (!graph.CommentAlive(comment)) ++comment;
   while (!graph.ForumAlive(forum)) ++forum;
-  const core::Id live = graph.PersonAt(person).id;
+  const core::Id live = graph.PersonId(person);
   const core::Id post_id = graph.PostId(post);
   const core::Id comment_id = graph.CommentId(comment);
-  const core::Id forum_id = graph.ForumAt(forum).id;
+  const core::Id forum_id = graph.ForumId(forum);
 
   using datagen::UpdateKind;
   const std::vector<datagen::UpdateEvent> inserts = {
@@ -403,8 +403,8 @@ TEST(GraphUpdateTest, VertexInsertsWithAGoneReferenceAreNoOps) {
   while (graph.CommentAlive(dead_comment)) ++dead_comment;
   while (graph.PlaceAt(country).type != core::PlaceType::kCountry) ++country;
 
-  const core::Person person = graph.PersonAt(graph.PostCreator(post));
-  core::Forum new_forum = graph.ForumAt(forum);
+  const core::Person person = ExportPerson(graph, graph.PostCreator(post));
+  core::Forum new_forum = ExportForum(graph, forum);
   new_forum.id = fresh;
   core::Post new_post = ExportPost(graph, post);
   new_post.id = fresh;
@@ -431,7 +431,7 @@ TEST(GraphUpdateTest, VertexInsertsWithAGoneReferenceAreNoOps) {
     mutate(f);
     inserts.push_back({UpdateKind::kAddForum, at, at, f});
   };
-  add_forum([&](core::Forum& f) { f.id = graph.ForumAt(forum).id; });
+  add_forum([&](core::Forum& f) { f.id = graph.ForumId(forum); });
   add_forum([&](core::Forum& f) { f.moderator = gone; });
   add_forum([&](core::Forum& f) { f.moderator = missing; });
   add_forum([&](core::Forum& f) { f.tags.push_back(missing); });
@@ -443,7 +443,7 @@ TEST(GraphUpdateTest, VertexInsertsWithAGoneReferenceAreNoOps) {
   add_post([&](core::Post& p) { p.id = graph.PostId(post); });
   add_post([&](core::Post& p) { p.creator = gone; });
   add_post([&](core::Post& p) { p.creator = missing; });
-  add_post([&](core::Post& p) { p.forum = graph.ForumAt(dead_forum).id; });
+  add_post([&](core::Post& p) { p.forum = graph.ForumId(dead_forum); });
   add_post([&](core::Post& p) { p.forum = missing; });
   add_post([&](core::Post& p) { p.country = missing; });
   add_post([&](core::Post& p) { p.tags.push_back(missing); });
@@ -522,7 +522,7 @@ TEST(GraphMemoryTest, MemoryMatchesTheHeapGrowthOfACopy) {
   for (size_t i = 0; i < updates.size() / 2; ++i) {
     ASSERT_TRUE(interactive::ApplyUpdate(graph, updates[i]).ok());
   }
-  ASSERT_TRUE(graph.DeletePerson(graph.PersonAt(0).id).ok());
+  ASSERT_TRUE(graph.DeletePerson(graph.PersonId(0)).ok());
 
   const size_t before = mallinfo2().uordblks;
   auto copy = std::make_unique<Graph>(graph);

@@ -43,7 +43,7 @@ TEST(ValidateTest, CleanGraphPassesAllInvariants) {
   options.expect_sf = core::ScaleFactorInfo{"test", 0.0, 50, 0, 0};
   ValidationReport report = ValidateGraph(*graph, options);
   EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_EQ(report.invariants_checked, 17u);
+  EXPECT_EQ(report.invariants_checked, 16u);
 }
 
 TEST(ValidateTest, DanglingEdgeCaughtByEdgeEndpoints) {
@@ -157,7 +157,7 @@ TEST(ValidateTest, StaleCommentForumCaughtByHotColumnEndpoints) {
   bool corrupted = false;
   for (uint32_t c = 0; c < graph->NumComments() && !corrupted; ++c) {
     if (graph->CommentForum(c) != 0) {
-      forums.SetForTest(c, 0);  // 0 always fits the packed base width
+      forums[c] = 0;
       corrupted = true;
     }
   }
@@ -219,15 +219,6 @@ TEST(ValidateTest, ShrunkPersonZoneCaughtByLikeZoneBounds) {
   EXPECT_TRUE(report.Has("like-zone-bounds")) << report.ToString();
 }
 
-TEST(ValidateTest, HotColumnFlipCaughtByHotColumnGender) {
-  auto graph = MakeGraph();
-  auto& is_female = TestAccess::PersonIsFemale(*graph);
-  ASSERT_FALSE(is_female.empty());
-  is_female[0] ^= 1;
-  ValidationReport report = ValidateGraph(*graph, Lenient());
-  EXPECT_TRUE(report.Has("hot-column-gender")) << report.ToString();
-}
-
 TEST(ValidateTest, DoublyIndexedMessageCaughtByMessageIndexOrder) {
   auto graph = MakeGraph();
   auto& refs = TestAccess::BaseRefs(TestAccess::MessageIndex(*graph));
@@ -240,9 +231,9 @@ TEST(ValidateTest, DoublyIndexedMessageCaughtByMessageIndexOrder) {
 
 TEST(ValidateTest, DuplicateExternalIdCaughtByUniqueId) {
   auto graph = MakeGraph();
-  auto& persons = TestAccess::Persons(*graph);
-  ASSERT_GE(persons.size(), 2u);
-  persons[1].id = persons[0].id;
+  auto& ids = TestAccess::PersonId(*graph);
+  ASSERT_GE(ids.size(), 2u);
+  ids[1] = ids[0];
   ValidationReport report = ValidateGraph(*graph, Lenient());
   EXPECT_TRUE(report.Has("unique-id")) << report.ToString();
 }
@@ -293,7 +284,7 @@ TEST(ValidateTest, UncollapsedZoneCaughtByTombstoneIndexAgreement) {
   // Complete cascade, then resurrect the person's message-date zone: every
   // downstream entity is correctly dead (no dangling), but person-granular
   // pruning would still visit the corpse.
-  ASSERT_TRUE(graph->DeletePerson(graph->PersonAt(p).id).ok());
+  ASSERT_TRUE(graph->DeletePerson(graph->PersonId(p)).ok());
   TestAccess::PersonMsgDateMin(*graph)[p] = saved_min;
   TestAccess::PersonMsgDateMax(*graph)[p] = saved_max;
   ValidationReport report = ValidateGraph(*graph, Lenient());
@@ -322,12 +313,13 @@ TEST(ValidateTest, LoweredZoneCaughtByTombstoneZoneBoundsToo) {
 
 TEST(ValidateTest, ViolationCapCountsSuppressed) {
   auto graph = MakeGraph();
-  auto& is_female = TestAccess::PersonIsFemale(*graph);
-  for (auto& v : is_female) v ^= 1;  // every person mismatches
+  auto& genders = TestAccess::PersonGenderCode(*graph);
+  // Every person's gender code falls outside the dictionary.
+  for (auto& code : genders) code = static_cast<uint32_t>(graph->Dict().size());
   ValidatorOptions options = Lenient();
   options.max_violations_per_invariant = 4;
   ValidationReport report = ValidateGraph(*graph, options);
-  EXPECT_EQ(report.CountFor("hot-column-gender"), 4u);
+  EXPECT_EQ(report.CountFor("dictionary-code-in-range"), 4u);
   EXPECT_EQ(report.suppressed, graph->NumPersons() - 4);
 }
 
