@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n== Measured run (spec 6.2 step 3) ==\n");
-  driver::DriverConfig dc;
-  dc.sf_name = "1";
+  driver::DriverConfig dc;  // sf_name defaults to "1"
   driver::DriverReport report =
       driver::RunInteractiveWorkload(graph, data.updates, params, dc);
   std::printf("operations: %zu total (%zu updates, %zu complex reads, "

@@ -11,8 +11,8 @@
 #                       races and lock-order inversions both fail the stage
 #   6. ASan           — fail-point + crash-recovery tests, the range-scan
 #                       and kernel cross-checks (per-block stack buffers,
-#                       partial-block slices), the storage, export and
-#                       Interactive tests (string and list columns) under
+#                       partial-block slices), the storage, export,
+#                       validator and Interactive tests under
 #                       -fsanitize=address, then the delete-cascade crash
 #                       loop (torn cascades at every graph.delete.* stage)
 #                       via ctest so its 600 s TIMEOUT governs the forks
@@ -85,10 +85,13 @@ echo "== ASan: crash-recovery loop and range-scan kernels under -fsanitize=addre
 # bi_crossval_test runs every kernel over bulk-loaded and updated graphs.
 # Person, forum and message rows live in offset-addressed string and list
 # columns; storage_test and recovery_test append, copy and export them,
-# and interactive_test reads them through the IC/IS kernels.
+# and interactive_test reads them through the IC/IS kernels. validate_test
+# corrupts the like-count column and other private state through
+# TestAccess.
 cmake -B "$repo/build-asan" -S "$repo" -DSNB_SANITIZE=address
 cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
-  parallel_test bi_crossval_test storage_test recovery_test interactive_test
+  parallel_test bi_crossval_test storage_test recovery_test interactive_test \
+  validate_test
 "$repo/build-asan/tests/failpoint_test"
 "$repo/build-asan/tests/wal_recovery_test"
 "$repo/build-asan/tests/parallel_test"
@@ -96,6 +99,7 @@ cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
 "$repo/build-asan/tests/storage_test"
 "$repo/build-asan/tests/recovery_test"
 "$repo/build-asan/tests/interactive_test"
+"$repo/build-asan/tests/validate_test"
 
 echo "== ASan: delete-cascade crash loop =="
 # Torn cascades at every graph.delete.* stage: the tests arm each cascade

@@ -25,7 +25,7 @@ std::vector<Bi6Row> RunBi6(const Graph& graph, const Bi6Params& params,
     if (!graph.MessageAlive(msg)) return;  // tag adjacency keeps dead rows
     Agg& a = by_person[graph.MessageCreator(msg)];
     ++a.messages;
-    a.likes += internal::MessageLikeCount(graph, msg);
+    a.likes += graph.LiveLikeCount(msg);
     a.replies += graph.LiveReplyCount(msg);
   };
   // The scan domain: the tag's posts, then its comments.

@@ -15,16 +15,17 @@ std::vector<Bi7Row> RunBi7(const Graph& graph, const Bi7Params& params) {
   if (tag == storage::kNoIdx) return rows;
 
   // popularity(q): total likes received across all of q's messages,
-  // memoized (CP-5.3: intra-query result reuse).
+  // memoized (CP-5.3: intra-query result reuse), each message's from the
+  // graph's like-count column (CP-6.1: inter-query result reuse).
   std::vector<int64_t> popularity_memo(graph.NumPersons(), -1);
   auto popularity = [&](uint32_t q) {
     if (popularity_memo[q] >= 0) return popularity_memo[q];
     int64_t total = 0;
     graph.PersonPosts().ForEach(q, [&](uint32_t post) {
-      total += static_cast<int64_t>(graph.PostLikers().Degree(post));
+      total += graph.LivePostLikeCount(post);
     });
     graph.PersonComments().ForEach(q, [&](uint32_t comment) {
-      total += static_cast<int64_t>(graph.CommentLikers().Degree(comment));
+      total += graph.LiveCommentLikeCount(comment);
     });
     popularity_memo[q] = total;
     return total;

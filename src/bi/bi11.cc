@@ -43,8 +43,7 @@ std::vector<Bi11Row> RunBi11(const Graph& graph, const Bi11Params& params) {
         if (!word.empty() && content.find(word) != content.npos) return;
       }
 
-      int64_t likes =
-          static_cast<int64_t>(graph.CommentLikers().Degree(comment));
+      const int64_t likes = graph.LiveCommentLikeCount(comment);
       graph.CommentTags().ForEach(comment, [&](uint32_t tag) {
         Agg& agg = groups[internal::PairKey(person, tag)];
         ++agg.replies;

@@ -1,4 +1,4 @@
-#include <unordered_map>
+#include <algorithm>
 #include <vector>
 
 #include "bi/bi.h"
@@ -22,6 +22,12 @@ std::vector<uint32_t> WalkTags(const Graph& graph, const Bi24Params& params) {
                                 /*transitive=*/false);
 }
 
+/// Months since year 0 of an instant: year · 12 + month − 1.
+int32_t MonthIndex(core::DateTime dt) {
+  const core::CivilDate c = core::CivilFromDate(core::DateFromDateTime(dt));
+  return c.year * 12 + c.month - 1;
+}
+
 }  // namespace
 
 size_t Bi24Work(const Graph& graph, const Bi24Params& params) {
@@ -30,49 +36,83 @@ size_t Bi24Work(const Graph& graph, const Bi24Params& params) {
 
 std::vector<Bi24Row> RunBi24(const Graph& graph, const Bi24Params& params,
                              util::ThreadPool* pool) {
-  using internal::ContinentOfCountry;
   PollCancel();
+  std::vector<Bi24Row> rows;
   ClassPostings postings(graph, WalkTags(graph, params), kMessages);
+  if (postings.size() == 0) return rows;
+
+  // Low-cardinality group-by (CP-1.4) over a dense (month × continent)
+  // array. Continent slots: the distinct parents of the places, so
+  // slot_of_place[country] is the slot of the message's continent; the
+  // entry past the places stands for a country of kNoIdx, whose continent
+  // is kNoIdx too.
+  const uint32_t num_places = static_cast<uint32_t>(graph.NumPlaces());
+  std::vector<uint32_t> slot_of_place(num_places + 1);
+  std::vector<uint32_t> continent_of_slot;
+  {
+    std::vector<uint32_t> slot_of_parent(num_places + 1, storage::kNoIdx);
+    for (uint32_t place = 0; place <= num_places; ++place) {
+      const uint32_t parent =
+          place < num_places ? graph.PlacePartOf(place) : storage::kNoIdx;
+      uint32_t& slot = slot_of_parent[std::min(parent, num_places)];
+      if (slot == storage::kNoIdx) {
+        slot = static_cast<uint32_t>(continent_of_slot.size());
+        continent_of_slot.push_back(parent);
+      }
+      slot_of_place[place] = slot;
+    }
+  }
+  const size_t num_slots = continent_of_slot.size();
+  // Every message on the lists lies within the graph's message-date bounds.
+  const auto [first_date, last_date] = graph.MessageIndex().DateBounds();
+  const int32_t first_month = MonthIndex(first_date);
+  const size_t num_months =
+      static_cast<size_t>(MonthIndex(last_date) - first_month) + 1;
 
   struct Agg {
     int64_t messages = 0;
     int64_t likes = 0;
   };
-  // Group key (year, month, continent index) packed into one word.
-  auto pack = [](int32_t year, int32_t month, uint32_t continent) {
-    return (uint64_t{static_cast<uint32_t>(year)} << 36) |
-           (uint64_t{static_cast<uint32_t>(month)} << 32) | continent;
+  using Groups = std::vector<Agg>;
+  auto add = [&](Groups& local, core::DateTime created, uint32_t country,
+                 int64_t likes) {
+    const size_t month = static_cast<size_t>(MonthIndex(created) - first_month);
+    Agg& agg = local[month * num_slots +
+                     slot_of_place[std::min(country, num_places)]];
+    ++agg.messages;
+    agg.likes += likes;
   };
-  using GroupMap = std::unordered_map<uint64_t, Agg>;
-  const GroupMap groups = internal::Aggregate(
-      pool, postings.size(), [] { return GroupMap{}; },
-      [&](GroupMap& local, size_t begin, size_t end) {
+  const Groups groups = internal::Aggregate(
+      pool, postings.size(),
+      [&] { return Groups(num_months * num_slots); },
+      [&](Groups& local, size_t begin, size_t end) {
         PollCancel();
-        postings.ForEach(begin, end, [&](uint32_t msg) {
-          const core::CivilDate created = core::CivilFromDate(
-              core::DateFromDateTime(graph.MessageCreationDate(msg)));
-          const uint32_t continent =
-              ContinentOfCountry(graph, graph.MessageCountry(msg));
-          Agg& agg = local[pack(created.year, created.month, continent)];
-          ++agg.messages;
-          agg.likes += internal::MessageLikeCount(graph, msg);
-        });
+        postings.ForEach(
+            begin, end,
+            [&](uint32_t post) {
+              add(local, graph.PostCreation(post), graph.PostCountry(post),
+                  graph.LivePostLikeCount(post));
+            },
+            [&](uint32_t comment) {
+              add(local, graph.CommentCreation(comment),
+                  graph.CommentCountry(comment),
+                  graph.LiveCommentLikeCount(comment));
+            });
       },
-      [](GroupMap& into, const GroupMap& from) {
-        for (const auto& [key, agg] : from) {
-          Agg& target = into[key];
-          target.messages += agg.messages;
-          target.likes += agg.likes;
+      [](Groups& into, const Groups& from) {
+        for (size_t i = 0; i < into.size(); ++i) {
+          into[i].messages += from[i].messages;
+          into[i].likes += from[i].likes;
         }
       },
       kPostingMorselSize);
 
-  std::vector<Bi24Row> rows;
-  rows.reserve(groups.size());
-  for (const auto& [key, agg] : groups) {
-    const auto continent = static_cast<uint32_t>(key);
-    rows.push_back({agg.messages, agg.likes, static_cast<int32_t>(key >> 36),
-                    static_cast<int32_t>((key >> 32) & 0xf),
+  for (size_t i = 0; i < groups.size(); ++i) {
+    const Agg& agg = groups[i];
+    if (agg.messages == 0) continue;
+    const int32_t month = first_month + static_cast<int32_t>(i / num_slots);
+    const uint32_t continent = continent_of_slot[i % num_slots];
+    rows.push_back({agg.messages, agg.likes, month / 12, month % 12 + 1,
                     continent == storage::kNoIdx
                         ? std::string()
                         : graph.PlaceAt(continent).name});

@@ -116,6 +116,17 @@ class ClassPostings {
   /// earlier visit of this walk claimed.
   template <typename F>
   void ForEach(size_t begin, size_t end, F&& f) {
+    ForEach(
+        begin, end, [&f](uint32_t post) { f(Graph::MessageOfPost(post)); },
+        [&f](uint32_t comment) { f(Graph::MessageOfComment(comment)); });
+  }
+
+  /// Per-family form, the one the other wraps: on_post(post row) and
+  /// on_comment(comment row), so a kernel reads each family's columns
+  /// without a per-message family branch.
+  template <typename PostFn, typename CommentFn>
+  void ForEach(size_t begin, size_t end, PostFn&& on_post,
+               CommentFn&& on_comment) {
     auto seg = std::upper_bound(
         segments_.begin(), segments_.end(), begin,
         [](size_t pos, const Segment& s) { return pos < s.end; });
@@ -127,14 +138,12 @@ class ClassPostings {
             seg->tag, lo, hi, [&](uint32_t comment) {
               if (graph_.CommentAlive(comment) &&
                   seen_.Claim(graph_.NumPosts() + comment)) {
-                f(Graph::MessageOfComment(comment));
+                on_comment(comment);
               }
             });
       } else {
         graph_.TagPosts().ForEachSlice(seg->tag, lo, hi, [&](uint32_t post) {
-          if (graph_.PostAlive(post) && seen_.Claim(post)) {
-            f(Graph::MessageOfPost(post));
-          }
+          if (graph_.PostAlive(post) && seen_.Claim(post)) on_post(post);
         });
       }
     }
@@ -178,17 +187,6 @@ inline std::vector<bool> PersonsOfCountry(const Graph& graph,
   graph.CountryPersons().ForEach(country,
                                  [&](uint32_t p) { mask[p] = true; });
   return mask;
-}
-
-/// Continent place index of a country (kNoIdx-safe).
-inline uint32_t ContinentOfCountry(const Graph& graph, uint32_t country) {
-  return country == kNoIdx ? kNoIdx : graph.PlacePartOf(country);
-}
-
-/// Likes a message has received over live like edges (equal to the raw
-/// liker degree on graphs without tombstones).
-inline int64_t MessageLikeCount(const Graph& graph, uint32_t msg) {
-  return graph.LiveLikeCount(msg);
 }
 
 /// Forum of a message: a post's container, a comment's thread-root's

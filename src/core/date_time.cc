@@ -19,28 +19,11 @@ int64_t DaysFromCivil(int64_t y, int64_t m, int64_t d) {
   return era * 146097 + doe - 719468;
 }
 
-CivilDate CivilFromDays(int64_t z) {
-  z += 719468;
-  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
-  const int64_t doe = z - era * 146097;                             // [0,146096]
-  const int64_t yoe =
-      (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;        // [0,399]
-  const int64_t y = yoe + era * 400;
-  const int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);      // [0,365]
-  const int64_t mp = (5 * doy + 2) / 153;                           // [0,11]
-  const int64_t d = doy - (153 * mp + 2) / 5 + 1;                   // [1,31]
-  const int64_t m = mp + (mp < 10 ? 3 : -9);                        // [1,12]
-  return CivilDate{static_cast<int32_t>(y + (m <= 2)),
-                   static_cast<int32_t>(m), static_cast<int32_t>(d)};
-}
-
 }  // namespace
 
 Date DateFromCivil(int32_t year, int32_t month, int32_t day) {
   return static_cast<Date>(DaysFromCivil(year, month, day));
 }
-
-CivilDate CivilFromDate(Date date) { return CivilFromDays(date); }
 
 DateTime DateTimeFromCivil(int32_t year, int32_t month, int32_t day,
                            int32_t hour, int32_t minute, int32_t second,
@@ -66,7 +49,8 @@ int32_t MonthsSpanInclusive(DateTime from, DateTime to) {
 
 std::string FormatDate(Date date) {
   CivilDate c = CivilFromDate(date);
-  char buf[16];
+  // Room for any int32 field, so no output can be truncated.
+  char buf[48];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year, c.month, c.day);
   return buf;
 }
@@ -81,7 +65,7 @@ std::string FormatDateTime(DateTime dt) {
   int32_t second =
       static_cast<int32_t>((ms_of_day % kMillisPerMinute) / kMillisPerSecond);
   int32_t millis = static_cast<int32_t>(ms_of_day % kMillisPerSecond);
-  char buf[40];
+  char buf[96];  // room for any int32 field, as in FormatDate
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03d+0000",
                 c.year, c.month, c.day, hour, minute, second, millis);
   return buf;

@@ -39,8 +39,23 @@ struct CivilDate {
 /// Converts a calendar date to days since the epoch (proleptic Gregorian).
 Date DateFromCivil(int32_t year, int32_t month, int32_t day);
 
-/// Converts days since the epoch back to the calendar date.
-CivilDate CivilFromDate(Date date);
+/// Converts days since the epoch back to the calendar date (Howard
+/// Hinnant's civil-from-days algorithm, public domain). Inline: BI 24
+/// calls it once per message it groups.
+constexpr CivilDate CivilFromDate(Date date) {
+  const int64_t z = static_cast<int64_t>(date) + 719468;
+  const int64_t era = (z >= 0 ? z : z - 146096) / 146097;
+  const int64_t doe = z - era * 146097;                             // [0,146096]
+  const int64_t yoe =
+      (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;        // [0,399]
+  const int64_t y = yoe + era * 400;
+  const int64_t doy = doe - (365 * yoe + yoe / 4 - yoe / 100);      // [0,365]
+  const int64_t mp = (5 * doy + 2) / 153;                           // [0,11]
+  const int64_t d = doy - (153 * mp + 2) / 5 + 1;                   // [1,31]
+  const int64_t m = mp + (mp < 10 ? 3 : -9);                        // [1,12]
+  return CivilDate{static_cast<int32_t>(y + (m <= 2)),
+                   static_cast<int32_t>(m), static_cast<int32_t>(d)};
+}
 
 /// Builds a DateTime from calendar components.
 DateTime DateTimeFromCivil(int32_t year, int32_t month, int32_t day,

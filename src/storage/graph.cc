@@ -261,15 +261,22 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
     person_likes_.Build(NumPersons(), std::move(person_likes), true);
     post_likers_.Build(NumPosts(), std::move(post_likers), true);
     comment_likers_.Build(NumComments(), std::move(comment_likers), true);
+    // A bulk-loaded graph has no tombstones: every like is live.
+    for (uint32_t i = 0; i < NumPosts(); ++i) {
+      post_like_count_[i] = static_cast<uint32_t>(post_likers_.Degree(i));
+    }
+    for (uint32_t i = 0; i < NumComments(); ++i) {
+      comment_like_count_[i] =
+          static_cast<uint32_t>(comment_likers_.Degree(i));
+    }
   }
 
   // ---- Creation-date message index -------------------------------------------
   message_index_.Build(post_creation_, comment_creation_);
   // Like-count zones over the sorted base, from the bulk-loaded like
-  // degrees (the update path maintains them through NoteLike).
+  // counts (the update path maintains them through NoteLike).
   message_index_.BuildLikeZones([this](uint32_t ref) -> uint32_t {
-    return static_cast<uint32_t>(
-        (IsPost(ref) ? post_likers_ : comment_likers_).Degree(MessageRow(ref)));
+    return static_cast<uint32_t>(LiveLikeCount(ref));
   });
 }
 
@@ -324,8 +331,8 @@ columnar::MemoryBreakdown Graph::Memory() const {
   mb.num_messages = NumMessages();
 
   // Pure additions over the seed layout (raw 0): the dictionary, its
-  // message code columns, the comment → thread forum endpoint and the
-  // per-person message-date zones.
+  // message code columns, the comment → thread forum endpoint, the live
+  // like counts and the per-person message-date zones.
   add("dict", dict_.ByteSize(), 0, dict_.size());
   add("cols/codes",
       VecBytes(post_browser_code_) + VecBytes(comment_browser_code_) +
@@ -334,6 +341,9 @@ columnar::MemoryBreakdown Graph::Memory() const {
       0, NumMessages() * 2);
   add("cols/comment-forum", VecBytes(comment_forum_), 0,
       comment_forum_.size());
+  add("cols/like-count",
+      VecBytes(post_like_count_) + VecBytes(comment_like_count_), 0,
+      NumMessages());
   add("cols/person-msg-zones",
       VecBytes(person_msg_date_min_) + VecBytes(person_msg_date_max_), 0,
       NumPersons());
@@ -409,8 +419,7 @@ columnar::MemoryBreakdown Graph::Memory() const {
             person_dead_.ByteSize() + forum_dead_.ByteSize() +
                 post_dead_.ByteSize() + comment_dead_.ByteSize() +
                 HashBytes(deleted_likes_) + HashBytes(deleted_memberships_) +
-                HashBytes(deleted_knows_) + HashBytes(dead_likes_per_msg_) +
-                HashBytes(dead_replies_per_msg_),
+                HashBytes(deleted_knows_) + HashBytes(dead_replies_per_msg_),
             person_dead_.count() + forum_dead_.count() + post_dead_.count() +
                 comment_dead_.count() + deleted_likes_.size() +
                 deleted_memberships_.size() + deleted_knows_.size());
@@ -485,6 +494,7 @@ uint32_t Graph::AppendPostRow(const core::Post& post, uint32_t creator,
   post_creator_.push_back(creator);
   post_forum_.push_back(forum);
   post_country_.push_back(country);
+  post_like_count_.push_back(0);
   NoteMessageDate(creator, post.creation_date);
   return idx;
 }
@@ -510,6 +520,7 @@ uint32_t Graph::AppendCommentRow(const core::Comment& comment,
   comment_root_post_.push_back(root_post);
   comment_forum_.push_back(post_forum_[root_post]);
   comment_root_language_code_.push_back(post_language_code_[root_post]);
+  comment_like_count_.push_back(0);
   NoteMessageDate(creator, comment.creation_date);
   return idx;
 }
@@ -563,12 +574,13 @@ void Graph::AddLike(uint32_t p, uint32_t msg, core::DateTime date) {
   }
   AdjacencyList& likers = IsPost(msg) ? post_likers_ : comment_likers_;
   const uint32_t row = MessageRow(msg);
-  // Raise the like-count zone max *before* the like becomes visible, so a
-  // concurrent bound-pruned scan never sees a degree above its block's zone.
-  message_index_.NoteLike(msg, MessageCreationDate(msg),
-                          static_cast<uint32_t>(likers.Degree(row)) + 1);
+  ++(IsPost(msg) ? post_like_count_ : comment_like_count_)[row];
   person_likes_.Append(p, msg, date);
   likers.Append(row, p, date);
+  // The zone bounds the raw likers degree, which is never below the live
+  // count (validator like-zone-bounds).
+  message_index_.NoteLike(msg, MessageCreationDate(msg),
+                          static_cast<uint32_t>(likers.Degree(row)));
 }
 
 void Graph::AddLikePost(core::Id person, core::Id post, core::DateTime date) {
@@ -731,11 +743,14 @@ util::Status Graph::RunCascade(CascadeTargets targets) {
   // Stage 4: edge tombstones — explicit DEL 2/3/5/8 targets plus the dead
   // persons' outgoing likes (their like no longer counts toward any live
   // message). Explicitly-deleted likes are excluded to avoid double counting.
+  // A like on a live message leaves its like count; a dead message's count
+  // is frozen and never read.
   SNB_FAILPOINT_STATUS("graph.delete.likes");
+  auto unlike = [this](uint32_t msg) {
+    --(IsPost(msg) ? post_like_count_ : comment_like_count_)[MessageRow(msg)];
+  };
   for (uint64_t key : targets.like_keys) {
-    if (deleted_likes_.insert(key).second) {
-      ++dead_likes_per_msg_[static_cast<uint32_t>(key)];
-    }
+    if (deleted_likes_.insert(key).second) unlike(static_cast<uint32_t>(key));
   }
   for (uint64_t key : targets.membership_keys) {
     deleted_memberships_.insert(key);
@@ -745,7 +760,7 @@ util::Status Graph::RunCascade(CascadeTargets targets) {
     person_likes_.ForEach(p, [&](uint32_t msg) {
       if (MessageAlive(msg) &&
           deleted_likes_.find(EdgeKey(p, msg)) == deleted_likes_.end()) {
-        ++dead_likes_per_msg_[msg];
+        unlike(msg);
       }
     });
   }

@@ -176,18 +176,19 @@ class Graph {
 
   /// Number of likes whose target is `msg` and whose edge is still live —
   /// the delete-aware replacement for PostLikers()/CommentLikers() Degree.
+  /// One read of the like-count column, which the bulk build, IU 2/3 and
+  /// the DEL cascade maintain (only meaningful for live messages: a dead
+  /// message's count is frozen at death).
   int64_t LiveLikeCount(uint32_t msg) const {
     return IsPost(msg) ? LivePostLikeCount(msg)
                        : LiveCommentLikeCount(AsComment(msg));
   }
   /// LiveLikeCount of a post / a comment row (per-family scans).
   int64_t LivePostLikeCount(uint32_t post) const {
-    return LiveDegree(post_likers_.Degree(post), dead_likes_per_msg_,
-                      MessageOfPost(post));
+    return post_like_count_[post];
   }
   int64_t LiveCommentLikeCount(uint32_t comment) const {
-    return LiveDegree(comment_likers_.Degree(comment), dead_likes_per_msg_,
-                      MessageOfComment(comment));
+    return comment_like_count_[comment];
   }
 
   /// Live direct replies of `msg` (only meaningful for live messages: a dead
@@ -473,6 +474,9 @@ class Graph {
 
   core::DateTime PostCreation(uint32_t i) const { return post_creation_[i]; }
   uint32_t PostCreator(uint32_t i) const { return post_creator_[i]; }
+  /// Country place index of a post / a comment (per-family MessageCountry).
+  uint32_t PostCountry(uint32_t i) const { return post_country_[i]; }
+  uint32_t CommentCountry(uint32_t i) const { return comment_country_[i]; }
   uint32_t PostForum(uint32_t i) const { return post_forum_[i]; }
   /// Dictionary code of the post's language (image posts carry the code of
   /// the empty string).
@@ -579,10 +583,10 @@ class Graph {
   // idempotent (a delete re-applied after compaction finds nothing).
   // A returned error (only from injected faults / failpoints) means the
   // cascade is torn: tombstones from completed stages are in place but the
-  // epoch was not bumped, and like/reply deltas of later stages are
-  // missing. A torn graph must be discarded — the refresh path throws away
-  // its shadow copy and re-copies the published base; recovery restarts
-  // replay from the WAL. (Re-calling the same Delete* is NOT a repair: the
+  // epoch was not bumped, and the like counts and reply deltas of later
+  // stages are not updated. A torn graph must be discarded — the refresh
+  // path throws away its shadow copy and re-copies the published base;
+  // recovery restarts replay from the WAL. (Re-calling the same Delete* is NOT a repair: the
   // root is already tombstoned, so it would no-op.)
 
   util::Status DeletePerson(core::Id person);                  // DEL 1
@@ -647,7 +651,7 @@ class Graph {
     return a < b ? EdgeKey(a, b) : EdgeKey(b, a);
   }
 
-  /// A raw adjacency degree of `msg` minus its dead-edge delta.
+  /// A raw reply degree of `msg` minus its dead-reply delta.
   static int64_t LiveDegree(
       size_t degree, const std::unordered_map<uint32_t, uint32_t>& dead,
       uint32_t msg) {
@@ -741,6 +745,9 @@ class Graph {
 
   // Materialized hot endpoints + per-person message-date zones.
   std::vector<uint32_t> comment_forum_;  // comment → thread's forum
+  // Live likes per post / comment: the likers degree at build, +1 per IU
+  // 2/3, -1 per like the cascade kills on a live message (CP-6.1 reuse).
+  std::vector<uint32_t> post_like_count_, comment_like_count_;
   std::vector<core::DateTime> person_msg_date_min_, person_msg_date_max_;
 
   // Adjacency.
@@ -759,16 +766,15 @@ class Graph {
   MessageDateIndex message_index_;
 
   // Tombstone state (deep deletes). Vertex bitmaps are sized with the
-  // tables; edge tombstones are explicit key sets; the per-message delta
-  // maps turn raw adjacency degrees into live counts without rewriting CSR
-  // spans. dead_likes_per_msg_ / dead_replies_per_msg_ only track deltas
-  // for *live* target messages — a dead target's counters are frozen at
-  // death and never read.
+  // tables; edge tombstones are explicit key sets; the reply delta map
+  // turns raw reply degrees into live counts without rewriting CSR spans
+  // (live like counts are a maintained column above).
+  // dead_replies_per_msg_ only tracks deltas for *live* target messages —
+  // a dead target's counter is frozen at death and never read.
   TombstoneBitmap person_dead_, forum_dead_, post_dead_, comment_dead_;
   std::unordered_set<uint64_t> deleted_likes_;        // EdgeKey(person, msg)
   std::unordered_set<uint64_t> deleted_memberships_;  // EdgeKey(person, forum)
   std::unordered_set<uint64_t> deleted_knows_;        // UnorderedEdgeKey
-  std::unordered_map<uint32_t, uint32_t> dead_likes_per_msg_;
   std::unordered_map<uint32_t, uint32_t> dead_replies_per_msg_;
   uint32_t tombstone_epoch_ = 0;
   uint32_t compaction_epoch_ = 0;

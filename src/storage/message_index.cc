@@ -45,6 +45,20 @@ void MessageDateIndex::Append(uint32_t msg, core::DateTime date) {
   z.max = std::max(z.max, date);
 }
 
+std::pair<core::DateTime, core::DateTime> MessageDateIndex::DateBounds()
+    const {
+  core::DateTime lo = kMaxMessageDate, hi = kMinMessageDate;
+  if (!base_refs_.empty()) {
+    lo = BaseDateAt(0);
+    hi = BaseDateAt(base_refs_.size() - 1);
+  }
+  for (const Zone& z : tail_zones_) {
+    lo = std::min(lo, z.min);
+    hi = std::max(hi, z.max);
+  }
+  return {lo, hi};
+}
+
 void MessageDateIndex::NoteLike(uint32_t msg, core::DateTime date,
                                 uint32_t likes) {
   // Base lookup: entries with one creation date form a contiguous run sorted

@@ -111,6 +111,11 @@ class MessageDateIndex {
     return base_like_max_[block];
   }
 
+  /// Earliest and latest creation date of any indexed message (dead ones
+  /// included): the sorted base's two ends and the tail zones. {kMax,
+  /// kMin}MessageDate when the index is empty.
+  std::pair<core::DateTime, core::DateTime> DateBounds() const;
+
   size_t base_size() const { return base_refs_.size(); }
   size_t tail_size() const { return tail_refs_.size(); }
   size_t size() const { return base_size() + tail_size(); }

@@ -12,7 +12,6 @@
 #define SNB_STORAGE_TEST_ACCESS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/adjacency.h"
@@ -55,13 +54,13 @@ struct TestAccess {
 
   // ---- Tombstone state ------------------------------------------------------
   // Tests seed torn-cascade states (a dead person whose messages stayed
-  // alive, a stale live-count delta, an uncollapsed zone) that the public
+  // alive, a stale live like count, an uncollapsed zone) that the public
   // Delete* cascade can never produce, then assert the tombstone-* validator
   // invariants catch each one.
 
   static TombstoneBitmap& PersonDead(Graph& g) { return g.person_dead_; }
-  static std::unordered_map<uint32_t, uint32_t>& DeadLikesPerMsg(Graph& g) {
-    return g.dead_likes_per_msg_;
+  static std::vector<uint32_t>& PostLikeCount(Graph& g) {
+    return g.post_like_count_;
   }
 
   // ---- Adjacency representation --------------------------------------------

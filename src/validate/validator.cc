@@ -503,10 +503,10 @@ void CheckTombstoneDangling(const Graph& g, Recorder& rec) {
 
 // ---- tombstone-index-agreement ----------------------------------------------
 
-// The bitmaps, the live-count bookkeeping and the dead-delta maps must tell
-// one story: NumLive* equals a from-scratch census, LiveLikeCount /
-// LiveReplyCount of every live message equals a recount over its actual
-// live edges, and a dead person's message-date zone is collapsed to the
+// The bitmaps, the live-count bookkeeping (the like-count column and the
+// dead-reply delta map) must tell one story: NumLive* equals a from-scratch
+// census, LiveLikeCount / LiveReplyCount of every live message equals a
+// recount over its actual live edges, and a dead person's message-date zone is collapsed to the
 // sentinel so person-granular pruning skips them.
 void CheckTombstoneIndexAgreement(const Graph& g, Recorder& rec) {
   rec.BeginInvariant("tombstone-index-agreement");

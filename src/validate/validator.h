@@ -21,14 +21,21 @@
 //   block-zone-covers-contents
 //                        every columnar block's min/max zone metadata
 //                        exactly bounds its decoded contents
+//   hot-column-endpoints every materialized 2-hop endpoint (comment →
+//                        thread forum, root-post language code) equals
+//                        the pointer chain it caches
+//   like-zone-bounds     every like-count zone max bounds the raw likers
+//                        degree of its block's messages, and every message
+//                        lies in its creator's message-date zone
 //   tombstone-dangling   no live entity references a tombstoned vertex
 //                        (dead person → their forums/messages dead, dead
 //                        forum → its posts dead, dead message → its reply
 //                        subtree dead) — a violation is a torn cascade
 //   tombstone-index-agreement
-//                        NumLive* counters, LiveLikeCount/LiveReplyCount
-//                        deltas and the collapsed zones of dead persons all
-//                        agree with a from-scratch census of the bitmaps
+//                        NumLive* counters, the live like-count column,
+//                        the LiveReplyCount deltas and the collapsed zones
+//                        of dead persons all agree with a from-scratch
+//                        census of the bitmaps and live edges
 //   tombstone-zone-bounds
 //                        like-count zone maxima still upper-bound every
 //                        *live* row after deletes/compaction, so bound

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "bi/bi.h"
+#include "bi/naive.h"
 #include "datagen/datagen.h"
 #include "fixture_graph.h"
 #include "params/parameter_curation.h"
@@ -236,6 +241,75 @@ TEST_F(BiSemanticsTest, Bi24GroupsByContinent) {
   EXPECT_EQ(rows[0].like_count, 3);  // 2 on post0 + 1 on c0
   EXPECT_EQ(rows[1].month, 5);
   EXPECT_EQ(rows[1].like_count, 1);
+}
+
+// Musician-tagged posts, each with one reply comment and one like, on both
+// sides of a month boundary (June → July 2010) and of a year boundary
+// (December 2010 → January 2011): the last and the first millisecond.
+struct BoundaryMessages {
+  std::vector<core::Post> posts;
+  std::vector<core::Comment> comments;
+  std::vector<core::Like> likes;
+};
+
+BoundaryMessages MakeBoundaryMessages(const core::SocialNetwork& fixture) {
+  BoundaryMessages out;
+  const core::DateTime instants[] = {
+      DateTimeFromCivil(2010, 7, 1) - 1, DateTimeFromCivil(2010, 7, 1),
+      DateTimeFromCivil(2011, 1, 1) - 1, DateTimeFromCivil(2011, 1, 1)};
+  core::Id id = 100;
+  for (core::DateTime at : instants) {
+    core::Post post = fixture.posts[0];
+    post.id = id++;
+    post.creation_date = at;
+    post.country = out.posts.size() % 2 == 0 ? kGermany : kFrance;
+    core::Comment comment = fixture.comments[0];
+    comment.id = id++;
+    comment.creation_date = at;
+    comment.reply_of_post = post.id;
+    out.likes.push_back({kDave, post.id, true, at});
+    out.posts.push_back(std::move(post));
+    out.comments.push_back(std::move(comment));
+  }
+  return out;
+}
+
+TEST(Bi24BoundaryTest, MonthAndYearEdgesMatchTheNaiveEngine) {
+  const Bi24Params params{"Musician"};
+  auto expect_edges = [&](const storage::Graph& graph, const char* state) {
+    const std::vector<Bi24Row> rows = RunBi24(graph, params);
+    EXPECT_EQ(rows, naive::RunBi24(graph, params)) << state;
+    // Each edge month holds one post and one comment, in Europe.
+    for (auto [year, month] : {std::pair{2010, 6}, std::pair{2010, 7},
+                               std::pair{2010, 12}, std::pair{2011, 1}}) {
+      auto it = std::find_if(rows.begin(), rows.end(), [&](const Bi24Row& r) {
+        return r.year == year && r.month == month;
+      });
+      ASSERT_NE(it, rows.end()) << state << " " << year << "-" << month;
+      EXPECT_EQ(it->message_count, 2) << state;
+      EXPECT_EQ(it->like_count, 1) << state;
+      EXPECT_EQ(it->continent, "Europe") << state;
+    }
+  };
+
+  // Bulk-loaded: the messages sit in the sorted index base.
+  core::SocialNetwork net = MakeFixtureNetwork();
+  BoundaryMessages edges = MakeBoundaryMessages(net);
+  net.posts.insert(net.posts.end(), edges.posts.begin(), edges.posts.end());
+  net.comments.insert(net.comments.end(), edges.comments.begin(),
+                      edges.comments.end());
+  net.likes.insert(net.likes.end(), edges.likes.begin(), edges.likes.end());
+  expect_edges(storage::Graph(std::move(net)), "bulk");
+
+  // Inserted through IU 6/7/2: they sit in the index tail.
+  storage::Graph graph(MakeFixtureNetwork());
+  for (size_t i = 0; i < edges.posts.size(); ++i) {
+    ASSERT_NE(graph.AddPost(edges.posts[i]), storage::kNoIdx);
+    ASSERT_NE(graph.AddComment(edges.comments[i]), storage::kNoIdx);
+    graph.AddLikePost(edges.likes[i].person, edges.likes[i].message,
+                      edges.likes[i].creation_date);
+  }
+  expect_edges(graph, "inserted");
 }
 
 TEST_F(BiSemanticsTest, Bi25WeighsTrustedPaths) {

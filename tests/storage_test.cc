@@ -10,6 +10,7 @@
 #include <malloc.h>
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -505,6 +506,134 @@ TEST(GraphUpdateTest, VertexInsertsWithAGoneReferenceAreNoOps) {
   EXPECT_NE(graph.AddForum(new_forum), kNoIdx);
 }
 
+// LiveLikeCount of every live message equals a recount of its live like
+// edges, and the validator (like-zone-bounds, tombstone-index-agreement,
+// tombstone-zone-bounds among them) finds nothing.
+void ExpectLikeCountsMatchEdges(const Graph& g, const std::string& stage) {
+  size_t mismatches = 0;
+  g.ForEachMessage([&](uint32_t msg) {
+    int64_t likes = 0;
+    auto count = [&](uint32_t p) { likes += g.LikeAlive(p, msg); };
+    if (Graph::IsPost(msg)) {
+      g.PostLikers().ForEach(msg, count);
+    } else {
+      g.CommentLikers().ForEach(Graph::AsComment(msg), count);
+    }
+    if (g.LiveLikeCount(msg) != likes && ++mismatches <= 5) {
+      ADD_FAILURE() << stage << ": message " << msg << " LiveLikeCount "
+                    << g.LiveLikeCount(msg) << " but " << likes
+                    << " live like edges";
+    }
+  });
+  EXPECT_EQ(mismatches, 0u) << stage;
+  validate::ValidationReport report = validate::ValidateGraph(g);
+  EXPECT_TRUE(report.ok()) << stage << ": " << report.ToString();
+}
+
+TEST(GraphUpdateTest, LikeCountColumnTracksLiveLikeEdges) {
+  datagen::GeneratedData data = datagen::Generate(SmallConfig());
+  const std::vector<datagen::UpdateEvent> updates = std::move(data.updates);
+  Graph graph(std::move(data.network));
+  ExpectLikeCountsMatchEdges(graph, "bulk load");
+
+  // IU 2/3: the update stream likes bulk and newly inserted messages; add
+  // likes on a fresh post and a bulk comment on top.
+  for (const datagen::UpdateEvent& e : updates) {
+    ASSERT_TRUE(interactive::ApplyUpdate(graph, e).ok());
+  }
+  const core::DateTime at = core::DateTimeFromCivil(2013, 6, 1);
+  core::Post post;
+  post.id = core::Id{1} << 50;
+  post.creation_date = at;
+  post.creator = graph.PersonId(0);
+  post.forum = graph.ForumId(0);
+  post.country = graph.PlaceAt(graph.PersonCountry(0)).id;
+  post.content = "fresh";
+  post.length = 5;
+  const uint32_t fresh = graph.AddPost(post);
+  ASSERT_NE(fresh, kNoIdx);
+  graph.AddLikePost(graph.PersonId(1), post.id, at);
+  graph.AddLikePost(graph.PersonId(2), post.id, at);
+  graph.AddLikeComment(graph.PersonId(3), graph.CommentId(0), at);
+  EXPECT_EQ(graph.LivePostLikeCount(fresh), 2);
+  ExpectLikeCountsMatchEdges(graph, "IU 2/3");
+
+  // The first row in [0, n) that `pred` accepts.
+  auto first_row = [](size_t n, auto&& pred) {
+    uint32_t row = 0;
+    while (row < n && !pred(row)) ++row;
+    return row;
+  };
+  auto first_liker = [&](const AdjacencyList& likers, uint32_t row) {
+    uint32_t liker = kNoIdx;
+    likers.ForEach(row, [&](uint32_t p) {
+      if (liker == kNoIdx) liker = p;
+    });
+    return liker;
+  };
+
+  // DEL 2/3: one like on the fresh post, one on a bulk post and one on a
+  // bulk comment; then the fresh post gets a like back (IU 2 after DEL 2).
+  const uint32_t post_row = first_row(graph.NumPosts(), [&](uint32_t i) {
+    return graph.PostLikers().Degree(i) >= 2;
+  });
+  const uint32_t comment_row = first_row(graph.NumComments(), [&](uint32_t i) {
+    return graph.CommentLikers().Degree(i) > 0;
+  });
+  ASSERT_LT(post_row, graph.NumPosts());
+  ASSERT_LT(comment_row, graph.NumComments());
+  const int64_t post_likes = graph.LivePostLikeCount(post_row);
+  ASSERT_TRUE(graph.DeleteLikePost(graph.PersonId(1), post.id).ok());
+  ASSERT_TRUE(graph
+                  .DeleteLikePost(
+                      graph.PersonId(first_liker(graph.PostLikers(), post_row)),
+                      graph.PostId(post_row))
+                  .ok());
+  ASSERT_TRUE(graph
+                  .DeleteLikeComment(graph.PersonId(first_liker(
+                                         graph.CommentLikers(), comment_row)),
+                                     graph.CommentId(comment_row))
+                  .ok());
+  EXPECT_EQ(graph.LivePostLikeCount(fresh), 1);
+  EXPECT_EQ(graph.LivePostLikeCount(post_row), post_likes - 1);
+  ExpectLikeCountsMatchEdges(graph, "DEL 2/3");
+  graph.AddLikePost(graph.PersonId(4), post.id, at);
+  ExpectLikeCountsMatchEdges(graph, "IU 2 after DEL 2");
+
+  // DEL 1: the person with the most likes takes them all with them.
+  uint32_t liker = 0;
+  for (uint32_t p = 1; p < graph.NumPersons(); ++p) {
+    if (graph.PersonLikes().Degree(p) > graph.PersonLikes().Degree(liker)) {
+      liker = p;
+    }
+  }
+  ASSERT_GT(graph.PersonLikes().Degree(liker), 0u);
+  ASSERT_TRUE(graph.DeletePerson(graph.PersonId(liker)).ok());
+  ExpectLikeCountsMatchEdges(graph, "DEL 1");
+
+  // DEL 6/7: a liked post and a liked comment with their reply subtrees.
+  const uint32_t victim_post = first_row(graph.NumPosts(), [&](uint32_t i) {
+    return graph.PostAlive(i) && graph.LivePostLikeCount(i) > 0;
+  });
+  const uint32_t victim_comment =
+      first_row(graph.NumComments(), [&](uint32_t i) {
+        return graph.CommentAlive(i) && graph.LiveCommentLikeCount(i) > 0;
+      });
+  ASSERT_LT(victim_post, graph.NumPosts());
+  ASSERT_LT(victim_comment, graph.NumComments());
+  ASSERT_TRUE(graph.DeletePost(graph.PostId(victim_post)).ok());
+  ASSERT_TRUE(graph.DeleteComment(graph.CommentId(victim_comment)).ok());
+  ExpectLikeCountsMatchEdges(graph, "DEL 6/7");
+
+  const Graph copy(graph);
+  ExpectLikeCountsMatchEdges(copy, "member-wise copy");
+  const Graph compacted(ExportNetwork(copy), copy.CompactionEpoch() + 1);
+  ExpectLikeCountsMatchEdges(compacted, "compaction");
+  EXPECT_EQ(compacted.PostLikers().num_edges() +
+                compacted.CommentLikers().num_edges(),
+            compacted.PersonLikes().num_edges());
+}
+
 TEST(GraphMemoryTest, MemoryMatchesTheHeapGrowthOfACopy) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "sanitizer allocators do not report through mallinfo2";
@@ -518,7 +647,7 @@ TEST(GraphMemoryTest, MemoryMatchesTheHeapGrowthOfACopy) {
   datagen::GeneratedData data = datagen::Generate(cfg);
   const std::vector<datagen::UpdateEvent> updates = std::move(data.updates);
   Graph graph(std::move(data.network));
-  // Overflow appends, tombstones and dead-delta maps all hold heap too.
+  // Overflow appends, tombstones and the reply-delta map all hold heap too.
   for (size_t i = 0; i < updates.size() / 2; ++i) {
     ASSERT_TRUE(interactive::ApplyUpdate(graph, updates[i]).ok());
   }

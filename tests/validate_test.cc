@@ -269,9 +269,14 @@ TEST(ValidateTest, OrphanedTombstoneCaughtByTombstoneDangling) {
 
 TEST(ValidateTest, StaleLiveCountCaughtByTombstoneIndexAgreement) {
   auto graph = MakeGraph();
-  // A dead-like delta with no matching dead edge: LiveLikeCount would
-  // undercount the message by one.
-  TestAccess::DeadLikesPerMsg(*graph)[Graph::MessageOfPost(0)] = 1;
+  // A like count one below the post's live like edges: LiveLikeCount
+  // undercounts it. The post has likes, so the decrement does not wrap.
+  uint32_t post = 0;
+  while (post < graph->NumPosts() && graph->PostLikers().Degree(post) == 0) {
+    ++post;
+  }
+  ASSERT_LT(post, graph->NumPosts());
+  --TestAccess::PostLikeCount(*graph)[post];
   ValidationReport report = ValidateGraph(*graph, Lenient());
   EXPECT_TRUE(report.Has("tombstone-index-agreement")) << report.ToString();
 }

@@ -159,12 +159,5 @@ int main(int argc, char** argv) {
                  mb.BytesPerEdge(), max_bytes_per_edge);
     return 1;
   }
-  std::printf("bytes/edge %.2f (raw %.2f, %.2fx), bytes/message %.2f "
-              "(raw %.2f)\n",
-              mb.BytesPerEdge(), mb.RawBytesPerEdge(),
-              mb.BytesPerEdge() > 0
-                  ? mb.RawBytesPerEdge() / mb.BytesPerEdge()
-                  : 0.0,
-              mb.BytesPerMessage(), mb.RawBytesPerMessage());
   return 0;
 }
