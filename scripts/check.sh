@@ -18,7 +18,7 @@
 #                       via ctest so its 600 s TIMEOUT governs the forks
 #   7. fuzz smoke     — the parser/decoder fuzz harnesses, fixed-iteration
 #                       deterministic replay under ASan+UBSan
-#   8. scale smoke    — streaming datagen at 10× the bench scale under a
+#   8. scale smoke    — streaming datagen at 8000 persons under a
 #                       bounded sorter budget, loaded, validated, and held
 #                       to the bytes/edge compression budget
 #   9. thread-safety  — clang -Wthread-safety -Werror=thread-safety build
@@ -131,11 +131,11 @@ for pair in fuzz_wal_record:wal fuzz_csv_row:csv fuzz_update_event:update_event 
     --corpus="$repo/fuzz/corpus/$corpus" --iterations=50000
 done
 
-echo "== scale smoke: streaming datagen at 10x the bench scale =="
-# bench/BENCH_storage.json baselines at 800 persons; this stage generates
-# 8000 with a 64 MiB sorter budget (spills are expected and part of the
-# point), loads the result into the compressed store, holds it to the
-# bytes/edge ceiling (baseline is ~4.4 against a raw ~11; 6.0 is the
+echo "== scale smoke: streaming datagen at 8000 persons =="
+# perfbench's storage.bytes_per_edge tracks the compressed store at bench
+# scale; this stage generates 8000 persons with a 64 MiB sorter budget
+# (spills are expected and part of the point), loads the result into the
+# compressed store, holds it to the bytes/edge ceiling (6.0 is the
 # regression gate), and runs the full graph-invariant validator on it.
 scale_dir="$repo/build/scale-smoke-out"
 rm -rf "$scale_dir"

@@ -1,10 +1,9 @@
 // Adaptive sequential-vs-morsel dispatch.
 //
-// bench/BENCH_parallel.json showed morsel parallelism *losing* on several
-// BI queries (BI 17 ≈ 0.2×): fan-out costs two pool handoffs plus a join
-// per helper, and a query whose candidate set is a few morsels never
-// amortizes that. The scheduler used to gate parallelism with one blanket
-// flag; this model replaces it with a per-query decision.
+// Morsel parallelism was measured *losing* on several BI queries (BI 17
+// ≈ 0.2×): fan-out costs two pool handoffs plus a join per helper, and a
+// query whose candidate set is a few morsels never amortizes that. This
+// model decides per query whether fan-out pays.
 //
 // The decision is a classic cost model, deliberately tiny:
 //
@@ -26,8 +25,8 @@
 // which are orders of magnitude apart.
 //
 // Every decision is recorded (query, estimate, predicted speedup, choice)
-// so scheduler reports and BENCH_kernels.json can show *why* each query ran
-// where it ran.
+// so scheduler reports (ScheduleResult::dispatch_decisions) can show *why*
+// each query ran where it ran.
 
 #ifndef SNB_ENGINE_DISPATCH_H_
 #define SNB_ENGINE_DISPATCH_H_
@@ -72,11 +71,7 @@ class DispatchModel {
   DispatchDecision Decide(int query, size_t elements,
                           size_t morsel_size) const;
 
-  double ns_per_element() const { return ns_per_element_; }
-  size_t workers() const { return workers_; }
-  unsigned hardware_threads() const { return hardware_threads_; }
-
-  /// Model constants, exposed for tests and the bench report.
+  /// Model constants, exposed for tests.
   static constexpr double kFanoutOverheadNs = 50000.0;  // per helper
   static constexpr double kMinPredictedSpeedup = 1.1;
   static constexpr double kDefaultNsPerElement = 5.0;   // pre-calibration

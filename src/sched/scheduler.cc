@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace snb::sched {
@@ -20,20 +18,11 @@ double MsSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Mutable per-stream scheduling state: the admission cursor, the in-flight
-/// count and the accumulating result. Every field is touched only under the
-/// scheduler mutex (annotated on StreamScheduler::progress_); the stream's
-/// immutable op list lives separately in StreamScheduler::streams_ so that
-/// workers can read ops without locking.
-struct StreamProgress {
-  size_t next = 0;       // next op index to admit
-  size_t in_flight = 0;  // ops currently executing
-  StreamResult result;
-};
-
-/// One throughput/power run. The graph is shared read-only; `mu_` guards the
-/// admission state, and clang's thread-safety analysis verifies that every
-/// access to `progress_` holds it.
+/// One throughput/power run. The graph is shared read-only. Each stream is
+/// a chain of ops: a finished op records its outcome in its own stream's
+/// StreamResult, then submits the stream's next op. At most one op per
+/// stream exists at any time, and the pool's queue orders successive links,
+/// so `results_[s]` has one writer at a time and needs no lock.
 class StreamScheduler {
  public:
   StreamScheduler(const storage::Graph& graph,
@@ -41,17 +30,16 @@ class StreamScheduler {
                   const SchedulerConfig& config)
       : graph_(graph), params_(params), config_(config) {
     SNB_CHECK(config.num_streams > 0);
-    SNB_CHECK(config.max_in_flight_per_stream > 0);
     workers_ = config.num_workers > 0
                    ? config.num_workers
                    : std::max<size_t>(1, std::thread::hardware_concurrency());
     streams_.reserve(config.num_streams);
-    progress_.resize(config.num_streams);
+    results_.resize(config.num_streams);
     for (size_t s = 0; s < config.num_streams; ++s) {
       streams_.emplace_back(
           QueryStream(s, params, config.bindings_per_query, config.seed));
-      progress_[s].result.stream_id = s;
-      progress_[s].result.outcomes.resize(streams_[s].ops().size());
+      results_[s].stream_id = s;
+      results_[s].outcomes.resize(streams_[s].ops().size());
     }
   }
 
@@ -72,32 +60,21 @@ class StreamScheduler {
       dispatch_model_->Calibrate(graph_);
     }
     t0_ = Clock::now();
-    {
-      util::MutexLock lock(mu_);
-      for (size_t s = 0; s < streams_.size(); ++s) Admit(s, pool);
-    }
+    for (size_t s = 0; s < streams_.size(); ++s) SubmitOp(pool, s, 0);
     pool.Wait();
     return Collect();
   }
 
  private:
-  /// Tops stream `s` up to its in-flight bound. A finishing op re-admits its
-  /// own stream, so each stream advances as a chain of at most
-  /// max_in_flight_per_stream concurrent links.
-  void Admit(size_t s, util::ThreadPool& pool) SNB_REQUIRES(mu_) {
-    StreamProgress& st = progress_[s];
-    while (st.in_flight < config_.max_in_flight_per_stream &&
-           st.next < streams_[s].ops().size()) {
-      size_t index = st.next++;
-      ++st.in_flight;
-      pool.Submit([this, &pool, s, index] { RunOne(pool, s, index); });
-    }
+  /// Queues op `index` of stream `s`, if the stream has one.
+  void SubmitOp(util::ThreadPool& pool, size_t s, size_t index) {
+    if (index >= streams_[s].ops().size()) return;
+    pool.Submit([this, &pool, s, index] { RunOne(pool, s, index); });
   }
 
-  /// Executes one admitted op on a pool worker, then records the outcome and
-  /// re-admits under the lock.
-  void RunOne(util::ThreadPool& pool, size_t s, size_t index)
-      SNB_EXCLUDES(mu_) {
+  /// Executes one op on a pool worker, records its outcome, then submits
+  /// the stream's next op.
+  void RunOne(util::ThreadPool& pool, size_t s, size_t index) {
     const StreamOp op = streams_[s].ops()[index];
     bi::CancelToken token;
     if (config_.query_deadline_ms > 0) {
@@ -109,32 +86,27 @@ class StreamScheduler {
                         dispatch_model_ ? &*dispatch_model_ : nullptr);
     outcome.latency_ms = MsSince(t0_) - start_ms;
 
-    util::MutexLock lock(mu_);
-    StreamProgress& st = progress_[s];
+    StreamResult& result = results_[s];
     if (outcome.cancelled) {
-      ++st.result.cancelled;
+      ++result.cancelled;
     } else {
-      ++st.result.completed;
-      st.result.latencies.Record(outcome.latency_ms);
+      ++result.completed;
+      result.latencies.Record(outcome.latency_ms);
     }
-    st.result.outcomes[index] = outcome;
-    --st.in_flight;
-    Admit(s, pool);
+    result.outcomes[index] = outcome;
+    SubmitOp(pool, s, index + 1);
   }
 
   /// Merges the per-stream accounting; runs after pool.Wait(), when no
-  /// worker can touch progress_ anymore (the lock is still taken so the
-  /// analysis can prove the access).
-  ScheduleResult Collect() SNB_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
+  /// worker can touch results_ anymore.
+  ScheduleResult Collect() {
     ScheduleResult result;
     result.wall_seconds = MsSince(t0_) / 1000.0;
-    result.workers_used = workers_;
-    result.streams.reserve(progress_.size());
-    for (StreamProgress& st : progress_) {
-      result.total_completed += st.result.completed;
-      result.total_cancelled += st.result.cancelled;
-      for (const OpOutcome& o : st.result.outcomes) {
+    result.streams.reserve(results_.size());
+    for (StreamResult& stream : results_) {
+      result.total_completed += stream.completed;
+      result.total_cancelled += stream.cancelled;
+      for (const OpOutcome& o : stream.outcomes) {
         if (!o.cancelled) {
           result.per_query[StreamOpName(o.op)].Record(o.latency_ms);
         }
@@ -147,7 +119,7 @@ class StreamScheduler {
           }
         }
       }
-      result.streams.push_back(std::move(st.result));
+      result.streams.push_back(std::move(stream));
     }
     return result;
   }
@@ -155,28 +127,16 @@ class StreamScheduler {
   const storage::Graph& graph_;
   const params::WorkloadParameters& params_;
   const SchedulerConfig& config_;
-  // snb-lint-allow(guarded-by): set once in Run() before worker admission
   size_t workers_ = 0;
-  // snb-lint-allow(guarded-by): set once before workers start
   util::ThreadPool* intra_pool_ = nullptr;
-  /// Engaged for adaptive power runs; calibrated once before admission and
-  /// read-only afterwards, so workers consult it without locking.
-  // snb-lint-allow(guarded-by): immutable once workers are admitted
+  /// Engaged for adaptive power runs; calibrated once before the first
+  /// submit and read-only afterwards, so workers consult it without locking.
   std::optional<engine::DispatchModel> dispatch_model_;
-  // snb-lint-allow(guarded-by): stamped once at run start, read-only after
   Clock::time_point t0_;
-
-  /// Immutable after construction; read by workers without the lock.
-  // snb-lint-allow(guarded-by): immutable after construction
+  /// Immutable after construction.
   std::vector<QueryStream> streams_;
-
-  /// Level 10: held across pool.Submit() in Admit(), i.e. ordered strictly
-  /// below the level-20 thread-pool queue lock — the one deliberate
-  /// holding-one-while-taking-the-other pattern in the repo, declared so
-  /// snb_lint's static lock-order checks treat it as a checked invariant
-  /// rather than an incidental edge.
-  util::Mutex mu_{SNB_LOCK_LEVEL("sched.stream_mu", 10)};
-  std::vector<StreamProgress> progress_ SNB_GUARDED_BY(mu_);
+  /// One per stream, written only by that stream's single in-flight op.
+  std::vector<StreamResult> results_;
 };
 
 }  // namespace

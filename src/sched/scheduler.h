@@ -5,10 +5,10 @@
 // storage::Graph on a fixed worker pool. Three mechanisms keep the run
 // well-behaved under load:
 //
-//   * admission control: at most `max_in_flight_per_stream` queries of a
-//     stream execute at once (1 = the paper's sequential-per-stream model);
-//     a finished query admits its stream's next op, so streams interleave on
-//     the pool without any stream monopolizing it;
+//   * sequential streams: as in the paper's power and throughput tests, a
+//     stream runs its queries one after another — a finished query submits
+//     its stream's next op — so streams interleave on the pool without any
+//     stream monopolizing it;
 //   * cooperative cancellation: each query gets a CancelToken armed with
 //     `query_deadline_ms`; BI implementations poll it at loop boundaries
 //     (bi/cancel.h) and over-deadline queries unwind and are recorded as
@@ -50,11 +50,6 @@ struct SchedulerConfig {
   /// Worker threads executing queries; 0 = hardware concurrency.
   size_t num_workers = 0;
 
-  /// Admission bound: queries of one stream in flight at once. 1 keeps each
-  /// stream sequential (the benchmark's model); larger values overlap
-  /// queries within a stream.
-  size_t max_in_flight_per_stream = 1;
-
   /// Curated bindings executed per query template per stream (clamped to
   /// the number available).
   size_t bindings_per_query = 1;
@@ -95,7 +90,6 @@ struct ScheduleResult {
   double wall_seconds = 0;
   size_t total_completed = 0;
   size_t total_cancelled = 0;
-  size_t workers_used = 0;
 
   /// Every cost-model decision taken (adaptive power runs only), in stream
   /// issue order, plus the tally — the run report logs these so refused

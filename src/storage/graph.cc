@@ -257,18 +257,12 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
       person_likes.push_back({person, msg, l.creation_date});
       (l.is_post ? post_likers : comment_likers)
           .push_back({MessageRow(msg), person, l.creation_date});
+      // A bulk-loaded graph has no tombstones: every like is live.
+      ++(l.is_post ? post_like_count_ : comment_like_count_)[MessageRow(msg)];
     }
     person_likes_.Build(NumPersons(), std::move(person_likes), true);
     post_likers_.Build(NumPosts(), std::move(post_likers), true);
     comment_likers_.Build(NumComments(), std::move(comment_likers), true);
-    // A bulk-loaded graph has no tombstones: every like is live.
-    for (uint32_t i = 0; i < NumPosts(); ++i) {
-      post_like_count_[i] = static_cast<uint32_t>(post_likers_.Degree(i));
-    }
-    for (uint32_t i = 0; i < NumComments(); ++i) {
-      comment_like_count_[i] =
-          static_cast<uint32_t>(comment_likers_.Degree(i));
-    }
   }
 
   // ---- Creation-date message index -------------------------------------------

@@ -73,12 +73,18 @@ void MessageDateIndex::NoteLike(uint32_t msg, core::DateTime date,
     base_like_max_[block] = std::max(base_like_max_[block], likes);
     return;
   }
-  // Not bulk-loaded → it lives in the (small) update tail.
-  for (size_t i = 0; i < tail_refs_.size(); ++i) {
-    if (tail_refs_[i] == msg) {
-      Zone& z = tail_zones_[i / kTailBlock];
-      z.max_likes = std::max(z.max_likes, likes);
-      return;
+  // Not bulk-loaded → it lives in the update tail, in a block whose date
+  // zone covers `date`. IU streams arrive roughly in date order, so few
+  // blocks qualify.
+  for (size_t b = 0; b < tail_zones_.size(); ++b) {
+    Zone& z = tail_zones_[b];
+    if (date < z.min || date > z.max) continue;
+    const size_t end = std::min(tail_refs_.size(), (b + 1) * kTailBlock);
+    for (size_t i = b * kTailBlock; i < end; ++i) {
+      if (tail_refs_[i] == msg) {
+        z.max_likes = std::max(z.max_likes, likes);
+        return;
+      }
     }
   }
 }

@@ -102,8 +102,8 @@ class MessageDateIndex {
   /// likes, raising its block's like-count zone max so bound pruning stays
   /// an upper bound (the IU 2/3 path). Degrees only grow, so zones never
   /// need lowering. The (date, ref)-sorted base makes the position binary-
-  /// searchable; tail entries fall back to a linear scan (the tail is the
-  /// small post-load overflow).
+  /// searchable; in the tail, only blocks whose date zone covers `date` are
+  /// scanned.
   void NoteLike(uint32_t msg, core::DateTime date, uint32_t likes);
 
   /// Like-count zone max of one base block (validator / test introspection).

@@ -1,13 +1,13 @@
 // Ambient per-thread scan instrumentation for zone-mapped index scans.
 //
 // The pushdown work (CP-1.3 bound pruning over CP-2.2/2.3 zone maps) is only
-// credible with counters proving the pruning fires: bench/bench_kernels
-// reports rows decoded and blocks skipped per query, and check.sh's smoke
-// stage asserts skips are non-zero. Rather than widening every scan
-// signature, the sink is ambient — installed per thread with a
-// ScopedScanStats guard, exactly like bi::ScopedCancelToken. A count with no
-// installed sink is a single thread-local load and a branch, so production
-// query paths pay essentially nothing.
+// credible with counters proving the pruning fires: perfbench reports rows
+// decoded per BI template and blocks skipped per power batch, and
+// pushdown_test's PruningGateTest asserts skips are non-zero. Rather than
+// widening every scan signature, the sink is ambient — installed per
+// thread with a ScopedScanStats guard, exactly like bi::ScopedCancelToken.
+// A count with no installed sink is a single thread-local load and a
+// branch, so production query paths pay essentially nothing.
 //
 // Counter semantics:
 //   rows_decoded         index entries delivered to a query callback

@@ -73,8 +73,8 @@ struct TestAccess {
   static columnar::CompressedCsr& Csr(AdjacencyList& a) { return a.csr_; }
 
   // ---- Message index representation ----------------------------------------
-  // Tests run single-threaded against a quiesced store, so reaching past the
-  // writer mutex is safe here and only here.
+  // The index holds no lock (published snapshots are immutable); tests
+  // mutate only a graph no other thread reads.
 
   static std::vector<uint32_t>& BaseRefs(MessageDateIndex& idx) {
     return idx.base_refs_;

@@ -74,16 +74,16 @@
 #define SNB_RETURN_CAPABILITY(x) SNB_THREAD_ANNOTATION(lock_returned(x))
 
 /// Names a mutex's creation site, as the mutex member's initializer:
-/// `util::Mutex mu_{SNB_LOCK_SITE("sched.stream_mu")}`. Every instance
-/// born at one site is one node of snb_lint's static lock-order graph
+/// `util::Mutex mu_{SNB_LOCK_SITE("driver.graph_handle.mu")}`. Every
+/// instance born at one site is one node of snb_lint's static lock-order graph
 /// (static-lock-cycle, blocking-while-locked-static). Expands to nothing.
 #define SNB_LOCK_SITE(site_name)
 
 /// Like SNB_LOCK_SITE, with a declared lock level: acquisitions across
 /// levelled sites must go strictly upward, and holding a lower level
-/// across a blocking wait on a higher one is the sanctioned nesting (the
-/// scheduler holds sched.stream_mu across ThreadPool::Submit). Read only
-/// by snb_lint; expands to nothing.
+/// across a blocking wait on a higher one is the sanctioned nesting (e.g.
+/// a lock held across ThreadPool::Submit, whose queue lock is level 20).
+/// Read only by snb_lint; expands to nothing.
 #define SNB_LOCK_LEVEL(site_name, lvl)
 
 #endif  // SNB_UTIL_THREAD_ANNOTATIONS_H_

@@ -59,9 +59,9 @@ class ThreadPool {
   // snb-lint-allow(guarded-by): written in the constructor and joined in
   // the destructor only; never touched while workers run
   std::vector<std::thread> workers_;
-  /// Level 20: the pool queue lock is the declared *upper* end of the
-  /// scheduler → pool ordering (sched/scheduler.cc holds its level-10
-  /// admission mutex while Submit() takes this one).
+  /// Level 20: the top of the declared lock order. A lock held across
+  /// Submit() must sit at a lower level for snb_lint's
+  /// blocking-while-locked-static check to sanction the nesting.
   Mutex mu_{SNB_LOCK_LEVEL("util.thread_pool.mu", 20)};
   std::queue<std::function<void()>> tasks_ SNB_GUARDED_BY(mu_);
   CondVar task_ready_;

@@ -311,9 +311,10 @@ TEST(GraphMemoryTest, CompressedStoreBeatsSeedLayout) {
   ASSERT_GT(mb.num_edges, 0u);
   ASSERT_GT(mb.num_messages, 0u);
   EXPECT_GT(mb.BytesPerEdge(), 0.0);
-  // The headline claim BENCH_storage.json tracks: packed columns beat the
-  // raw arrays. The ≥2× criterion is asserted at bench scale; here we
-  // require a strict win even at a tiny SF.
+  // The headline claim perfbench's storage.bytes_per_edge tracks: packed
+  // columns beat the raw arrays. check.sh's scale smoke holds a larger
+  // store to a bytes/edge ceiling; here we require a strict win even at a
+  // tiny SF.
   EXPECT_LT(mb.BytesPerEdge(), mb.RawBytesPerEdge());
   EXPECT_LT(mb.BytesPerMessage(), mb.RawBytesPerMessage());
   EXPECT_FALSE(mb.ToString().empty());

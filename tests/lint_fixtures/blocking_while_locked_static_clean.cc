@@ -2,8 +2,8 @@
 // Fixture: the sanctioned shapes. Waiting on the *held* mutex is the
 // CondVar contract (the wait releases it); submitting to a pool whose
 // queue mutex sits at a strictly higher declared level than the held lock
-// follows the declared order — the scheduler's Admit-under-stream_mu
-// pattern in miniature.
+// follows the declared order — a levelled lock held across Submit() in
+// miniature.
 #define SNB_LOCK_LEVEL(name, level) name
 #define SNB_GUARDED_BY(x)
 

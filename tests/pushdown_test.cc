@@ -388,17 +388,25 @@ TEST(NoteLikeTest, AddLikeRaisesZoneMaxSoBoundPruningStaysSound) {
       << "fixture too small to overtake the zone max";
   EXPECT_GE(idx.BaseBlockMaxLikes(block), graph.PostLikers().Degree(post));
 
-  // A message appended through the update path lands in the tail; liking it
-  // must raise the tail block's like zone the same way.
+  // Messages appended through the update path land in the tail; liking one
+  // must raise its own tail block's like zone the same way, including a
+  // block that later appends have left behind.
   core::Post fresh = storage::ExportPost(graph, 0);
-  fresh.id = 1u << 30;
-  fresh.creation_date = core::DateTimeFromCivil(2030, 6, 15);
   fresh.tags.clear();
-  const uint32_t fresh_idx = graph.AddPost(fresh);
-  graph.AddLikePost(graph.PersonId(0), fresh.id, when);
-  ASSERT_GT(idx.NumTailBlocks(), 0u);
-  EXPECT_GE(idx.TailZoneAt(idx.NumTailBlocks() - 1).max_likes,
-            graph.PostLikers().Degree(fresh_idx));
+  std::vector<uint32_t> fresh_posts;
+  for (size_t i = 0; i <= storage::MessageDateIndex::kTailBlock; ++i) {
+    fresh.id = (1u << 30) + i;
+    fresh.creation_date =
+        core::DateTimeFromCivil(2030, 6, 15) + static_cast<core::DateTime>(i);
+    fresh_posts.push_back(graph.AddPost(fresh));
+  }
+  ASSERT_EQ(idx.NumTailBlocks(), 2u);
+  for (size_t b = 0; b < 2; ++b) {
+    const uint32_t row = b == 0 ? fresh_posts.front() : fresh_posts.back();
+    graph.AddLikePost(graph.PersonId(0), graph.PostId(row), when);
+    EXPECT_GE(idx.TailZoneAt(b).max_likes, graph.PostLikers().Degree(row))
+        << "tail block " << b;
+  }
 
   // The whole store still passes every invariant — including the new
   // like-zone-bounds — after the update traffic.

@@ -15,6 +15,7 @@
 #include "bi/bi.h"
 #include "datagen/datagen.h"
 #include "engine/dispatch.h"
+#include "engine/morsel.h"
 #include "params/parameter_curation.h"
 #include "sched/histogram.h"
 #include "sched/scheduler.h"
@@ -112,14 +113,15 @@ TEST_F(SchedFixture, ConcurrentStreamsMatchSequentialEngineBitForBit) {
   }
   ASSERT_EQ(ops_per_template.size(), 25u);
 
-  // The throughput shape (3 streams × 4 workers, streams-only parallelism)
-  // and the adaptive power shape (1 stream × 4 workers, the cost model
-  // choosing each partitioned kernel's slot count).
+  // The throughput shape (3 streams × 4 workers, streams-only parallelism),
+  // the adaptive power shape (1 stream × 4 workers, the cost model choosing
+  // each partitioned kernel's slot count), and more streams than workers
+  // (each stream's op chain interleaves with the others on the pool).
   struct Shape {
     size_t streams;
     size_t workers;
   };
-  for (const Shape shape : {Shape{3, 4}, Shape{1, 4}}) {
+  for (const Shape shape : {Shape{3, 4}, Shape{1, 4}, Shape{4, 2}}) {
     SCOPED_TRACE(testing::Message() << shape.streams << " streams x "
                                     << shape.workers << " workers");
     SchedulerConfig cfg;
@@ -140,6 +142,15 @@ TEST_F(SchedFixture, ConcurrentStreamsMatchSequentialEngineBitForBit) {
     EXPECT_EQ(run.morsel_chosen + run.morsel_refused,
               run.dispatch_decisions.size());
     EXPECT_EQ(run.dispatch_decisions.empty(), shape.streams > 1);
+    // Adaptive dispatch fans out only where the model predicts it pays.
+    for (const engine::DispatchDecision& d : run.dispatch_decisions) {
+      if (d.choice != engine::DispatchChoice::kMorsel) continue;
+      EXPECT_GE(d.predicted_speedup,
+                engine::DispatchModel::kMinPredictedSpeedup)
+          << "BI " << d.query;
+      EXPECT_GE(d.num_morsels, engine::kMinMorselsForFanout)
+          << "BI " << d.query;
+    }
     for (const StreamResult& stream : run.streams) {
       ASSERT_EQ(stream.outcomes.size(), ref.size());
       for (const OpOutcome& o : stream.outcomes) {
@@ -149,26 +160,6 @@ TEST_F(SchedFixture, ConcurrentStreamsMatchSequentialEngineBitForBit) {
         EXPECT_EQ(o.fingerprint, expected.fingerprint)
             << StreamOpName(o.op) << " binding " << o.op.binding;
       }
-    }
-  }
-}
-
-TEST_F(SchedFixture, IntraStreamOverlapPreservesResults) {
-  const size_t kBindings = 2;
-  auto ref = SequentialReference(kBindings);
-
-  SchedulerConfig cfg;
-  cfg.num_streams = 2;
-  cfg.num_workers = 4;
-  cfg.max_in_flight_per_stream = 4;  // overlap queries within a stream
-  cfg.bindings_per_query = kBindings;
-  ScheduleResult run = RunStreams(graph(), params(), cfg);
-
-  EXPECT_EQ(run.total_completed, 2 * ref.size());
-  for (const StreamResult& stream : run.streams) {
-    for (const OpOutcome& o : stream.outcomes) {
-      EXPECT_EQ(o.fingerprint, ref.at({o.op.query, o.op.binding}).fingerprint)
-          << StreamOpName(o.op);
     }
   }
 }

@@ -163,8 +163,8 @@ void CheckBlockingWhileLocked(const Corpus& c, const LockEffects& fx,
     if (held == nullptr) continue;
     const LockSite* blocked = c.SiteOf(h.block.site);
     // Level sanction: blocking on a strictly higher-level site while
-    // holding a lower one follows the declared order (the scheduler holds
-    // sched.stream_mu across ThreadPool::Submit). I/O is never sanctioned.
+    // holding a lower one follows the declared order (e.g. a lock held
+    // across ThreadPool::Submit, level 20). I/O is never sanctioned.
     if (h.block.kind != BlockKind::kIo && blocked != nullptr &&
         held->level != kNoLevel && blocked->level != kNoLevel &&
         held->level < blocked->level) {
