@@ -12,7 +12,7 @@
 #   6. ASan           — fail-point + crash-recovery tests, the range-scan
 #                       and kernel cross-checks (per-block stack buffers,
 #                       partial-block slices), the storage, export,
-#                       validator and Interactive tests under
+#                       validator, Interactive and columnar tests under
 #                       -fsanitize=address, then the delete-cascade crash
 #                       loop (torn cascades at every graph.delete.* stage)
 #                       via ctest so its 600 s TIMEOUT governs the forks
@@ -87,11 +87,12 @@ echo "== ASan: crash-recovery loop and range-scan kernels under -fsanitize=addre
 # columns; storage_test and recovery_test append, copy and export them,
 # and interactive_test reads them through the IC/IS kernels. validate_test
 # corrupts the like-count column and other private state through
-# TestAccess.
+# TestAccess. columnar_test drives the flat id table's linear probing
+# (wrap-around runs, rehashes, copies) and the packed column codecs.
 cmake -B "$repo/build-asan" -S "$repo" -DSNB_SANITIZE=address
 cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
   parallel_test bi_crossval_test storage_test recovery_test interactive_test \
-  validate_test
+  validate_test columnar_test
 "$repo/build-asan/tests/failpoint_test"
 "$repo/build-asan/tests/wal_recovery_test"
 "$repo/build-asan/tests/parallel_test"
@@ -100,6 +101,7 @@ cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
 "$repo/build-asan/tests/recovery_test"
 "$repo/build-asan/tests/interactive_test"
 "$repo/build-asan/tests/validate_test"
+"$repo/build-asan/tests/columnar_test"
 
 echo "== ASan: delete-cascade crash loop =="
 # Torn cascades at every graph.delete.* stage: the tests arm each cascade

@@ -1,5 +1,7 @@
 #include "storage/graph.h"
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -12,15 +14,36 @@ namespace snb::storage {
 namespace {
 
 template <typename T>
-std::unordered_map<core::Id, uint32_t> IndexById(const std::vector<T>& rows) {
-  std::unordered_map<core::Id, uint32_t> map;
-  map.reserve(rows.size() * 2);
+columnar::FlatIdTable IndexById(const std::vector<T>& rows) {
+  columnar::FlatIdTable table;
+  table.Reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    bool inserted =
-        map.emplace(rows[i].id, static_cast<uint32_t>(i)).second;
+    const bool inserted = table.Insert(rows[i].id, static_cast<uint32_t>(i));
     SNB_CHECK(inserted);  // ids must be unique within an entity type
   }
-  return map;
+  return table;
+}
+
+/// Rows of `records` ordered by name. The sort is stable, so the last row
+/// of a repeated name ends its run: FindByName returns it.
+template <typename T>
+std::vector<uint32_t> OrderByName(const std::vector<T>& records) {
+  std::vector<uint32_t> rows(records.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  std::stable_sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
+    return records[a].name < records[b].name;
+  });
+  return rows;
+}
+
+template <typename T>
+uint32_t FindByName(const std::vector<uint32_t>& by_name,
+                    const std::vector<T>& records, const std::string& name) {
+  auto it = std::upper_bound(
+      by_name.begin(), by_name.end(), name,
+      [&](const std::string& n, uint32_t row) { return n < records[row].name; });
+  if (it == by_name.begin() || records[*(it - 1)].name != name) return kNoIdx;
+  return *(it - 1);
 }
 
 // Heap accounting for Graph::Memory().
@@ -35,71 +58,79 @@ size_t StringHeap(const std::string& s) {
   return s.capacity() > 15 ? s.capacity() + 1 : 0;
 }
 
-/// Bucket array plus one node per element: next pointer and value, plus
-/// the cached hash that libstdc++ keeps for string keys.
+/// Bucket array plus one node per element: next pointer and value.
 template <typename Table>
 size_t HashBytes(const Table& t) {
-  constexpr bool kCachesHash =
-      std::is_same_v<typename Table::key_type, std::string>;
   return t.bucket_count() * sizeof(void*) +
-         t.size() * (sizeof(void*) + sizeof(typename Table::value_type) +
-                     (kCachesHash ? sizeof(size_t) : 0));
+         t.size() * (sizeof(void*) + sizeof(typename Table::value_type));
 }
 
 }  // namespace
 
-Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
-    : tags_(std::move(net.tags)),
-      tag_classes_(std::move(net.tag_classes)),
-      places_(std::move(net.places)),
-      organisations_(std::move(net.organisations)),
-      compaction_epoch_(compaction_epoch) {
-  tag_idx_ = IndexById(tags_);
-  tag_class_idx_ = IndexById(tag_classes_);
-  place_idx_ = IndexById(places_);
-  organisation_idx_ = IndexById(organisations_);
-
-  for (size_t i = 0; i < places_.size(); ++i) {
-    place_by_name_[places_[i].name] = static_cast<uint32_t>(i);
+Graph::StaticSegment::StaticSegment(core::SocialNetwork& net)
+    : tags(std::move(net.tags)),
+      tag_classes(std::move(net.tag_classes)),
+      places(std::move(net.places)),
+      organisations(std::move(net.organisations)),
+      tag_idx(IndexById(tags)),
+      tag_class_idx(IndexById(tag_classes)),
+      place_idx(IndexById(places)),
+      organisation_idx(IndexById(organisations)),
+      place_by_name(OrderByName(places)),
+      tag_by_name(OrderByName(tags)),
+      tag_class_by_name(OrderByName(tag_classes)) {
+  place_part_of.resize(places.size());
+  for (size_t i = 0; i < places.size(); ++i) {
+    place_part_of[i] = places[i].part_of == core::kNoId
+                           ? kNoIdx
+                           : place_idx.Find(places[i].part_of);
   }
-  for (size_t i = 0; i < tags_.size(); ++i) {
-    tag_by_name_[tags_[i].name] = static_cast<uint32_t>(i);
-  }
-  for (size_t i = 0; i < tag_classes_.size(); ++i) {
-    tag_class_by_name_[tag_classes_[i].name] = static_cast<uint32_t>(i);
-  }
-
-  // ---- Static structure columns -------------------------------------------
-  place_part_of_.resize(places_.size());
-  for (size_t i = 0; i < places_.size(); ++i) {
-    place_part_of_[i] =
-        places_[i].part_of == core::kNoId ? kNoIdx : PlaceIdx(places_[i].part_of);
-  }
-  tag_class_parent_.resize(tag_classes_.size());
+  tag_class_parent.resize(tag_classes.size());
   {
     std::vector<EdgeInput> child_edges;
-    for (size_t i = 0; i < tag_classes_.size(); ++i) {
-      if (tag_classes_[i].parent == core::kNoId) {
-        tag_class_parent_[i] = kNoIdx;
+    for (size_t i = 0; i < tag_classes.size(); ++i) {
+      if (tag_classes[i].parent == core::kNoId) {
+        tag_class_parent[i] = kNoIdx;
       } else {
-        tag_class_parent_[i] = TagClassIdx(tag_classes_[i].parent);
-        child_edges.push_back(
-            {tag_class_parent_[i], static_cast<uint32_t>(i)});
+        tag_class_parent[i] = tag_class_idx.Find(tag_classes[i].parent);
+        child_edges.push_back({tag_class_parent[i], static_cast<uint32_t>(i)});
       }
     }
-    tag_class_children_.Build(tag_classes_.size(), std::move(child_edges),
-                              false);
+    tag_class_children.Build(tag_classes.size(), std::move(child_edges),
+                             false);
   }
-  tag_class_of_tag_.resize(tags_.size());
+  tag_class_of_tag.resize(tags.size());
   {
     std::vector<EdgeInput> class_tags;
-    for (size_t i = 0; i < tags_.size(); ++i) {
-      tag_class_of_tag_[i] = TagClassIdx(tags_[i].tag_class);
-      class_tags.push_back({tag_class_of_tag_[i], static_cast<uint32_t>(i)});
+    for (size_t i = 0; i < tags.size(); ++i) {
+      tag_class_of_tag[i] = tag_class_idx.Find(tags[i].tag_class);
+      class_tags.push_back({tag_class_of_tag[i], static_cast<uint32_t>(i)});
     }
-    tag_class_tags_.Build(tag_classes_.size(), std::move(class_tags), false);
+    tag_class_tags.Build(tag_classes.size(), std::move(class_tags), false);
   }
+}
 
+size_t Graph::StaticSegment::ByteSize() const {
+  size_t bytes = VecBytes(places) + VecBytes(organisations) + VecBytes(tags) +
+                 VecBytes(tag_classes);
+  auto named = [&bytes](const auto& rows) {
+    for (const auto& r : rows) bytes += StringHeap(r.name) + StringHeap(r.url);
+  };
+  named(places);
+  named(organisations);
+  named(tags);
+  named(tag_classes);
+  return bytes + tag_idx.ByteSize() + tag_class_idx.ByteSize() +
+         place_idx.ByteSize() + organisation_idx.ByteSize() +
+         VecBytes(place_by_name) + VecBytes(tag_by_name) +
+         VecBytes(tag_class_by_name) + VecBytes(place_part_of) +
+         VecBytes(tag_class_parent) + VecBytes(tag_class_of_tag) +
+         tag_class_children.ByteSize() + tag_class_tags.ByteSize();
+}
+
+Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
+    : static_(std::make_shared<const StaticSegment>(net)),
+      compaction_epoch_(compaction_epoch) {
   // Exact-size the string columns, the bulk of a row's bytes: the
   // bulk-loaded snapshot then holds no growth slack in them.
   auto reserve = [](columnar::StringColumn& col, const auto& rows, auto field) {
@@ -116,7 +147,7 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   reserve(person_first_name_, net.persons, &core::Person::first_name);
   reserve(person_last_name_, net.persons, &core::Person::last_name);
   reserve(person_location_ip_, net.persons, &core::Person::location_ip);
-  person_idx_.reserve(net.persons.size() * 2);
+  person_idx_.Reserve(net.persons.size());
   {
     std::vector<EdgeInput> country_persons, interests;
     for (const core::Person& p : net.persons) {
@@ -128,14 +159,14 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
       country_persons.push_back({country, i});
     }
     release(net.persons);
-    country_persons_.Build(places_.size(), std::move(country_persons), false);
+    country_persons_.Build(NumPlaces(), std::move(country_persons), false);
     std::vector<EdgeInput> interests_rev;
     interests_rev.reserve(interests.size());
     for (const EdgeInput& e : interests) {
       interests_rev.push_back({e.dst, e.src});
     }
     person_interests_.Build(NumPersons(), std::move(interests), false);
-    tag_persons_.Build(tags_.size(), std::move(interests_rev), false);
+    tag_persons_.Build(NumTags(), std::move(interests_rev), false);
   }
 
   // ---- Knows ----------------------------------------------------------------
@@ -154,7 +185,7 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
 
   // ---- Forums ----------------------------------------------------------------
   reserve(forum_title_, net.forums, &core::Forum::title);
-  forum_idx_.reserve(net.forums.size() * 2);
+  forum_idx_.Reserve(net.forums.size());
   {
     std::vector<EdgeInput> moderates, ftags, tag_forums;
     for (const core::Forum& f : net.forums) {
@@ -171,7 +202,7 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
     release(net.forums);
     person_moderates_.Build(NumPersons(), std::move(moderates), false);
     forum_tags_.Build(NumForums(), std::move(ftags), false);
-    tag_forums_.Build(tags_.size(), std::move(tag_forums), false);
+    tag_forums_.Build(NumTags(), std::move(tag_forums), false);
 
     std::vector<EdgeInput> members, member_of;
     members.reserve(net.memberships.size());
@@ -193,7 +224,7 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   reserve(post_location_ip_, net.posts, &core::Post::location_ip);
   reserve(comment_content_, net.comments, &core::Comment::content);
   reserve(comment_location_ip_, net.comments, &core::Comment::location_ip);
-  post_idx_.reserve(net.posts.size() * 2);
+  post_idx_.Reserve(net.posts.size());
   {
     std::vector<EdgeInput> person_posts, forum_posts, ptags, tag_posts;
     for (const core::Post& p : net.posts) {
@@ -212,11 +243,11 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
     person_posts_.Build(NumPersons(), std::move(person_posts), false);
     forum_posts_.Build(NumForums(), std::move(forum_posts), false);
     post_tags_.Build(NumPosts(), std::move(ptags), false);
-    tag_posts_.Build(tags_.size(), std::move(tag_posts), false);
+    tag_posts_.Build(NumTags(), std::move(tag_posts), false);
   }
 
   // ---- Comments --------------------------------------------------------------
-  comment_idx_.reserve(net.comments.size() * 2);
+  comment_idx_.Reserve(net.comments.size());
   comment_forum_.reserve(net.comments.size());
   {
     std::vector<EdgeInput> person_comments, post_replies, comment_replies,
@@ -242,7 +273,7 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
     post_replies_.Build(NumPosts(), std::move(post_replies), false);
     comment_replies_.Build(NumComments(), std::move(comment_replies), false);
     comment_tags_.Build(NumComments(), std::move(ctags), false);
-    tag_comments_.Build(tags_.size(), std::move(tag_comments), false);
+    tag_comments_.Build(NumTags(), std::move(tag_comments), false);
   }
 
   // ---- Likes -----------------------------------------------------------------
@@ -298,8 +329,6 @@ columnar::MemoryBreakdown Graph::Memory() const {
       {"adj/tag-forums", &tag_forums_},
       {"adj/tag-persons", &tag_persons_},
       {"adj/country-persons", &country_persons_},
-      {"adj/tag-class-children", &tag_class_children_},
-      {"adj/tag-class-tags", &tag_class_tags_},
   };
   auto add = [&mb](const char* name, size_t bytes, size_t raw_bytes,
                    size_t items) {
@@ -373,42 +402,16 @@ columnar::MemoryBreakdown Graph::Memory() const {
                 VecBytes(forum_moderator_) + VecBytes(forum_kind_),
             NumForums());
   add_plain("strings/forum", forum_title_.ByteSize(), NumForums());
-  add_plain("cols/static",
-            VecBytes(place_part_of_) + VecBytes(tag_class_parent_) +
-                VecBytes(tag_class_of_tag_),
-            places_.size() + tag_classes_.size() + tags_.size());
-
-  // Static reference records with their string heap.
-  size_t records = VecBytes(places_) + VecBytes(organisations_) +
-                   VecBytes(tags_) + VecBytes(tag_classes_);
-  auto named = [&records](const auto& rows) {
-    for (const auto& r : rows) {
-      records += StringHeap(r.name) + StringHeap(r.url);
-    }
-  };
-  named(places_);
-  named(organisations_);
-  named(tags_);
-  named(tag_classes_);
-  add_plain("records", records,
-            NumPlaces() + NumOrganisations() + NumTags() + NumTagClasses());
-
+  // The id tables at their allocated capacity (load factor ≤ 1/2).
   add_plain("maps/id",
-            HashBytes(person_idx_) + HashBytes(forum_idx_) +
-                HashBytes(post_idx_) + HashBytes(comment_idx_) +
-                HashBytes(tag_idx_) + HashBytes(tag_class_idx_) +
-                HashBytes(place_idx_) + HashBytes(organisation_idx_),
-            NumPersons() + NumForums() + NumMessages() + NumTags() +
-                NumTagClasses() + NumPlaces() + NumOrganisations());
-  size_t names = 0;
-  for (const auto* map :
-       {&place_by_name_, &tag_by_name_, &tag_class_by_name_}) {
-    names += HashBytes(*map);
-    for (const auto& entry : *map) names += StringHeap(entry.first);
-  }
-  add_plain("maps/name", names,
-            place_by_name_.size() + tag_by_name_.size() +
-                tag_class_by_name_.size());
+            person_idx_.ByteSize() + forum_idx_.ByteSize() +
+                post_idx_.ByteSize() + comment_idx_.ByteSize(),
+            NumPersons() + NumForums() + NumMessages());
+  // The static segment: records with their string heap, id tables, name
+  // indices, structure columns and tag-class adjacency. Every copy of a
+  // snapshot shares it, so a copy allocates none of these bytes.
+  add_plain(kStaticFamily, static_->ByteSize(),
+            NumPlaces() + NumOrganisations() + NumTags() + NumTagClasses());
   add_plain("tombstones",
             person_dead_.ByteSize() + forum_dead_.ByteSize() +
                 post_dead_.ByteSize() + comment_dead_.ByteSize() +
@@ -435,7 +438,7 @@ bool Graph::ResolveTags(const std::vector<core::Id>& ids,
 uint32_t Graph::AppendPersonRow(const core::Person& person, uint32_t city,
                                 uint32_t country) {
   const uint32_t idx = static_cast<uint32_t>(NumPersons());
-  const bool inserted = person_idx_.emplace(person.id, idx).second;
+  const bool inserted = person_idx_.Insert(person.id, idx);
   SNB_CHECK(inserted);  // ids must be unique within an entity type
   person_id_.push_back(person.id);
   person_dead_.Append();
@@ -460,7 +463,7 @@ uint32_t Graph::AppendPersonRow(const core::Person& person, uint32_t city,
 
 uint32_t Graph::AppendForumRow(const core::Forum& forum, uint32_t moderator) {
   const uint32_t idx = static_cast<uint32_t>(NumForums());
-  const bool inserted = forum_idx_.emplace(forum.id, idx).second;
+  const bool inserted = forum_idx_.Insert(forum.id, idx);
   SNB_CHECK(inserted);  // ids must be unique within an entity type
   forum_id_.push_back(forum.id);
   forum_dead_.Append();
@@ -474,7 +477,7 @@ uint32_t Graph::AppendForumRow(const core::Forum& forum, uint32_t moderator) {
 uint32_t Graph::AppendPostRow(const core::Post& post, uint32_t creator,
                               uint32_t forum, uint32_t country) {
   const uint32_t idx = static_cast<uint32_t>(NumPosts());
-  const bool inserted = post_idx_.emplace(post.id, idx).second;
+  const bool inserted = post_idx_.Insert(post.id, idx);
   SNB_CHECK(inserted);  // ids must be unique within an entity type
   post_id_.push_back(post.id);
   post_dead_.Append();
@@ -499,7 +502,7 @@ uint32_t Graph::AppendCommentRow(const core::Comment& comment,
   const uint32_t root_post =
       IsPost(reply_of) ? reply_of : comment_root_post_[AsComment(reply_of)];
   const uint32_t idx = static_cast<uint32_t>(NumComments());
-  const bool inserted = comment_idx_.emplace(comment.id, idx).second;
+  const bool inserted = comment_idx_.Insert(comment.id, idx);
   SNB_CHECK(inserted);  // ids must be unique within an entity type
   comment_id_.push_back(comment.id);
   comment_dead_.Append();
@@ -520,18 +523,15 @@ uint32_t Graph::AppendCommentRow(const core::Comment& comment,
 }
 
 uint32_t Graph::PlaceByName(const std::string& name) const {
-  auto it = place_by_name_.find(name);
-  return it == place_by_name_.end() ? kNoIdx : it->second;
+  return FindByName(static_->place_by_name, static_->places, name);
 }
 
 uint32_t Graph::TagByName(const std::string& name) const {
-  auto it = tag_by_name_.find(name);
-  return it == tag_by_name_.end() ? kNoIdx : it->second;
+  return FindByName(static_->tag_by_name, static_->tags, name);
 }
 
 uint32_t Graph::TagClassByName(const std::string& name) const {
-  auto it = tag_class_by_name_.find(name);
-  return it == tag_class_by_name_.end() ? kNoIdx : it->second;
+  return FindByName(static_->tag_class_by_name, static_->tag_classes, name);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,13 @@
 // organisations, tags, tag classes: never mutated after load) keep raw
 // records. Every relation is materialized as forward and, where queries
 // need it, reverse appendable-CSR adjacency (see adjacency.h). External
-// spec ids map to dense uint32 indices at build time; all traversal is
-// index-based.
+// spec ids map to dense uint32 indices through flat open-addressing id
+// tables (columnar/flat_id_table.h); all traversal is index-based.
+//
+// The static reference data (the four static tables' records, id tables
+// and name indices, and their structure columns and adjacency) is one
+// immutable segment, built once per Graph(SocialNetwork) and held by a
+// shared_ptr<const>: every copy of that snapshot shares it.
 //
 // Posts and comments are distinct tables; a *message reference* encodes
 // either in one uint32: bit 31 clear → post index, bit 31 set → comment
@@ -16,10 +21,11 @@
 //
 // Concurrency is by snapshot: a published Graph is immutable, and the
 // refresh writer mutates a private member-wise copy (the explicit copy
-// constructor), which it then publishes whole. Readers and the writer never
-// share a mutable Graph, so the store holds no locks. Add* mutators (the
-// Interactive update operations IU 1–8) append to overflow regions without
-// re-sorting or re-encoding the bulk-loaded columns and CSR spans.
+// constructor: flat arrays plus one pointer to the static segment), which
+// it then publishes whole. Readers and the writer never share a mutable
+// Graph, so the store holds no locks. Add* mutators (the Interactive update
+// operations IU 1–8) append to overflow regions without re-sorting or
+// re-encoding the bulk-loaded columns and CSR spans.
 //
 // Deep deletes (DEL 1–8) are logical: Delete* mutators run a five-stage
 // cascade (persons → forums → messages → likes → index) that marks rows dead
@@ -34,6 +40,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -44,6 +51,7 @@
 #include "core/schema.h"
 #include "storage/adjacency.h"
 #include "storage/columnar/dictionary.h"
+#include "storage/columnar/flat_id_table.h"
 #include "storage/columnar/list_column.h"
 #include "storage/columnar/memory.h"
 #include "storage/columnar/string_column.h"
@@ -53,7 +61,7 @@
 
 namespace snb::storage {
 
-constexpr uint32_t kNoIdx = UINT32_MAX;
+constexpr uint32_t kNoIdx = columnar::FlatIdTable::kNoRow;
 
 class Graph {
  public:
@@ -63,10 +71,11 @@ class Graph {
   explicit Graph(core::SocialNetwork net, uint32_t compaction_epoch = 0);
 
   /// Member-wise deep copy — the refresh writer's private shadow of a
-  /// published snapshot. Copies the packed columns as they are (no re-sort,
-  /// no re-encode) and carries tombstones and both epochs over. Explicit,
-  /// so a stray `auto g = *snapshot;` does not compile. Not assignable:
-  /// queries hold references into the tables.
+  /// published snapshot. Copies the packed columns and id tables as they
+  /// are (no re-sort, no re-encode, no rehash), shares the static segment
+  /// and carries tombstones and both epochs over. Explicit, so a stray
+  /// `auto g = *snapshot;` does not compile. Not assignable: queries hold
+  /// references into the tables.
   explicit Graph(const Graph&) = default;
   Graph& operator=(const Graph&) = delete;
 
@@ -77,33 +86,33 @@ class Graph {
   size_t NumPosts() const { return post_id_.size(); }
   size_t NumComments() const { return comment_id_.size(); }
   size_t NumMessages() const { return NumPosts() + NumComments(); }
-  size_t NumTags() const { return tags_.size(); }
-  size_t NumTagClasses() const { return tag_classes_.size(); }
-  size_t NumPlaces() const { return places_.size(); }
-  size_t NumOrganisations() const { return organisations_.size(); }
+  size_t NumTags() const { return static_->tags.size(); }
+  size_t NumTagClasses() const { return static_->tag_classes.size(); }
+  size_t NumPlaces() const { return static_->places.size(); }
+  size_t NumOrganisations() const { return static_->organisations.size(); }
 
-  const core::Tag& TagAt(uint32_t i) const { return tags_[i]; }
+  const core::Tag& TagAt(uint32_t i) const { return static_->tags[i]; }
   const core::TagClass& TagClassAt(uint32_t i) const {
-    return tag_classes_[i];
+    return static_->tag_classes[i];
   }
-  const core::Place& PlaceAt(uint32_t i) const { return places_[i]; }
+  const core::Place& PlaceAt(uint32_t i) const { return static_->places[i]; }
   const core::Organisation& OrganisationAt(uint32_t i) const {
-    return organisations_[i];
+    return static_->organisations[i];
   }
 
-  // ---- Id ↔ index ----------------------------------------------------------
+  // ---- Id ↔ index (kNoIdx when absent) -----------------------------------
 
-  uint32_t PersonIdx(core::Id id) const { return Lookup(person_idx_, id); }
-  uint32_t ForumIdx(core::Id id) const { return Lookup(forum_idx_, id); }
-  uint32_t PostIdx(core::Id id) const { return Lookup(post_idx_, id); }
-  uint32_t CommentIdx(core::Id id) const { return Lookup(comment_idx_, id); }
-  uint32_t TagIdx(core::Id id) const { return Lookup(tag_idx_, id); }
+  uint32_t PersonIdx(core::Id id) const { return person_idx_.Find(id); }
+  uint32_t ForumIdx(core::Id id) const { return forum_idx_.Find(id); }
+  uint32_t PostIdx(core::Id id) const { return post_idx_.Find(id); }
+  uint32_t CommentIdx(core::Id id) const { return comment_idx_.Find(id); }
+  uint32_t TagIdx(core::Id id) const { return static_->tag_idx.Find(id); }
   uint32_t TagClassIdx(core::Id id) const {
-    return Lookup(tag_class_idx_, id);
+    return static_->tag_class_idx.Find(id);
   }
-  uint32_t PlaceIdx(core::Id id) const { return Lookup(place_idx_, id); }
+  uint32_t PlaceIdx(core::Id id) const { return static_->place_idx.Find(id); }
   uint32_t OrganisationIdx(core::Id id) const {
-    return Lookup(organisation_idx_, id);
+    return static_->organisation_idx.Find(id);
   }
 
   /// Name lookups for query parameters given by name (countries, tags,
@@ -402,8 +411,10 @@ class Graph {
 
   /// Per-family heap bytes of every member, the compressed families also
   /// with the seed layout's bytes, plus bytes/edge and bytes/message (see
-  /// storage/columnar/memory.h).
+  /// storage/columnar/memory.h). The kStaticFamily family is the shared
+  /// static segment, which a copy does not allocate.
   columnar::MemoryBreakdown Memory() const;
+  static constexpr const char* kStaticFamily = "static (shared)";
 
   // ---- Person columns: the only copy of a person row ----------------------
   // The string views returned here are invalidated by the next IU append;
@@ -509,11 +520,17 @@ class Graph {
 
   /// Parent place index (city→country, country→continent); kNoIdx for
   /// continents.
-  uint32_t PlacePartOf(uint32_t place) const { return place_part_of_[place]; }
+  uint32_t PlacePartOf(uint32_t place) const {
+    return static_->place_part_of[place];
+  }
   /// Parent tag-class index; kNoIdx at the root.
-  uint32_t TagClassParent(uint32_t tc) const { return tag_class_parent_[tc]; }
+  uint32_t TagClassParent(uint32_t tc) const {
+    return static_->tag_class_parent[tc];
+  }
   /// Tag-class index of a tag.
-  uint32_t TagClassOfTag(uint32_t t) const { return tag_class_of_tag_[t]; }
+  uint32_t TagClassOfTag(uint32_t t) const {
+    return static_->tag_class_of_tag[t];
+  }
 
   // ---- Adjacency ------------------------------------------------------------
 
@@ -546,9 +563,11 @@ class Graph {
   /// country place index → persons located there.
   const AdjacencyList& CountryPersons() const { return country_persons_; }
   /// tag-class index → child class indices.
-  const AdjacencyList& TagClassChildren() const { return tag_class_children_; }
+  const AdjacencyList& TagClassChildren() const {
+    return static_->tag_class_children;
+  }
   /// tag-class index → tags of that class.
-  const AdjacencyList& TagClassTags() const { return tag_class_tags_; }
+  const AdjacencyList& TagClassTags() const { return static_->tag_class_tags; }
 
   // ---- Mutators (Interactive updates IU 1–8) --------------------------------
   //
@@ -601,11 +620,24 @@ class Graph {
  private:
   friend struct TestAccess;  // corruption seeding in tests (test_access.h)
 
-  static uint32_t Lookup(const std::unordered_map<core::Id, uint32_t>& map,
-                         core::Id id) {
-    auto it = map.find(id);
-    return it == map.end() ? kNoIdx : it->second;
-  }
+  /// The static reference data: built once per Graph(SocialNetwork) and
+  /// never mutated after, so every copy of that snapshot shares it.
+  struct StaticSegment {
+    std::vector<core::Tag> tags;
+    std::vector<core::TagClass> tag_classes;
+    std::vector<core::Place> places;
+    std::vector<core::Organisation> organisations;
+    columnar::FlatIdTable tag_idx, tag_class_idx, place_idx, organisation_idx;
+    // Rows ordered by name (stable): the name lookups binary-search them.
+    std::vector<uint32_t> place_by_name, tag_by_name, tag_class_by_name;
+    std::vector<uint32_t> place_part_of;
+    std::vector<uint32_t> tag_class_parent, tag_class_of_tag;
+    AdjacencyList tag_class_children, tag_class_tags;
+
+    /// Takes the static tables out of `net` and indexes them.
+    explicit StaticSegment(core::SocialNetwork& net);
+    size_t ByteSize() const;
+  };
 
   /// A comment's reply target as a message reference; kNoIdx if missing.
   uint32_t ReplyTarget(const core::Comment& c) const {
@@ -626,8 +658,9 @@ class Graph {
 
   /// Country of a City place; kNoIdx for anything else.
   uint32_t CountryOfCity(uint32_t city) const {
-    return city != kNoIdx && places_[city].type == core::PlaceType::kCity
-               ? place_part_of_[city]
+    return city != kNoIdx &&
+                   static_->places[city].type == core::PlaceType::kCity
+               ? static_->place_part_of[city]
                : kNoIdx;
   }
 
@@ -693,18 +726,12 @@ class Graph {
   /// newly dead and maintains the parent's live-reply delta.
   void MarkMessageDead(uint32_t msg, std::vector<uint32_t>* work);
 
-  // Raw records of the static reference tables (the dynamic entities have
-  // none: see the person, forum and message columns below).
-  std::vector<core::Tag> tags_;
-  std::vector<core::TagClass> tag_classes_;
-  std::vector<core::Place> places_;
-  std::vector<core::Organisation> organisations_;
+  // The static tables, shared by every copy (the dynamic entities have no
+  // records: see the person, forum and message columns below).
+  std::shared_ptr<const StaticSegment> static_;
 
-  // Id maps.
-  std::unordered_map<core::Id, uint32_t> person_idx_, forum_idx_, post_idx_,
-      comment_idx_, tag_idx_, tag_class_idx_, place_idx_, organisation_idx_;
-  std::unordered_map<std::string, uint32_t> place_by_name_, tag_by_name_,
-      tag_class_by_name_;
+  // Id tables of the dynamic entities.
+  columnar::FlatIdTable person_idx_, forum_idx_, post_idx_, comment_idx_;
 
   // Person columns: the only copy of a person row.
   std::vector<core::Id> person_id_;
@@ -733,8 +760,6 @@ class Graph {
   std::vector<uint32_t> comment_creator_, comment_country_;
   std::vector<uint32_t> comment_reply_of_;   // message reference
   std::vector<uint32_t> comment_root_post_;  // post index
-  std::vector<uint32_t> place_part_of_;
-  std::vector<uint32_t> tag_class_parent_, tag_class_of_tag_;
 
   // Shared dictionary + person and message code columns.
   columnar::Dictionary dict_;
@@ -760,7 +785,6 @@ class Graph {
   AdjacencyList post_tags_, comment_tags_, forum_tags_, person_interests_;
   AdjacencyList tag_posts_, tag_comments_, tag_forums_, tag_persons_;
   AdjacencyList country_persons_;
-  AdjacencyList tag_class_children_, tag_class_tags_;
 
   // Creation-date message index: sorted base + zone-mapped update tail.
   MessageDateIndex message_index_;

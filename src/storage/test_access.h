@@ -52,6 +52,10 @@ struct TestAccess {
   static AdjacencyList& Knows(Graph& g) { return g.knows_; }
   static MessageDateIndex& MessageIndex(Graph& g) { return g.message_index_; }
 
+  /// Identity of the static segment, read-only: copies of one snapshot
+  /// must share it.
+  static const void* StaticSegment(const Graph& g) { return g.static_.get(); }
+
   // ---- Tombstone state ------------------------------------------------------
   // Tests seed torn-cascade states (a dead person whose messages stayed
   // alive, a stale live like count, an uncollapsed zone) that the public

@@ -1,15 +1,18 @@
 // Unit tests for the columnar storage subsystem: bit-packing, the shared
 // dictionary (including deep copies), encoded column blocks (round-trip,
 // zone metadata, the strict Status-returning decoder), zoned columns, the
-// compressed CSR, and the Graph memory-accounting API.
+// compressed CSR, the flat id table (against std::unordered_map, with
+// adversarial keys), and the Graph memory-accounting API.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "datagen/datagen.h"
@@ -18,6 +21,7 @@
 #include "storage/columnar/column_block.h"
 #include "storage/columnar/csr.h"
 #include "storage/columnar/dictionary.h"
+#include "storage/columnar/flat_id_table.h"
 #include "storage/graph.h"
 
 namespace snb::storage::columnar {
@@ -301,6 +305,139 @@ TEST(AdjacencyTest, OverflowArenaPreservesAppendOrder) {
   EXPECT_EQ(seen, want);
   EXPECT_TRUE(adj.Contains(4, 6));
   EXPECT_FALSE(adj.Contains(1, 6));
+}
+
+/// Inserts every key of `keys` (duplicates included) into a FlatIdTable
+/// and a std::unordered_map reference, with the row the arrival index, and
+/// checks that both agree on every insert and afterwards on every key and
+/// on `absent`.
+void ExpectTableMatchesReference(const std::vector<core::Id>& keys,
+                                 const std::vector<core::Id>& absent) {
+  FlatIdTable table;
+  std::unordered_map<core::Id, uint32_t> ref;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint32_t row = static_cast<uint32_t>(i);
+    const bool fresh = ref.emplace(keys[i], row).second;
+    ASSERT_EQ(table.Insert(keys[i], row), fresh) << "key " << keys[i];
+    ASSERT_EQ(table.size(), ref.size());
+    ASSERT_LE(2 * table.size(), table.capacity());  // load factor ≤ 1/2
+  }
+  for (const auto& [key, row] : ref) ASSERT_EQ(table.Find(key), row);
+  for (core::Id key : absent) {
+    if (!ref.contains(key)) {
+      EXPECT_EQ(table.Find(key), FlatIdTable::kNoRow);
+    }
+  }
+}
+
+TEST(FlatIdTableTest, EmptyTableFindsNothing) {
+  const FlatIdTable table;
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.capacity(), 0u);
+  EXPECT_EQ(table.Find(0), FlatIdTable::kNoRow);
+  EXPECT_EQ(table.Find(core::kNoId), FlatIdTable::kNoRow);
+}
+
+TEST(FlatIdTableTest, SeededRandomSequencesMatchUnorderedMap) {
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    std::mt19937_64 rng(seed);
+    // A narrow key range forces duplicates; a full-width one probes the
+    // whole 64-bit space.
+    std::uniform_int_distribution<core::Id> narrow(-500, 500);
+    std::uniform_int_distribution<core::Id> wide(
+        std::numeric_limits<core::Id>::min(),
+        std::numeric_limits<core::Id>::max());
+    std::vector<core::Id> keys, absent;
+    for (int i = 0; i < 3000; ++i) {
+      keys.push_back(i % 3 == 0 ? wide(rng) : narrow(rng));
+      absent.push_back(i % 2 == 0 ? wide(rng) : narrow(rng) + 1000);
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectTableMatchesReference(keys, absent);
+  }
+}
+
+TEST(FlatIdTableTest, AdversarialKeysMatchUnorderedMap) {
+  const core::Id kMin = std::numeric_limits<core::Id>::min();
+  const core::Id kMax = std::numeric_limits<core::Id>::max();
+  std::vector<core::Id> keys;
+  for (core::Id i = 0; i < 5000; ++i) keys.push_back(i);  // dense
+  for (int k = 1; k < 62; k += 6) {                         // strides of 2^k
+    for (core::Id i = 0; i < 300; ++i) keys.push_back(i << k);
+  }
+  for (core::Id i = 1; i <= 1000; ++i) keys.push_back(-i);  // negatives
+  for (core::Id edge : {core::kNoId, kMin, kMin + 1, kMax, kMax - 1,
+                        core::Id{0}}) {
+    keys.push_back(edge);
+    keys.push_back(edge);  // a duplicate of each is rejected
+  }
+  ExpectTableMatchesReference(keys, {kMin + 2, kMax - 2, 5000, -1001,
+                                     core::Id{1} << 62});
+}
+
+TEST(FlatIdTableTest, OneProbeRunResolvesEveryKey) {
+  // Keys that all hash to slot 0 at capacity 64: they form one run of
+  // linear probes, which also wraps from the last slot to the first.
+  FlatIdTable table;
+  table.Reserve(32);
+  ASSERT_EQ(table.capacity(), 64u);
+  std::vector<core::Id> run;
+  for (core::Id k = 0; run.size() < 24; ++k) {
+    if ((FlatIdTable::Hash(k) & 63) == 0) run.push_back(k);
+  }
+  std::vector<core::Id> tail;  // home slot 63: wraps into the run
+  for (core::Id k = -1; tail.size() < 4; --k) {
+    if ((FlatIdTable::Hash(k) & 63) == 63) tail.push_back(k);
+  }
+  for (size_t i = 0; i < tail.size(); ++i) {
+    ASSERT_TRUE(table.Insert(tail[i], static_cast<uint32_t>(100 + i)));
+  }
+  for (size_t i = 0; i < run.size(); ++i) {
+    ASSERT_TRUE(table.Insert(run[i], static_cast<uint32_t>(i)));
+    ASSERT_FALSE(table.Insert(run[i], 999));
+  }
+  ASSERT_EQ(table.capacity(), 64u);  // 28 entries: no rehash yet
+  for (size_t i = 0; i < run.size(); ++i) EXPECT_EQ(table.Find(run[i]), i);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(table.Find(tail[i]), 100 + i);
+  }
+  // An absent key homed in the run walks all of it and stops at a gap.
+  for (core::Id k = run.back() + 1;; ++k) {
+    if ((FlatIdTable::Hash(k) & 63) == 0) {
+      EXPECT_EQ(table.Find(k), FlatIdTable::kNoRow);
+      break;
+    }
+  }
+}
+
+TEST(FlatIdTableTest, GrowsThroughRehashesAndCopiesEqual) {
+  FlatIdTable table;
+  size_t rehashes = 0;
+  size_t capacity = table.capacity();
+  for (uint32_t i = 0; i < 20000; ++i) {
+    // Strided, negative-interleaved ids far outside any dense range.
+    const core::Id id = (i % 2 == 0 ? 1 : -1) * ((core::Id{1} << 40) + i * 97);
+    ASSERT_TRUE(table.Insert(id, i));
+    if (table.capacity() != capacity) {
+      ++rehashes;
+      capacity = table.capacity();
+    }
+  }
+  EXPECT_GE(rehashes, 5u);
+  EXPECT_FALSE(table.Insert((core::Id{1} << 40), 7));  // i = 0 again
+  const FlatIdTable copy(table);
+  EXPECT_EQ(copy, table);
+  EXPECT_EQ(copy.size(), 20000u);
+  EXPECT_EQ(copy.ByteSize(), table.ByteSize());
+  for (uint32_t i = 0; i < 20000; ++i) {
+    const core::Id id = (i % 2 == 0 ? 1 : -1) * ((core::Id{1} << 40) + i * 97);
+    ASSERT_EQ(copy.Find(id), i);
+  }
+  // The copy grows on its own; the source is untouched.
+  FlatIdTable grown(copy);
+  ASSERT_TRUE(grown.Insert(42, 20000));
+  EXPECT_EQ(table.Find(42), FlatIdTable::kNoRow);
+  EXPECT_FALSE(grown == table);
 }
 
 TEST(GraphMemoryTest, CompressedStoreBeatsSeedLayout) {
