@@ -12,7 +12,8 @@
 #   6. ASan           — fail-point + crash-recovery tests, the range-scan
 #                       and kernel cross-checks (per-block stack buffers,
 #                       partial-block slices), the storage, export,
-#                       validator, Interactive and columnar tests under
+#                       validator, Interactive, columnar, pushdown and
+#                       snapshot-sharing (refresh_shadow) tests under
 #                       -fsanitize=address, then the delete-cascade crash
 #                       loop (torn cascades at every graph.delete.* stage)
 #                       via ctest so its 600 s TIMEOUT governs the forks
@@ -63,7 +64,8 @@ echo "== TSan: scheduler, morsel, refresh + recovery tests under -fsanitize=thre
 # detect_deadlocks reports a lock-order inversion (A->B on one path, B->A
 # on another) even when the two paths never overlap in time. The refresh
 # and recovery cases run readers through a refresh; they are this stage's
-# only runs that take GraphHandle::mu_ and the fail-point registry.
+# only runs that take GraphHandle::mu_ and the fail-point registry, and
+# the only runs where readers share bases with the writer's shadow.
 export TSAN_OPTIONS="halt_on_error=1 detect_deadlocks=1"
 cmake -B "$repo/build-tsan" -S "$repo" -DSNB_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j --target sched_test parallel_test \
@@ -89,10 +91,13 @@ echo "== ASan: crash-recovery loop and range-scan kernels under -fsanitize=addre
 # corrupts the like-count column and other private state through
 # TestAccess. columnar_test drives the flat id table's linear probing
 # (wrap-around runs, rehashes, copies) and the packed column codecs.
+# Snapshot copies share the CSR, index and string bases by pointer:
+# refresh_shadow_test publishes, copies and frees snapshots around them,
+# and pushdown_test's NoteLike cases scan the shared base refs.
 cmake -B "$repo/build-asan" -S "$repo" -DSNB_SANITIZE=address
 cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
   parallel_test bi_crossval_test storage_test recovery_test interactive_test \
-  validate_test columnar_test
+  validate_test columnar_test pushdown_test refresh_shadow_test
 "$repo/build-asan/tests/failpoint_test"
 "$repo/build-asan/tests/wal_recovery_test"
 "$repo/build-asan/tests/parallel_test"
@@ -102,6 +107,8 @@ cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
 "$repo/build-asan/tests/interactive_test"
 "$repo/build-asan/tests/validate_test"
 "$repo/build-asan/tests/columnar_test"
+"$repo/build-asan/tests/pushdown_test"
+"$repo/build-asan/tests/refresh_shadow_test"
 
 echo "== ASan: delete-cascade crash loop =="
 # Torn cascades at every graph.delete.* stage: the tests arm each cascade

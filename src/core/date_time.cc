@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/check.h"
 
@@ -47,28 +48,68 @@ int32_t MonthsSpanInclusive(DateTime from, DateTime to) {
   return (b.year * 12 + b.month) - (a.year * 12 + a.month) + 1;
 }
 
+namespace {
+
+/// Writes `v` (0 <= v < 10^width) as `width` zero-padded digits at `p`.
+void PutDigits(char* p, int width, int32_t v) {
+  for (int i = width - 1; i >= 0; --i) {
+    p[i] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  }
+}
+
+}  // namespace
+
+void AppendDate(std::string* out, Date date) {
+  const CivilDate c = CivilFromDate(date);
+  if (c.year < 0 || c.year > 9999) {
+    // Room for any int32 field, so no output can be truncated.
+    char buf[48];
+    const int n = std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year,
+                                c.month, c.day);
+    out->append(buf, static_cast<size_t>(n));
+    return;
+  }
+  char buf[10];
+  PutDigits(buf, 4, c.year);
+  buf[4] = '-';
+  PutDigits(buf + 5, 2, c.month);
+  buf[7] = '-';
+  PutDigits(buf + 8, 2, c.day);
+  out->append(buf, sizeof(buf));
+}
+
+void AppendDateTime(std::string* out, DateTime dt) {
+  const Date date = DateFromDateTime(dt);
+  AppendDate(out, date);
+  // In [0, kMillisPerDay): DateFromDateTime floors.
+  const int64_t ms = dt - DateTimeFromDate(date);
+  auto field = [ms](int64_t unit, int64_t range) {
+    return static_cast<int32_t>(ms / unit % range);
+  };
+  char buf[18];
+  buf[0] = 'T';
+  PutDigits(buf + 1, 2, field(kMillisPerHour, 24));
+  buf[3] = ':';
+  PutDigits(buf + 4, 2, field(kMillisPerMinute, 60));
+  buf[6] = ':';
+  PutDigits(buf + 7, 2, field(kMillisPerSecond, 60));
+  buf[9] = '.';
+  PutDigits(buf + 10, 3, field(1, 1000));
+  std::memcpy(buf + 13, "+0000", 5);
+  out->append(buf, sizeof(buf));
+}
+
 std::string FormatDate(Date date) {
-  CivilDate c = CivilFromDate(date);
-  // Room for any int32 field, so no output can be truncated.
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year, c.month, c.day);
-  return buf;
+  std::string out;
+  AppendDate(&out, date);
+  return out;
 }
 
 std::string FormatDateTime(DateTime dt) {
-  Date date = DateFromDateTime(dt);
-  CivilDate c = CivilFromDate(date);
-  int64_t ms_of_day = dt - DateTimeFromDate(date);
-  int32_t hour = static_cast<int32_t>(ms_of_day / kMillisPerHour);
-  int32_t minute =
-      static_cast<int32_t>((ms_of_day % kMillisPerHour) / kMillisPerMinute);
-  int32_t second =
-      static_cast<int32_t>((ms_of_day % kMillisPerMinute) / kMillisPerSecond);
-  int32_t millis = static_cast<int32_t>(ms_of_day % kMillisPerSecond);
-  char buf[96];  // room for any int32 field, as in FormatDate
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03d+0000",
-                c.year, c.month, c.day, hour, minute, second, millis);
-  return buf;
+  std::string out;
+  AppendDateTime(&out, dt);
+  return out;
 }
 
 namespace {

@@ -93,11 +93,17 @@ constexpr int32_t MinutesBetween(DateTime from, DateTime to) {
   return static_cast<int32_t>((to - from) / kMillisPerMinute);
 }
 
-/// Formats as "yyyy-mm-dd".
+/// Formats as "yyyy-mm-dd". A year outside 0..9999 prints all its digits
+/// (and its sign).
 std::string FormatDate(Date date);
 
 /// Formats as "yyyy-mm-ddTHH:MM:ss.sss+0000".
 std::string FormatDateTime(DateTime dt);
+
+/// Append FormatDate's / FormatDateTime's text to `*out`, for writers that
+/// build a line in one string.
+void AppendDate(std::string* out, Date date);
+void AppendDateTime(std::string* out, DateTime dt);
 
 /// Parses "yyyy-mm-dd"; returns false on malformed input.
 bool ParseDate(const std::string& text, Date* out);

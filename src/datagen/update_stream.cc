@@ -1,8 +1,10 @@
 #include "datagen/update_stream.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
+#include <string_view>
 
 #include "core/date_time.h"
 #include "util/check.h"
@@ -19,121 +21,170 @@ constexpr char kForumStreamFile[] = "/updateStream_0_0_forum.csv";
 // file exists only when the generator actually emitted deletes.
 constexpr char kDeleteStreamFile[] = "/updateStream_0_0_delete.csv";
 
-std::string I(core::Id id) { return std::to_string(id); }
+void AppendInt(std::string* out, int64_t v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
 
-std::string JoinIds(const std::vector<core::Id>& ids) {
-  std::vector<std::string> parts;
-  parts.reserve(ids.size());
-  for (core::Id id : ids) parts.push_back(std::to_string(id));
-  return util::JoinMultiValued(parts);
+/// A multi-valued field: `append_item(out, item)` per item, ';' between.
+template <typename T, typename AppendItem>
+void AppendList(std::string* out, const std::vector<T>& items,
+                AppendItem&& append_item) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out->push_back(';');
+    append_item(out, items[i]);
+  }
 }
 
 }  // namespace
 
-std::vector<std::string> UpdateEventFields(const UpdateEvent& event) {
+void AppendUpdateEventLine(const UpdateEvent& event, std::string* out) {
+  AppendInt(out, event.timestamp);
+  out->push_back('|');
+  AppendInt(out, event.dependency);
+  out->push_back('|');
+  AppendInt(out, static_cast<int>(event.kind));
+  // Every field is preceded by its '|'.
+  auto id = [out](core::Id v) {
+    out->push_back('|');
+    AppendInt(out, v);
+  };
+  auto text = [out](std::string_view v) {
+    out->push_back('|');
+    out->append(v);
+  };
+  auto sanitized = [out](std::string_view v) {
+    out->push_back('|');
+    util::AppendSanitized(out, v);
+  };
+  auto date_time = [out](core::DateTime v) {
+    out->push_back('|');
+    core::AppendDateTime(out, v);
+  };
+  auto ids = [out](const std::vector<core::Id>& v) {
+    out->push_back('|');
+    AppendList(out, v, [](std::string* o, core::Id x) { AppendInt(o, x); });
+  };
+  auto strings = [out](const std::vector<std::string>& v) {
+    out->push_back('|');
+    AppendList(out, v,
+               [](std::string* o, const std::string& x) { o->append(x); });
+  };
   switch (event.kind) {
     case UpdateKind::kAddPerson: {
       const auto& p = std::get<core::Person>(event.payload);
-      std::vector<std::string> study, work;
-      for (const core::StudyAt& s : p.study_at) {
-        study.push_back(std::to_string(s.university) + "," +
-                        std::to_string(s.class_year));
-      }
-      for (const core::WorkAt& w : p.work_at) {
-        work.push_back(std::to_string(w.company) + "," +
-                       std::to_string(w.work_from));
-      }
-      return {I(p.id),
-              p.first_name,
-              p.last_name,
-              p.gender,
-              core::FormatDate(p.birthday),
-              core::FormatDateTime(p.creation_date),
-              p.location_ip,
-              p.browser_used,
-              I(p.city),
-              util::JoinMultiValued(p.speaks),
-              util::JoinMultiValued(p.emails),
-              JoinIds(p.interests),
-              util::JoinMultiValued(study),
-              util::JoinMultiValued(work)};
+      id(p.id);
+      text(p.first_name);
+      text(p.last_name);
+      text(p.gender);
+      out->push_back('|');
+      core::AppendDate(out, p.birthday);
+      date_time(p.creation_date);
+      text(p.location_ip);
+      text(p.browser_used);
+      id(p.city);
+      strings(p.speaks);
+      strings(p.emails);
+      ids(p.interests);
+      out->push_back('|');
+      AppendList(out, p.study_at, [](std::string* o, const core::StudyAt& s) {
+        AppendInt(o, s.university);
+        o->push_back(',');
+        AppendInt(o, s.class_year);
+      });
+      out->push_back('|');
+      AppendList(out, p.work_at, [](std::string* o, const core::WorkAt& w) {
+        AppendInt(o, w.company);
+        o->push_back(',');
+        AppendInt(o, w.work_from);
+      });
+      return;
     }
     case UpdateKind::kAddLikePost:
     case UpdateKind::kAddLikeComment: {
       const auto& l = std::get<core::Like>(event.payload);
-      return {I(l.person), I(l.message),
-              core::FormatDateTime(l.creation_date)};
+      id(l.person);
+      id(l.message);
+      date_time(l.creation_date);
+      return;
     }
     case UpdateKind::kAddForum: {
       const auto& f = std::get<core::Forum>(event.payload);
-      return {I(f.id), util::SanitizeField(f.title),
-              core::FormatDateTime(f.creation_date), I(f.moderator),
-              JoinIds(f.tags)};
+      id(f.id);
+      sanitized(f.title);
+      date_time(f.creation_date);
+      id(f.moderator);
+      ids(f.tags);
+      return;
     }
     case UpdateKind::kAddMembership: {
       const auto& m = std::get<core::ForumMembership>(event.payload);
-      return {I(m.person), I(m.forum), core::FormatDateTime(m.join_date)};
+      id(m.person);
+      id(m.forum);
+      date_time(m.join_date);
+      return;
     }
     case UpdateKind::kAddPost: {
       const auto& p = std::get<core::Post>(event.payload);
-      return {I(p.id),
-              p.image_file,
-              core::FormatDateTime(p.creation_date),
-              p.location_ip,
-              p.browser_used,
-              p.language,
-              util::SanitizeField(p.content),
-              std::to_string(p.length),
-              I(p.creator),
-              I(p.forum),
-              I(p.country),
-              JoinIds(p.tags)};
+      id(p.id);
+      text(p.image_file);
+      date_time(p.creation_date);
+      text(p.location_ip);
+      text(p.browser_used);
+      text(p.language);
+      sanitized(p.content);
+      id(p.length);
+      id(p.creator);
+      id(p.forum);
+      id(p.country);
+      ids(p.tags);
+      return;
     }
     case UpdateKind::kAddComment: {
       const auto& c = std::get<core::Comment>(event.payload);
-      return {I(c.id),
-              core::FormatDateTime(c.creation_date),
-              c.location_ip,
-              c.browser_used,
-              util::SanitizeField(c.content),
-              std::to_string(c.length),
-              I(c.creator),
-              I(c.country),
-              I(c.reply_of_post),     // -1 when replying to a comment
-              I(c.reply_of_comment),  // -1 when replying to a post
-              JoinIds(c.tags)};
+      id(c.id);
+      date_time(c.creation_date);
+      text(c.location_ip);
+      text(c.browser_used);
+      sanitized(c.content);
+      id(c.length);
+      id(c.creator);
+      id(c.country);
+      id(c.reply_of_post);     // -1 when replying to a comment
+      id(c.reply_of_comment);  // -1 when replying to a post
+      ids(c.tags);
+      return;
     }
     case UpdateKind::kAddKnows: {
       const auto& k = std::get<core::Knows>(event.payload);
-      return {I(k.person1), I(k.person2),
-              core::FormatDateTime(k.creation_date)};
+      id(k.person1);
+      id(k.person2);
+      date_time(k.creation_date);
+      return;
     }
     case UpdateKind::kDelPerson:
     case UpdateKind::kDelForum:
     case UpdateKind::kDelPost:
-    case UpdateKind::kDelComment: {
-      const auto& d = std::get<Delete>(event.payload);
-      return {I(d.a)};
-    }
+    case UpdateKind::kDelComment:
+      id(std::get<Delete>(event.payload).a);
+      return;
     case UpdateKind::kDelLikePost:
     case UpdateKind::kDelLikeComment:
     case UpdateKind::kDelMembership:
     case UpdateKind::kDelKnows: {
       const auto& d = std::get<Delete>(event.payload);
-      return {I(d.a), I(d.b)};
+      id(d.a);
+      id(d.b);
+      return;
     }
   }
   SNB_UNREACHABLE();
 }
 
 std::string FormatUpdateEventLine(const UpdateEvent& event) {
-  std::string line = std::to_string(event.timestamp) + "|" +
-                     std::to_string(event.dependency) + "|" +
-                     std::to_string(static_cast<int>(event.kind));
-  for (const std::string& field : UpdateEventFields(event)) {
-    line.push_back('|');
-    line.append(field);
-  }
+  std::string line;
+  AppendUpdateEventLine(event, &line);
   return line;
 }
 

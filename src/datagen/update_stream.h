@@ -21,13 +21,13 @@
 
 namespace snb::datagen {
 
-/// Serializes one update event into its Table 2.18 field list (excluding the
-/// leading t|t_d|opId triple).
-std::vector<std::string> UpdateEventFields(const UpdateEvent& event);
+/// Appends a whole event as one stream line `t|t_d|opId|fields…` (no
+/// trailing newline) to `out`, with no temporary strings. Shared by the
+/// update-stream files and the WAL's record payloads, so both speak the
+/// same Table 2.18 dialect.
+void AppendUpdateEventLine(const UpdateEvent& event, std::string* out);
 
-/// Formats a whole event as one stream line `t|t_d|opId|fields…` (no
-/// trailing newline). Shared by the update-stream files and the WAL's
-/// record payloads, so both speak the same Table 2.18 dialect.
+/// AppendUpdateEventLine into a fresh string.
 std::string FormatUpdateEventLine(const UpdateEvent& event);
 
 /// Parses one stream line; inverse of FormatUpdateEventLine (exact for

@@ -6,12 +6,17 @@
 // Execution model per batch (one or more whole simulation days):
 //
 //   1. LOG    BatchBegin(day) + every event + BatchCommit(day) into the WAL
-//             (storage/wal.h). After the commit fsync the batch is durable:
+//             (storage/wal.h), which buffers the batch's records and
+//             writes them with the commit marker in one write at
+//             BatchCommit. After the commit fsync the batch is durable:
 //             a crash anywhere later is repaired by RecoveryManager replay.
 //             A failure mid-log truncates the partial batch (Wal::AbortBatch)
 //             and, if transient, retries with exponential backoff + jitter.
 //   2. APPLY  Copy the current snapshot member-wise into a private shadow
-//             (the explicit Graph copy constructor: packed columns are
+//             (the explicit Graph copy constructor: the immutable bases —
+//             CSR bases, the message-date index base, the bulk string
+//             bases and the static segment — are shared by pointer; the
+//             other columns, id tables, overflow arenas and tails are
 //             copied as they are, never re-sorted or re-encoded), apply the
 //             batch to it, then atomically publish it through
 //             GraphHandle::Replace. Published snapshots are immutable; only
@@ -22,8 +27,10 @@
 //             discards the shadow and re-copies. Deep deletes leave
 //             tombstones in the shadow; with compact_deletes the shadow is
 //             compacted (export of the live subgraph + rebuild) before it
-//             is published. Copy-per-batch trades memory bandwidth for zero
-//             read-side coordination — the right trade at BI's
+//             is published. The shadow mutates only what it copied, so
+//             readers of the previous snapshot keep reading the shared
+//             bases unchanged. Copy-per-batch trades memory bandwidth for
+//             zero read-side coordination — the right trade at BI's
 //             one-batch-per-day refresh cadence.
 //   3. CHECK  Optionally every N batches: export the published snapshot as
 //             a new checkpoint (storage/recovery.h rotation protocol), which

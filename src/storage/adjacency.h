@@ -3,7 +3,9 @@
 // The bulk-loaded part of every relation lives in a columnar::CompressedCsr
 // (FOR-packed offset/target/date columns with per-block zone metadata — see
 // storage/columnar/csr.h) for scan locality and density — choke points
-// CP-3.2/3.3. Inserts arriving through the update workload land in a
+// CP-3.2/3.3. The CSR is immutable once built and held by a
+// shared_ptr<const>, so a copied list shares it by pointer: copying a list
+// costs its overflow arena, not its base. Inserts arriving through the update workload land in a
 // chunked overflow arena: one append-only entry pool threaded into
 // per-node insertion-ordered chains, replacing the seed's per-vertex
 // vector-of-vectors (24 B of header per node per relation before the first
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -40,12 +43,14 @@ class AdjacencyList {
   void Build(size_t num_nodes, std::vector<EdgeInput> edges, bool with_dates) {
     with_dates_ = with_dates;
     num_nodes_ = num_nodes;
-    csr_.Build(num_nodes, std::move(edges), with_dates);
+    auto csr = std::make_shared<columnar::CompressedCsr>();
+    csr->Build(num_nodes, std::move(edges), with_dates);
+    csr_ = std::move(csr);
   }
 
   size_t num_nodes() const { return num_nodes_; }
-  size_t num_edges() const { return csr_.num_edges() + overflow_.size(); }
-  size_t num_base_edges() const { return csr_.num_edges(); }
+  size_t num_edges() const { return csr_->num_edges() + overflow_.size(); }
+  size_t num_base_edges() const { return csr_->num_edges(); }
   size_t num_overflow_edges() const { return overflow_.size(); }
 
   /// Grows the node space (new nodes start with no edges).
@@ -83,8 +88,8 @@ class AdjacencyList {
   /// Size of the bulk-loaded (sorted) part of `node`'s list.
   size_t BaseDegree(uint32_t node) const {
     SNB_DCHECK(node < num_nodes_);
-    if (node >= csr_.num_nodes()) return 0;  // node added after bulk load
-    return csr_.EdgeEnd(node) - csr_.EdgeBegin(node);
+    if (node >= csr_->num_nodes()) return 0;  // node added after bulk load
+    return csr_->EdgeEnd(node) - csr_->EdgeBegin(node);
   }
 
   /// Visits only the bulk-loaded (sorted) neighbours: f(target). The
@@ -92,10 +97,11 @@ class AdjacencyList {
   template <typename F>
   void ForEachBase(uint32_t node, F&& f) const {
     SNB_DCHECK(node < num_nodes_);
-    if (node >= csr_.num_nodes()) return;
-    const uint64_t end = csr_.EdgeEnd(node);
-    for (uint64_t k = csr_.EdgeBegin(node); k < end; ++k) {
-      f(csr_.TargetAt(k));
+    const columnar::CompressedCsr& csr = *csr_;
+    if (node >= csr.num_nodes()) return;
+    const uint64_t end = csr.EdgeEnd(node);
+    for (uint64_t k = csr.EdgeBegin(node); k < end; ++k) {
+      f(csr.TargetAt(k));
     }
   }
 
@@ -125,9 +131,10 @@ class AdjacencyList {
   void ForEachSlice(uint32_t node, size_t begin, size_t end, F&& f) const {
     const size_t base = BaseDegree(node);
     if (begin < base) {
-      const uint64_t first = csr_.EdgeBegin(node);
+      const columnar::CompressedCsr& csr = *csr_;
+      const uint64_t first = csr.EdgeBegin(node);
       const uint64_t last = first + std::min(end, base);
-      for (uint64_t k = first + begin; k < last; ++k) f(csr_.TargetAt(k));
+      for (uint64_t k = first + begin; k < last; ++k) f(csr.TargetAt(k));
     }
     if (end <= base || node >= head_.size()) return;
     size_t pos = base;
@@ -141,11 +148,12 @@ class AdjacencyList {
   template <typename F>
   void ForEachDated(uint32_t node, F&& f) const {
     SNB_DCHECK(node < num_nodes_);
-    SNB_DCHECK(with_dates_ || csr_.num_edges() == 0);
-    if (node < csr_.num_nodes()) {
-      const uint64_t end = csr_.EdgeEnd(node);
-      for (uint64_t k = csr_.EdgeBegin(node); k < end; ++k) {
-        f(csr_.TargetAt(k), csr_.DateAt(k));
+    const columnar::CompressedCsr& csr = *csr_;
+    SNB_DCHECK(with_dates_ || csr.num_edges() == 0);
+    if (node < csr.num_nodes()) {
+      const uint64_t end = csr.EdgeEnd(node);
+      for (uint64_t k = csr.EdgeBegin(node); k < end; ++k) {
+        f(csr.TargetAt(k), csr.DateAt(k));
       }
     }
     if (node < head_.size()) {
@@ -175,19 +183,22 @@ class AdjacencyList {
   }
 
   /// The packed base columns (memory accounting, block-zone validation).
-  const columnar::CompressedCsr& csr() const { return csr_; }
+  const columnar::CompressedCsr& csr() const { return *csr_; }
 
   /// Heap bytes actually held: packed base columns + overflow arena.
   size_t ByteSize() const {
-    return csr_.ByteSize() + overflow_.capacity() * sizeof(OverflowEntry) +
+    return SharedByteSize() + overflow_.capacity() * sizeof(OverflowEntry) +
            (head_.capacity() + tail_.capacity()) * sizeof(uint32_t);
   }
+
+  /// The part of ByteSize() in the CSR base, which copies share.
+  size_t SharedByteSize() const { return csr_->ByteSize(); }
 
   /// Seed-layout bytes for the same content: raw CSR arrays plus per-vertex
   /// overflow vectors (two 24 B vector headers per node once any overflow
   /// exists, 4 B target + 8 B date per overflow edge).
   size_t RawByteSize() const {
-    size_t raw = csr_.RawByteSize();
+    size_t raw = csr_->RawByteSize();
     if (!overflow_.empty()) {
       raw += num_nodes_ * 2 * 24;
       raw += overflow_.size() *
@@ -208,7 +219,11 @@ class AdjacencyList {
     core::DateTime date;
   };
 
-  columnar::CompressedCsr csr_;
+  // Written only by Build, which replaces it: copies share one base.
+  // Allocated non-const, as Build's is, so TestAccess::Csr may write
+  // through an unshared one.
+  std::shared_ptr<const columnar::CompressedCsr> csr_ =
+      std::make_shared<columnar::CompressedCsr>();
   std::vector<OverflowEntry> overflow_;  // chunk-grown append-only arena
   std::vector<uint32_t> head_, tail_;    // per-node chain ends, lazily sized
   size_t num_nodes_ = 0;

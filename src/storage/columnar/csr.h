@@ -16,7 +16,9 @@
 // cost for the same content so the win is a measured number.
 //
 // Immutable once built — the update path lives in AdjacencyList's overflow
-// arena, never here.
+// arena, never here. AdjacencyList holds it by shared_ptr<const>, so every
+// copy of a snapshot shares one CSR; only a rebuild (bulk load, compaction,
+// recovery) makes a new one.
 
 #ifndef SNB_STORAGE_COLUMNAR_CSR_H_
 #define SNB_STORAGE_COLUMNAR_CSR_H_
@@ -69,7 +71,8 @@ class CompressedCsr {
     return static_cast<core::DateTime>(dates_.At(k));
   }
 
-  // Column introspection (validator block-zone checks, corruption seeding).
+  // Column introspection (validator block-zone checks; tests corrupt a
+  // private clone through mutable_targets, never a shared base).
   const ZonedColumn& offsets() const { return offsets_; }
   const ZonedColumn& targets() const { return targets_; }
   const ZonedColumn& dates() const { return dates_; }

@@ -10,6 +10,11 @@
 //   bytes/message  (message-date index + per-message hot columns) /
 //                  (#posts + #comments)
 //
+// A family also reports how many of its bytes sit in bases that every copy
+// of the snapshot shares by pointer (CSR bases, the message-date index
+// base, bulk string bases, the static segment): a refresh copy allocates
+// only total_bytes() - total_shared_bytes().
+//
 // The raw-equivalent figures use the seed representation's exact shape:
 // 8 B offset per node(+1), 4 B target per edge, 8 B date per dated edge,
 // 4 B ref + 8 B date per indexed message.
@@ -30,6 +35,7 @@ struct MemoryFamily {
   size_t bytes = 0;       // heap bytes actually held
   size_t raw_bytes = 0;   // seed-layout bytes for the same content
   size_t items = 0;       // edges / entries / codes in the family
+  size_t shared_bytes = 0;  // part of `bytes` in bases copies share
 };
 
 struct MemoryBreakdown {
@@ -46,6 +52,11 @@ struct MemoryBreakdown {
   size_t total_bytes() const {
     size_t t = 0;
     for (const MemoryFamily& f : families) t += f.bytes;
+    return t;
+  }
+  size_t total_shared_bytes() const {
+    size_t t = 0;
+    for (const MemoryFamily& f : families) t += f.shared_bytes;
     return t;
   }
   size_t total_raw_bytes() const {

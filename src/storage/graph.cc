@@ -131,12 +131,16 @@ size_t Graph::StaticSegment::ByteSize() const {
 Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
     : static_(std::make_shared<const StaticSegment>(net)),
       compaction_epoch_(compaction_epoch) {
-  // Exact-size the string columns, the bulk of a row's bytes: the
-  // bulk-loaded snapshot then holds no growth slack in them.
+  // Exact-size the string columns, the bulk of a row's bytes, and the
+  // per-row columns: the bulk-loaded snapshot then holds no growth slack,
+  // so its Memory() is what a copy of it allocates.
   auto reserve = [](columnar::StringColumn& col, const auto& rows, auto field) {
     size_t chars = 0;
     for (const auto& row : rows) chars += (row.*field).size();
     col.Reserve(rows.size(), chars);
+  };
+  auto reserve_rows = [](size_t rows, auto&... cols) {
+    (cols.reserve(rows), ...);
   };
   // Frees the consumed person and forum records at once, so the build's
   // later allocations reuse their chunks instead of leaving them as holes
@@ -148,6 +152,10 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   reserve(person_last_name_, net.persons, &core::Person::last_name);
   reserve(person_location_ip_, net.persons, &core::Person::location_ip);
   person_idx_.Reserve(net.persons.size());
+  reserve_rows(net.persons.size(), person_id_, person_birthday_,
+               person_creation_, person_city_, person_country_,
+               person_gender_code_, person_browser_code_,
+               person_msg_date_min_, person_msg_date_max_);
   {
     std::vector<EdgeInput> country_persons, interests;
     for (const core::Person& p : net.persons) {
@@ -186,6 +194,8 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   // ---- Forums ----------------------------------------------------------------
   reserve(forum_title_, net.forums, &core::Forum::title);
   forum_idx_.Reserve(net.forums.size());
+  reserve_rows(net.forums.size(), forum_id_, forum_creation_,
+               forum_moderator_, forum_kind_);
   {
     std::vector<EdgeInput> moderates, ftags, tag_forums;
     for (const core::Forum& f : net.forums) {
@@ -225,6 +235,9 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   reserve(comment_content_, net.comments, &core::Comment::content);
   reserve(comment_location_ip_, net.comments, &core::Comment::location_ip);
   post_idx_.Reserve(net.posts.size());
+  reserve_rows(net.posts.size(), post_id_, post_creation_, post_length_,
+               post_browser_code_, post_language_code_, post_creator_,
+               post_forum_, post_country_, post_like_count_);
   {
     std::vector<EdgeInput> person_posts, forum_posts, ptags, tag_posts;
     for (const core::Post& p : net.posts) {
@@ -248,7 +261,11 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
 
   // ---- Comments --------------------------------------------------------------
   comment_idx_.Reserve(net.comments.size());
-  comment_forum_.reserve(net.comments.size());
+  reserve_rows(net.comments.size(), comment_id_, comment_creation_,
+               comment_length_, comment_browser_code_, comment_creator_,
+               comment_country_, comment_reply_of_, comment_root_post_,
+               comment_forum_, comment_root_language_code_,
+               comment_like_count_);
   {
     std::vector<EdgeInput> person_comments, post_replies, comment_replies,
         ctags, tag_comments;
@@ -303,42 +320,68 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
   message_index_.BuildLikeZones([this](uint32_t ref) -> uint32_t {
     return static_cast<uint32_t>(LiveLikeCount(ref));
   });
+
+  // The bulk-loaded strings become shared bases, as the CSR bases and the
+  // index base already are: copies of this snapshot share them.
+  for (const FrozenString& s : FrozenStrings()) (this->*s.column).Freeze();
+}
+
+std::span<const Graph::NamedRelation> Graph::Relations() {
+  static constexpr NamedRelation kRelations[] = {
+      {"adj/knows", &Graph::knows_},
+      {"adj/person-posts", &Graph::person_posts_},
+      {"adj/person-comments", &Graph::person_comments_},
+      {"adj/person-likes", &Graph::person_likes_},
+      {"adj/post-likers", &Graph::post_likers_},
+      {"adj/comment-likers", &Graph::comment_likers_},
+      {"adj/forum-members", &Graph::forum_members_},
+      {"adj/person-forums", &Graph::person_forums_},
+      {"adj/forum-posts", &Graph::forum_posts_},
+      {"adj/person-moderates", &Graph::person_moderates_},
+      {"adj/post-replies", &Graph::post_replies_},
+      {"adj/comment-replies", &Graph::comment_replies_},
+      {"adj/post-tags", &Graph::post_tags_},
+      {"adj/comment-tags", &Graph::comment_tags_},
+      {"adj/forum-tags", &Graph::forum_tags_},
+      {"adj/person-interests", &Graph::person_interests_},
+      {"adj/tag-posts", &Graph::tag_posts_},
+      {"adj/tag-comments", &Graph::tag_comments_},
+      {"adj/tag-forums", &Graph::tag_forums_},
+      {"adj/tag-persons", &Graph::tag_persons_},
+      {"adj/country-persons", &Graph::country_persons_},
+  };
+  return kRelations;
+}
+
+std::span<const Graph::FrozenString> Graph::FrozenStrings() {
+  static constexpr FrozenString kFrozen[] = {
+      {"strings/person", "first-name", &Graph::person_first_name_},
+      {"strings/person", "last-name", &Graph::person_last_name_},
+      {"strings/person", "location-ip", &Graph::person_location_ip_},
+      {"strings/forum", "title", &Graph::forum_title_},
+      {"strings/message", "post-content", &Graph::post_content_},
+      {"strings/message", "post-image-file", &Graph::post_image_file_},
+      {"strings/message", "post-location-ip", &Graph::post_location_ip_},
+      {"strings/message", "comment-content", &Graph::comment_content_},
+      {"strings/message", "comment-location-ip",
+       &Graph::comment_location_ip_},
+  };
+  return kFrozen;
 }
 
 columnar::MemoryBreakdown Graph::Memory() const {
   columnar::MemoryBreakdown mb;
-  const std::pair<const char*, const AdjacencyList*> relations[] = {
-      {"adj/knows", &knows_},
-      {"adj/person-posts", &person_posts_},
-      {"adj/person-comments", &person_comments_},
-      {"adj/person-likes", &person_likes_},
-      {"adj/post-likers", &post_likers_},
-      {"adj/comment-likers", &comment_likers_},
-      {"adj/forum-members", &forum_members_},
-      {"adj/person-forums", &person_forums_},
-      {"adj/forum-posts", &forum_posts_},
-      {"adj/person-moderates", &person_moderates_},
-      {"adj/post-replies", &post_replies_},
-      {"adj/comment-replies", &comment_replies_},
-      {"adj/post-tags", &post_tags_},
-      {"adj/comment-tags", &comment_tags_},
-      {"adj/forum-tags", &forum_tags_},
-      {"adj/person-interests", &person_interests_},
-      {"adj/tag-posts", &tag_posts_},
-      {"adj/tag-comments", &tag_comments_},
-      {"adj/tag-forums", &tag_forums_},
-      {"adj/tag-persons", &tag_persons_},
-      {"adj/country-persons", &country_persons_},
-  };
   auto add = [&mb](const char* name, size_t bytes, size_t raw_bytes,
-                   size_t items) {
-    mb.families.push_back({name, bytes, raw_bytes, items});
+                   size_t items, size_t shared_bytes = 0) {
+    mb.families.push_back({name, bytes, raw_bytes, items, shared_bytes});
   };
-  for (const auto& [name, adj] : relations) {
-    add(name, adj->ByteSize(), adj->RawByteSize(), adj->num_edges());
-    mb.edge_bytes += adj->ByteSize();
-    mb.edge_raw_bytes += adj->RawByteSize();
-    mb.num_edges += adj->num_edges();
+  for (const NamedRelation& r : Relations()) {
+    const AdjacencyList& adj = this->*r.list;
+    add(r.name, adj.ByteSize(), adj.RawByteSize(), adj.num_edges(),
+        adj.SharedByteSize());
+    mb.edge_bytes += adj.ByteSize();
+    mb.edge_raw_bytes += adj.RawByteSize();
+    mb.num_edges += adj.num_edges();
   }
   // Per-message hot columns: same flat layout in both representations.
   const size_t hot = VecBytes(post_creation_) + VecBytes(post_creator_) +
@@ -347,7 +390,8 @@ columnar::MemoryBreakdown Graph::Memory() const {
                      VecBytes(comment_country_) + VecBytes(comment_reply_of_) +
                      VecBytes(comment_root_post_);
   add("index/message-date", message_index_.ByteSize(),
-      message_index_.RawByteSize(), message_index_.size());
+      message_index_.RawByteSize(), message_index_.size(),
+      message_index_.SharedByteSize());
   add("cols/message", hot, hot, NumMessages());
   mb.message_bytes = message_index_.ByteSize() + hot;
   mb.message_raw_bytes = message_index_.RawByteSize() + hot;
@@ -373,18 +417,28 @@ columnar::MemoryBreakdown Graph::Memory() const {
 
   // Everything else has one layout only (raw == bytes) and sits outside
   // both headline densities.
-  auto add_plain = [&add](const char* name, size_t bytes, size_t items) {
-    add(name, bytes, bytes, items);
+  auto add_plain = [&add](const char* name, size_t bytes, size_t items,
+                          size_t shared_bytes = 0) {
+    add(name, bytes, bytes, items, shared_bytes);
+  };
+  // The string columns of one family, and the part of them in shared
+  // bases.
+  auto strings = [this](std::string_view family) {
+    std::pair<size_t, size_t> bytes_shared{0, 0};
+    for (const FrozenString& s : FrozenStrings()) {
+      if (family != s.family) continue;
+      bytes_shared.first += (this->*s.column).ByteSize();
+      bytes_shared.second += (this->*s.column).SharedByteSize();
+    }
+    return bytes_shared;
   };
   add_plain("cols/message-attrs",
             VecBytes(post_id_) + VecBytes(comment_id_) +
                 VecBytes(post_length_) + VecBytes(comment_length_),
             NumMessages());
-  add_plain("strings/message",
-            post_content_.ByteSize() + post_image_file_.ByteSize() +
-                post_location_ip_.ByteSize() + comment_content_.ByteSize() +
-                comment_location_ip_.ByteSize(),
-            NumMessages());
+  const auto [message_strings, message_shared] = strings("strings/message");
+  add_plain("strings/message", message_strings, NumMessages(),
+            message_shared);
   add_plain("cols/person",
             VecBytes(person_id_) + VecBytes(person_birthday_) +
                 VecBytes(person_creation_) + VecBytes(person_city_) +
@@ -392,16 +446,17 @@ columnar::MemoryBreakdown Graph::Memory() const {
                 VecBytes(person_browser_code_) + person_study_at_.ByteSize() +
                 person_work_at_.ByteSize(),
             NumPersons());
+  const auto [person_strings, person_shared] = strings("strings/person");
   add_plain("strings/person",
-            person_first_name_.ByteSize() + person_last_name_.ByteSize() +
-                person_location_ip_.ByteSize() + person_emails_.ByteSize() +
+            person_strings + person_emails_.ByteSize() +
                 person_speaks_.ByteSize(),
-            NumPersons());
+            NumPersons(), person_shared);
   add_plain("cols/forum",
             VecBytes(forum_id_) + VecBytes(forum_creation_) +
                 VecBytes(forum_moderator_) + VecBytes(forum_kind_),
             NumForums());
-  add_plain("strings/forum", forum_title_.ByteSize(), NumForums());
+  const auto [forum_strings, forum_shared] = strings("strings/forum");
+  add_plain("strings/forum", forum_strings, NumForums(), forum_shared);
   // The id tables at their allocated capacity (load factor ≤ 1/2).
   add_plain("maps/id",
             person_idx_.ByteSize() + forum_idx_.ByteSize() +
@@ -411,7 +466,8 @@ columnar::MemoryBreakdown Graph::Memory() const {
   // indices, structure columns and tag-class adjacency. Every copy of a
   // snapshot shares it, so a copy allocates none of these bytes.
   add_plain(kStaticFamily, static_->ByteSize(),
-            NumPlaces() + NumOrganisations() + NumTags() + NumTagClasses());
+            NumPlaces() + NumOrganisations() + NumTags() + NumTagClasses(),
+            static_->ByteSize());
   add_plain("tombstones",
             person_dead_.ByteSize() + forum_dead_.ByteSize() +
                 post_dead_.ByteSize() + comment_dead_.ByteSize() +

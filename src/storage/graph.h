@@ -8,10 +8,13 @@
 // spec ids map to dense uint32 indices through flat open-addressing id
 // tables (columnar/flat_id_table.h); all traversal is index-based.
 //
-// The static reference data (the four static tables' records, id tables
-// and name indices, and their structure columns and adjacency) is one
-// immutable segment, built once per Graph(SocialNetwork) and held by a
-// shared_ptr<const>: every copy of that snapshot shares it.
+// What never changes after a build is held by shared_ptr<const>, so every
+// copy of that snapshot shares it: the static reference data (the four
+// static tables' records, id tables and name indices, and their structure
+// columns and adjacency) as one segment, each relation's CSR base
+// (adjacency.h), the message-date index's sorted base (message_index.h)
+// and the bulk-loaded rows of every string column (string_column.h). Only
+// a build — bulk load, compaction, recovery — makes new bases.
 //
 // Posts and comments are distinct tables; a *message reference* encodes
 // either in one uint32: bit 31 clear → post index, bit 31 set → comment
@@ -21,8 +24,8 @@
 //
 // Concurrency is by snapshot: a published Graph is immutable, and the
 // refresh writer mutates a private member-wise copy (the explicit copy
-// constructor: flat arrays plus one pointer to the static segment), which
-// it then publishes whole. Readers and the writer never share a mutable
+// constructor: flat arrays plus pointers to the shared bases), which it
+// then publishes whole. Readers and the writer never share a mutable
 // Graph, so the store holds no locks. Add* mutators (the Interactive update
 // operations IU 1–8) append to overflow regions without re-sorting or
 // re-encoding the bulk-loaded columns and CSR spans.
@@ -70,10 +73,11 @@ class Graph {
   /// previous epoch + 1 when rebuilding from a tombstoned graph's export.
   explicit Graph(core::SocialNetwork net, uint32_t compaction_epoch = 0);
 
-  /// Member-wise deep copy — the refresh writer's private shadow of a
-  /// published snapshot. Copies the packed columns and id tables as they
-  /// are (no re-sort, no re-encode, no rehash), shares the static segment
-  /// and carries tombstones and both epochs over. Explicit, so a stray
+  /// Member-wise copy — the refresh writer's private shadow of a published
+  /// snapshot. Shares the immutable bases (static segment, CSR bases,
+  /// index base, bulk string bases) by pointer, copies the other columns,
+  /// id tables, overflow arenas and tails as they are (no re-sort, no
+  /// re-encode, no rehash) and carries tombstones and both epochs over. Explicit, so a stray
   /// `auto g = *snapshot;` does not compile. Not assignable: queries hold
   /// references into the tables.
   explicit Graph(const Graph&) = default;
@@ -411,8 +415,9 @@ class Graph {
 
   /// Per-family heap bytes of every member, the compressed families also
   /// with the seed layout's bytes, plus bytes/edge and bytes/message (see
-  /// storage/columnar/memory.h). The kStaticFamily family is the shared
-  /// static segment, which a copy does not allocate.
+  /// storage/columnar/memory.h). Each family's shared_bytes are the bytes
+  /// in shared bases, which a copy does not allocate; the kStaticFamily
+  /// family is the static segment, all shared.
   columnar::MemoryBreakdown Memory() const;
   static constexpr const char* kStaticFamily = "static (shared)";
 
@@ -638,6 +643,23 @@ class Graph {
     explicit StaticSegment(core::SocialNetwork& net);
     size_t ByteSize() const;
   };
+
+  /// Every relation by its Memory() family name, and every string column
+  /// that Build freezes into a shared base by its family and name, each
+  /// listed once: Memory(), Build and TestAccess::SharedBases walk these
+  /// lists, so a relation or column added here is counted, shared and
+  /// checked alike.
+  struct NamedRelation {
+    const char* name;
+    AdjacencyList Graph::*list;
+  };
+  struct FrozenString {
+    const char* family;
+    const char* name;
+    columnar::StringColumn Graph::*column;
+  };
+  static std::span<const NamedRelation> Relations();
+  static std::span<const FrozenString> FrozenStrings();
 
   /// A comment's reply target as a message reference; kNoIdx if missing.
   uint32_t ReplyTarget(const core::Comment& c) const {

@@ -15,25 +15,26 @@ constexpr uint32_t kCommentBit = 0x80000000u;
 void MessageDateIndex::Build(const std::vector<core::DateTime>& post_dates,
                              const std::vector<core::DateTime>& comment_dates) {
   const size_t n = post_dates.size() + comment_dates.size();
-  base_refs_.resize(n);
-  std::iota(base_refs_.begin(), base_refs_.begin() + post_dates.size(), 0u);
+  auto base = std::make_shared<Base>();
+  std::vector<uint32_t>& refs = base->refs;
+  refs.resize(n);
+  std::iota(refs.begin(), refs.begin() + post_dates.size(), 0u);
   for (size_t i = 0; i < comment_dates.size(); ++i) {
-    base_refs_[post_dates.size() + i] =
-        static_cast<uint32_t>(i) | kCommentBit;
+    refs[post_dates.size() + i] = static_cast<uint32_t>(i) | kCommentBit;
   }
   auto date_of = [&](uint32_t ref) {
     return (ref & kCommentBit) == 0 ? post_dates[ref]
                                     : comment_dates[ref & ~kCommentBit];
   };
-  std::sort(base_refs_.begin(), base_refs_.end(),
-            [&](uint32_t a, uint32_t b) {
-              core::DateTime da = date_of(a), db = date_of(b);
-              if (da != db) return da < db;
-              return a < b;
-            });
+  std::sort(refs.begin(), refs.end(), [&](uint32_t a, uint32_t b) {
+    core::DateTime da = date_of(a), db = date_of(b);
+    if (da != db) return da < db;
+    return a < b;
+  });
   std::vector<uint64_t> keys(n);
-  for (size_t i = 0; i < n; ++i) keys[i] = DateKey(date_of(base_refs_[i]));
-  base_dates_ = columnar::ZonedColumn::BuildDelta(keys);
+  for (size_t i = 0; i < n; ++i) keys[i] = DateKey(date_of(refs[i]));
+  base->dates = columnar::ZonedColumn::BuildDelta(keys);
+  base_ = std::move(base);
 }
 
 void MessageDateIndex::Append(uint32_t msg, core::DateTime date) {
@@ -48,9 +49,9 @@ void MessageDateIndex::Append(uint32_t msg, core::DateTime date) {
 std::pair<core::DateTime, core::DateTime> MessageDateIndex::DateBounds()
     const {
   core::DateTime lo = kMaxMessageDate, hi = kMinMessageDate;
-  if (!base_refs_.empty()) {
+  if (base_size() > 0) {
     lo = BaseDateAt(0);
-    hi = BaseDateAt(base_refs_.size() - 1);
+    hi = BaseDateAt(base_size() - 1);
   }
   for (const Zone& z : tail_zones_) {
     lo = std::min(lo, z.min);
@@ -61,17 +62,32 @@ std::pair<core::DateTime, core::DateTime> MessageDateIndex::DateBounds()
 
 void MessageDateIndex::NoteLike(uint32_t msg, core::DateTime date,
                                 uint32_t likes) {
-  // Base lookup: entries with one creation date form a contiguous run sorted
-  // by ref (Build's tie-break), so the position is two binary searches.
-  auto [lo, hi] = BaseRange(date, date + 1);
-  auto first = base_refs_.begin() + static_cast<ptrdiff_t>(lo);
-  auto last = base_refs_.begin() + static_cast<ptrdiff_t>(hi);
-  auto it = std::lower_bound(first, last, msg);
-  if (it != last && *it == msg) {
-    const size_t block = static_cast<size_t>(it - base_refs_.begin()) /
-                         columnar::ColumnBlock::kMaxValues;
-    base_like_max_[block] = std::max(base_like_max_[block], likes);
-    return;
+  // Base lookup: the column is sorted, so the blocks whose date zone holds
+  // `date` are one run: from the first block whose max reaches it to the
+  // last whose min does not pass it. A run of equal dates can straddle a
+  // block boundary, so every block of the run is a candidate; the refs are
+  // unique, so a match anywhere in the run is the message's position.
+  const columnar::ZonedColumn& dates = base_->dates;
+  const std::vector<uint32_t>& refs = base_->refs;
+  const uint64_t key = DateKey(date);
+  size_t lo = 0, hi = dates.num_blocks();
+  while (lo < hi) {
+    const size_t mid = (lo + hi) / 2;
+    if (dates.block(mid).zone_max() < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const size_t kBlock = columnar::ColumnBlock::kMaxValues;
+  for (size_t b = lo; b < dates.num_blocks(); ++b) {
+    if (dates.block(b).zone_min() > key) break;
+    const uint32_t* first = refs.data() + b * kBlock;
+    const uint32_t* last = refs.data() + std::min(refs.size(), (b + 1) * kBlock);
+    if (std::find(first, last, msg) != last) {
+      base_like_max_[b] = std::max(base_like_max_[b], likes);
+      return;
+    }
   }
   // Not bulk-loaded → it lives in the update tail, in a block whose date
   // zone covers `date`. IU streams arrive roughly in date order, so few

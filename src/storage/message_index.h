@@ -22,8 +22,10 @@
 // snapshots are immutable. The refresh writer applies a batch to a private
 // member-wise copy of the graph (so Append and NoteLike only ever run on an
 // unpublished copy) and publishes the copy whole, so no reader ever runs
-// beside a writer and the index holds no lock. The index is a plain value
-// type: copying it copies every vector, with no shared state.
+// beside a writer and the index holds no lock. The sorted base (refs and
+// date column) is written only by Build and held by shared_ptr<const>, so
+// a copy shares it by pointer and copies only the like-count zones and the
+// tail.
 //
 // All ranges are [start, end) over DateTime millis; use kMinMessageDate /
 // kMaxMessageDate for open ends.
@@ -35,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -91,19 +94,21 @@ class MessageDateIndex {
   template <typename LikeCountFn>
   void BuildLikeZones(LikeCountFn&& like_count_of) {
     const size_t kBlock = columnar::ColumnBlock::kMaxValues;
-    base_like_max_.assign(base_dates_.num_blocks(), 0);
-    for (size_t i = 0; i < base_refs_.size(); ++i) {
+    const std::vector<uint32_t>& refs = base_->refs;
+    base_like_max_.assign(base_->dates.num_blocks(), 0);
+    for (size_t i = 0; i < refs.size(); ++i) {
       uint32_t& m = base_like_max_[i / kBlock];
-      m = std::max(m, like_count_of(base_refs_[i]));
+      m = std::max(m, like_count_of(refs[i]));
     }
   }
 
   /// Records that message `msg` (creation date `date`) now has `likes`
   /// likes, raising its block's like-count zone max so bound pruning stays
   /// an upper bound (the IU 2/3 path). Degrees only grow, so zones never
-  /// need lowering. The (date, ref)-sorted base makes the position binary-
-  /// searchable; in the tail, only blocks whose date zone covers `date` are
-  /// scanned.
+  /// need lowering. In the (date, ref)-sorted base, the blocks whose date
+  /// zone holds `date` are a binary-searched run of the block zones, and
+  /// only their refs are scanned: no date block is decoded. In the tail,
+  /// only blocks whose date zone covers `date` are scanned.
   void NoteLike(uint32_t msg, core::DateTime date, uint32_t likes);
 
   /// Like-count zone max of one base block (validator / test introspection).
@@ -116,7 +121,7 @@ class MessageDateIndex {
   /// kMin}MessageDate when the index is empty.
   std::pair<core::DateTime, core::DateTime> DateBounds() const;
 
-  size_t base_size() const { return base_refs_.size(); }
+  size_t base_size() const { return base_->refs.size(); }
   size_t tail_size() const { return tail_refs_.size(); }
   size_t size() const { return base_size() + tail_size(); }
 
@@ -124,37 +129,38 @@ class MessageDateIndex {
   /// in [start, end). Zone-searched through the compressed date column.
   std::pair<size_t, size_t> BaseRange(core::DateTime start,
                                       core::DateTime end) const {
-    return {base_dates_.LowerBound(DateKey(start)),
-            base_dates_.LowerBound(DateKey(end))};
+    return {base_->dates.LowerBound(DateKey(start)),
+            base_->dates.LowerBound(DateKey(end))};
   }
 
-  uint32_t BaseAt(size_t pos) const { return base_refs_[pos]; }
+  uint32_t BaseAt(size_t pos) const { return base_->refs[pos]; }
 
   /// Date of one base entry. Routes through the delta blocks, so a point
   /// probe costs an in-block prefix sum — use ForEachBase for full walks.
   core::DateTime BaseDateAt(size_t pos) const {
-    return DateOfKey(base_dates_.At(pos));
+    return DateOfKey(base_->dates.At(pos));
   }
 
   /// Visits every base entry in index order: f(pos, ref, date). Decodes the
   /// date column blockwise (sequential cost, unlike per-entry BaseDateAt).
   template <typename F>
   void ForEachBase(F&& f) const {
+    const Base& base = *base_;
     std::vector<uint64_t> keys;
     keys.reserve(columnar::ColumnBlock::kMaxValues);
     size_t pos = 0;
-    for (size_t b = 0; b < base_dates_.num_blocks(); ++b) {
+    for (size_t b = 0; b < base.dates.num_blocks(); ++b) {
       keys.clear();
-      base_dates_.block(b).DecodeAll(&keys);
+      base.dates.block(b).DecodeAll(&keys);
       for (uint64_t key : keys) {
-        f(pos, base_refs_[pos], DateOfKey(key));
+        f(pos, base.refs[pos], DateOfKey(key));
         ++pos;
       }
     }
   }
 
   /// The compressed base-date column (block-zone validation, accounting).
-  const columnar::ZonedColumn& BaseDateColumn() const { return base_dates_; }
+  const columnar::ZonedColumn& BaseDateColumn() const { return base_->dates; }
 
   /// A creation-date window [start, end) resolved against the index: the
   /// sorted-base slice [base_lo, base_hi) followed by every tail entry
@@ -177,7 +183,7 @@ class MessageDateIndex {
   /// window, however its scan is later partitioned).
   Window ResolveWindow(core::DateTime start, core::DateTime end) const {
     auto [lo, hi] = BaseRange(start, end);
-    CountBlocksSkippedDate(base_dates_.num_blocks() - TouchedBlocks(lo, hi));
+    CountBlocksSkippedDate(base_->dates.num_blocks() - TouchedBlocks(lo, hi));
     return {start, end, lo, hi, tail_size()};
   }
 
@@ -203,6 +209,7 @@ class MessageDateIndex {
                   SkipFn&& skip, PostFn&& on_post,
                   CommentFn&& on_comment) const {
     const size_t kBlock = columnar::ColumnBlock::kMaxValues;
+    const std::vector<uint32_t>& base_refs = base_->refs;
     FamilyRuns runs;
     const size_t base_n = w.base_hi - w.base_lo;
     size_t i = w.base_lo + std::min(pos_begin, base_n);
@@ -216,7 +223,7 @@ class MessageDateIndex {
       }
       CountRowsDecoded(block_end - i);
       runs.Clear();
-      for (; i < block_end; ++i) runs.Add(base_refs_[i], 1);
+      for (; i < block_end; ++i) runs.Add(base_refs[i], 1);
       runs.Visit(on_post, on_comment);
     }
     size_t t = pos_begin > base_n ? pos_begin - base_n : 0;
@@ -271,13 +278,18 @@ class MessageDateIndex {
     return n;
   }
 
-  /// Heap bytes actually held (memory accounting).
+  /// Heap bytes actually held (memory accounting), the shared base
+  /// included.
   size_t ByteSize() const {
-    return base_refs_.capacity() * sizeof(uint32_t) + base_dates_.ByteSize() +
-           base_like_max_.capacity() * sizeof(uint32_t) +
+    return SharedByteSize() + base_like_max_.capacity() * sizeof(uint32_t) +
            tail_refs_.capacity() * sizeof(uint32_t) +
            tail_dates_.capacity() * sizeof(core::DateTime) +
            tail_zones_.capacity() * sizeof(Zone);
+  }
+
+  /// The part of ByteSize() in the sorted base, which copies share.
+  size_t SharedByteSize() const {
+    return base_->refs.capacity() * sizeof(uint32_t) + base_->dates.ByteSize();
   }
 
   /// Seed-layout bytes for the same content: 4 B ref + 8 B date per entry
@@ -325,9 +337,14 @@ class MessageDateIndex {
   }
 
   // Base: refs sorted by (date, ref); the date column is delta + bit-packed
-  // in DateKey space. Written only by Build.
-  std::vector<uint32_t> base_refs_;
-  columnar::ZonedColumn base_dates_;
+  // in DateKey space. Written only by Build, which replaces it whole, so
+  // copies share it.
+  struct Base {
+    std::vector<uint32_t> refs;
+    columnar::ZonedColumn dates;
+  };
+  // Allocated non-const, as Build's is (see TestAccess::Unshare).
+  std::shared_ptr<const Base> base_ = std::make_shared<Base>();
 
   // Per-base-block like-count zone maxima (1024-aligned, one per date-column
   // block), written by BuildLikeZones and raised by NoteLike. Degrees only

@@ -55,18 +55,26 @@ util::Status WriteAll(int fd, const void* data, size_t n) {
   return util::Status::Ok();
 }
 
-std::vector<uint8_t> FrameRecord(uint8_t type, const void* payload,
-                                 size_t len) {
-  std::vector<uint8_t> buf;
-  buf.reserve(kRecordHeaderSize + 1 + len);
-  buf.resize(kRecordHeaderSize);
-  buf.push_back(type);
-  const auto* p = static_cast<const uint8_t*>(payload);
-  buf.insert(buf.end(), p, p + len);
-  PutU32(buf.data(), static_cast<uint32_t>(buf.size() - kRecordHeaderSize));
-  PutU32(buf.data() + 4, util::Crc32c(buf.data() + kRecordHeaderSize,
-                                      buf.size() - kRecordHeaderSize));
-  return buf;
+/// Appends one record frame (header, type byte, payload) to `out`;
+/// `append_payload(out)` appends the payload after the type byte.
+template <typename AppendPayload>
+void AppendFrame(std::string* out, uint8_t type,
+                 AppendPayload&& append_payload) {
+  const size_t start = out->size();
+  out->append(kRecordHeaderSize, '\0');
+  out->push_back(static_cast<char>(type));
+  append_payload(out);
+  auto* frame = reinterpret_cast<uint8_t*>(out->data() + start);
+  const size_t len = out->size() - start - kRecordHeaderSize;
+  PutU32(frame, static_cast<uint32_t>(len));
+  PutU32(frame + 4, util::Crc32c(frame + kRecordHeaderSize, len));
+}
+
+/// An AppendFrame payload writer for a fixed-size payload.
+auto Bytes(const uint8_t* payload, size_t len) {
+  return [payload, len](std::string* out) {
+    out->append(reinterpret_cast<const char*>(payload), len);
+  };
 }
 
 }  // namespace
@@ -118,46 +126,58 @@ util::Status Wal::Open(const std::string& path, WalOptions options) {
   return util::Status::Ok();
 }
 
-util::Status Wal::WriteRecord(uint8_t type, const void* payload, size_t len) {
+template <typename AppendPayload>
+util::Status Wal::AddRecord(uint8_t type, AppendPayload&& append_payload) {
   SNB_CHECK(fd_ >= 0);
   SNB_FAILPOINT_STATUS("wal.append");
-  std::vector<uint8_t> buf = FrameRecord(type, payload, len);
+  const size_t start = pending_.size();
+  AppendFrame(&pending_, type, append_payload);
 
-  // Torn-write site: when armed, persist only the first half of the frame
-  // before firing. In crash mode the process dies leaving a short record on
-  // disk (what a real power cut mid-write leaves); in error mode the torn
-  // prefix stays behind and the injected Status is returned — the caller's
-  // AbortBatch/truncate path must cope with both.
+  // Torn-write site: when armed, write out the records before this one,
+  // then only the first half of this frame, before firing. In crash mode
+  // the process dies leaving a short record on disk (what a real power cut
+  // mid-write leaves); in error mode the torn prefix stays behind and the
+  // injected Status is returned — the caller's AbortBatch/truncate path
+  // must cope with both.
   static const bool torn_site_registered =
       util::failpoint::RegisterSite("wal.append.short_write");
   (void)torn_site_registered;
   if (util::failpoint::AnyArmed() &&
       util::failpoint::IsArmed("wal.append.short_write")) {
-    SNB_RETURN_IF_ERROR(WriteAll(fd_, buf.data(), buf.size() / 2));
-    offset_ += buf.size() / 2;
+    const size_t half = (pending_.size() - start) / 2;
+    SNB_RETURN_IF_ERROR(WriteAll(fd_, pending_.data(), start + half));
+    offset_ += start + half;
+    pending_.erase(0, start + half);
     util::Status injected = util::failpoint::Hit("wal.append.short_write");
-    if (!injected.ok()) return injected;
+    if (!injected.ok()) {
+      pending_.clear();  // the frame stays torn
+      return injected;
+    }
     // Armed but the spec did not fire (e.g. nth-hit not reached yet):
     // complete the record so the log stays well-formed.
-    SNB_RETURN_IF_ERROR(
-        WriteAll(fd_, buf.data() + buf.size() / 2, buf.size() - buf.size() / 2));
-    offset_ += buf.size() - buf.size() / 2;
-  } else {
-    SNB_RETURN_IF_ERROR(WriteAll(fd_, buf.data(), buf.size()));
-    offset_ += buf.size();
+    SNB_RETURN_IF_ERROR(Flush());
   }
   return util::Status::Ok();
 }
 
+util::Status Wal::Flush() {
+  if (pending_.empty()) return util::Status::Ok();
+  SNB_RETURN_IF_ERROR(WriteAll(fd_, pending_.data(), pending_.size()));
+  offset_ += pending_.size();
+  pending_.clear();
+  return util::Status::Ok();
+}
+
 util::Status Wal::BatchBegin(core::Date day) {
-  SNB_CHECK(!in_batch_);
+  // A failed batch must be aborted before the next one begins.
+  SNB_CHECK(!in_batch_ && pending_.empty());
   // Mark the rollback point *before* any bytes go out: a failure inside
-  // WriteRecord leaves a torn record that AbortBatch must be able to cut.
+  // AddRecord leaves a torn record that AbortBatch must be able to cut.
   batch_start_ = offset_;
   dirty_ = true;
   uint8_t payload[4];
   PutU32(payload, static_cast<uint32_t>(day));
-  SNB_RETURN_IF_ERROR(WriteRecord(kBatchBegin, payload, sizeof(payload)));
+  SNB_RETURN_IF_ERROR(AddRecord(kBatchBegin, Bytes(payload, sizeof(payload))));
   SNB_FAILPOINT_STATUS("wal.batch_begin");
   in_batch_ = true;
   return util::Status::Ok();
@@ -168,22 +188,25 @@ util::Status Wal::NoteDeleteBatch(core::Date day, uint32_t delete_count) {
   uint8_t payload[8];
   PutU32(payload, static_cast<uint32_t>(day));
   PutU32(payload + 4, delete_count);
-  SNB_RETURN_IF_ERROR(WriteRecord(kDeleteBatch, payload, sizeof(payload)));
+  SNB_RETURN_IF_ERROR(AddRecord(kDeleteBatch, Bytes(payload, sizeof(payload))));
   SNB_FAILPOINT_STATUS("wal.delete_batch");
   return util::Status::Ok();
 }
 
 util::Status Wal::Append(const datagen::UpdateEvent& event) {
   SNB_CHECK(in_batch_);
-  std::string line = datagen::FormatUpdateEventLine(event);
-  return WriteRecord(kEvent, line.data(), line.size());
+  return AddRecord(kEvent, [&event](std::string* out) {
+    datagen::AppendUpdateEventLine(event, out);
+  });
 }
 
 util::Status Wal::BatchCommit(core::Date day) {
   SNB_CHECK(in_batch_);
   uint8_t payload[4];
   PutU32(payload, static_cast<uint32_t>(day));
-  SNB_RETURN_IF_ERROR(WriteRecord(kBatchCommit, payload, sizeof(payload)));
+  SNB_RETURN_IF_ERROR(AddRecord(kBatchCommit, Bytes(payload, sizeof(payload))));
+  // The whole batch, commit marker included, in one write.
+  SNB_RETURN_IF_ERROR(Flush());
   SNB_FAILPOINT_STATUS("wal.commit.before_sync");
   if (options_.sync == WalSyncPolicy::kOnCommit) {
     SNB_RETURN_IF_ERROR(Sync());
@@ -196,6 +219,7 @@ util::Status Wal::BatchCommit(core::Date day) {
 
 util::Status Wal::AbortBatch() {
   if (!dirty_) return util::Status::Ok();
+  pending_.clear();
   in_batch_ = false;
   dirty_ = false;
   if (::ftruncate(fd_, static_cast<off_t>(batch_start_)) != 0) {
@@ -221,8 +245,10 @@ util::Status Wal::Sync() {
 
 util::Status Wal::Close() {
   if (fd_ < 0) return util::Status::Ok();
-  util::Status st = util::Status::Ok();
-  if (options_.sync != WalSyncPolicy::kNone) st = Sync();
+  // An open batch's records reach the file uncommitted: a scan reports
+  // them as the torn tail, as after a crash before the commit.
+  util::Status st = Flush();
+  if (st.ok() && options_.sync != WalSyncPolicy::kNone) st = Sync();
   if (::close(fd_) != 0 && st.ok()) {
     st = util::Status::IoError("WAL close failed");
   }

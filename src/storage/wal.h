@@ -30,6 +30,15 @@
 // the enclosing batch's BatchBegin onward — partially logged batches were
 // never promised to anyone.
 //
+// A batch reaches the file in one write at commit: BatchBegin, NoteDeleteBatch
+// and Append frame their records into a per-batch buffer, and BatchCommit
+// writes the buffer plus the commit record with one write(2), then fsyncs
+// once. The bytes are the same as writing each record as it comes; only
+// the number of system calls differs. Until the commit, a batch's records
+// exist only in memory, so a crash before it leaves the log as it was
+// (AbortBatch drops them; Close writes them out uncommitted, which a scan
+// reports as the torn tail).
+//
 // Only this module touches the WAL file (scripts/lint.sh enforces it);
 // recovery.cc and the refresh driver go through these functions.
 
@@ -74,7 +83,8 @@ class Wal {
   /// file gets the magic; an existing file must start with it.
   SNB_NODISCARD util::Status Open(const std::string& path, WalOptions options = {});
 
-  /// Starts a new batch covering `day`. Batches must not nest.
+  /// Starts a new batch covering `day`. Batches must not nest, and a batch
+  /// that failed must be aborted (AbortBatch) before the next begins.
   SNB_NODISCARD util::Status BatchBegin(core::Date day);
 
   /// Declares that the open batch carries `delete_count` DEL events. Must
@@ -83,31 +93,42 @@ class Wal {
   SNB_NODISCARD util::Status NoteDeleteBatch(core::Date day,
                                              uint32_t delete_count);
 
-  /// Appends one event of the open batch.
+  /// Appends one event of the open batch (to the batch buffer).
   SNB_NODISCARD util::Status Append(const datagen::UpdateEvent& event);
 
-  /// Commits the open batch: writes the marker and (per policy) fsyncs.
-  /// After this returns OK the batch is durable and recovery will replay it.
+  /// Commits the open batch: writes the buffered records and the marker in
+  /// one write and (per policy) fsyncs. After this returns OK the batch is
+  /// durable and recovery will replay it.
   SNB_NODISCARD util::Status BatchCommit(core::Date day);
 
-  /// Abandons the open batch by truncating the file back to where the
-  /// batch began — the retry path after a mid-batch failure, keeping the
-  /// on-disk prefix equal to "every byte belongs to a committed batch or
-  /// to nothing".
+  /// Abandons the open batch by dropping its buffered records and
+  /// truncating the file back to where the batch began (a torn record may
+  /// have reached it) — the retry path after a mid-batch failure, keeping
+  /// the on-disk prefix equal to "every byte belongs to a committed batch
+  /// or to nothing".
   SNB_NODISCARD util::Status AbortBatch();
 
   SNB_NODISCARD util::Status Sync();
+  /// Writes out an open batch's records uncommitted, then syncs (per
+  /// policy) and closes.
   SNB_NODISCARD util::Status Close();
 
   bool is_open() const { return fd_ >= 0; }
+  /// Bytes in the file (an open batch's buffered records not included).
   uint64_t bytes_written() const { return offset_; }
 
  private:
-  util::Status WriteRecord(uint8_t type, const void* payload, size_t len);
+  /// Frames one record into the batch buffer; `append_payload(&buffer)`
+  /// appends its payload.
+  template <typename AppendPayload>
+  util::Status AddRecord(uint8_t type, AppendPayload&& append_payload);
+  /// Writes the batch buffer to the file in one write.
+  util::Status Flush();
 
   int fd_ = -1;
   std::string path_;
   WalOptions options_;
+  std::string pending_;        // framed records not yet written
   uint64_t offset_ = 0;        // current end-of-file offset
   uint64_t batch_start_ = 0;   // offset of the open batch's BatchBegin
   bool in_batch_ = false;

@@ -137,11 +137,18 @@ std::string JoinMultiValued(const std::vector<std::string>& values) {
   return out;
 }
 
-std::string SanitizeField(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
+void AppendSanitized(std::string* out, std::string_view text) {
+  const size_t start = out->size();
+  out->append(text);
+  for (size_t i = start; i < out->size(); ++i) {
+    char& c = (*out)[i];
     if (c == '|' || c == ';' || c == '\n' || c == '\r') c = ' ';
   }
+}
+
+std::string SanitizeField(std::string_view text) {
+  std::string out;
+  AppendSanitized(&out, text);
   return out;
 }
 

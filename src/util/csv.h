@@ -59,9 +59,12 @@ std::vector<std::string> SplitMultiValued(std::string_view field);
 /// Joins values with ';' for a multi-valued attribute field.
 std::string JoinMultiValued(const std::vector<std::string>& values);
 
-/// Replaces any separator characters ('|', ';', '\n') in generated free text
-/// so that serialized rows stay parseable.
+/// Replaces any separator characters ('|', ';', '\n', '\r') in generated
+/// free text so that serialized rows stay parseable.
 std::string SanitizeField(std::string_view text);
+
+/// Appends SanitizeField(text) to `*out`.
+void AppendSanitized(std::string* out, std::string_view text);
 
 }  // namespace snb::util
 

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "datagen/datagen.h"
 #include "datagen/person_generator.h"
 #include "datagen/statistics.h"
+#include "datagen/update_stream.h"
 
 namespace snb::datagen {
 namespace {
@@ -314,6 +316,136 @@ TEST(DatagenUpdateFractionTest, ZeroishFractionPutsEverythingInBulk) {
   GeneratedData data = Generate(cfg);
   EXPECT_TRUE(data.updates.empty());
   EXPECT_EQ(data.network.persons.size(), data.total_persons);
+}
+
+// ---- Update-stream line format ---------------------------------------------
+
+/// One event of every kind, plus a second person with every list empty:
+/// multi-valued and empty lists, study/work pairs, reply_of_* = -1, dates
+/// before the epoch and content whose '|', ';' and line breaks
+/// SanitizeField rewrites.
+std::vector<UpdateEvent> EveryKindEvents() {
+  using core::DateTimeFromCivil;
+  const core::DateTime t = DateTimeFromCivil(2012, 9, 13, 7, 5, 9, 31);
+  core::Person person;
+  person.id = 933;
+  person.first_name = "Mahinda";
+  person.last_name = "Perera";
+  person.gender = "male";
+  person.birthday = core::DateFromCivil(1965, 12, 3);
+  person.creation_date = DateTimeFromCivil(2010, 2, 14, 15, 32, 10, 447);
+  person.location_ip = "119.235.7.103";
+  person.browser_used = "Firefox";
+  person.city = 1226;
+  person.emails = {"Mahinda933@boarderzone.com", "Mahinda933@hotmail.com"};
+  person.speaks = {"si", "en"};
+  person.interests = {6, 588, 1185};
+  person.study_at = {{6463, 2008}};
+  person.work_at = {{1146, 2009}, {947, 2011}};
+  core::Person loner;
+  loner.id = 34;
+  loner.first_name = "Ana";
+  loner.last_name = "Silva";
+  loner.gender = "female";
+  loner.birthday = core::DateFromCivil(1990, 1, 1);
+  loner.creation_date = DateTimeFromCivil(1969, 12, 31, 23, 59, 59, 999);
+  loner.location_ip = "1.2.3.4";
+  loner.browser_used = "Chrome";
+  loner.city = 7;
+  core::Forum forum;
+  forum.id = 2199023255594;
+  forum.title = "Group for | Mahinda\nPerera; fans\r";
+  forum.creation_date = t;
+  forum.moderator = 933;
+  forum.kind = core::ForumKind::kGroup;
+  core::Post post;
+  post.id = 1236950581248;
+  post.creation_date = t + 1;
+  post.location_ip = "119.235.7.103";
+  post.browser_used = "Firefox";
+  post.language = "si";
+  post.content = "About Sri Lanka | its tea;\nand its hills";
+  post.length = 40;
+  post.creator = 933;
+  post.forum = 2199023255594;
+  post.country = 50;
+  post.tags = {6, 588};
+  core::Comment comment;
+  comment.id = 1236950581249;
+  comment.creation_date = t + 2;
+  comment.location_ip = "1.2.3.4";
+  comment.browser_used = "Chrome";
+  comment.content = "ok|no\n";
+  comment.length = 6;
+  comment.creator = 34;
+  comment.country = 51;
+  comment.reply_of_post = core::kNoId;
+  comment.reply_of_comment = 1236950581250;
+  core::Like like_post{933, 1236950581248, true, t + 3};
+  core::Like like_comment{34, 1236950581249, false, t + 4};
+  core::ForumMembership membership{2199023255594, 34, t + 5};
+  core::Knows knows{933, 34, t + 6};
+  auto at = [t](int64_t k) { return t + 10 * k; };
+  return {
+      {UpdateKind::kAddPerson, at(0), 0, person},
+      {UpdateKind::kAddPerson, at(0), 0, loner},
+      {UpdateKind::kAddLikePost, at(1), t + 1, like_post},
+      {UpdateKind::kAddLikeComment, at(2), t + 2, like_comment},
+      {UpdateKind::kAddForum, at(3), t, forum},
+      {UpdateKind::kAddMembership, at(4), t, membership},
+      {UpdateKind::kAddPost, at(5), t, post},
+      {UpdateKind::kAddComment, at(6), t + 1, comment},
+      {UpdateKind::kAddKnows, at(7), t, knows},
+      {UpdateKind::kDelPerson, at(8), 0, Delete{933}},
+      {UpdateKind::kDelLikePost, at(9), 0, Delete{933, 1236950581248}},
+      {UpdateKind::kDelLikeComment, at(10), 0, Delete{34, 1236950581249}},
+      {UpdateKind::kDelForum, at(11), 0, Delete{2199023255594}},
+      {UpdateKind::kDelMembership, at(12), 0, Delete{34, 2199023255594}},
+      {UpdateKind::kDelPost, at(13), 0, Delete{1236950581248}},
+      {UpdateKind::kDelComment, at(14), 0, Delete{1236950581249}},
+      {UpdateKind::kDelKnows, at(15), 0, Delete{933, 34}},
+  };
+}
+
+TEST(UpdateStreamFormatTest, GoldenLineForEveryKind) {
+  // The lines the formatter wrote when it built them from a field vector;
+  // WAL payloads and stream files must stay byte-identical to them.
+  const char* const kGolden[] = {
+      "1347519909031|0|1|933|Mahinda|Perera|male|1965-12-03|2010-02-14T15:32:10.447+0000|119.235.7.103|Firefox|1226|si;en|Mahinda933@boarderzone.com;Mahinda933@hotmail.com|6;588;1185|6463,2008|1146,2009;947,2011",
+      "1347519909031|0|1|34|Ana|Silva|female|1990-01-01|1969-12-31T23:59:59.999+0000|1.2.3.4|Chrome|7|||||",
+      "1347519909041|1347519909032|2|933|1236950581248|2012-09-13T07:05:09.034+0000",
+      "1347519909051|1347519909033|3|34|1236950581249|2012-09-13T07:05:09.035+0000",
+      "1347519909061|1347519909031|4|2199023255594|Group for   Mahinda Perera  fans |2012-09-13T07:05:09.031+0000|933|",
+      "1347519909071|1347519909031|5|34|2199023255594|2012-09-13T07:05:09.036+0000",
+      "1347519909081|1347519909031|6|1236950581248||2012-09-13T07:05:09.032+0000|119.235.7.103|Firefox|si|About Sri Lanka   its tea  and its hills|40|933|2199023255594|50|6;588",
+      "1347519909091|1347519909032|7|1236950581249|2012-09-13T07:05:09.033+0000|1.2.3.4|Chrome|ok no |6|34|51|-1|1236950581250|",
+      "1347519909101|1347519909031|8|933|34|2012-09-13T07:05:09.037+0000",
+      "1347519909111|0|9|933",
+      "1347519909121|0|10|933|1236950581248",
+      "1347519909131|0|11|34|1236950581249",
+      "1347519909141|0|12|2199023255594",
+      "1347519909151|0|13|34|2199023255594",
+      "1347519909161|0|14|1236950581248",
+      "1347519909171|0|15|1236950581249",
+      "1347519909181|0|16|933|34",
+  };
+  const std::vector<UpdateEvent> events = EveryKindEvents();
+  ASSERT_EQ(events.size(), std::size(kGolden));
+  for (size_t i = 0; i < events.size(); ++i) {
+    const std::string line = FormatUpdateEventLine(events[i]);
+    EXPECT_EQ(line, kGolden[i]) << i;
+    std::string appended = "prefix";
+    AppendUpdateEventLine(events[i], &appended);
+    EXPECT_EQ(appended, "prefix" + line) << i;
+
+    UpdateEvent parsed;
+    ASSERT_TRUE(ParseUpdateEventLine(line, &parsed).ok()) << line;
+    EXPECT_EQ(parsed.kind, events[i].kind) << i;
+    EXPECT_EQ(parsed.timestamp, events[i].timestamp) << i;
+    EXPECT_EQ(parsed.dependency, events[i].dependency) << i;
+    // Sanitizing is lossy, so the round trip is checked on the text.
+    EXPECT_EQ(FormatUpdateEventLine(parsed), line) << i;
+  }
 }
 
 }  // namespace

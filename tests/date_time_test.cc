@@ -82,6 +82,29 @@ TEST(FormatTest, DateTimeFormat) {
   EXPECT_EQ(FormatDateTime(dt), "2012-02-29T23:59:59.999+0000");
 }
 
+TEST(FormatTest, EdgeAndOutOfRangeYears) {
+  EXPECT_EQ(FormatDateTime(0), "1970-01-01T00:00:00.000+0000");
+  EXPECT_EQ(FormatDateTime(-1), "1969-12-31T23:59:59.999+0000");
+  EXPECT_EQ(FormatDateTime(DateTimeFromCivil(1, 1, 1, 0, 0, 0, 1)),
+            "0001-01-01T00:00:00.001+0000");
+  EXPECT_EQ(FormatDateTime(DateTimeFromCivil(9999, 12, 31, 23, 59, 59, 999)),
+            "9999-12-31T23:59:59.999+0000");
+  // Years without four digits print all of them, sign included.
+  EXPECT_EQ(FormatDateTime(DateTimeFromCivil(10000, 1, 1)),
+            "10000-01-01T00:00:00.000+0000");
+  EXPECT_EQ(FormatDateTime(DateTimeFromCivil(-3, 6, 15, 12, 0, 0, 5)),
+            "-003-06-15T12:00:00.005+0000");
+  EXPECT_EQ(FormatDate(DateFromCivil(-3, 6, 15)), "-003-06-15");
+}
+
+TEST(FormatTest, AppendExtendsTheString) {
+  std::string out = "x|";
+  AppendDate(&out, DateFromCivil(2012, 2, 29));
+  out += '|';
+  AppendDateTime(&out, DateTimeFromCivil(2011, 8, 17, 4, 5, 6, 78));
+  EXPECT_EQ(out, "x|2012-02-29|2011-08-17T04:05:06.078+0000");
+}
+
 TEST(ParseTest, DateRoundtrip) {
   Date d;
   ASSERT_TRUE(ParseDate("2012-02-29", &d));

@@ -414,5 +414,63 @@ TEST(NoteLikeTest, AddLikeRaisesZoneMaxSoBoundPruningStaysSound) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST(NoteLikeTest, FindsABaseMessageWhoseDateRunStraddlesABlockBoundary) {
+  datagen::DatagenConfig cfg;
+  cfg.num_persons = 120;
+  cfg.activity_scale = 0.5;
+  core::SocialNetwork net = datagen::Generate(cfg).network;
+  // Give base positions [kBlock - 24, kBlock + 76) one creation date: the
+  // run starts in base block 0 and ends in block 1, so NoteLike must look
+  // past the first block whose date zone holds the date.
+  constexpr size_t kBlock = storage::columnar::ColumnBlock::kMaxValues;
+  constexpr size_t kFirst = kBlock - 24, kLast = kBlock + 75;
+  core::DateTime date = 0;
+  {
+    const storage::Graph probe{core::SocialNetwork(net)};
+    const storage::MessageDateIndex& idx = probe.MessageIndex();
+    ASSERT_GT(idx.base_size(), kLast) << "fixture too small for two blocks";
+    date = idx.BaseDateAt(kFirst);
+    for (size_t pos = kFirst; pos <= kLast; ++pos) {
+      const uint32_t msg = idx.BaseAt(pos);
+      (storage::Graph::IsPost(msg)
+           ? net.posts[msg].creation_date
+           : net.comments[storage::Graph::AsComment(msg)].creation_date) =
+          date;
+    }
+  }
+  storage::Graph graph(std::move(net));
+  const storage::MessageDateIndex& idx = graph.MessageIndex();
+  ASSERT_EQ(idx.BaseDateAt(kFirst), date);
+  ASSERT_EQ(idx.BaseDateAt(kLast), date);
+  ASSERT_GE(idx.BaseDateColumn().block(0).zone_max(),
+            storage::MessageDateIndex::DateKey(date));
+
+  // The run's last message sits in block 1; like it past block 1's zone.
+  const uint32_t msg = idx.BaseAt(kLast);
+  const size_t block = kLast / kBlock;
+  ASSERT_EQ(block, 1u);
+  const bool is_post = storage::Graph::IsPost(msg);
+  const storage::AdjacencyList& likers =
+      is_post ? graph.PostLikers() : graph.CommentLikers();
+  const uint32_t row = storage::Graph::MessageRow(msg);
+  std::unordered_set<uint32_t> liked;
+  likers.ForEach(row, [&](uint32_t p) { liked.insert(p); });
+  const uint32_t old_zone = idx.BaseBlockMaxLikes(block);
+  const core::DateTime when = core::DateTimeFromCivil(2013, 1, 1);
+  for (uint32_t p = 0; p < graph.NumPersons(); ++p) {
+    if (likers.Degree(row) > old_zone) break;
+    if (liked.contains(p)) continue;
+    if (is_post) {
+      graph.AddLikePost(graph.PersonId(p), graph.PostId(row), when);
+    } else {
+      graph.AddLikeComment(graph.PersonId(p), graph.CommentId(row), when);
+    }
+  }
+  ASSERT_GT(likers.Degree(row), old_zone)
+      << "fixture too small to overtake the zone max";
+  EXPECT_GE(idx.BaseBlockMaxLikes(block), likers.Degree(row));
+  EXPECT_EQ(idx.NumTailBlocks(), 0u);
+}
+
 }  // namespace
 }  // namespace snb

@@ -14,6 +14,11 @@
 //   - compact_deletes = false: tombstones and both epochs carry forward
 //     through later insert batches, and the tombstoned snapshot still
 //     answers every template like the naive engine on a clean reload.
+//   - Immutability: the bases a copy shares by pointer (CSR bases, the
+//     message-date index base, bulk string bases, the static segment) keep
+//     their checksums through the next insert batch, delete batch and
+//     compaction; copies and later snapshots share them until a
+//     compaction rebuilds them.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +42,7 @@
 #include "storage/export.h"
 #include "storage/graph.h"
 #include "storage/recovery.h"
+#include "storage/test_access.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 #include "validate/validator.h"
@@ -409,6 +415,82 @@ TEST_F(RefreshShadowTest, UncompactedTombstonesSurviveLaterInsertBatches) {
   SNB_NAIVE_ON_RELOAD(18) SNB_NAIVE_ON_RELOAD(19) SNB_NAIVE_ON_RELOAD(20)
   SNB_NAIVE_ON_RELOAD(23) SNB_NAIVE_ON_RELOAD(24)
 #undef SNB_NAIVE_ON_RELOAD
+}
+
+// ---------------------------------------------------------------------------
+// Immutability: a published snapshot's shared bases never change.
+// ---------------------------------------------------------------------------
+
+/// Expects `now` to hold the same bases as `then`: same identities and
+/// the same bytes.
+void ExpectSameBases(const std::vector<storage::TestAccess::SharedBase>& now,
+                     const std::vector<storage::TestAccess::SharedBase>& then) {
+  ASSERT_EQ(now.size(), then.size());
+  for (size_t i = 0; i < now.size(); ++i) {
+    EXPECT_EQ(now[i].name, then[i].name);
+    EXPECT_EQ(now[i].identity, then[i].identity) << then[i].name;
+    EXPECT_EQ(now[i].checksum, then[i].checksum) << then[i].name;
+  }
+}
+
+TEST_F(RefreshShadowTest, PublishedSharedBasesNeverChange) {
+  using storage::TestAccess;
+  const SharedData& data = Fixture();
+  const std::string dir = FreshDir("shared_bases");
+  ASSERT_TRUE(storage::InitStore(dir, data.network,
+                                 DayOf(data.insert_days.front()) - 1)
+                  .ok());
+  GraphHandle handle(std::make_shared<Graph>(CopyNetwork(data.network)));
+
+  // The oracle covers every byte Memory() reports as shared, and a
+  // member-wise copy shares every base by pointer.
+  const std::vector<TestAccess::SharedBase> loaded =
+      TestAccess::SharedBases(*handle.Current());
+  size_t covered = 0;
+  for (const TestAccess::SharedBase& base : loaded) covered += base.bytes;
+  EXPECT_EQ(covered, handle.Current()->Memory().total_shared_bytes());
+  ExpectSameBases(TestAccess::SharedBases(Graph(*handle.Current())), loaded);
+
+  // An insert batch and an uncompacted delete batch publish snapshots that
+  // share the bases; the next batch compacts the tombstones away, which
+  // rebuilds every base.
+  struct Step {
+    const char* name;
+    const Events* batch;
+    bool compact_deletes;
+    bool shares_bases;
+  };
+  const Step steps[] = {
+      {"insert", &data.insert_days[0], true, true},
+      {"delete", &data.delete_days[0], false, true},
+      {"compaction", &data.insert_days[1], true, false},
+  };
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.name);
+    const std::shared_ptr<const Graph> published = handle.Current();
+    const std::vector<TestAccess::SharedBase> before =
+        TestAccess::SharedBases(*published);
+    RefreshConfig config;
+    config.compact_deletes = step.compact_deletes;
+    auto report_or = RunBatchedRefresh(dir, handle, *step.batch, config);
+    ASSERT_TRUE(report_or.ok()) << report_or.status().ToString();
+    ASSERT_EQ(report_or.value().batches_applied, 1u);
+
+    // Checksums and identities of the published snapshot are unchanged.
+    ExpectSameBases(TestAccess::SharedBases(*published), before);
+
+    const std::shared_ptr<const Graph> next = handle.Current();
+    ASSERT_NE(next, published);
+    EXPECT_EQ(next->CompactionEpoch(),
+              published->CompactionEpoch() + (step.shares_bases ? 0 : 1));
+    const std::vector<TestAccess::SharedBase> after =
+        TestAccess::SharedBases(*next);
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(after[i].identity == before[i].identity, step.shares_bases)
+          << before[i].name;
+    }
+  }
 }
 
 }  // namespace

@@ -149,7 +149,7 @@ TEST_F(ExtraSerializerFixture, UpdateStreamWriteReadRoundtrip) {
     EXPECT_EQ(a.timestamp, b.timestamp) << i;
     EXPECT_EQ(a.dependency, b.dependency) << i;
     // Serialized fields must match exactly (the text round-trip check).
-    EXPECT_EQ(UpdateEventFields(a), UpdateEventFields(b)) << i;
+    EXPECT_EQ(FormatUpdateEventLine(a), FormatUpdateEventLine(b)) << i;
   }
 }
 

@@ -748,12 +748,10 @@ TEST(GraphMemoryTest, MemoryMatchesTheHeapGrowthOfACopy) {
   const size_t before = mallinfo2().uordblks;
   auto copy = std::make_unique<Graph>(graph);
   const size_t grown = mallinfo2().uordblks - before;
-  // A copy shares the static segment, so only the other families count.
+  // A copy shares the CSR bases, the message-date index base, the bulk
+  // string bases and the static segment, so only the unshared bytes count.
   const columnar::MemoryBreakdown mb = copy->Memory();
-  size_t shared = 0;
-  for (const columnar::MemoryFamily& f : mb.families) {
-    if (f.name == Graph::kStaticFamily) shared += f.bytes;
-  }
+  const size_t shared = mb.total_shared_bytes();
   ASSERT_GT(shared, 0u);
   const size_t counted = mb.total_bytes() - shared;
   EXPECT_GT(static_cast<double>(counted), 0.8 * static_cast<double>(grown))

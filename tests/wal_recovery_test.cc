@@ -18,6 +18,8 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +29,7 @@
 #include "core/date_time.h"
 #include "datagen/datagen.h"
 #include "datagen/delete_stream.h"
+#include "datagen/update_stream.h"
 #include "driver/refresh.h"
 #include "interactive/updates.h"
 #include "storage/export.h"
@@ -34,6 +37,7 @@
 #include "storage/recovery.h"
 #include "storage/wal.h"
 #include "util/check.h"
+#include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "validate/validator.h"
 
@@ -194,6 +198,90 @@ TEST_F(WalRecoveryTest, WalRoundTripPreservesBatches) {
         scan.batches[i / 3].events[i % 3];
     EXPECT_EQ(got.kind, data.updates[i].kind) << "event " << i;
     EXPECT_EQ(got.timestamp, data.updates[i].timestamp) << "event " << i;
+  }
+}
+
+TEST_F(WalRecoveryTest, FileIsThePerRecordFraming) {
+  // A batch now reaches the file in one write at commit; the bytes must be
+  // what writing each record as it came produced: the magic, then per
+  // record u32 LE payload length, u32 LE CRC-32C of the payload, and the
+  // payload (type byte + body).
+  const SharedData& data = Fixture();
+  std::vector<const datagen::UpdateEvent*> inserts, deletes;
+  for (const datagen::UpdateEvent& event : data.updates) {
+    (datagen::IsDeleteKind(event.kind) ? deletes : inserts).push_back(&event);
+  }
+  ASSERT_GE(inserts.size(), 5u);
+  ASSERT_GE(deletes.size(), 2u);
+  struct Batch {
+    core::Date day;
+    uint32_t delete_count;
+    std::vector<const datagen::UpdateEvent*> events;
+  };
+  const std::vector<Batch> batches = {
+      {100, 2, {inserts[0], deletes[0], deletes[1]}},
+      {101, 0, {inserts[1], inserts[2], inserts[3]}},
+      {102, 0, {inserts[4]}},
+  };
+
+  std::string expected = "SNBWAL01";
+  auto u32 = [](std::string* out, uint32_t v) {
+    for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  };
+  auto record = [&](uint8_t type, const std::string& body) {
+    std::string payload(1, static_cast<char>(type));
+    payload += body;
+    u32(&expected, static_cast<uint32_t>(payload.size()));
+    u32(&expected, util::Crc32c(payload.data(), payload.size()));
+    expected += payload;
+  };
+  std::string dir = FreshDir("framing");
+  std::filesystem::create_directories(dir);
+  std::string path = storage::WalPath(dir);
+  storage::Wal wal;
+  ASSERT_TRUE(wal.Open(path).ok());
+  for (const Batch& batch : batches) {
+    std::string day;
+    u32(&day, static_cast<uint32_t>(batch.day));
+    ASSERT_TRUE(wal.BatchBegin(batch.day).ok());
+    record(1, day);
+    if (batch.delete_count > 0) {
+      ASSERT_TRUE(wal.NoteDeleteBatch(batch.day, batch.delete_count).ok());
+      std::string marker = day;
+      u32(&marker, batch.delete_count);
+      record(4, marker);
+    }
+    for (const datagen::UpdateEvent* event : batch.events) {
+      ASSERT_TRUE(wal.Append(*event).ok());
+      record(2, datagen::FormatUpdateEventLine(*event));
+    }
+    ASSERT_TRUE(wal.BatchCommit(batch.day).ok());
+    record(3, day);
+    EXPECT_EQ(wal.bytes_written(), expected.size());
+  }
+  ASSERT_TRUE(wal.Close().ok());
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_TRUE(file == expected) << "file " << file.size() << " B, expected "
+                                << expected.size() << " B";
+
+  auto scan_or = storage::ScanWal(path);
+  ASSERT_TRUE(scan_or.ok()) << scan_or.status().ToString();
+  const storage::WalScan& scan = scan_or.value();
+  EXPECT_FALSE(scan.torn_tail) << scan.tail_reason;
+  EXPECT_EQ(scan.valid_bytes, expected.size());
+  ASSERT_EQ(scan.batches.size(), batches.size());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    EXPECT_EQ(scan.batches[b].day, batches[b].day);
+    EXPECT_EQ(scan.batches[b].delete_count, batches[b].delete_count);
+    ASSERT_EQ(scan.batches[b].events.size(), batches[b].events.size());
+    for (size_t i = 0; i < batches[b].events.size(); ++i) {
+      EXPECT_EQ(datagen::FormatUpdateEventLine(scan.batches[b].events[i]),
+                datagen::FormatUpdateEventLine(*batches[b].events[i]))
+          << "batch " << b << " event " << i;
+    }
   }
 }
 
