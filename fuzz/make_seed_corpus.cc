@@ -22,7 +22,10 @@
 #include "datagen/datagen.h"
 #include "datagen/update_stream.h"
 #include "fuzz_graph.h"
+#include "interactive/updates.h"
+#include "storage/checkpoint_image.h"
 #include "storage/columnar/column_block.h"
+#include "storage/graph.h"
 #include "storage/wal.h"
 #include "util/check.h"
 
@@ -356,6 +359,40 @@ void WriteColumnBlockCorpus(const std::filesystem::path& dir) {
   WriteFile(dir / "empty.bin", "");
 }
 
+void WriteCheckpointImageCorpus(const std::filesystem::path& dir) {
+  std::filesystem::create_directories(dir);
+  // Images of the harness-sized fixture graph, written by the production
+  // writer so they track the format.
+  const std::string tmp = (dir / ".scratch.img").string();
+  auto image = [&](const snb::storage::Graph& graph) {
+    SNB_CHECK(snb::storage::WriteGraphImage(graph, tmp).ok());
+    std::string bytes = ReadFile(tmp);
+    std::filesystem::remove(tmp);
+    return bytes;
+  };
+  const snb::storage::Graph fresh(snb::fuzz::MakeFuzzNetwork());
+  const std::string fresh_image = image(fresh);
+  WriteFile(dir / "fresh.img", fresh_image);
+  // Inserts, replies and cascades: the writer compacts them into the image.
+  snb::storage::Graph updated(fresh);
+  for (const UpdateEvent& event : LiveEvents()) {
+    SNB_CHECK(snb::interactive::ApplyUpdate(updated, event).ok());
+  }
+  WriteFile(dir / "compacted.img", image(updated));
+
+  // Near-valid mutants: a truncation, a flipped payload byte and a wrong
+  // version, which the decoder must reject (not crash on).
+  WriteFile(dir / "truncated.img",
+            fresh_image.substr(0, fresh_image.size() / 2));
+  std::string flipped = fresh_image;
+  flipped[flipped.size() / 2] ^= 0x5a;
+  WriteFile(dir / "flipped_byte.img", flipped);
+  std::string version = fresh_image;
+  version[8] ^= 0x01;
+  WriteFile(dir / "wrong_version.img", version);
+  WriteFile(dir / "empty.img", "");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -368,6 +405,7 @@ int main(int argc, char** argv) {
   WriteCsvCorpus(root / "csv");
   WriteWalCorpus(root / "wal");
   WriteColumnBlockCorpus(root / "column_block");
+  WriteCheckpointImageCorpus(root / "checkpoint_image");
   std::printf("seed corpora written under %s\n", root.c_str());
   return 0;
 }

@@ -12,13 +12,16 @@
 #   6. ASan           — fail-point + crash-recovery tests, the range-scan
 #                       and kernel cross-checks (per-block stack buffers,
 #                       partial-block slices), the storage, export,
-#                       validator, Interactive, columnar, pushdown and
-#                       snapshot-sharing (refresh_shadow) tests under
+#                       validator, Interactive, columnar, pushdown,
+#                       snapshot-sharing (refresh_shadow), bulk-loader
+#                       failure and checkpoint-image tests under
 #                       -fsanitize=address, then the delete-cascade crash
 #                       loop (torn cascades at every graph.delete.* stage)
 #                       via ctest so its 600 s TIMEOUT governs the forks
-#   7. fuzz smoke     — the parser/decoder fuzz harnesses, fixed-iteration
-#                       deterministic replay under ASan+UBSan
+#   7. fuzz smoke     — the parser/decoder fuzz harnesses (WAL, CSV, update
+#                       events, column blocks, checkpoint images),
+#                       fixed-iteration deterministic replay under
+#                       ASan+UBSan
 #   8. scale smoke    — streaming datagen at 8000 persons under a
 #                       bounded sorter budget, loaded, validated, and held
 #                       to the bytes/edge compression budget
@@ -94,10 +97,15 @@ echo "== ASan: crash-recovery loop and range-scan kernels under -fsanitize=addre
 # Snapshot copies share the CSR, index and string bases by pointer:
 # refresh_shadow_test publishes, copies and frees snapshots around them,
 # and pushdown_test's NoteLike cases scan the shared base refs.
+# loader_failure_test feeds the bulk loader relation rows that name
+# unknown or duplicate ids (which used to index past an empty table);
+# checkpoint_image_test decodes truncated, flipped and resealed images
+# straight into graph columns.
 cmake -B "$repo/build-asan" -S "$repo" -DSNB_SANITIZE=address
 cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
   parallel_test bi_crossval_test storage_test recovery_test interactive_test \
-  validate_test columnar_test pushdown_test refresh_shadow_test
+  validate_test columnar_test pushdown_test refresh_shadow_test \
+  loader_failure_test checkpoint_image_test
 "$repo/build-asan/tests/failpoint_test"
 "$repo/build-asan/tests/wal_recovery_test"
 "$repo/build-asan/tests/parallel_test"
@@ -109,6 +117,8 @@ cmake --build "$repo/build-asan" -j --target failpoint_test wal_recovery_test \
 "$repo/build-asan/tests/columnar_test"
 "$repo/build-asan/tests/pushdown_test"
 "$repo/build-asan/tests/refresh_shadow_test"
+"$repo/build-asan/tests/loader_failure_test"
+"$repo/build-asan/tests/checkpoint_image_test"
 
 echo "== ASan: delete-cascade crash loop =="
 # Torn cascades at every graph.delete.* stage: the tests arm each cascade
@@ -131,9 +141,10 @@ cmake -B "$repo/build-fuzz" -S "$repo" -DSNB_FUZZ=ON \
   -DSNB_SANITIZE=address+undefined
 cmake --build "$repo/build-fuzz" -j \
   --target fuzz_wal_record_smoke fuzz_csv_row_smoke fuzz_update_event_smoke \
-           fuzz_column_block_smoke
+           fuzz_column_block_smoke fuzz_checkpoint_image_smoke
 for pair in fuzz_wal_record:wal fuzz_csv_row:csv fuzz_update_event:update_event \
-            fuzz_column_block:column_block; do
+            fuzz_column_block:column_block \
+            fuzz_checkpoint_image:checkpoint_image; do
   harness="${pair%%:*}"
   corpus="${pair##*:}"
   "$repo/build-fuzz/fuzz/${harness}_smoke" \

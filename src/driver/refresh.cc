@@ -166,9 +166,8 @@ util::StatusOr<RefreshReport> RunBatchedRefresh(
             static_cast<size_t>(config.checkpoint_every_batches)) {
       util::Status checkpointed =
           RetryTransient(config.retry, rng, &report.retries, [&] {
-            return storage::WriteCheckpoint(
-                store_dir, storage::ExportNetwork(*handle.Current()),
-                batch.day);
+            return storage::WriteCheckpoint(store_dir, *handle.Current(),
+                                            batch.day);
           });
       if (!checkpointed.ok()) return checkpointed;
       ++report.checkpoints_written;

@@ -32,9 +32,9 @@
 //             bases unchanged. Copy-per-batch trades memory bandwidth for
 //             zero read-side coordination — the right trade at BI's
 //             one-batch-per-day refresh cadence.
-//   3. CHECK  Optionally every N batches: export the published snapshot as
-//             a new checkpoint (storage/recovery.h rotation protocol), which
-//             bounds recovery replay time.
+//   3. CHECK  Optionally every N batches: write the published snapshot as
+//             a new checkpoint image (storage/recovery.h rotation protocol),
+//             which bounds recovery replay time.
 //
 // Resume: after RecoveryManager::Recover, pass last_committed_day as
 // `resume_after_day`; the driver skips batches the store already contains,
@@ -106,8 +106,9 @@ struct RefreshConfig {
   /// WAL durability policy (kOnCommit = the paper's contract).
   storage::WalSyncPolicy wal_sync = storage::WalSyncPolicy::kOnCommit;
 
-  /// Export a rotated checkpoint every N applied batches; 0 = never.
-  /// Checkpoints bound recovery replay but cost an O(graph) export.
+  /// Write a rotated checkpoint every N applied batches; 0 = never.
+  /// Checkpoints bound recovery replay but cost an O(graph) image write
+  /// (plus a compaction when the snapshot holds updates).
   int checkpoint_every_batches = 0;
 
   /// Batches whose (last) day is <= this are skipped — set it to

@@ -209,6 +209,7 @@ class AdjacencyList {
 
  private:
   friend struct TestAccess;  // corruption seeding in tests (test_access.h)
+  friend struct ImageCodec;  // checkpoint image (checkpoint_image.cc)
 
   static constexpr uint32_t kNilEntry = UINT32_MAX;
 

@@ -40,6 +40,10 @@
 #include "storage/columnar/bitpack.h"
 #include "util/status.h"
 
+namespace snb::storage {
+struct ImageCodec;
+}  // namespace snb::storage
+
 namespace snb::storage::columnar {
 
 enum class BlockEncoding : uint8_t {
@@ -165,6 +169,8 @@ class ZonedColumn {
   size_t ByteSize() const;
 
  private:
+  friend struct storage::ImageCodec;  // checkpoint image
+
   static ZonedColumn Build(std::span<const uint64_t> values, bool delta);
 
   std::vector<ColumnBlock> blocks_;

@@ -31,6 +31,10 @@
 #include "storage/columnar/column_block.h"
 #include "util/check.h"
 
+namespace snb::storage {
+struct ImageCodec;
+}  // namespace snb::storage
+
 namespace snb::storage::columnar {
 
 /// One directed edge with an optional DateTime payload, used at build time.
@@ -92,6 +96,8 @@ class CompressedCsr {
   }
 
  private:
+  friend struct storage::ImageCodec;  // checkpoint image
+
   size_t num_nodes_ = 0;
   size_t num_edges_ = 0;
   bool with_dates_ = false;

@@ -17,6 +17,10 @@
 #include "storage/columnar/string_column.h"
 #include "util/check.h"
 
+namespace snb::storage {
+struct ImageCodec;
+}  // namespace snb::storage
+
 namespace snb::storage::columnar {
 
 template <typename T>
@@ -64,6 +68,8 @@ class ListColumn {
   }
 
  private:
+  friend struct storage::ImageCodec;  // checkpoint image
+
   std::conditional_t<kStrings, StringColumn, std::vector<T>> values_;
   std::vector<uint32_t> offsets_{0};
 };

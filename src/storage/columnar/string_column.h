@@ -23,6 +23,7 @@
 #include "util/check.h"
 
 namespace snb::storage {
+struct ImageCodec;
 struct TestAccess;
 }  // namespace snb::storage
 
@@ -54,6 +55,7 @@ class StringColumn {
 
  private:
   friend struct storage::TestAccess;  // shared-base identity in tests
+  friend struct storage::ImageCodec;  // checkpoint image
 
   struct Rows {
     std::string chars;

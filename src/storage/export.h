@@ -1,8 +1,9 @@
 // Graph → raw-network export: the inverse of Graph construction,
 // reconstructing a core::SocialNetwork from the store's tables and
-// adjacency. Together with the CSV serializers this gives checkpointing:
-// a mutated graph can be snapshotted to disk and reloaded — the mechanism
-// behind the spec §6.3 recovery test.
+// adjacency. Export followed by a rebuild is compaction (the refresh path,
+// recovery, and the checkpoint image writer for a graph that holds
+// updates); with the CSV serializers it also writes a graph out as a
+// dataset.
 
 #ifndef SNB_STORAGE_EXPORT_H_
 #define SNB_STORAGE_EXPORT_H_

@@ -327,28 +327,38 @@ Graph::Graph(core::SocialNetwork net, uint32_t compaction_epoch)
 }
 
 std::span<const Graph::NamedRelation> Graph::Relations() {
+  using T = Table;
   static constexpr NamedRelation kRelations[] = {
-      {"adj/knows", &Graph::knows_},
-      {"adj/person-posts", &Graph::person_posts_},
-      {"adj/person-comments", &Graph::person_comments_},
-      {"adj/person-likes", &Graph::person_likes_},
-      {"adj/post-likers", &Graph::post_likers_},
-      {"adj/comment-likers", &Graph::comment_likers_},
-      {"adj/forum-members", &Graph::forum_members_},
-      {"adj/person-forums", &Graph::person_forums_},
-      {"adj/forum-posts", &Graph::forum_posts_},
-      {"adj/person-moderates", &Graph::person_moderates_},
-      {"adj/post-replies", &Graph::post_replies_},
-      {"adj/comment-replies", &Graph::comment_replies_},
-      {"adj/post-tags", &Graph::post_tags_},
-      {"adj/comment-tags", &Graph::comment_tags_},
-      {"adj/forum-tags", &Graph::forum_tags_},
-      {"adj/person-interests", &Graph::person_interests_},
-      {"adj/tag-posts", &Graph::tag_posts_},
-      {"adj/tag-comments", &Graph::tag_comments_},
-      {"adj/tag-forums", &Graph::tag_forums_},
-      {"adj/tag-persons", &Graph::tag_persons_},
-      {"adj/country-persons", &Graph::country_persons_},
+      {"adj/knows", &Graph::knows_, T::kPerson, T::kPerson, true},
+      {"adj/person-posts", &Graph::person_posts_, T::kPerson, T::kPost, false},
+      {"adj/person-comments", &Graph::person_comments_, T::kPerson,
+       T::kComment, false},
+      {"adj/person-likes", &Graph::person_likes_, T::kPerson,
+       T::kMessage, true},
+      {"adj/post-likers", &Graph::post_likers_, T::kPost, T::kPerson, true},
+      {"adj/comment-likers", &Graph::comment_likers_, T::kComment,
+       T::kPerson, true},
+      {"adj/forum-members", &Graph::forum_members_, T::kForum,
+       T::kPerson, true},
+      {"adj/person-forums", &Graph::person_forums_, T::kPerson,
+       T::kForum, true},
+      {"adj/forum-posts", &Graph::forum_posts_, T::kForum, T::kPost, false},
+      {"adj/person-moderates", &Graph::person_moderates_, T::kPerson,
+       T::kForum, false},
+      {"adj/post-replies", &Graph::post_replies_, T::kPost, T::kComment, false},
+      {"adj/comment-replies", &Graph::comment_replies_, T::kComment,
+       T::kComment, false},
+      {"adj/post-tags", &Graph::post_tags_, T::kPost, T::kTag, false},
+      {"adj/comment-tags", &Graph::comment_tags_, T::kComment, T::kTag, false},
+      {"adj/forum-tags", &Graph::forum_tags_, T::kForum, T::kTag, false},
+      {"adj/person-interests", &Graph::person_interests_, T::kPerson,
+       T::kTag, false},
+      {"adj/tag-posts", &Graph::tag_posts_, T::kTag, T::kPost, false},
+      {"adj/tag-comments", &Graph::tag_comments_, T::kTag, T::kComment, false},
+      {"adj/tag-forums", &Graph::tag_forums_, T::kTag, T::kForum, false},
+      {"adj/tag-persons", &Graph::tag_persons_, T::kTag, T::kPerson, false},
+      {"adj/country-persons", &Graph::country_persons_, T::kPlace,
+       T::kPerson, false},
   };
   return kRelations;
 }

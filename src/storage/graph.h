@@ -624,6 +624,11 @@ class Graph {
 
  private:
   friend struct TestAccess;  // corruption seeding in tests (test_access.h)
+  friend struct ImageCodec;  // checkpoint image (checkpoint_image.cc)
+
+  /// An empty graph for the image decoder to fill: no static segment yet,
+  /// and a dictionary holding only the member initializer's "female".
+  Graph() = default;
 
   /// The static reference data: built once per Graph(SocialNetwork) and
   /// never mutated after, so every copy of that snapshot shares it.
@@ -644,14 +649,23 @@ class Graph {
     size_t ByteSize() const;
   };
 
-  /// Every relation by its Memory() family name, and every string column
-  /// that Build freezes into a shared base by its family and name, each
-  /// listed once: Memory(), Build and TestAccess::SharedBases walk these
-  /// lists, so a relation or column added here is counted, shared and
-  /// checked alike.
+  /// The row space a relation's nodes or targets index; kMessage is the
+  /// message-reference space (posts and comments).
+  enum class Table : uint8_t {
+    kPerson, kForum, kPost, kComment, kMessage, kTag, kPlace
+  };
+
+  /// Every relation by its Memory() family name (with the tables it joins
+  /// and whether it carries dates), and every string column that Build
+  /// freezes into a shared base by its family and name, each listed once:
+  /// Memory(), Build, the checkpoint image and TestAccess::SharedBases
+  /// walk these lists, so a relation or column added here is counted,
+  /// shared, persisted and checked alike.
   struct NamedRelation {
     const char* name;
     AdjacencyList Graph::*list;
+    Table source, target;
+    bool dated;
   };
   struct FrozenString {
     const char* family;

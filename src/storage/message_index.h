@@ -301,6 +301,7 @@ class MessageDateIndex {
 
  private:
   friend struct TestAccess;  // corruption seeding in tests (test_access.h)
+  friend struct ImageCodec;  // checkpoint image (checkpoint_image.cc)
 
   /// One decoded block split by family: every ref is written to both
   /// buffers and only its family's cursor advances (by `keep`, 0 or 1), so

@@ -12,10 +12,9 @@
 #include <utility>
 #include <vector>
 
-#include "datagen/serializer.h"
 #include "interactive/updates.h"
+#include "storage/checkpoint_image.h"
 #include "storage/export.h"
-#include "storage/loader.h"
 #include "storage/wal.h"
 #include "util/failpoint.h"
 #include "validate/validator.h"
@@ -27,6 +26,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kManifestName[] = "_MANIFEST";
+constexpr char kImageName[] = "graph.img";
 
 struct StorePaths {
   std::string checkpoint;
@@ -104,19 +104,19 @@ util::Status Rename(const std::string& from, const std::string& to) {
 
 }  // namespace
 
-util::Status WriteCheckpoint(const std::string& store_dir,
-                             const core::SocialNetwork& net,
+util::Status WriteCheckpoint(const std::string& store_dir, const Graph& graph,
                              core::Date last_applied_day) {
   StorePaths paths = MakeStorePaths(store_dir);
   std::error_code ec;
-  fs::create_directories(store_dir, ec);
-  if (ec) {
-    return util::Status::IoError("cannot create store dir " + store_dir);
-  }
   fs::remove_all(paths.checkpoint_next, ec);  // stale attempt, never committed
+  fs::create_directories(paths.checkpoint_next, ec);
+  if (ec) {
+    return util::Status::IoError("cannot create " + paths.checkpoint_next);
+  }
 
   SNB_FAILPOINT_STATUS("checkpoint.export");
-  SNB_RETURN_IF_ERROR(datagen::WriteCsvBasic(net, paths.checkpoint_next));
+  SNB_RETURN_IF_ERROR(
+      WriteGraphImage(graph, paths.checkpoint_next + "/" + kImageName));
   SNB_RETURN_IF_ERROR(WriteManifest(paths.checkpoint_next, last_applied_day));
   // The manifest is durable: checkpoint.next is now a committed checkpoint
   // whatever happens below — recovery will find it by its manifest.
@@ -138,7 +138,8 @@ util::Status WriteCheckpoint(const std::string& store_dir,
 util::Status InitStore(const std::string& store_dir,
                        const core::SocialNetwork& net,
                        core::Date last_applied_day) {
-  return WriteCheckpoint(store_dir, net, last_applied_day);
+  const Graph graph{core::SocialNetwork(net)};
+  return WriteCheckpoint(store_dir, graph, last_applied_day);
 }
 
 util::StatusOr<RecoveryResult> RecoveryManager::Recover() const {
@@ -199,14 +200,13 @@ util::StatusOr<RecoveryResult> RecoveryManager::Recover() const {
     result.truncation_reason = scan.tail_reason;
   }
 
-  // 4. Load the checkpoint and replay every committed batch newer than it.
-  //    Replayed delete batches re-run their cascades from the start — the
-  //    cascade torn by the crash never reached a published snapshot, so
-  //    re-running it on the checkpoint graph is the roll-forward repair
+  // 4. Decode the checkpoint and replay every committed batch newer than
+  //    it. Replayed delete batches re-run their cascades from the start —
+  //    the cascade torn by the crash never reached a published snapshot,
+  //    so re-running it on the checkpoint graph is the roll-forward repair
   //    (Delete* no-ops on already-gone targets keep this idempotent).
-  auto loaded = LoadCsvBasic(paths.checkpoint);
-  if (!loaded.ok()) return loaded.status();
-  result.graph = std::make_unique<Graph>(std::move(loaded).value());
+  SNB_RETURN_IF_ERROR(DecodeGraphImage(
+      paths.checkpoint + "/" + kImageName, &result.graph));
   for (const WalBatch& batch : scan.batches) {
     if (batch.day <= result.checkpoint_day) continue;  // in the checkpoint
     for (const datagen::UpdateEvent& event : batch.events) {

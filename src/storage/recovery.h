@@ -5,7 +5,8 @@
 // A *store directory* is the durable form of a graph under refresh:
 //
 //   <store>/
-//     checkpoint/        committed CsvBasic dataset + _MANIFEST
+//     checkpoint/        committed graph image (graph.img, see
+//                        storage/checkpoint_image.h) + _MANIFEST
 //     checkpoint.next/   in-flight checkpoint (ignored until its manifest
 //                        is durable)
 //     checkpoint.old/    previous checkpoint, mid-rotation window only
@@ -24,7 +25,9 @@
 //   pick newest committed checkpoint
 //   → scan the WAL, truncate the torn tail (first bad CRC / short record /
 //     uncommitted batch)
-//   → load the checkpoint, replay every committed batch newer than it
+//   → decode the checkpoint's image straight into a Graph (no CSV parse,
+//     no rebuild), replay every committed batch newer than it, compact if
+//     the replay left tombstones
 //   → run validate::ValidateGraph before the store serves anything.
 //
 // The WAL is never truncated at checkpoint time — it spans the store's
@@ -46,18 +49,21 @@
 
 namespace snb::storage {
 
-/// Creates <store_dir> with an initial committed checkpoint of `net` and no
-/// WAL yet. `last_applied_day` seeds the manifest: replay skips batches at
-/// or before it (use the day before the first update for a bulk load).
+/// Creates <store_dir> with an initial committed checkpoint of `net` (built
+/// into a Graph and written as its image) and no WAL yet.
+/// `last_applied_day` seeds the manifest: replay skips batches at or
+/// before it (use the day before the first update for a bulk load).
 SNB_NODISCARD util::Status InitStore(const std::string& store_dir,
-                       const core::SocialNetwork& net,
-                       core::Date last_applied_day);
+                                     const core::SocialNetwork& net,
+                                     core::Date last_applied_day);
 
-/// Writes a new checkpoint of `net` and atomically rotates it in (see the
-/// file comment for the rename dance and its crash windows).
+/// Writes a new checkpoint of `graph` and atomically rotates it in (see
+/// the file comment for the rename dance and its crash windows). A graph
+/// with overflow, update tails or tombstones is compacted into the image
+/// (WriteGraphImage).
 SNB_NODISCARD util::Status WriteCheckpoint(const std::string& store_dir,
-                             const core::SocialNetwork& net,
-                             core::Date last_applied_day);
+                                           const Graph& graph,
+                                           core::Date last_applied_day);
 
 struct RecoveryResult {
   std::unique_ptr<Graph> graph;

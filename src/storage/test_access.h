@@ -41,6 +41,9 @@ struct TestAccess {
   static std::vector<uint32_t>& CommentForum(Graph& g) {
     return g.comment_forum_;
   }
+  static std::vector<uint32_t>& CommentReplyOf(Graph& g) {
+    return g.comment_reply_of_;
+  }
   static std::vector<uint32_t>& PostLanguageCode(Graph& g) {
     return g.post_language_code_;
   }

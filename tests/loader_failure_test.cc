@@ -1,11 +1,14 @@
 // Failure-injection tests for the bulk loader and CSV reader: missing
-// files, truncated rows, malformed dates — the loader must fail with a
-// descriptive Status, never crash or silently drop data.
+// files, truncated rows, malformed dates and ids, duplicate and unknown
+// ids — the loader must fail with a descriptive Status, never crash,
+// silently drop or misattach data, or hand the Graph build a network it
+// would abort on.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "datagen/datagen.h"
 #include "datagen/serializer.h"
@@ -35,6 +38,28 @@ class LoaderFailureFixture : public ::testing::Test {
                const std::string& replacement_content) {
     std::ofstream out(dir_ + "/" + relative, std::ios::trunc);
     out << replacement_content;
+  }
+
+  void Append(const std::string& relative, const std::string& line) {
+    std::ofstream out(dir_ + "/" + relative, std::ios::app);
+    out << line << "\n";
+  }
+
+  /// The first data row of a file (the line after the header).
+  std::string FirstRow(const std::string& relative) {
+    std::ifstream in(dir_ + "/" + relative);
+    std::string line;
+    std::getline(in, line);
+    std::getline(in, line);
+    return line;
+  }
+
+  void ExpectCorruption(const std::string& mentions) {
+    auto result = LoadCsvBasic(dir_);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kCorruption);
+    EXPECT_NE(result.status().message().find(mentions), std::string::npos)
+        << result.status().ToString();
   }
 
   std::string dir_;
@@ -110,6 +135,43 @@ TEST_F(LoaderFailureFixture, HeaderOnlyFilesAreValid) {
   Graph graph(std::move(result.value()));
   validate::ValidationReport vr = validate::ValidateGraph(graph);
   EXPECT_TRUE(vr.ok()) << vr.ToString();
+}
+
+TEST_F(LoaderFailureFixture, RelationRowNamingAnUnknownIdFails) {
+  // Used to attach the email to person row 0.
+  Append("dynamic/person_email_emailaddress_0_0.csv", "987654321987|x@y.z");
+  ExpectCorruption("person id 987654321987 does not exist");
+}
+
+TEST_F(LoaderFailureFixture, RelationRowsOfAnEmptyEntityFileFail) {
+  // Used to index an empty person vector.
+  Corrupt("dynamic/person_0_0.csv",
+          "id|firstName|lastName|gender|birthday|creationDate|locationIP|"
+          "browserUsed\n");
+  ExpectCorruption("does not exist");
+}
+
+TEST_F(LoaderFailureFixture, DuplicateEntityIdFails) {
+  // Used to load, then abort the Graph build on the repeated id.
+  Append("dynamic/person_0_0.csv", FirstRow("dynamic/person_0_0.csv"));
+  ExpectCorruption("duplicate id");
+}
+
+TEST_F(LoaderFailureFixture, NonNumericIdFails) {
+  // strtoll used to read "12ab" as 12, and "abc" as 0.
+  std::string row = FirstRow("dynamic/forum_0_0.csv");
+  Append("dynamic/forum_0_0.csv", "12ab" + row.substr(row.find('|')));
+  ExpectCorruption("bad integer '12ab'");
+}
+
+TEST_F(LoaderFailureFixture, UnknownTargetIdFails) {
+  // The knows edge names an existing first person and an unknown second
+  // one, which the Graph build would abort on.
+  std::string row = FirstRow("dynamic/person_knows_person_0_0.csv");
+  Append("dynamic/person_knows_person_0_0.csv",
+         row.substr(0, row.find('|')) +
+             "|987654321987|2010-01-01T00:00:00.000+0000");
+  ExpectCorruption("person id 987654321987 does not exist");
 }
 
 TEST_F(LoaderFailureFixture, FinalLineWithoutNewlineIsRead) {

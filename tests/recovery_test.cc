@@ -1,22 +1,22 @@
-// Recovery simulation (spec §6.3): checkpoint a mutated graph to disk
-// through export + CsvBasic serialization, "crash", reload, and verify the
-// last committed update is present and query results are unchanged.
+// Recovery simulation (spec §6.3): checkpoint a mutated graph to disk as
+// its binary image, "crash", decode it, and verify the last committed
+// update is present and query results are unchanged.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 
 #include "bi/bi.h"
 #include "datagen/datagen.h"
-#include "datagen/serializer.h"
 #include "interactive/interactive.h"
 #include "interactive/updates.h"
 #include "params/parameter_curation.h"
+#include "storage/checkpoint_image.h"
 #include "storage/consistency.h"
 #include "storage/export.h"
 #include "storage/graph.h"
-#include "storage/loader.h"
 #include "validate/validator.h"
 
 namespace snb::storage {
@@ -184,16 +184,17 @@ TEST(RecoveryTest, CheckpointAfterUpdatesSurvivesCrash) {
   }
   const datagen::UpdateEvent& last = data.updates[half - 1];
 
-  // Checkpoint (§6.3: at most every 10 minutes; here: on demand).
-  std::string dir = ::testing::TempDir() + "/snb_recovery_checkpoint";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(
-      datagen::WriteCsvBasic(ExportNetwork(live), dir).ok());
+  // Checkpoint (§6.3: at most every 10 minutes; here: on demand): the
+  // graph's image, compacted since it holds updates.
+  std::string image = ::testing::TempDir() + "/snb_recovery_checkpoint.img";
+  ASSERT_TRUE(WriteGraphImage(live, image).ok());
 
   // "Power failure" — the live graph is gone; recover from the checkpoint.
-  auto reloaded_or = LoadCsvBasic(dir);
-  ASSERT_TRUE(reloaded_or.ok()) << reloaded_or.status().ToString();
-  Graph recovered(std::move(reloaded_or.value()));
+  std::unique_ptr<Graph> decoded;
+  util::Status decode = DecodeGraphImage(image, &decoded);
+  ASSERT_TRUE(decode.ok()) << decode.ToString();
+  std::filesystem::remove(image);
+  Graph& recovered = *decoded;
   {
     validate::ValidationReport vr = validate::ValidateGraph(recovered);
     EXPECT_TRUE(vr.ok()) << vr.ToString();

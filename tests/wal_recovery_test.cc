@@ -4,8 +4,9 @@
 //
 // The core test rehearses the refresh path once to register every
 // fail-point site, then loops "crash here" over each wal.* / refresh.* /
-// checkpoint.* / csv.* site in a forked child (simulated power loss via
-// _Exit — no buffers flushed), recovers the store in the parent, resumes
+// checkpoint.* / graph.* site in a forked child (simulated power loss via
+// _Exit — no buffers flushed; checkpoint.image.write dies with half a
+// section of the image on disk), recovers the store in the parent, resumes
 // the refresh, and requires BI 1/6/12 results bit-equal to an uncrashed
 // reference run. Also covers: WAL round-trip, torn-tail truncation,
 // transient-error retry with concurrent readers on the published snapshot.
@@ -400,22 +401,23 @@ TEST_F(WalRecoveryTest, CrashAtEverySiteRecoversToReferenceResults) {
   std::vector<std::string> sites;
   for (const std::string& site : util::failpoint::RegisteredSites()) {
     if (site.rfind("wal.", 0) == 0 || site.rfind("refresh.", 0) == 0 ||
-        site.rfind("checkpoint.", 0) == 0 || site.rfind("csv.", 0) == 0 ||
-        site.rfind("graph.", 0) == 0) {
+        site.rfind("checkpoint.", 0) == 0 || site.rfind("graph.", 0) == 0) {
       sites.push_back(site);
     }
   }
   ASSERT_GE(sites.size(), 8u)
       << "refresh path should expose >= 8 crash sites";
-  // The rehearsal ran real cascades, so every cascade stage must be here.
+  // The rehearsal ran real cascades, so every cascade stage must be here,
+  // and wrote checkpoints, so every checkpoint site (the image writer's
+  // torn-write site included) must be too.
   for (const char* required :
        {"graph.delete.person", "graph.delete.forums",
-        "graph.delete.messages", "graph.delete.likes",
-        "graph.delete.index"}) {
+        "graph.delete.messages", "graph.delete.likes", "graph.delete.index",
+        "checkpoint.export", "checkpoint.image.write",
+        "checkpoint.manifest", "checkpoint.rotate"}) {
     ASSERT_NE(std::find(sites.begin(), sites.end(), std::string(required)),
               sites.end())
-        << required << " never registered — the fixture stream ran no "
-        << "cascade through that stage";
+        << required << " never registered — the rehearsal never reached it";
   }
 
   // Crash on the site's 1st hit (cold state) and 3rd hit (mid-stream, some

@@ -257,7 +257,8 @@ void CheckCondVarConfined(Ctx& ctx) {
 
 void CheckFuzzPublicParser(Ctx& ctx) {
   static const std::set<std::string> kEntryPoints = {
-      "ScanWal", "ReadCsv", "ParseUpdateEventLine", "DecodeColumnBlock"};
+      "ScanWal", "ReadCsv", "ParseUpdateEventLine", "DecodeColumnBlock",
+      "DecodeGraphImage"};
   for (const Unit& u : ctx.units()) {
     const std::string& p = u.lex->path;
     if (!StartsWith(p, "fuzz/fuzz_") || !EndsWith(p, ".cc") ||
@@ -274,7 +275,8 @@ void CheckFuzzPublicParser(Ctx& ctx) {
     if (!drives_entry) {
       ctx.Emit(u, 1, "fuzz-public-parser",
                "fuzz harness drives no public parser entry point (ScanWal / "
-               "ReadCsv / ParseUpdateEventLine / DecodeColumnBlock)");
+               "ReadCsv / ParseUpdateEventLine / DecodeColumnBlock / "
+               "DecodeGraphImage)");
     }
     for (const PPLine& pp : u.lex->pp_lines) {
       if (pp.text.find(".cc\"") != std::string::npos &&
