@@ -9,24 +9,6 @@
 #include "interactive/updates.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "validate/validator.h"
-
-// With SNB_CHECK_INVARIANTS defined (cmake -DSNB_CHECK_INVARIANTS=ON), the
-// driver re-validates every representation invariant after phases that
-// mutate the store. A violation aborts with the full per-invariant report —
-// the debug mode for chasing update-path corruption.
-#ifdef SNB_CHECK_INVARIANTS
-#define SNB_VALIDATE_STORE(graph)                                     \
-  do {                                                                \
-    ::snb::validate::ValidationReport snb_vr =                        \
-        ::snb::validate::ValidateGraph(graph);                        \
-    SNB_CHECK_MSG(snb_vr.ok(), snb_vr.ToString().c_str());            \
-  } while (0)
-#else
-#define SNB_VALIDATE_STORE(graph) \
-  do {                            \
-  } while (0)
-#endif
 
 namespace snb::driver {
 
@@ -364,7 +346,6 @@ DriverReport RunInteractiveWorkload(
       }
     }
   }
-  SNB_VALIDATE_STORE(graph);
 
   report.wall_seconds = MsSince(t0) / 1000.0;
   report.throughput_ops_per_sec =

@@ -34,9 +34,9 @@
 #include "sched/score.h"                 // Power@SF / Throughput@SF
 #include "sched/stream.h"                // permuted BI op streams
 #include "storage/checkpoint_image.h"    // checkpoint images (§6.3)
-#include "storage/consistency.h"         // audit checks (§6.1.3)
 #include "storage/export.h"              // graph → raw network
 #include "storage/graph.h"               // the graph store
 #include "storage/loader.h"              // CsvBasic bulk loader
+#include "validate/validator.h"         // audit checks (§6.1.3)
 
 #endif  // SNB_SNB_H_

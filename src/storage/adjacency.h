@@ -117,10 +117,16 @@ class AdjacencyList {
   template <typename F>
   void ForEach(uint32_t node, F&& f) const {
     ForEachBase(node, f);
-    if (node < head_.size()) {
-      for (uint32_t e = head_[node]; e != kNilEntry; e = overflow_[e].next) {
-        f(overflow_[e].target);
-      }
+    ForEachOverflow(node, f);
+  }
+
+  /// Visits only the neighbours appended since the bulk load, in append
+  /// order: f(target).
+  template <typename F>
+  void ForEachOverflow(uint32_t node, F&& f) const {
+    if (node >= head_.size()) return;
+    for (uint32_t e = head_[node]; e != kNilEntry; e = overflow_[e].next) {
+      f(overflow_[e].target);
     }
   }
 

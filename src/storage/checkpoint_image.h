@@ -51,6 +51,9 @@ inline constexpr uint32_t kImageVersion = 1;
 inline constexpr size_t kImageHeaderBytes = 16;
 inline constexpr size_t kImageSectionHeaderBytes = 16;
 
+/// The image's file name inside a store's checkpoint directory.
+inline constexpr char kImageFileName[] = "graph.img";
+
 /// Writes `graph` (compacted first unless frozen) as an image at `path`,
 /// replacing any file there, and fsyncs it. Each section's write is the
 /// fail-point site "checkpoint.image.write": armed, it writes half the

@@ -574,6 +574,26 @@ class Graph {
   /// tag-class index → tags of that class.
   const AdjacencyList& TagClassTags() const { return static_->tag_class_tags; }
 
+  /// The row space a relation's nodes or targets index; kMessage is the
+  /// message-reference space (posts and comments).
+  enum class Table : uint8_t {
+    kPerson, kForum, kPost, kComment, kMessage, kTag, kPlace
+  };
+
+  /// Every relation but the two static tag-class ones, by its Memory()
+  /// family name (with the tables it joins and whether it carries dates),
+  /// and FrozenStrings(), each listed once: Memory(), Build, the checkpoint
+  /// image, the validator and TestAccess::SharedBases walk these lists, so
+  /// a relation or column added here is counted, shared, persisted and
+  /// checked alike.
+  struct NamedRelation {
+    const char* name;
+    AdjacencyList Graph::*list;
+    Table source, target;
+    bool dated;
+  };
+  static std::span<const NamedRelation> Relations();
+
   // ---- Mutators (Interactive updates IU 1–8) --------------------------------
   //
   // Every insert is a no-op when an entity it references is missing or
@@ -649,30 +669,13 @@ class Graph {
     size_t ByteSize() const;
   };
 
-  /// The row space a relation's nodes or targets index; kMessage is the
-  /// message-reference space (posts and comments).
-  enum class Table : uint8_t {
-    kPerson, kForum, kPost, kComment, kMessage, kTag, kPlace
-  };
-
-  /// Every relation by its Memory() family name (with the tables it joins
-  /// and whether it carries dates), and every string column that Build
-  /// freezes into a shared base by its family and name, each listed once:
-  /// Memory(), Build, the checkpoint image and TestAccess::SharedBases
-  /// walk these lists, so a relation or column added here is counted,
-  /// shared, persisted and checked alike.
-  struct NamedRelation {
-    const char* name;
-    AdjacencyList Graph::*list;
-    Table source, target;
-    bool dated;
-  };
+  /// Every string column that Build freezes into a shared base, by its
+  /// family and name, each listed once (see Relations()).
   struct FrozenString {
     const char* family;
     const char* name;
     columnar::StringColumn Graph::*column;
   };
-  static std::span<const NamedRelation> Relations();
   static std::span<const FrozenString> FrozenStrings();
 
   /// A comment's reply target as a message reference; kNoIdx if missing.

@@ -26,7 +26,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kManifestName[] = "_MANIFEST";
-constexpr char kImageName[] = "graph.img";
 
 struct StorePaths {
   std::string checkpoint;
@@ -116,7 +115,7 @@ util::Status WriteCheckpoint(const std::string& store_dir, const Graph& graph,
 
   SNB_FAILPOINT_STATUS("checkpoint.export");
   SNB_RETURN_IF_ERROR(
-      WriteGraphImage(graph, paths.checkpoint_next + "/" + kImageName));
+      WriteGraphImage(graph, paths.checkpoint_next + "/" + kImageFileName));
   SNB_RETURN_IF_ERROR(WriteManifest(paths.checkpoint_next, last_applied_day));
   // The manifest is durable: checkpoint.next is now a committed checkpoint
   // whatever happens below — recovery will find it by its manifest.
@@ -206,7 +205,7 @@ util::StatusOr<RecoveryResult> RecoveryManager::Recover() const {
   //    so re-running it on the checkpoint graph is the roll-forward repair
   //    (Delete* no-ops on already-gone targets keep this idempotent).
   SNB_RETURN_IF_ERROR(DecodeGraphImage(
-      paths.checkpoint + "/" + kImageName, &result.graph));
+      paths.checkpoint + "/" + kImageFileName, &result.graph));
   for (const WalBatch& batch : scan.batches) {
     if (batch.day <= result.checkpoint_day) continue;  // in the checkpoint
     for (const datagen::UpdateEvent& event : batch.events) {

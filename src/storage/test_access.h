@@ -44,6 +44,9 @@ struct TestAccess {
   static std::vector<uint32_t>& CommentReplyOf(Graph& g) {
     return g.comment_reply_of_;
   }
+  static std::vector<uint32_t>& CommentRootPost(Graph& g) {
+    return g.comment_root_post_;
+  }
   static std::vector<uint32_t>& PostLanguageCode(Graph& g) {
     return g.post_language_code_;
   }
@@ -57,6 +60,10 @@ struct TestAccess {
     return g.person_msg_date_max_;
   }
   static AdjacencyList& Knows(Graph& g) { return g.knows_; }
+  static AdjacencyList& PersonForums(Graph& g) { return g.person_forums_; }
+  static AdjacencyList& CountryPersons(Graph& g) {
+    return g.country_persons_;
+  }
   static MessageDateIndex& MessageIndex(Graph& g) { return g.message_index_; }
 
   /// Identity of the static segment, read-only: copies of one snapshot

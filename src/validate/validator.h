@@ -1,12 +1,12 @@
 // Graph-invariant validator: the structural-correctness companion to the
 // benchmark driver (spec §6.1.3 asks the test sponsor for "a tool to perform
-// arbitrary checks of the data").
+// arbitrary checks of the data"), and the check recovery passes before a
+// store serves anything (§6.3).
 //
-// Where storage/consistency.h answers "do the forward and reverse indexes
-// agree", this subsystem checks the *representation invariants* the engine's
-// performance model relies on — the properties that, when silently broken,
-// do not crash queries but make them return wrong answers or lose their
-// pruning power:
+// It checks the *representation invariants* the engine's performance model
+// relies on — the properties that, when silently broken, do not crash
+// queries but make them return wrong answers or lose their pruning power —
+// and that the forward and reverse indexes agree:
 //
 //   edge-endpoints       every adjacency target lies inside its entity table
 //   message-author       every message's creator/container references exist
@@ -40,10 +40,24 @@
 //                        like-count zone maxima still upper-bound every
 //                        *live* row after deletes/compaction, so bound
 //                        pushdown never skips a live top-k candidate
-//   unique-id            external ids are unique per entity table
+//   unique-id            external ids are unique per entity table: every
+//                        row's id maps back to that row in its id table
 //   cardinality          entity counts match the claimed scale factor
-//   store-consistency    the full O(V+E) forward/reverse cross-check
-//                        (storage/consistency.h), folded into the report
+//   store-consistency    knows is symmetric, forward and reverse relations
+//                        hold as many edges, person → posts agrees with
+//                        the post creators, every comment's precomputed
+//                        root is its parent's, person countries follow the
+//                        place hierarchy and country → persons partitions
+//                        the persons
+//
+// ValidateGraph reads each entity table once, walks each relation once and
+// walks the message index once. A relation's pass decodes each offset,
+// target and date block once, checking its zone as it goes; checks
+// endpoints, base-span order and duplicates (neighbours compared in the
+// sorted span, the overflow merged against the base); and gathers the
+// degrees and edges the cross-checks need. Every check is exact. Each reads
+// only rows an earlier check found in range, so the validator is total on
+// a corrupt graph.
 //
 // Each finding names its invariant, so tests can seed a specific corruption
 // and assert the *right* check caught it, and CI logs say what class of
@@ -61,6 +75,11 @@
 #include "storage/graph.h"
 
 namespace snb::validate {
+
+/// Violations recorded per invariant; the rest are counted in
+/// ValidationReport::suppressed, so a corrupted bulk load cannot allocate
+/// an unbounded report.
+inline constexpr size_t kMaxViolationsPerInvariant = 16;
 
 /// One invariant violation: which invariant, and a human-readable locus.
 struct Violation {
@@ -91,20 +110,12 @@ struct ValidatorOptions {
   /// When set, the `cardinality` invariant checks entity counts against this
   /// scale-factor row (spec Table 2.12); when absent the check is skipped.
   std::optional<core::ScaleFactorInfo> expect_sf;
-
-  /// Cap on recorded violations per invariant; the remainder is counted in
-  /// ValidationReport::suppressed so a corrupted bulk load cannot allocate
-  /// an unbounded report.
-  size_t max_violations_per_invariant = 16;
-
-  /// Also run the O(V+E) forward/reverse cross-check from
-  /// storage/consistency.h (invariant name "store-consistency").
-  bool run_store_consistency = true;
 };
 
 /// Runs every invariant check against the graph. Read-only; safe on a
-/// quiesced store of any size (cost is O(V + E log E) due to the dedup
-/// sort). Returns a structured per-invariant report.
+/// quiesced store of any size (cost is O(V + E), plus sorting the knows
+/// edges and each relation's overflow). Returns a structured
+/// per-invariant report.
 ValidationReport ValidateGraph(const storage::Graph& graph,
                                const ValidatorOptions& options = {});
 

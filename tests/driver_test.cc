@@ -9,6 +9,7 @@
 #include "driver/validation.h"
 #include "params/parameter_curation.h"
 #include "storage/graph.h"
+#include "validate/validator.h"
 
 namespace snb::driver {
 namespace {
@@ -113,6 +114,9 @@ TEST_F(DriverFixture, UpdatesAreAppliedToTheGraph) {
   EXPECT_EQ(graph.NumPosts(), workload().data.total_posts);
   EXPECT_GE(graph.NumPersons(), persons_before);
   EXPECT_GT(graph.NumPosts(), posts_before);
+  // The workload's updates leave every representation invariant intact.
+  validate::ValidationReport report = validate::ValidateGraph(graph);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST_F(DriverFixture, ShortReadProbabilityControlsShortReads) {

@@ -14,7 +14,6 @@
 #include "interactive/updates.h"
 #include "params/parameter_curation.h"
 #include "storage/checkpoint_image.h"
-#include "storage/consistency.h"
 #include "storage/export.h"
 #include "storage/graph.h"
 #include "validate/validator.h"

@@ -4,7 +4,8 @@
 // must converge to the graph built from the full network; an insert that
 // names a missing or deleted entity is a no-op; ids far outside datagen's
 // ranges resolve on copies and after compaction; copies share the static
-// segment), and Graph::Memory() against the allocator's own count.
+// segment; BI reads see replayed inserts), and Graph::Memory() against the
+// allocator's own count.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "bi/bi.h"
 #include "datagen/datagen.h"
 #include "interactive/updates.h"
 #include "storage/adjacency.h"
@@ -724,6 +726,36 @@ TEST(GraphUpdateTest, LikeCountColumnTracksLiveLikeEdges) {
   EXPECT_EQ(compacted.PostLikers().num_edges() +
                 compacted.CommentLikers().num_edges(),
             compacted.PersonLikes().num_edges());
+}
+
+datagen::GeneratedData MakeData() {
+  datagen::DatagenConfig cfg;
+  cfg.num_persons = 250;
+  cfg.activity_scale = 0.4;
+  return datagen::Generate(cfg);
+}
+
+TEST(GraphUpdateTest, ReadsSeeFreshlyInsertedData) {
+  datagen::GeneratedData data = MakeData();
+  storage::Graph graph(std::move(data.network));
+
+  // BI 1 counts messages before a far-future date; replaying updates must
+  // strictly grow it.
+  bi::Bi1Params far{core::DateFromCivil(2020, 1, 1)};
+  auto before = bi::RunBi1(graph, far);
+  int64_t count_before = 0;
+  for (const auto& r : before) count_before += r.message_count;
+
+  for (const datagen::UpdateEvent& e : data.updates) {
+    ASSERT_TRUE(interactive::ApplyUpdate(graph, e).ok());
+  }
+
+  auto after = bi::RunBi1(graph, far);
+  int64_t count_after = 0;
+  for (const auto& r : after) count_after += r.message_count;
+  EXPECT_GT(count_after, count_before);
+  EXPECT_EQ(static_cast<size_t>(count_after),
+            data.total_posts + data.total_comments);
 }
 
 TEST(GraphMemoryTest, MemoryMatchesTheHeapGrowthOfACopy) {

@@ -2,14 +2,19 @@
 // damages a freshly generated store through storage::TestAccess in exactly
 // one way and asserts that the *right* invariant reports it — the validator
 // is only trustworthy if a dangling edge is caught as edge-endpoints, not as
-// a lucky crash somewhere else.
+// a lucky crash somewhere else. Every case runs the full validator, so a
+// corruption may not crash any other check either. The clean cases hold
+// after bulk load, after replaying the update stream and on a one-person
+// fixture.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/scale_factors.h"
 #include "datagen/datagen.h"
+#include "interactive/updates.h"
 #include "storage/export.h"
 #include "storage/graph.h"
 #include "storage/test_access.h"
@@ -28,18 +33,17 @@ std::unique_ptr<Graph> MakeGraph(uint64_t persons = 50) {
       std::move(datagen::Generate(cfg).network));
 }
 
-/// Options for corruption tests: skip the store-consistency cross-check,
-/// which may index out of bounds on deliberately dangling references. The
-/// targeted invariants must catch the damage on their own.
-ValidatorOptions Lenient() {
-  ValidatorOptions o;
-  o.run_store_consistency = false;
-  return o;
+/// The first person other than person 0 whom person 0 does not know.
+uint32_t FirstStrangerOf0(const Graph& g) {
+  const auto friends = g.Knows().Collect(0);
+  uint32_t q = 1;
+  while (std::find(friends.begin(), friends.end(), q) != friends.end()) ++q;
+  return q;
 }
 
 TEST(ValidateTest, CleanGraphPassesAllInvariants) {
   auto graph = MakeGraph();
-  ValidatorOptions options;  // store-consistency included
+  ValidatorOptions options;
   options.expect_sf = core::ScaleFactorInfo{"test", 0.0, 50, 0, 0};
   ValidationReport report = ValidateGraph(*graph, options);
   EXPECT_TRUE(report.ok()) << report.ToString();
@@ -49,7 +53,7 @@ TEST(ValidateTest, CleanGraphPassesAllInvariants) {
 TEST(ValidateTest, DanglingEdgeCaughtByEdgeEndpoints) {
   auto graph = MakeGraph();
   TestAccess::Knows(*graph).Append(0, 999999);
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("edge-endpoints")) << report.ToString();
 }
 
@@ -73,7 +77,7 @@ TEST(ValidateTest, UnsortedBaseSpanCaughtByAdjacencySorted) {
     }
   }
   ASSERT_TRUE(corrupted) << "datagen graph too sparse to seed corruption";
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("adjacency-sorted")) << report.ToString();
 }
 
@@ -89,7 +93,19 @@ TEST(ValidateTest, DuplicateNeighbourCaughtByAdjacencyDedup) {
     }
   }
   ASSERT_TRUE(corrupted);
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
+  EXPECT_TRUE(report.Has("adjacency-dedup")) << report.ToString();
+}
+
+TEST(ValidateTest, TwiceAppendedNeighbourCaughtByAdjacencyDedup) {
+  auto graph = MakeGraph();
+  // Two overflow entries naming the same neighbour, neither in the base.
+  const uint32_t q = FirstStrangerOf0(*graph);
+  ASSERT_LT(q, graph->NumPersons());
+  storage::AdjacencyList& knows = TestAccess::Knows(*graph);
+  knows.Append(0, q);
+  knows.Append(0, q);
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("adjacency-dedup")) << report.ToString();
 }
 
@@ -98,7 +114,7 @@ TEST(ValidateTest, SwappedIndexBaseCaughtByMessageIndexOrder) {
   auto& refs = TestAccess::BaseRefs(TestAccess::MessageIndex(*graph));
   ASSERT_GE(refs.size(), 2u);
   std::swap(refs.front(), refs.back());
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("message-index-order")) << report.ToString();
 }
 
@@ -115,7 +131,7 @@ TEST(ValidateTest, StaleZoneMapCaughtByZoneMapCoverage) {
   auto& zones = TestAccess::TailZones(idx);
   ASSERT_EQ(zones.size(), 1u);
   zones[0].min = zones[0].max = post.creation_date + 1;
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("zone-map-coverage")) << report.ToString();
 }
 
@@ -124,7 +140,7 @@ TEST(ValidateTest, OutOfRangeCodeCaughtByDictionaryCodeInRange) {
   auto& codes = TestAccess::PostBrowserCode(*graph);
   ASSERT_FALSE(codes.empty());
   codes[0] = static_cast<uint32_t>(graph->Dict().size()) + 7;
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("dictionary-code-in-range")) << report.ToString();
 }
 
@@ -137,7 +153,7 @@ TEST(ValidateTest, StaleBlockZoneCaughtByBlockZoneCoversContents) {
   ASSERT_GT(targets.num_blocks(), 0u);
   auto& block = targets.mutable_block(0);
   block.CorruptZoneForTest(block.zone_min() + 1, block.zone_max());
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("block-zone-covers-contents")) << report.ToString();
 }
 
@@ -147,7 +163,7 @@ TEST(ValidateTest, TamperedIndexDateZoneCaughtByBlockZoneCoversContents) {
   ASSERT_GT(dates.num_blocks(), 0u);
   auto& block = dates.mutable_block(0);
   block.CorruptZoneForTest(block.zone_min(), block.zone_max() + 1);
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("block-zone-covers-contents")) << report.ToString();
 }
 
@@ -162,17 +178,17 @@ TEST(ValidateTest, StaleCommentForumCaughtByHotColumnEndpoints) {
     }
   }
   ASSERT_TRUE(corrupted) << "every comment thread lives in forum 0?";
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("hot-column-endpoints")) << report.ToString();
 }
 
-TEST(ValidateTest, BadLanguageCodeCaughtByHotColumnEndpoints) {
+TEST(ValidateTest, BadLanguageCodeCaughtByDictionaryCodeInRange) {
   auto graph = MakeGraph();
   auto& codes = TestAccess::PostLanguageCode(*graph);
   ASSERT_FALSE(codes.empty());
   codes[0] = static_cast<uint32_t>(graph->Dict().size()) + 3;
-  ValidationReport report = ValidateGraph(*graph, Lenient());
-  EXPECT_TRUE(report.Has("hot-column-endpoints")) << report.ToString();
+  ValidationReport report = ValidateGraph(*graph);
+  EXPECT_TRUE(report.Has("dictionary-code-in-range")) << report.ToString();
 }
 
 TEST(ValidateTest, StaleRootLanguageCaughtByHotColumnEndpoints) {
@@ -180,7 +196,7 @@ TEST(ValidateTest, StaleRootLanguageCaughtByHotColumnEndpoints) {
   auto& codes = TestAccess::CommentRootLanguageCode(*graph);
   ASSERT_FALSE(codes.empty());
   codes[0] ^= 1u;  // any value differing from the root post's code trips it
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("hot-column-endpoints")) << report.ToString();
 }
 
@@ -196,7 +212,7 @@ TEST(ValidateTest, LoweredLikeZoneCaughtByLikeZoneBounds) {
     }
   }
   ASSERT_TRUE(corrupted) << "datagen graph has no likes at all?";
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("like-zone-bounds")) << report.ToString();
 }
 
@@ -215,7 +231,7 @@ TEST(ValidateTest, ShrunkPersonZoneCaughtByLikeZoneBounds) {
     }
   }
   ASSERT_TRUE(corrupted) << "no person with messages in the datagen graph?";
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("like-zone-bounds")) << report.ToString();
 }
 
@@ -224,7 +240,7 @@ TEST(ValidateTest, DoublyIndexedMessageCaughtByMessageIndexOrder) {
   auto& refs = TestAccess::BaseRefs(TestAccess::MessageIndex(*graph));
   ASSERT_GE(refs.size(), 2u);
   refs[1] = refs[0];
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_NE(report.ToString().find("message indexed twice"), std::string::npos)
       << report.ToString();
 }
@@ -234,13 +250,13 @@ TEST(ValidateTest, DuplicateExternalIdCaughtByUniqueId) {
   auto& ids = TestAccess::PersonId(*graph);
   ASSERT_GE(ids.size(), 2u);
   ids[1] = ids[0];
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("unique-id")) << report.ToString();
 }
 
 TEST(ValidateTest, WrongPersonCountCaughtByCardinality) {
   auto graph = MakeGraph(50);
-  ValidatorOptions options = Lenient();
+  ValidatorOptions options;
   // Claim the store is SF1 (Table 2.12 fixes ~11k persons); it is not.
   options.expect_sf = core::FindScaleFactor("1");
   ASSERT_TRUE(options.expect_sf.has_value());
@@ -253,7 +269,7 @@ TEST(ValidateTest, DanglingCreatorCaughtByMessageAuthor) {
   auto& creators = TestAccess::PostCreator(*graph);
   ASSERT_FALSE(creators.empty());
   creators[0] = 999999;
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("message-author")) << report.ToString();
 }
 
@@ -263,7 +279,7 @@ TEST(ValidateTest, OrphanedTombstoneCaughtByTombstoneDangling) {
   // torn state a crash mid-cascade would leave if recovery never repaired
   // it: their posts are still alive, dangling off a tombstoned vertex.
   TestAccess::PersonDead(*graph).Set(graph->PostCreator(0));
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("tombstone-dangling")) << report.ToString();
 }
 
@@ -277,7 +293,7 @@ TEST(ValidateTest, StaleLiveCountCaughtByTombstoneIndexAgreement) {
   }
   ASSERT_LT(post, graph->NumPosts());
   --TestAccess::PostLikeCount(*graph)[post];
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("tombstone-index-agreement")) << report.ToString();
 }
 
@@ -292,7 +308,7 @@ TEST(ValidateTest, UncollapsedZoneCaughtByTombstoneIndexAgreement) {
   ASSERT_TRUE(graph->DeletePerson(graph->PersonId(p)).ok());
   TestAccess::PersonMsgDateMin(*graph)[p] = saved_min;
   TestAccess::PersonMsgDateMax(*graph)[p] = saved_max;
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("tombstone-index-agreement")) << report.ToString();
   EXPECT_FALSE(report.Has("tombstone-dangling")) << report.ToString();
 }
@@ -312,7 +328,7 @@ TEST(ValidateTest, LoweredZoneCaughtByTombstoneZoneBoundsToo) {
     }
   }
   ASSERT_TRUE(lowered) << "fixture graph has no liked messages";
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   EXPECT_TRUE(report.Has("tombstone-zone-bounds")) << report.ToString();
 }
 
@@ -321,17 +337,98 @@ TEST(ValidateTest, ViolationCapCountsSuppressed) {
   auto& genders = TestAccess::PersonGenderCode(*graph);
   // Every person's gender code falls outside the dictionary.
   for (auto& code : genders) code = static_cast<uint32_t>(graph->Dict().size());
-  ValidatorOptions options = Lenient();
-  options.max_violations_per_invariant = 4;
-  ValidationReport report = ValidateGraph(*graph, options);
-  EXPECT_EQ(report.CountFor("dictionary-code-in-range"), 4u);
-  EXPECT_EQ(report.suppressed, graph->NumPersons() - 4);
+  ASSERT_GT(graph->NumPersons(), kMaxViolationsPerInvariant);
+  ValidationReport report = ValidateGraph(*graph);
+  EXPECT_EQ(report.CountFor("dictionary-code-in-range"),
+            kMaxViolationsPerInvariant);
+  EXPECT_EQ(report.suppressed,
+            graph->NumPersons() - kMaxViolationsPerInvariant);
+}
+
+TEST(ValidateTest, OneWayKnowsEdgeCaughtByStoreConsistency) {
+  auto graph = MakeGraph();
+  // An in-range edge 0 → q whose reverse q → 0 is missing.
+  const uint32_t q = FirstStrangerOf0(*graph);
+  ASSERT_LT(q, graph->NumPersons());
+  TestAccess::Knows(*graph).Append(0, q);
+  ValidationReport report = ValidateGraph(*graph);
+  EXPECT_TRUE(report.Has("store-consistency")) << report.ToString();
+}
+
+TEST(ValidateTest, WrongCommentRootCaughtByStoreConsistency) {
+  auto graph = MakeGraph();
+  ASSERT_GT(graph->NumComments(), 0u);
+  ASSERT_GE(graph->NumPosts(), 2u);
+  auto& roots = TestAccess::CommentRootPost(*graph);
+  roots[0] = (roots[0] + 1) % graph->NumPosts();
+  ValidationReport report = ValidateGraph(*graph);
+  EXPECT_TRUE(report.Has("store-consistency")) << report.ToString();
+}
+
+TEST(ValidateTest, MembershipWithoutReverseCaughtByStoreConsistency) {
+  auto graph = MakeGraph();
+  // A person → forums edge with no forum → members edge behind it.
+  const auto forums = graph->PersonForums().Collect(0);
+  uint32_t f = 0;
+  while (std::find(forums.begin(), forums.end(), f) != forums.end()) ++f;
+  ASSERT_LT(f, graph->NumForums());
+  TestAccess::PersonForums(*graph).Append(0, f);
+  ValidationReport report = ValidateGraph(*graph);
+  EXPECT_TRUE(report.Has("store-consistency")) << report.ToString();
+}
+
+TEST(ValidateTest, PersonUnderWrongCountryCaughtByStoreConsistency) {
+  auto graph = MakeGraph();
+  ASSERT_GE(graph->NumPlaces(), 2u);
+  const uint32_t wrong =
+      (graph->PersonCountry(0) + 1) % static_cast<uint32_t>(graph->NumPlaces());
+  TestAccess::CountryPersons(*graph).Append(wrong, 0);
+  ValidationReport report = ValidateGraph(*graph);
+  EXPECT_TRUE(report.Has("store-consistency")) << report.ToString();
+}
+
+datagen::GeneratedData MakeData() {
+  datagen::DatagenConfig cfg;
+  cfg.num_persons = 250;
+  cfg.activity_scale = 0.4;
+  return datagen::Generate(cfg);
+}
+
+TEST(ValidateTest, BulkLoadedGraphIsValid) {
+  datagen::GeneratedData data = MakeData();
+  Graph graph(std::move(data.network));
+  ValidationReport report = ValidateGraph(graph);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+TEST(ValidateTest, GraphStaysValidAfterUpdateReplay) {
+  datagen::GeneratedData data = MakeData();
+  Graph graph(std::move(data.network));
+  for (const datagen::UpdateEvent& e : data.updates) {
+    ASSERT_TRUE(interactive::ApplyUpdate(graph, e).ok());
+  }
+  ValidationReport report = ValidateGraph(graph);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+TEST(ValidateTest, FixtureOfOnePersonIsValid) {
+  core::SocialNetwork net;
+  net.places.push_back({0, "X", "u", core::PlaceType::kContinent, core::kNoId});
+  net.places.push_back({1, "Y", "u", core::PlaceType::kCountry, 0});
+  net.places.push_back({2, "Z", "u", core::PlaceType::kCity, 1});
+  core::Person p;
+  p.id = 7;
+  p.city = 2;
+  net.persons.push_back(p);
+  Graph graph(std::move(net));
+  ValidationReport report = ValidateGraph(graph);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST(ValidateTest, ReportNamesInvariantPerViolation) {
   auto graph = MakeGraph();
   TestAccess::Knows(*graph).Append(0, 999999);
-  ValidationReport report = ValidateGraph(*graph, Lenient());
+  ValidationReport report = ValidateGraph(*graph);
   ASSERT_FALSE(report.ok());
   const std::string text = report.ToString();
   EXPECT_NE(text.find("[edge-endpoints]"), std::string::npos) << text;

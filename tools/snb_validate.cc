@@ -4,8 +4,11 @@
 // Modes:
 //   snb_validate --generate <sf>          datagen at the given scale factor
 //                                         (default 0.003), build, validate
-//   snb_validate --load <dir>             load a CsvBasic directory, build,
-//                                         validate
+//   snb_validate --load <dir>             decode the checkpoint image
+//                                         <dir>/graph.img when there is
+//                                         one (a store's checkpoint/
+//                                         directory), else load <dir> as
+//                                         CsvBasic and build; validate
 //   snb_validate ... --deletes <dir>      also read the update streams under
 //                                         <dir> and apply their DEL 1–8
 //                                         events (cascading), then validate
@@ -13,8 +16,6 @@
 //                                         tombstone report
 //   snb_validate ... --expect-sf <sf>     additionally check cardinalities
 //                                         against the SF's Table 2.12 row
-//   snb_validate ... --no-store-check     skip the O(V+E) forward/reverse
-//                                         cross-check
 //
 // Exit status: 0 when every invariant holds, 1 on violations (printed,
 // grouped by invariant name — the tombstone-* classes cover delete
@@ -23,6 +24,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -31,6 +34,7 @@
 #include "datagen/datagen.h"
 #include "datagen/update_stream.h"
 #include "interactive/updates.h"
+#include "storage/checkpoint_image.h"
 #include "storage/graph.h"
 #include "storage/loader.h"
 #include "validate/validator.h"
@@ -40,7 +44,7 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--generate <sf> | --load <dir>] [--deletes <dir>]"
-               " [--expect-sf <sf>] [--no-store-check]\n",
+               " [--expect-sf <sf>]\n",
                argv0);
   return 2;
 }
@@ -71,7 +75,6 @@ int main(int argc, char** argv) {
   std::string load_dir;
   std::string deletes_dir;
   std::string expect_sf;
-  bool store_check = true;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -83,25 +86,30 @@ int main(int argc, char** argv) {
       deletes_dir = argv[++i];
     } else if (std::strcmp(arg, "--expect-sf") == 0 && i + 1 < argc) {
       expect_sf = argv[++i];
-    } else if (std::strcmp(arg, "--no-store-check") == 0) {
-      store_check = false;
     } else {
       return Usage(argv[0]);
     }
   }
 
   validate::ValidatorOptions options;
-  options.run_store_consistency = store_check;
 
-  core::SocialNetwork network;
-  if (!load_dir.empty()) {
+  std::unique_ptr<storage::Graph> graph;
+  const std::string image = load_dir + "/" + storage::kImageFileName;
+  if (!load_dir.empty() && std::filesystem::exists(image)) {
+    util::Status st = storage::DecodeGraphImage(image, &graph);
+    if (!st.ok()) {
+      std::fprintf(stderr, "snb_validate: image decode failed: %s\n",
+                   st.ToString().c_str());
+      return 2;
+    }
+  } else if (!load_dir.empty()) {
     auto loaded = storage::LoadCsvBasic(load_dir);
     if (!loaded.ok()) {
       std::fprintf(stderr, "snb_validate: load failed: %s\n",
                    loaded.status().ToString().c_str());
       return 2;
     }
-    network = std::move(loaded).value();
+    graph = std::make_unique<storage::Graph>(std::move(loaded).value());
   } else {
     auto sf = core::FindScaleFactor(generate_sf);
     if (!sf.has_value()) {
@@ -111,7 +119,8 @@ int main(int argc, char** argv) {
     }
     datagen::DatagenConfig cfg;
     cfg.num_persons = sf->num_persons;
-    network = datagen::Generate(cfg).network;
+    graph = std::make_unique<storage::Graph>(
+        std::move(datagen::Generate(cfg).network));
     // A generated dataset's cardinality is checkable by construction.
     options.expect_sf = *sf;
   }
@@ -126,9 +135,8 @@ int main(int argc, char** argv) {
     options.expect_sf = *sf;
   }
 
-  storage::Graph graph(std::move(network));
   std::printf("snb_validate: %zu persons, %zu forums, %zu messages\n",
-              graph.NumPersons(), graph.NumForums(), graph.NumMessages());
+              graph->NumPersons(), graph->NumForums(), graph->NumMessages());
 
   if (!deletes_dir.empty()) {
     auto updates = datagen::ReadUpdateStreams(deletes_dir);
@@ -140,7 +148,7 @@ int main(int argc, char** argv) {
     size_t applied = 0;
     for (const datagen::UpdateEvent& event : updates.value()) {
       if (!datagen::IsDeleteKind(event.kind)) continue;
-      util::Status st = interactive::ApplyUpdate(graph, event);
+      util::Status st = interactive::ApplyUpdate(*graph, event);
       if (!st.ok()) {
         std::fprintf(stderr,
                      "snb_validate: cascade failed (graph is torn): %s\n",
@@ -151,11 +159,11 @@ int main(int argc, char** argv) {
     }
     std::printf("applied %zu delete events\n", applied);
   }
-  if (!deletes_dir.empty() || graph.HasTombstones()) {
-    PrintTombstoneReport(graph);
+  if (!deletes_dir.empty() || graph->HasTombstones()) {
+    PrintTombstoneReport(*graph);
   }
 
-  validate::ValidationReport report = validate::ValidateGraph(graph, options);
+  validate::ValidationReport report = validate::ValidateGraph(*graph, options);
   if (!report.ok()) {
     std::fprintf(stderr, "%s", report.ToString().c_str());
     std::printf("FAILED: %zu violation(s) across %zu invariant class(es)\n",
