@@ -1,8 +1,8 @@
 // Fuzz harness: serialized column-block decoding (DecodeColumnBlock).
 //
-// Encoded blocks cross a durability boundary — checkpoints and spill
-// artefacts hand the decoder whatever bytes the disk returns — so the
-// decoder must be total over arbitrary input.
+// Encoded blocks cross a durability boundary — checkpoints hand the
+// decoder whatever bytes the disk returns — so the decoder must be total
+// over arbitrary input.
 //
 // Contract: DecodeColumnBlock never crashes; it returns a failure Status or
 // an OK block that is a serialization fixed point (accepted bytes

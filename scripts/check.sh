@@ -22,9 +22,8 @@
 #                       events, column blocks, checkpoint images),
 #                       fixed-iteration deterministic replay under
 #                       ASan+UBSan
-#   8. scale smoke    — streaming datagen at 8000 persons under a
-#                       bounded sorter budget, loaded, validated, and held
-#                       to the bytes/edge compression budget
+#   8. scale smoke    — datagen at 8000 persons, loaded, validated, and
+#                       held to the bytes/edge compression budget
 #   9. thread-safety  — clang -Wthread-safety -Werror=thread-safety build
 #  10. gcc-analyzer   — gcc -fanalyzer over the tree, opt-in via
 #                       SNB_FANALYZER=1 (skipped with a notice otherwise:
@@ -151,15 +150,14 @@ for pair in fuzz_wal_record:wal fuzz_csv_row:csv fuzz_update_event:update_event 
     --corpus="$repo/fuzz/corpus/$corpus" --iterations=50000
 done
 
-echo "== scale smoke: streaming datagen at 8000 persons =="
+echo "== scale smoke: datagen at 8000 persons =="
 # perfbench's storage.bytes_per_edge tracks the compressed store at bench
-# scale; this stage generates 8000 persons with a 64 MiB sorter budget
-# (spills are expected and part of the point), loads the result into the
+# scale; this stage writes an 8000-person dataset, loads it into the
 # compressed store, holds it to the bytes/edge ceiling (6.0 is the
 # regression gate), and runs the full graph-invariant validator on it.
 scale_dir="$repo/build/scale-smoke-out"
 rm -rf "$scale_dir"
-"$repo/build/tools/snb_datagen" "$scale_dir" --persons 8000 --budget-mb 64 \
+"$repo/build/tools/snb_datagen" "$scale_dir" --persons 8000 \
   --max-bytes-per-edge 6.0
 "$repo/build/tools/snb_validate" --load "$scale_dir"
 rm -rf "$scale_dir"

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
-#include "util/check.h"
 #include "util/rng.h"
 
 namespace snb::datagen {
@@ -37,32 +37,21 @@ core::Id MessageCountry(util::Rng& rng, const Dictionaries& dicts,
   return dicts.places()[dicts.CountryPlace(c)].id;
 }
 
-/// Collects the full message stream into an ActivityData (the in-memory
-/// Generate() path).
-class VectorSink final : public MessageSink {
- public:
-  explicit VectorSink(ActivityData& out) : out_(out) {}
-
-  void OnPost(uint32_t post_index, const core::Post& post) override {
-    SNB_DCHECK(post_index == out_.posts.size());
-    out_.posts.push_back(post);
-  }
-  void OnComment(uint32_t comment_index, const core::Comment& comment,
-                 core::DateTime /*parent_date*/) override {
-    SNB_DCHECK(comment_index == out_.comments.size());
-    out_.comments.push_back(comment);
-  }
-  void OnLike(const core::Like& like,
-              core::DateTime /*message_date*/) override {
-    out_.likes.push_back(like);
-  }
-
- private:
-  ActivityData& out_;
+/// Forum-phase output: everything the message stream needs to decide where
+/// a person may post and who participates in a thread.
+struct ForumPhase {
+  std::vector<core::Forum> forums;
+  std::vector<core::ForumMembership> memberships;
+  /// Per forum: members and their join dates (moderator not included; the
+  /// spec allows moderator posts regardless).
+  std::vector<std::vector<std::pair<uint32_t, core::DateTime>>> members;
+  /// Per person: forums they may post into, with the earliest post time.
+  std::vector<std::vector<std::pair<uint32_t, core::DateTime>>> postable;
+  /// Per person: their image albums (forum indices).
+  std::vector<std::vector<uint32_t>> albums_of;
 };
 
-}  // namespace
-
+/// Phase A: forums + memberships.
 ForumPhase GenerateForums(const DatagenConfig& config,
                           const Dictionaries& dicts,
                           const std::vector<PersonDraft>& drafts) {
@@ -213,21 +202,19 @@ ForumPhase GenerateForums(const DatagenConfig& config,
   return out;
 }
 
+/// Phases B+C fused: each person's posts, each post directly followed by
+/// its comment thread and likes, appended to `out` in generation order.
+/// Posts draw from per-person RNG streams and each thread from a per-post
+/// stream keyed by the post's generation index.
 void GenerateMessages(const DatagenConfig& config, const Dictionaries& dicts,
                       const std::vector<PersonDraft>& drafts,
-                      const FlashmobSchedule& flashmobs,
-                      const ForumPhase& fp, MessageSink& sink) {
+                      const FlashmobSchedule& flashmobs, const ForumPhase& fp,
+                      ActivityData& out) {
   const size_t n = drafts.size();
   const core::DateTime sim_end = config.SimulationEnd();
   const double comment_mean = 2.6 * config.activity_scale;
   const double post_like_mean = 2.2 * config.activity_scale;
   const double comment_like_mean = 0.6 * config.activity_scale;
-
-  // Generation indices. Posts draw their thread RNG from their own index, so
-  // running the thread directly after its post assigns the same indices as
-  // the all-posts-then-all-threads order did.
-  uint32_t post_counter = 0;
-  uint32_t comment_counter = 0;
 
   for (size_t p = 0; p < n; ++p) {
     util::Rng rng(config.seed, kStreamPosts, p);
@@ -310,8 +297,10 @@ void GenerateMessages(const DatagenConfig& config, const Dictionaries& dicts,
         post.length = SampleContentLength(rng);
         post.content = dicts.MakeText(rng, topic, post.length);
       }
-      const uint32_t post_idx = post_counter++;
-      sink.OnPost(post_idx, post);
+      const uint32_t post_idx = static_cast<uint32_t>(out.posts.size());
+      const core::DateTime post_date = post.creation_date;
+      const core::Id lead_tag = post.tags.empty() ? core::kNoId : post.tags[0];
+      out.posts.push_back(std::move(post));
 
       // --- The post's comment thread and likes (its own RNG stream) ------
       util::Rng trng(config.seed, kStreamThreads, post_idx);
@@ -330,7 +319,7 @@ void GenerateMessages(const DatagenConfig& config, const Dictionaries& dicts,
       if (!pool.empty() && !is_album && comment_mean > 0) {
         int num_comments = static_cast<int>(
             trng.Geometric(1.0 / (1.0 + comment_mean)));
-        core::DateTime clock = post.creation_date;
+        core::DateTime clock = post_date;
         std::vector<uint32_t> thread;  // comment gen indices of this thread
         std::vector<core::DateTime> thread_dates;
         std::vector<uint32_t> thread_creators;
@@ -347,24 +336,21 @@ void GenerateMessages(const DatagenConfig& config, const Dictionaries& dicts,
           core::Comment comment;
           comment.creator = static_cast<core::Id>(commenter);
           comment.creation_date = clock;
-          core::DateTime parent_date;
           if (thread.empty() || trng.Bernoulli(0.55)) {
             comment.reply_of_post = static_cast<core::Id>(post_idx);
-            parent_date = post.creation_date;
           } else {
             size_t parent = static_cast<size_t>(trng.UniformInt(
                 0, static_cast<int64_t>(thread.size()) - 1));
             comment.reply_of_comment = static_cast<core::Id>(thread[parent]);
-            parent_date = thread_dates[parent];
           }
           comment.browser_used = drafts[commenter].record.browser_used;
           comment.location_ip = drafts[commenter].record.location_ip;
           comment.country =
               MessageCountry(trng, dicts, drafts[commenter].country);
           comment.length = SampleContentLength(trng);
-          size_t topic2 = post.tags.empty()
+          size_t topic2 = lead_tag == core::kNoId
                               ? drafts[commenter].main_interest
-                              : static_cast<size_t>(post.tags[0]);
+                              : static_cast<size_t>(lead_tag);
           comment.content = dicts.MakeText(trng, topic2, comment.length);
           if (trng.Bernoulli(0.3)) {
             comment.tags.push_back(dicts.tags()[topic2].id);
@@ -373,11 +359,10 @@ void GenerateMessages(const DatagenConfig& config, const Dictionaries& dicts,
               comment.tags.push_back(dicts.tags()[extra].id);
             }
           }
-          const uint32_t comment_idx = comment_counter++;
-          thread.push_back(comment_idx);
+          thread.push_back(static_cast<uint32_t>(out.comments.size()));
           thread_dates.push_back(comment.creation_date);
           thread_creators.push_back(commenter);
-          sink.OnComment(comment_idx, comment, parent_date);
+          out.comments.push_back(std::move(comment));
         }
 
         // Likes on this thread's comments.
@@ -398,9 +383,9 @@ void GenerateMessages(const DatagenConfig& config, const Dictionaries& dicts,
                 trng.UniformInt(1, 2 * core::kMillisPerDay);
             if (when >= sim_end) continue;
             likers.insert(liker);
-            sink.OnLike({static_cast<core::Id>(liker),
-                         static_cast<core::Id>(thread[t]), false, when},
-                        thread_dates[t]);
+            out.likes.push_back({static_cast<core::Id>(liker),
+                                 static_cast<core::Id>(thread[t]), false,
+                                 when});
           }
         }
       }
@@ -415,19 +400,19 @@ void GenerateMessages(const DatagenConfig& config, const Dictionaries& dicts,
               trng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
           if (liker == creator || likers.contains(liker)) continue;
           core::DateTime when =
-              std::max(post.creation_date,
-                       drafts[liker].record.creation_date) +
+              std::max(post_date, drafts[liker].record.creation_date) +
               trng.UniformInt(1, 2 * core::kMillisPerDay);
           if (when >= sim_end) continue;
           likers.insert(liker);
-          sink.OnLike({static_cast<core::Id>(liker),
-                       static_cast<core::Id>(post_idx), true, when},
-                      post.creation_date);
+          out.likes.push_back({static_cast<core::Id>(liker),
+                               static_cast<core::Id>(post_idx), true, when});
         }
       }
     }
   }
 }
+
+}  // namespace
 
 ActivityData GenerateActivity(const DatagenConfig& config,
                               const Dictionaries& dicts,
@@ -435,8 +420,7 @@ ActivityData GenerateActivity(const DatagenConfig& config,
                               const FlashmobSchedule& flashmobs) {
   ActivityData out;
   ForumPhase fp = GenerateForums(config, dicts, drafts);
-  VectorSink sink(out);
-  GenerateMessages(config, dicts, drafts, flashmobs, fp, sink);
+  GenerateMessages(config, dicts, drafts, flashmobs, fp, out);
   out.forums = std::move(fp.forums);
   out.memberships = std::move(fp.memberships);
   return out;

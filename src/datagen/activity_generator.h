@@ -6,24 +6,15 @@
 // People with more friends are more active (more posts, larger comment
 // threads), reproducing the degree–activity correlation of §2.3.3.2.
 //
-// The generator is split into two stages so that the streaming datagen can
-// run it in bounded memory:
-//   - GenerateForums materializes the forum phase (forums, memberships and
-//     the per-person posting rights) — the compact state every message
-//     decision depends on;
-//   - GenerateMessages streams posts, comments and likes into a MessageSink
-//     without retaining them. Posts draw from per-person RNG streams and
-//     each post's comment thread and likes from a per-post stream, so the
-//     emission order (posts in creation order per person; a post's thread
-//     directly after it) assigns the same generation indices as the
-//     original phase-B-then-phase-C formulation — callers see bit-identical
-//     entities whether they collect everything (GenerateActivity) or write
-//     each message out and drop it (the streaming serializer).
+// Two phases: forums (walls, albums, interest groups) and memberships for
+// every person, then messages: each person's posts, every post directly
+// followed by its comment thread and likes. Each person and each post
+// draws from its own RNG stream, so the output depends on the config and
+// seed alone.
 
 #ifndef SNB_DATAGEN_ACTIVITY_GENERATOR_H_
 #define SNB_DATAGEN_ACTIVITY_GENERATOR_H_
 
-#include <utility>
 #include <vector>
 
 #include "core/schema.h"
@@ -50,48 +41,8 @@ struct ActivityData {
   std::vector<core::Like> likes;
 };
 
-/// Forum-phase output: everything the message stream needs to decide where
-/// a person may post and who participates in a thread.
-struct ForumPhase {
-  std::vector<core::Forum> forums;
-  std::vector<core::ForumMembership> memberships;
-  /// Per forum: members and their join dates (moderator not included; the
-  /// spec allows moderator posts regardless).
-  std::vector<std::vector<std::pair<uint32_t, core::DateTime>>> members;
-  /// Per person: forums they may post into, with the earliest post time.
-  std::vector<std::vector<std::pair<uint32_t, core::DateTime>>> postable;
-  /// Per person: their image albums (forum indices).
-  std::vector<std::vector<uint32_t>> albums_of;
-};
-
-/// Receives the message stream of GenerateMessages in generation order.
-/// Indices are generation indices (the id-assignment keys); `parent_date` /
-/// `message_date` carry the creation date of the referenced parent message
-/// so a streaming consumer can compute update-dependency timestamps without
-/// retaining messages.
-class MessageSink {
- public:
-  virtual ~MessageSink() = default;
-  virtual void OnPost(uint32_t post_index, const core::Post& post) = 0;
-  virtual void OnComment(uint32_t comment_index, const core::Comment& comment,
-                         core::DateTime parent_date) = 0;
-  virtual void OnLike(const core::Like& like, core::DateTime message_date) = 0;
-};
-
-/// Phase A: forums + memberships.
-ForumPhase GenerateForums(const DatagenConfig& config,
-                          const Dictionaries& dicts,
-                          const std::vector<PersonDraft>& drafts);
-
-/// Phases B+C fused: posts with their comment threads and likes, streamed
-/// into `sink` and never retained here.
-void GenerateMessages(const DatagenConfig& config, const Dictionaries& dicts,
-                      const std::vector<PersonDraft>& drafts,
-                      const FlashmobSchedule& flashmobs,
-                      const ForumPhase& forum_phase, MessageSink& sink);
-
-/// Convenience wrapper: runs both stages and collects every entity (the
-/// in-memory Generate() path).
+/// Runs the forum phase, then the message phase, and collects every
+/// entity.
 ActivityData GenerateActivity(const DatagenConfig& config,
                               const Dictionaries& dicts,
                               const std::vector<PersonDraft>& drafts,

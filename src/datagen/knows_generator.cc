@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <unordered_set>
 
-#include "datagen/external_sort.h"
-#include "util/check.h"
 #include "util/rng.h"
 
 namespace snb::datagen {
@@ -49,115 +47,66 @@ struct PassState {
   std::vector<std::unordered_set<uint32_t>> neighbours;  // global dedup
 };
 
-/// One similarity pass, consuming persons in ascending-key order. The pass
-/// only ever reaches `window` rank positions back, so it holds a ring buffer
-/// of the last window+1 consumed indices — the order sequence itself may be
-/// produced by an in-memory sort or streamed out of an external merge.
-class WindowPass {
- public:
-  WindowPass(const DatagenConfig& config, std::vector<PersonDraft>& drafts,
-             uint64_t pass_tag, PassState& state, size_t& edges_created)
-      : config_(config),
-        drafts_(drafts),
-        pass_tag_(pass_tag),
-        state_(state),
-        edges_created_(edges_created),
-        sim_end_(config.SimulationEnd()) {
-    const size_t n = drafts.size();
-    window_ = std::min<uint32_t>(
-        config.knows_window, static_cast<uint32_t>(n > 1 ? n - 1 : 1));
-    // Geometric distance distribution with mean ≈ window / 8: most picks are
-    // very close in similarity rank, few reach across the window.
-    geo_p_ = std::min(
-        0.5, 8.0 / static_cast<double>(std::max<uint32_t>(window_, 2)));
-    ring_.resize(window_ + 1);
-  }
+/// One similarity pass: persons sorted by key (ties by index, the
+/// MapReduce shuffle), each drawing partners at most `knows_window` rank
+/// positions back.
+void RunPass(const DatagenConfig& config, std::vector<PersonDraft>& drafts,
+             const std::vector<uint64_t>& keys, uint64_t pass_tag,
+             PassState& state) {
+  const size_t n = drafts.size();
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(), [&keys](uint32_t a, uint32_t b) {
+    return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
+  });
 
-  /// Feeds the next person in key order (rank `pos`, starting at 0).
-  void Consume(uint32_t i) {
-    const size_t pos = pos_++;
-    ring_[pos % ring_.size()] = i;
-    if (pos == 0) return;
-    if (state_.budget[i] == 0) return;
-    util::Rng rng(config_.seed, kStreamKnows, pass_tag_, i);
+  const core::DateTime sim_end = config.SimulationEnd();
+  const uint32_t window = std::min<uint32_t>(
+      config.knows_window, static_cast<uint32_t>(n > 1 ? n - 1 : 1));
+  // Geometric distance distribution with mean ≈ window / 8: most picks are
+  // very close in similarity rank, few reach across the window.
+  const double geo_p =
+      std::min(0.5, 8.0 / static_cast<double>(std::max<uint32_t>(window, 2)));
+
+  for (size_t pos = 1; pos < n; ++pos) {
+    const uint32_t i = order[pos];
+    if (state.budget[i] == 0) continue;
+    util::Rng rng(config.seed, kStreamKnows, pass_tag, i);
     // Bounded attempts: budget may be unfillable when neighbours in the
     // window are saturated.
-    uint32_t attempts = 8 * state_.budget[i] + 16;
-    while (state_.budget[i] > 0 && attempts-- > 0) {
-      uint64_t dist = 1 + static_cast<uint64_t>(rng.Geometric(geo_p_));
-      if (dist > pos || dist > window_) continue;
-      const uint32_t j = ring_[(pos - dist) % ring_.size()];
-      if (state_.budget[j] == 0) continue;
-      if (state_.neighbours[i].contains(j)) continue;
+    uint32_t attempts = 8 * state.budget[i] + 16;
+    while (state.budget[i] > 0 && attempts-- > 0) {
+      uint64_t dist = 1 + static_cast<uint64_t>(rng.Geometric(geo_p));
+      if (dist > pos || dist > window) continue;
+      const uint32_t j = order[pos - dist];
+      if (state.budget[j] == 0) continue;
+      if (state.neighbours[i].contains(j)) continue;
 
       // Edge creation date: after both persons joined, skewed toward soon
       // after the younger account was created.
-      core::DateTime lower = std::max(drafts_[i].record.creation_date,
-                                      drafts_[j].record.creation_date);
+      core::DateTime lower = std::max(drafts[i].record.creation_date,
+                                      drafts[j].record.creation_date);
       double u = rng.NextDouble();
       core::DateTime when =
           lower + static_cast<core::DateTime>(
-                      u * u * static_cast<double>(sim_end_ - 1 - lower));
+                      u * u * static_cast<double>(sim_end - 1 - lower));
 
-      state_.neighbours[i].insert(j);
-      state_.neighbours[j].insert(i);
-      drafts_[i].friends.push_back(j);
-      drafts_[i].friend_dates.push_back(when);
-      drafts_[j].friends.push_back(i);
-      drafts_[j].friend_dates.push_back(when);
-      --state_.budget[i];
-      --state_.budget[j];
-      ++edges_created_;
+      state.neighbours[i].insert(j);
+      state.neighbours[j].insert(i);
+      drafts[i].friends.push_back(j);
+      drafts[i].friend_dates.push_back(when);
+      drafts[j].friends.push_back(i);
+      drafts[j].friend_dates.push_back(when);
+      --state.budget[i];
+      --state.budget[j];
     }
   }
-
- private:
-  const DatagenConfig& config_;
-  std::vector<PersonDraft>& drafts_;
-  const uint64_t pass_tag_;
-  PassState& state_;
-  size_t& edges_created_;
-  const core::DateTime sim_end_;
-  uint32_t window_ = 1;
-  double geo_p_ = 0.5;
-  std::vector<uint32_t> ring_;  // last window+1 consumed person indices
-  size_t pos_ = 0;
-};
-
-void RunPass(const DatagenConfig& config, std::vector<PersonDraft>& drafts,
-             const std::vector<uint64_t>& keys, uint64_t pass_tag,
-             PassState& state, size_t& edges_created,
-             const KnowsSpill* spill) {
-  const size_t n = drafts.size();
-  WindowPass pass(config, drafts, pass_tag, state, edges_created);
-  if (spill == nullptr) {
-    std::vector<uint32_t> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-    std::sort(order.begin(), order.end(), [&keys](uint32_t a, uint32_t b) {
-      return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
-    });
-    for (uint32_t i : order) pass.Consume(i);
-    return;
-  }
-  // External shuffle: the same (key, index) total order streamed out of the
-  // spill-backed merge. SNB_CHECK_OK: spill I/O failure mid-datagen has no
-  // partial-output recovery story, and callers opted into spilling.
-  ExternalSorter sorter({spill->spill_dir,
-                         "knows-pass" + std::to_string(pass_tag),
-                         spill->memory_budget_bytes});
-  for (size_t i = 0; i < n; ++i) {
-    SNB_CHECK_OK(sorter.Add(keys[i], i));
-  }
-  SNB_CHECK_OK(sorter.Merge([&pass](uint64_t, uint64_t idx, std::string_view) {
-    pass.Consume(static_cast<uint32_t>(idx));
-  }));
 }
 
 }  // namespace
 
-size_t GenerateKnows(const DatagenConfig& config, const Dictionaries& dicts,
-                     std::vector<PersonDraft>& drafts,
-                     const KnowsSpill* spill) {
+void GenerateKnows(const DatagenConfig& config, const Dictionaries& dicts,
+                   std::vector<PersonDraft>& drafts) {
   (void)dicts;
   const size_t n = drafts.size();
   PassState state;
@@ -173,18 +122,16 @@ size_t GenerateKnows(const DatagenConfig& config, const Dictionaries& dicts,
     budget_interest[i] = static_cast<uint32_t>(0.45 * total);
   }
 
-  size_t edges = 0;
-
   std::vector<uint64_t> keys(n);
   uint64_t key_seed = util::MixSeed(config.seed, kStreamKnows, uint64_t{1});
   for (size_t i = 0; i < n; ++i) keys[i] = StudyKey(drafts[i], key_seed);
   state.budget = std::move(budget_study);
-  RunPass(config, drafts, keys, 1, state, edges, spill);
+  RunPass(config, drafts, keys, 1, state);
 
   key_seed = util::MixSeed(config.seed, kStreamKnows, uint64_t{2});
   for (size_t i = 0; i < n; ++i) keys[i] = InterestKey(drafts[i], key_seed);
   state.budget = std::move(budget_interest);
-  RunPass(config, drafts, keys, 2, state, edges, spill);
+  RunPass(config, drafts, keys, 2, state);
 
   key_seed = util::MixSeed(config.seed, kStreamKnows, uint64_t{3});
   for (size_t i = 0; i < n; ++i) keys[i] = RandomKey(drafts[i], key_seed);
@@ -195,9 +142,7 @@ size_t GenerateKnows(const DatagenConfig& config, const Dictionaries& dicts,
         drafts[i].target_degree > made ? drafts[i].target_degree - made : 0;
   }
   state.budget = std::move(budget_random);
-  RunPass(config, drafts, keys, 3, state, edges, spill);
-
-  return edges;
+  RunPass(config, drafts, keys, 3, state);
 }
 
 }  // namespace snb::datagen

@@ -12,21 +12,10 @@
 // the connection probability decays with similarity distance. How *many*
 // edges a person gets is fixed by its Facebook-like target degree, split
 // across dimensions ≈ 45 % / 45 % / 10 %.
-//
-// The window scan itself only ever looks back `knows_window` rank positions,
-// so the pass consumes the key-sorted person sequence through a ring buffer.
-// With a `KnowsSpill` configured, the per-pass similarity keys are sorted
-// through the spill-backed external merge sorter instead of an in-memory
-// std::sort — the bounded-memory path of the streaming datagen. Both paths
-// visit persons in the identical total order (key, then index), so the
-// generated edge set is bit-identical.
 
 #ifndef SNB_DATAGEN_KNOWS_GENERATOR_H_
 #define SNB_DATAGEN_KNOWS_GENERATOR_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "datagen/config.h"
@@ -35,19 +24,10 @@
 
 namespace snb::datagen {
 
-/// Opt-in external-sort spill for the similarity-key shuffles.
-struct KnowsSpill {
-  std::string spill_dir;
-  size_t memory_budget_bytes = 32u << 20;
-};
-
 /// Generates all knows edges and records them symmetrically into
-/// `drafts[i].friends` / `friend_dates`. Returns the number of edges.
-/// With `spill` set, the three key sorts run through ExternalSorter
-/// (bounded memory); the result is bit-identical either way.
-size_t GenerateKnows(const DatagenConfig& config, const Dictionaries& dicts,
-                     std::vector<PersonDraft>& drafts,
-                     const KnowsSpill* spill = nullptr);
+/// `drafts[i].friends` / `friend_dates`.
+void GenerateKnows(const DatagenConfig& config, const Dictionaries& dicts,
+                   std::vector<PersonDraft>& drafts);
 
 }  // namespace snb::datagen
 

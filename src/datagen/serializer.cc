@@ -44,8 +44,7 @@ Status OpenFile(CsvWriter& w, const std::string& dir, const std::string& sub,
   return w.Open(dir + "/" + sub + "/" + stem + "_0_0.csv", header);
 }
 
-}  // namespace
-
+/// Header row of one CsvBasic file (Table 2.13).
 const std::vector<std::string>& CsvBasicHeader(const std::string& stem) {
   static const auto* kHeaders = new std::vector<
       std::pair<std::string, std::vector<std::string>>>{
@@ -99,11 +98,13 @@ const std::vector<std::string>& CsvBasicHeader(const std::string& stem) {
   return kEmpty;
 }
 
+/// Opens `<dir>/<sub>/<stem>_0_0.csv` with the stem's CsvBasic header.
 Status OpenCsvBasicFile(CsvWriter& writer, const std::string& dir,
                         const std::string& sub, const std::string& stem) {
   return OpenFile(writer, dir, sub, stem, CsvBasicHeader(stem));
 }
 
+/// Rows of the dynamic entity files; ids must already be final.
 namespace csv_rows {
 
 std::vector<std::string> Person(const core::Person& p) {
@@ -144,58 +145,7 @@ std::vector<std::string> Like(const core::Like& l) {
 
 }  // namespace csv_rows
 
-Status WriteCsvBasicStatic(const std::vector<core::Place>& places,
-                           const std::vector<core::Organisation>& orgs,
-                           const std::vector<core::Tag>& tags,
-                           const std::vector<core::TagClass>& tag_classes,
-                           const std::string& dir) {
-  CsvWriter w;
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static", "organisation"));
-  for (const auto& o : orgs) {
-    w.WriteRow({I(o.id), OrgTypeName(o.type), o.name, o.url});
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, dir, "static", "organisation_isLocatedIn_place"));
-  for (const auto& o : orgs) w.WriteRow({I(o.id), I(o.place)});
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static", "place"));
-  for (const auto& p : places) {
-    w.WriteRow({I(p.id), p.name, p.url, PlaceTypeName(p.type)});
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, dir, "static", "place_isPartOf_place"));
-  for (const auto& p : places) {
-    if (p.part_of != core::kNoId) w.WriteRow({I(p.id), I(p.part_of)});
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static", "tag"));
-  for (const auto& t : tags) w.WriteRow({I(t.id), t.name, t.url});
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, dir, "static", "tag_hasType_tagclass"));
-  for (const auto& t : tags) w.WriteRow({I(t.id), I(t.tag_class)});
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static", "tagclass"));
-  for (const auto& tc : tag_classes) {
-    w.WriteRow({I(tc.id), tc.name, tc.url});
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static",
-                                       "tagclass_isSubclassOf_tagclass"));
-  for (const auto& tc : tag_classes) {
-    if (tc.parent != core::kNoId) w.WriteRow({I(tc.id), I(tc.parent)});
-  }
-  return w.Close();
-}
+}  // namespace
 
 const std::vector<std::string>& CsvBasicFileStems() {
   static const std::vector<std::string>* kStems = new std::vector<std::string>{
@@ -268,8 +218,51 @@ Status WriteCsvBasic(const SocialNetwork& net, const std::string& dir) {
   CsvWriter w;
 
   // ---- static ----
-  SNB_RETURN_IF_ERROR(WriteCsvBasicStatic(net.places, net.organisations,
-                                          net.tags, net.tag_classes, dir));
+  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static", "organisation"));
+  for (const auto& o : net.organisations) {
+    w.WriteRow({I(o.id), OrgTypeName(o.type), o.name, o.url});
+  }
+  SNB_RETURN_IF_ERROR(w.Close());
+
+  SNB_RETURN_IF_ERROR(
+      OpenCsvBasicFile(w, dir, "static", "organisation_isLocatedIn_place"));
+  for (const auto& o : net.organisations) w.WriteRow({I(o.id), I(o.place)});
+  SNB_RETURN_IF_ERROR(w.Close());
+
+  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static", "place"));
+  for (const auto& p : net.places) {
+    w.WriteRow({I(p.id), p.name, p.url, PlaceTypeName(p.type)});
+  }
+  SNB_RETURN_IF_ERROR(w.Close());
+
+  SNB_RETURN_IF_ERROR(
+      OpenCsvBasicFile(w, dir, "static", "place_isPartOf_place"));
+  for (const auto& p : net.places) {
+    if (p.part_of != core::kNoId) w.WriteRow({I(p.id), I(p.part_of)});
+  }
+  SNB_RETURN_IF_ERROR(w.Close());
+
+  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static", "tag"));
+  for (const auto& t : net.tags) w.WriteRow({I(t.id), t.name, t.url});
+  SNB_RETURN_IF_ERROR(w.Close());
+
+  SNB_RETURN_IF_ERROR(
+      OpenCsvBasicFile(w, dir, "static", "tag_hasType_tagclass"));
+  for (const auto& t : net.tags) w.WriteRow({I(t.id), I(t.tag_class)});
+  SNB_RETURN_IF_ERROR(w.Close());
+
+  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static", "tagclass"));
+  for (const auto& tc : net.tag_classes) {
+    w.WriteRow({I(tc.id), tc.name, tc.url});
+  }
+  SNB_RETURN_IF_ERROR(w.Close());
+
+  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "static",
+                                       "tagclass_isSubclassOf_tagclass"));
+  for (const auto& tc : net.tag_classes) {
+    if (tc.parent != core::kNoId) w.WriteRow({I(tc.id), I(tc.parent)});
+  }
+  SNB_RETURN_IF_ERROR(w.Close());
 
   // ---- dynamic ----
   SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, dir, "dynamic", "comment"));

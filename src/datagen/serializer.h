@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/schema.h"
-#include "util/csv.h"
 #include "util/status.h"
 
 namespace snb::datagen {
@@ -21,36 +20,6 @@ namespace snb::datagen {
 /// The 33 CsvBasic file stems of Table 2.13 ("person_knows_person", …), in
 /// spec order, without directory or shard suffix.
 const std::vector<std::string>& CsvBasicFileStems();
-
-/// Header row of one CsvBasic file. Single source of truth shared by
-/// WriteCsvBasic and the streaming serializer, so both emit identical files.
-const std::vector<std::string>& CsvBasicHeader(const std::string& stem);
-
-/// CsvBasic row builders for the dynamic entities, shared by the bulk
-/// serializer and the streaming datagen writer (byte-identical lines by
-/// construction). Ids must already be final.
-namespace csv_rows {
-std::vector<std::string> Person(const core::Person& p);
-std::vector<std::string> Forum(const core::Forum& f);
-std::vector<std::string> Post(const core::Post& p);
-std::vector<std::string> Comment(const core::Comment& c);
-std::vector<std::string> Knows(const core::Knows& k);
-std::vector<std::string> Membership(const core::ForumMembership& m);
-std::vector<std::string> Like(const core::Like& l);
-}  // namespace csv_rows
-
-/// Writes only the static part of CsvBasic (organisation/place/tag/tagclass
-/// files) under `dir` — the streaming serializer's static pass.
-util::Status WriteCsvBasicStatic(const std::vector<core::Place>& places,
-                                 const std::vector<core::Organisation>& orgs,
-                                 const std::vector<core::Tag>& tags,
-                                 const std::vector<core::TagClass>& tag_classes,
-                                 const std::string& dir);
-
-/// Opens `<dir>/<sub>/<stem>_0_0.csv` with the stem's CsvBasic header,
-/// creating directories as needed.
-util::Status OpenCsvBasicFile(util::CsvWriter& writer, const std::string& dir,
-                              const std::string& sub, const std::string& stem);
 
 /// The 20 CsvMergeForeign file stems of Table 2.14.
 const std::vector<std::string>& CsvMergeForeignFileStems();

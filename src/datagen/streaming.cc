@@ -1,654 +1,28 @@
 #include "datagen/streaming.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <numeric>
-#include <string>
-#include <vector>
-
-#include "core/date_time.h"
-#include "core/schema.h"
-#include "datagen/activity_generator.h"
 #include "datagen/datagen.h"
-#include "datagen/dictionaries.h"
-#include "datagen/external_sort.h"
-#include "datagen/flashmob.h"
-#include "datagen/knows_generator.h"
-#include "datagen/person_generator.h"
 #include "datagen/serializer.h"
 #include "datagen/update_stream.h"
-#include "util/check.h"
-#include "util/csv.h"
 
 namespace snb::datagen {
 
-namespace {
-
-using util::CsvWriter;
-using util::Status;
-
-/// Order-preserving u64 image of a (possibly negative) DateTime.
-uint64_t DateKey(core::DateTime t) {
-  return static_cast<uint64_t>(t) ^ (uint64_t{1} << 63);
-}
-core::DateTime DateFromKey(uint64_t k) {
-  return static_cast<core::DateTime>(k ^ (uint64_t{1} << 63));
-}
-
-std::string I(core::Id id) { return std::to_string(id); }
-
-/// Joins fields exactly like CsvWriter::WriteRow (minus the newline), so a
-/// line staged through an ExternalSorter and flushed with WriteLine is
-/// byte-identical to a direct WriteRow.
-std::string Join(const std::vector<std::string>& fields) {
-  std::string line;
-  size_t total = fields.size();
-  for (const std::string& f : fields) total += f.size();
-  line.reserve(total);
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) line.push_back('|');
-    line.append(fields[i]);
+util::Status GenerateStreaming(const StreamingOptions& options,
+                               StreamingStats* stats) {
+  const GeneratedData data = Generate(options.datagen);
+  SNB_RETURN_IF_ERROR(WriteCsvBasic(data.network, options.out_dir));
+  SNB_RETURN_IF_ERROR(WriteUpdateStreams(data.updates, options.out_dir));
+  if (stats != nullptr) {
+    *stats = {.persons = data.total_persons,
+              .knows = data.total_knows,
+              .forums = data.total_forums,
+              .memberships = data.total_memberships,
+              .posts = data.total_posts,
+              .comments = data.total_comments,
+              .likes = data.total_likes,
+              .update_events = data.updates.size(),
+              .split_time = data.split_time};
   }
-  return line;
-}
-
-uint64_t UpdateKey2(UpdateKind kind, uint64_t seq) {
-  return (static_cast<uint64_t>(kind) << 56) | seq;
-}
-
-/// Census pass: record every message timestamp and the (date, generation
-/// index) id-assignment keys; retain nothing else.
-class CensusSink : public MessageSink {
- public:
-  CensusSink(ExternalSorter& post_keys, ExternalSorter& comment_keys,
-             ExternalSorter& stamps, size_t& likes)
-      : post_keys_(post_keys),
-        comment_keys_(comment_keys),
-        stamps_(stamps),
-        likes_(likes) {}
-
-  void OnPost(uint32_t post_index, const core::Post& post) override {
-    SNB_CHECK_OK(post_keys_.Add(DateKey(post.creation_date), post_index));
-    SNB_CHECK_OK(stamps_.Add(DateKey(post.creation_date), 0));
-  }
-  void OnComment(uint32_t comment_index, const core::Comment& comment,
-                 core::DateTime /*parent_date*/) override {
-    SNB_CHECK_OK(
-        comment_keys_.Add(DateKey(comment.creation_date), comment_index));
-    SNB_CHECK_OK(stamps_.Add(DateKey(comment.creation_date), 0));
-  }
-  void OnLike(const core::Like& like,
-              core::DateTime /*message_date*/) override {
-    SNB_CHECK_OK(stamps_.Add(DateKey(like.creation_date), 0));
-    ++likes_;
-  }
-
- private:
-  ExternalSorter& post_keys_;
-  ExternalSorter& comment_keys_;
-  ExternalSorter& stamps_;
-  size_t& likes_;
-};
-
-/// Emission pass: finalize ids, split bulk vs update, and route every line
-/// to its id-keyed sorter, timestamp-keyed update sorter, or direct writer.
-class EmitSink : public MessageSink {
- public:
-  struct Files {
-    ExternalSorter* post;
-    ExternalSorter* post_creator;
-    ExternalSorter* post_tag;
-    ExternalSorter* post_located;
-    ExternalSorter* forum_container;
-    ExternalSorter* comment;
-    ExternalSorter* comment_creator;
-    ExternalSorter* comment_tag;
-    ExternalSorter* comment_located;
-    ExternalSorter* comment_reply_comment;
-    ExternalSorter* comment_reply_post;
-    ExternalSorter* updates;
-    CsvWriter* likes_post;
-    CsvWriter* likes_comment;
-  };
-
-  EmitSink(const Files& files, const std::vector<core::Forum>& forums,
-           const std::vector<core::Id>& forum_remap,
-           const std::vector<uint32_t>& post_remap,
-           const std::vector<uint32_t>& comment_remap,
-           const std::vector<core::DateTime>& person_created,
-           core::DateTime split)
-      : f_(files),
-        forums_(forums),
-        forum_remap_(forum_remap),
-        post_remap_(post_remap),
-        comment_remap_(comment_remap),
-        person_created_(person_created),
-        split_(split) {}
-
-  void OnPost(uint32_t post_index, const core::Post& post) override {
-    core::Post p = post;
-    const size_t forum_gen = static_cast<size_t>(p.forum);
-    p.id = static_cast<core::Id>(post_remap_[post_index]);
-    p.forum = forum_remap_[forum_gen];
-    const uint64_t key = static_cast<uint64_t>(p.id);
-    if (p.creation_date < split_) {
-      SNB_CHECK_OK(f_.post->Add(key, 0, Join(csv_rows::Post(p))));
-      SNB_CHECK_OK(
-          f_.post_creator->Add(key, 0, Join({I(p.id), I(p.creator)})));
-      for (core::Id t : p.tags) {
-        SNB_CHECK_OK(f_.post_tag->Add(key, 0, Join({I(p.id), I(t)})));
-      }
-      SNB_CHECK_OK(
-          f_.post_located->Add(key, 0, Join({I(p.id), I(p.country)})));
-      SNB_CHECK_OK(
-          f_.forum_container->Add(key, 0, Join({I(p.forum), I(p.id)})));
-    } else {
-      core::DateTime dep =
-          std::max(person_created_[static_cast<size_t>(p.creator)],
-                   forums_[forum_gen].creation_date);
-      UpdateEvent e{UpdateKind::kAddPost, p.creation_date, dep, std::move(p)};
-      SNB_CHECK_OK(f_.updates->Add(DateKey(e.timestamp),
-                                   UpdateKey2(UpdateKind::kAddPost, key),
-                                   FormatUpdateEventLine(e)));
-    }
-  }
-
-  void OnComment(uint32_t comment_index, const core::Comment& comment,
-                 core::DateTime parent_date) override {
-    core::Comment c = comment;
-    c.id = static_cast<core::Id>(comment_remap_[comment_index]);
-    if (c.reply_of_post != core::kNoId) {
-      c.reply_of_post = static_cast<core::Id>(
-          post_remap_[static_cast<size_t>(c.reply_of_post)]);
-    }
-    if (c.reply_of_comment != core::kNoId) {
-      c.reply_of_comment = static_cast<core::Id>(
-          comment_remap_[static_cast<size_t>(c.reply_of_comment)]);
-    }
-    const uint64_t key = static_cast<uint64_t>(c.id);
-    if (c.creation_date < split_) {
-      SNB_CHECK_OK(f_.comment->Add(key, 0, Join(csv_rows::Comment(c))));
-      SNB_CHECK_OK(
-          f_.comment_creator->Add(key, 0, Join({I(c.id), I(c.creator)})));
-      for (core::Id t : c.tags) {
-        SNB_CHECK_OK(f_.comment_tag->Add(key, 0, Join({I(c.id), I(t)})));
-      }
-      SNB_CHECK_OK(
-          f_.comment_located->Add(key, 0, Join({I(c.id), I(c.country)})));
-      if (c.reply_of_comment != core::kNoId) {
-        SNB_CHECK_OK(f_.comment_reply_comment->Add(
-            key, 0, Join({I(c.id), I(c.reply_of_comment)})));
-      }
-      if (c.reply_of_post != core::kNoId) {
-        SNB_CHECK_OK(f_.comment_reply_post->Add(
-            key, 0, Join({I(c.id), I(c.reply_of_post)})));
-      }
-    } else {
-      core::DateTime dep = std::max(
-          person_created_[static_cast<size_t>(c.creator)], parent_date);
-      UpdateEvent e{UpdateKind::kAddComment, c.creation_date, dep,
-                    std::move(c)};
-      SNB_CHECK_OK(f_.updates->Add(DateKey(e.timestamp),
-                                   UpdateKey2(UpdateKind::kAddComment, key),
-                                   FormatUpdateEventLine(e)));
-    }
-  }
-
-  void OnLike(const core::Like& like, core::DateTime message_date) override {
-    core::Like l = like;
-    l.message = static_cast<core::Id>(
-        l.is_post ? post_remap_[static_cast<size_t>(l.message)]
-                  : comment_remap_[static_cast<size_t>(l.message)]);
-    if (l.creation_date < split_) {
-      (l.is_post ? f_.likes_post : f_.likes_comment)
-          ->WriteRow(csv_rows::Like(l));
-    } else {
-      core::DateTime dep = std::max(
-          person_created_[static_cast<size_t>(l.person)], message_date);
-      UpdateKind kind =
-          l.is_post ? UpdateKind::kAddLikePost : UpdateKind::kAddLikeComment;
-      UpdateEvent e{kind, l.creation_date, dep, l};
-      // One generation-order sequence across both like kinds, mirroring the
-      // single likes loop of Generate(): the kind byte dominates the key, so
-      // a shared counter still yields ascending sequence within each kind.
-      SNB_CHECK_OK(f_.updates->Add(DateKey(e.timestamp),
-                                   UpdateKey2(kind, like_seq_++),
-                                   FormatUpdateEventLine(e)));
-    }
-  }
-
- private:
-  Files f_;
-  const std::vector<core::Forum>& forums_;
-  const std::vector<core::Id>& forum_remap_;
-  const std::vector<uint32_t>& post_remap_;
-  const std::vector<uint32_t>& comment_remap_;
-  const std::vector<core::DateTime>& person_created_;
-  const core::DateTime split_;
-  uint64_t like_seq_ = 0;
-};
-
-}  // namespace
-
-Status GenerateStreaming(const StreamingOptions& options,
-                         StreamingStats* stats) {
-  StreamingStats local;
-  StreamingStats& st = stats != nullptr ? *stats : local;
-  st = StreamingStats{};
-  const DatagenConfig& config = options.datagen;
-
-  size_t removed = 0;
-  SNB_RETURN_IF_ERROR(
-      ExternalSorter::RemoveOrphanSpills(options.spill_dir, &removed));
-  st.orphans_reclaimed = removed;
-
-  // Up to 12 sorters are live during emission plus slack for the direct
-  // writers; every sorter gets an equal slice of the budget.
-  const size_t per_sorter =
-      std::max<size_t>(size_t{64} << 10, options.memory_budget_bytes / 16);
-
-  // ---- pass 0: resident skeleton ------------------------------------------
-  Dictionaries dicts(config.seed);
-  std::vector<PersonDraft> drafts = GeneratePersons(config, dicts);
-  KnowsSpill knows_spill{options.spill_dir, per_sorter};
-  st.knows = GenerateKnows(config, dicts, drafts, &knows_spill);
-  FlashmobSchedule flashmobs(config, dicts);
-  ForumPhase fp = GenerateForums(config, dicts, drafts);
-  st.persons = drafts.size();
-  st.forums = fp.forums.size();
-  st.memberships = fp.memberships.size();
-
-  const size_t n = drafts.size();
-  std::vector<core::DateTime> person_created(n);
-  for (size_t i = 0; i < n; ++i) {
-    person_created[i] = drafts[i].record.creation_date;
-  }
-
-  // Forums are resident, so their creation-date id assignment is a plain
-  // stable sort — identical to AssignIdsByDate.
-  std::vector<uint32_t> forum_order(fp.forums.size());
-  std::iota(forum_order.begin(), forum_order.end(), uint32_t{0});
-  std::stable_sort(forum_order.begin(), forum_order.end(),
-                   [&fp](uint32_t a, uint32_t b) {
-                     return fp.forums[a].creation_date <
-                            fp.forums[b].creation_date;
-                   });
-  std::vector<core::Id> forum_remap(fp.forums.size());
-  for (size_t new_id = 0; new_id < forum_order.size(); ++new_id) {
-    forum_remap[forum_order[new_id]] = static_cast<core::Id>(new_id);
-  }
-
-  // ---- pass 1: census ------------------------------------------------------
-  std::vector<uint32_t> post_remap, comment_remap;
-  core::DateTime split = 0;
-  {
-    ExternalSorter post_keys(
-        {options.spill_dir, "census-post", per_sorter});
-    ExternalSorter comment_keys(
-        {options.spill_dir, "census-comment", per_sorter});
-    ExternalSorter stamps(
-        {options.spill_dir, "census-stamps", per_sorter});
-
-    for (size_t i = 0; i < n; ++i) {
-      SNB_RETURN_IF_ERROR(stamps.Add(DateKey(person_created[i]), 0));
-      const PersonDraft& d = drafts[i];
-      for (size_t k = 0; k < d.friends.size(); ++k) {
-        if (static_cast<core::Id>(d.friends[k]) > d.record.id) {
-          SNB_RETURN_IF_ERROR(stamps.Add(DateKey(d.friend_dates[k]), 0));
-        }
-      }
-    }
-    for (const core::Forum& f : fp.forums) {
-      SNB_RETURN_IF_ERROR(stamps.Add(DateKey(f.creation_date), 0));
-    }
-    for (const core::ForumMembership& m : fp.memberships) {
-      SNB_RETURN_IF_ERROR(stamps.Add(DateKey(m.join_date), 0));
-    }
-
-    CensusSink census(post_keys, comment_keys, stamps, st.likes);
-    GenerateMessages(config, dicts, drafts, flashmobs, fp, census);
-    st.posts = post_keys.size();
-    st.comments = comment_keys.size();
-    SNB_CHECK_LT(st.posts, size_t{UINT32_MAX});
-    SNB_CHECK_LT(st.comments, size_t{UINT32_MAX});
-
-    post_remap.resize(st.posts);
-    uint32_t rank = 0;
-    SNB_RETURN_IF_ERROR(post_keys.Merge(
-        [&post_remap, &rank](uint64_t, uint64_t idx, std::string_view) {
-          post_remap[static_cast<size_t>(idx)] = rank++;
-        }));
-    comment_remap.resize(st.comments);
-    rank = 0;
-    SNB_RETURN_IF_ERROR(comment_keys.Merge(
-        [&comment_remap, &rank](uint64_t, uint64_t idx, std::string_view) {
-          comment_remap[static_cast<size_t>(idx)] = rank++;
-        }));
-
-    // The bulk/update boundary: (1 - update_fraction) event-volume quantile,
-    // the cut-th element of the fully sorted stamp sequence — the value
-    // Generate() finds with nth_element.
-    const size_t total = stamps.size();
-    SNB_CHECK(total > 0);
-    size_t cut = static_cast<size_t>((1.0 - config.update_fraction) *
-                                     static_cast<double>(total));
-    if (cut >= total) cut = total - 1;
-    size_t pos = 0;
-    SNB_RETURN_IF_ERROR(
-        stamps.Merge([&pos, cut, &split](uint64_t k1, uint64_t, std::string_view) {
-          if (pos == cut) split = DateFromKey(k1);
-          ++pos;
-        }));
-    if (config.update_fraction < 1e-6) split = config.SimulationEnd() + 1;
-    st.spill_runs += post_keys.spill_runs() + comment_keys.spill_runs() +
-                     stamps.spill_runs();
-  }
-  st.split_time = split;
-
-  // ---- pass 2: emission ----------------------------------------------------
-  SNB_RETURN_IF_ERROR(WriteCsvBasicStatic(dicts.places(),
-                                          dicts.organisations(), dicts.tags(),
-                                          dicts.tag_classes(),
-                                          options.out_dir));
-  const std::string& out = options.out_dir;
-  CsvWriter w;
-
-  // Person files: bulk persons in draft (= id) order, straight from RAM.
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, out, "dynamic", "person"));
-  for (const PersonDraft& d : drafts) {
-    if (d.record.creation_date < split) w.WriteRow(csv_rows::Person(d.record));
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "person_email_emailaddress"));
-  for (const PersonDraft& d : drafts) {
-    if (d.record.creation_date >= split) continue;
-    for (const std::string& e : d.record.emails) {
-      w.WriteRow({I(d.record.id), e});
-    }
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "person_hasInterest_tag"));
-  for (const PersonDraft& d : drafts) {
-    if (d.record.creation_date >= split) continue;
-    for (core::Id t : d.record.interests) w.WriteRow({I(d.record.id), I(t)});
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "person_isLocatedIn_place"));
-  for (const PersonDraft& d : drafts) {
-    if (d.record.creation_date >= split) continue;
-    w.WriteRow({I(d.record.id), I(d.record.city)});
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "person_speaks_language"));
-  for (const PersonDraft& d : drafts) {
-    if (d.record.creation_date >= split) continue;
-    for (const std::string& lang : d.record.speaks) {
-      w.WriteRow({I(d.record.id), lang});
-    }
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "person_studyAt_organisation"));
-  for (const PersonDraft& d : drafts) {
-    if (d.record.creation_date >= split) continue;
-    for (const core::StudyAt& s : d.record.study_at) {
-      w.WriteRow({I(d.record.id), I(s.university),
-                  std::to_string(s.class_year)});
-    }
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "person_workAt_organisation"));
-  for (const PersonDraft& d : drafts) {
-    if (d.record.creation_date >= split) continue;
-    for (const core::WorkAt& wk : d.record.work_at) {
-      w.WriteRow({I(d.record.id), I(wk.company),
-                  std::to_string(wk.work_from)});
-    }
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  // Knows: one row per undirected edge (i < j), in (i, adjacency) order —
-  // generation order, no sort needed.
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "person_knows_person"));
-  for (size_t i = 0; i < n; ++i) {
-    const PersonDraft& d = drafts[i];
-    for (size_t k = 0; k < d.friends.size(); ++k) {
-      if (d.friends[k] <= i) continue;
-      if (d.friend_dates[k] >= split) continue;
-      w.WriteRow(csv_rows::Knows({static_cast<core::Id>(i),
-                                  static_cast<core::Id>(d.friends[k]),
-                                  d.friend_dates[k]}));
-    }
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  // Forum files: id order via the resident permutation.
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, out, "dynamic", "forum"));
-  for (size_t new_id = 0; new_id < forum_order.size(); ++new_id) {
-    core::Forum f = fp.forums[forum_order[new_id]];
-    if (f.creation_date >= split) continue;
-    f.id = static_cast<core::Id>(new_id);
-    w.WriteRow(csv_rows::Forum(f));
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "forum_hasModerator_person"));
-  for (size_t new_id = 0; new_id < forum_order.size(); ++new_id) {
-    const core::Forum& f = fp.forums[forum_order[new_id]];
-    if (f.creation_date >= split) continue;
-    w.WriteRow({I(static_cast<core::Id>(new_id)), I(f.moderator)});
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(w, out, "dynamic", "forum_hasTag_tag"));
-  for (size_t new_id = 0; new_id < forum_order.size(); ++new_id) {
-    const core::Forum& f = fp.forums[forum_order[new_id]];
-    if (f.creation_date >= split) continue;
-    for (core::Id t : f.tags) {
-      w.WriteRow({I(static_cast<core::Id>(new_id)), I(t)});
-    }
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  // Memberships: generation order, forum ids remapped.
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(w, out, "dynamic", "forum_hasMember_person"));
-  for (const core::ForumMembership& m : fp.memberships) {
-    if (m.join_date >= split) continue;
-    w.WriteRow(csv_rows::Membership(
-        {forum_remap[static_cast<size_t>(m.forum)], m.person, m.join_date}));
-  }
-  SNB_RETURN_IF_ERROR(w.Close());
-
-  // Message files: staged through id-keyed sorters; update stream lines
-  // through a timestamp-keyed sorter.
-  ExternalSorter s_post({options.spill_dir, "emit-post", per_sorter});
-  ExternalSorter s_post_creator(
-      {options.spill_dir, "emit-post-creator", per_sorter});
-  ExternalSorter s_post_tag({options.spill_dir, "emit-post-tag", per_sorter});
-  ExternalSorter s_post_located(
-      {options.spill_dir, "emit-post-located", per_sorter});
-  ExternalSorter s_container(
-      {options.spill_dir, "emit-container", per_sorter});
-  ExternalSorter s_comment({options.spill_dir, "emit-comment", per_sorter});
-  ExternalSorter s_comment_creator(
-      {options.spill_dir, "emit-comment-creator", per_sorter});
-  ExternalSorter s_comment_tag(
-      {options.spill_dir, "emit-comment-tag", per_sorter});
-  ExternalSorter s_comment_located(
-      {options.spill_dir, "emit-comment-located", per_sorter});
-  ExternalSorter s_reply_comment(
-      {options.spill_dir, "emit-reply-comment", per_sorter});
-  ExternalSorter s_reply_post(
-      {options.spill_dir, "emit-reply-post", per_sorter});
-  ExternalSorter s_updates({options.spill_dir, "emit-updates", per_sorter});
-
-  // Update events for the resident entities. Key2 encodes (kind, per-kind
-  // sequence), reproducing the insertion order that Generate()'s stable sort
-  // preserves for equal (timestamp, kind).
-  for (size_t i = 0; i < n; ++i) {
-    const PersonDraft& d = drafts[i];
-    if (d.record.creation_date < split) continue;
-    UpdateEvent e{UpdateKind::kAddPerson, d.record.creation_date, 0,
-                  d.record};
-    SNB_RETURN_IF_ERROR(s_updates.Add(DateKey(e.timestamp),
-                                      UpdateKey2(UpdateKind::kAddPerson, i),
-                                      FormatUpdateEventLine(e)));
-  }
-  {
-    uint64_t knows_seq = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const PersonDraft& d = drafts[i];
-      for (size_t k = 0; k < d.friends.size(); ++k) {
-        if (d.friends[k] <= i) continue;
-        if (d.friend_dates[k] < split) continue;
-        core::Knows edge{static_cast<core::Id>(i),
-                         static_cast<core::Id>(d.friends[k]),
-                         d.friend_dates[k]};
-        core::DateTime dep =
-            std::max(person_created[i],
-                     person_created[static_cast<size_t>(d.friends[k])]);
-        UpdateEvent e{UpdateKind::kAddKnows, edge.creation_date, dep, edge};
-        SNB_RETURN_IF_ERROR(
-            s_updates.Add(DateKey(e.timestamp),
-                          UpdateKey2(UpdateKind::kAddKnows, knows_seq++),
-                          FormatUpdateEventLine(e)));
-      }
-    }
-  }
-  for (size_t new_id = 0; new_id < forum_order.size(); ++new_id) {
-    core::Forum f = fp.forums[forum_order[new_id]];
-    if (f.creation_date < split) continue;
-    f.id = static_cast<core::Id>(new_id);
-    core::DateTime dep = person_created[static_cast<size_t>(f.moderator)];
-    UpdateEvent e{UpdateKind::kAddForum, f.creation_date, dep, std::move(f)};
-    SNB_RETURN_IF_ERROR(s_updates.Add(DateKey(e.timestamp),
-                                      UpdateKey2(UpdateKind::kAddForum, new_id),
-                                      FormatUpdateEventLine(e)));
-  }
-  {
-    uint64_t member_seq = 0;
-    for (const core::ForumMembership& m : fp.memberships) {
-      const uint64_t seq = member_seq++;
-      if (m.join_date < split) continue;
-      core::ForumMembership final_m{forum_remap[static_cast<size_t>(m.forum)],
-                                    m.person, m.join_date};
-      core::DateTime dep =
-          std::max(person_created[static_cast<size_t>(m.person)],
-                   fp.forums[static_cast<size_t>(m.forum)].creation_date);
-      UpdateEvent e{UpdateKind::kAddMembership, m.join_date, dep, final_m};
-      SNB_RETURN_IF_ERROR(
-          s_updates.Add(DateKey(e.timestamp),
-                        UpdateKey2(UpdateKind::kAddMembership, seq),
-                        FormatUpdateEventLine(e)));
-    }
-  }
-
-  // Likes stream straight to their files — generation order is file order.
-  CsvWriter likes_post_w, likes_comment_w;
-  SNB_RETURN_IF_ERROR(
-      OpenCsvBasicFile(likes_post_w, out, "dynamic", "person_likes_post"));
-  SNB_RETURN_IF_ERROR(OpenCsvBasicFile(likes_comment_w, out, "dynamic",
-                                       "person_likes_comment"));
-
-  EmitSink::Files files{&s_post,
-                        &s_post_creator,
-                        &s_post_tag,
-                        &s_post_located,
-                        &s_container,
-                        &s_comment,
-                        &s_comment_creator,
-                        &s_comment_tag,
-                        &s_comment_located,
-                        &s_reply_comment,
-                        &s_reply_post,
-                        &s_updates,
-                        &likes_post_w,
-                        &likes_comment_w};
-  EmitSink emit(files, fp.forums, forum_remap, post_remap, comment_remap,
-                person_created, split);
-  GenerateMessages(config, dicts, drafts, flashmobs, fp, emit);
-
-  SNB_RETURN_IF_ERROR(likes_post_w.Close());
-  SNB_RETURN_IF_ERROR(likes_comment_w.Close());
-
-  auto merge_file = [&](ExternalSorter& sorter,
-                        const std::string& stem) -> Status {
-    CsvWriter mw;
-    SNB_RETURN_IF_ERROR(OpenCsvBasicFile(mw, out, "dynamic", stem));
-    SNB_RETURN_IF_ERROR(sorter.Merge(
-        [&mw](uint64_t, uint64_t, std::string_view line) {
-          mw.WriteLine(line);
-        }));
-    st.spill_runs += sorter.spill_runs();
-    return mw.Close();
-  };
-  SNB_RETURN_IF_ERROR(merge_file(s_post, "post"));
-  SNB_RETURN_IF_ERROR(merge_file(s_post_creator, "post_hasCreator_person"));
-  SNB_RETURN_IF_ERROR(merge_file(s_post_tag, "post_hasTag_tag"));
-  SNB_RETURN_IF_ERROR(merge_file(s_post_located, "post_isLocatedIn_place"));
-  SNB_RETURN_IF_ERROR(merge_file(s_container, "forum_containerOf_post"));
-  SNB_RETURN_IF_ERROR(merge_file(s_comment, "comment"));
-  SNB_RETURN_IF_ERROR(
-      merge_file(s_comment_creator, "comment_hasCreator_person"));
-  SNB_RETURN_IF_ERROR(merge_file(s_comment_tag, "comment_hasTag_tag"));
-  SNB_RETURN_IF_ERROR(
-      merge_file(s_comment_located, "comment_isLocatedIn_place"));
-  SNB_RETURN_IF_ERROR(merge_file(s_reply_comment, "comment_replyOf_comment"));
-  SNB_RETURN_IF_ERROR(merge_file(s_reply_post, "comment_replyOf_post"));
-
-  // Update streams: merged by (timestamp, kind, seq) and routed per kind —
-  // the file split of WriteUpdateStreams.
-  st.update_events = s_updates.size();
-  {
-    std::error_code ec;
-    std::filesystem::create_directories(out, ec);
-    if (ec) return Status::IoError("cannot create directory " + out);
-    std::FILE* person_stream =
-        std::fopen((out + "/updateStream_0_0_person.csv").c_str(), "w");
-    if (person_stream == nullptr) {
-      return Status::IoError("cannot open person update stream");
-    }
-    std::FILE* forum_stream =
-        std::fopen((out + "/updateStream_0_0_forum.csv").c_str(), "w");
-    if (forum_stream == nullptr) {
-      std::fclose(person_stream);
-      return Status::IoError("cannot open forum update stream");
-    }
-    Status merge_status = s_updates.Merge(
-        [person_stream, forum_stream](uint64_t, uint64_t key2,
-                                      std::string_view line) {
-          std::FILE* target =
-              (key2 >> 56) ==
-                      static_cast<uint64_t>(UpdateKind::kAddPerson)
-                  ? person_stream
-                  : forum_stream;
-          std::fwrite(line.data(), 1, line.size(), target);
-          std::fputc('\n', target);
-        });
-    st.spill_runs += s_updates.spill_runs();
-    int rc1 = std::fclose(person_stream);
-    int rc2 = std::fclose(forum_stream);
-    SNB_RETURN_IF_ERROR(merge_status);
-    if (rc1 != 0 || rc2 != 0) {
-      return Status::IoError("fclose failed for update streams");
-    }
-  }
-  return Status::Ok();
+  return util::Status::Ok();
 }
 
 }  // namespace snb::datagen

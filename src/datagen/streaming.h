@@ -1,30 +1,6 @@
-// Bounded-memory streaming datagen (spec Fig. 2.2 run end-to-end without
-// materializing the message set).
-//
-// The in-memory Generate() keeps every post, comment and like resident until
-// serialization — at larger scale factors the message text dominates RAM.
-// GenerateStreaming produces byte-identical CsvBasic files and update
-// streams while never retaining a message:
-//
-//   pass 0  resident skeleton: persons, knows edges (window passes fed by an
-//           external key sort), forums + memberships. These are the compact
-//           entities whose cross-references every message depends on; they
-//           stay in RAM by design.
-//   pass 1  census: stream the messages once, spilling (creation-date,
-//           generation-index) keys and event timestamps to ExternalSorter
-//           runs. Merging yields the creation-date-ordered id assignment
-//           (exactly AssignIdsByDate's stable sort) and the bulk/update
-//           split quantile (exactly Generate's nth_element).
-//   pass 2  emission: stream the messages again — per-entity RNG streams
-//           make regeneration bit-identical — routing each formatted CSV
-//           line into an id-keyed external sorter (post/comment files),
-//           a timestamp-keyed sorter (update streams), or a direct writer
-//           (person/forum/membership/like files, whose output order equals
-//           generation order). Merging the sorters writes the final files.
-//
-// Resident memory: person drafts + forum phase + two 4-byte remap words per
-// message + the sorter buffers (memory_budget_bytes). Message content exists
-// only inside one sink callback at a time.
+// Datagen straight to disk: runs the in-memory Generate() and writes its
+// bulk dataset as CsvBasic plus its update streams, the layout that
+// storage::LoadCsvBasic and ReadUpdateStreams read back.
 
 #ifndef SNB_DATAGEN_STREAMING_H_
 #define SNB_DATAGEN_STREAMING_H_
@@ -44,11 +20,9 @@ struct StreamingOptions {
   /// two updateStream_0_0_*.csv files — the same layout as WriteCsvBasic +
   /// WriteUpdateStreams.
   std::string out_dir;
-  /// Spill directory for external-sort runs; orphans from a crashed prior
-  /// run are reclaimed on entry.
+  /// Unread. Kept only because perfbench still sets it.
   std::string spill_dir;
-  /// Total budget for in-memory sort runs across all live sorters. Small
-  /// budgets force spilling without changing any output byte.
+  /// Unread. Kept only because perfbench still sets it.
   size_t memory_budget_bytes = 256u << 20;
 };
 
@@ -61,14 +35,12 @@ struct StreamingStats {
   size_t comments = 0;
   size_t likes = 0;
   size_t update_events = 0;
-  size_t spill_runs = 0;          // external-sort runs spilled to disk
-  size_t orphans_reclaimed = 0;   // stale spill files removed on entry
-  int64_t split_time = 0;         // bulk/update boundary (ms since epoch)
+  int64_t split_time = 0;  // bulk/update boundary (ms since epoch)
 };
 
-/// Runs the streaming datagen. Deterministic in `options.datagen` alone;
-/// output is byte-identical to WriteCsvBasic(Generate(cfg).network) plus
-/// WriteUpdateStreams(Generate(cfg).updates) for every budget value.
+/// Generate(options.datagen), then WriteCsvBasic(network) and
+/// WriteUpdateStreams(updates) into `options.out_dir`. `stats` (optional)
+/// receives Generate's totals over bulk + updates and its split time.
 util::Status GenerateStreaming(const StreamingOptions& options,
                                StreamingStats* stats);
 

@@ -16,9 +16,9 @@ namespace {
 
 constexpr char kPersonStreamFile[] = "/updateStream_0_0_person.csv";
 constexpr char kForumStreamFile[] = "/updateStream_0_0_forum.csv";
-// DEL 1–8 ride in their own stream file so insert-only consumers (and the
-// streaming-datagen byte-identity oracle) never see a layout change: the
-// file exists only when the generator actually emitted deletes.
+// DEL 1–8 ride in their own stream file so insert-only consumers never see
+// a layout change: the file exists only when the generator actually
+// emitted deletes.
 constexpr char kDeleteStreamFile[] = "/updateStream_0_0_delete.csv";
 
 void AppendInt(std::string* out, int64_t v) {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "interactive/updates.h"
-#include "storage/export.h"
 #include "storage/recovery.h"
 #include "util/check.h"
 #include "util/failpoint.h"
@@ -145,9 +144,7 @@ util::StatusOr<RefreshReport> RunBatchedRefresh(
           // completed wholes, and (by default) never see tombstones at all.
           if (config.compact_deletes && shadow->HasTombstones()) {
             SNB_FAILPOINT_STATUS("refresh.compact");
-            shadow = std::make_shared<storage::Graph>(
-                storage::ExportNetwork(*shadow),
-                shadow->CompactionEpoch() + 1);
+            shadow = shadow->Compact();
           }
           SNB_FAILPOINT_STATUS("refresh.swap");
           handle.Replace(std::move(shadow));

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "storage/export.h"
 #include "util/check.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
@@ -1019,10 +1018,7 @@ util::Status WriteFrozen(const Graph& graph, const std::string& path) {
 util::Status WriteGraphImage(const Graph& graph, const std::string& path) {
   if (ImageCodec::Frozen(graph)) return WriteFrozen(graph, path);
   // Compact first: the image holds only what a build produces.
-  const uint32_t epoch =
-      graph.CompactionEpoch() + (graph.HasTombstones() ? 1 : 0);
-  const Graph compacted(ExportNetwork(graph), epoch);
-  return WriteFrozen(compacted, path);
+  return WriteFrozen(*graph.Compact(), path);
 }
 
 util::Status DecodeGraphImage(const std::string& path,

@@ -5,10 +5,9 @@
 // Only a *frozen* graph is written: one with no adjacency overflow, no
 // update tails (message-index tail, string-column tails) and no
 // tombstones — which is what a bulk load or a compaction produces. A graph
-// that holds any of these is compacted first (Graph(ExportNetwork(g)),
-// the form the CSV checkpoint used to export), so the decoded graph is
-// always a bulk-built graph: it accepts IU/DEL replay like any other and
-// owns fresh shared bases.
+// that holds any of these is compacted first (Graph::Compact()), so the
+// decoded graph is always a bulk-built graph: it accepts IU/DEL replay like
+// any other and owns fresh shared bases.
 //
 // File layout, every integer little-endian:
 //

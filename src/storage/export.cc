@@ -144,4 +144,9 @@ core::SocialNetwork ExportNetwork(const Graph& graph) {
   return net;
 }
 
+std::unique_ptr<Graph> Graph::Compact() const {
+  return std::make_unique<Graph>(ExportNetwork(*this),
+                                 compaction_epoch_ + (HasTombstones() ? 1 : 0));
+}
+
 }  // namespace snb::storage

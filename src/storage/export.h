@@ -1,9 +1,8 @@
 // Graph → raw-network export: the inverse of Graph construction,
 // reconstructing a core::SocialNetwork from the store's tables and
-// adjacency. Export followed by a rebuild is compaction (the refresh path,
-// recovery, and the checkpoint image writer for a graph that holds
-// updates); with the CSV serializers it also writes a graph out as a
-// dataset.
+// adjacency. Export followed by a rebuild is compaction (Graph::Compact,
+// defined in export.cc); with the CSV serializers the export also writes a
+// graph out as a dataset.
 
 #ifndef SNB_STORAGE_EXPORT_H_
 #define SNB_STORAGE_EXPORT_H_

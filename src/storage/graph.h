@@ -35,8 +35,8 @@
 // in tombstone bitmaps (tombstone.h) without touching the physical layout.
 // Scans filter through the bitmaps only when tombstones exist, so
 // insert-only graphs keep their unfiltered fast paths. Physical reclamation
-// is compaction: ExportNetwork skips dead rows and the re-built Graph
-// carries a bumped compaction epoch.
+// is compaction (Compact()): ExportNetwork skips dead rows and the
+// re-built Graph carries a bumped compaction epoch.
 
 #ifndef SNB_STORAGE_GRAPH_H_
 #define SNB_STORAGE_GRAPH_H_
@@ -186,6 +186,13 @@ class Graph {
   uint32_t TombstoneEpoch() const { return tombstone_epoch_; }
   /// Rebuild generation (0 for a bulk load; +1 per compaction).
   uint32_t CompactionEpoch() const { return compaction_epoch_; }
+
+  /// Compaction: a fresh bulk build of this graph's live state (dead rows
+  /// and deleted edges dropped, updates folded into the bulk columns).
+  /// Its epoch is CompactionEpoch() + 1 when tombstones existed, else
+  /// unchanged. Observationally equal to Graph(ExportNetwork(*this), …);
+  /// defined in export.cc.
+  std::unique_ptr<Graph> Compact() const;
 
   /// Number of likes whose target is `msg` and whose edge is still live —
   /// the delete-aware replacement for PostLikers()/CommentLikers() Degree.

@@ -14,7 +14,6 @@
 
 #include "interactive/updates.h"
 #include "storage/checkpoint_image.h"
-#include "storage/export.h"
 #include "storage/wal.h"
 #include "util/failpoint.h"
 #include "validate/validator.h"
@@ -223,10 +222,7 @@ util::StatusOr<RecoveryResult> RecoveryManager::Recover() const {
 
   // 4b. Compact replayed deletes: the recovered store hands out a
   //     tombstone-free graph, same as the refresh path publishes.
-  if (result.graph->HasTombstones()) {
-    result.graph = std::make_unique<Graph>(
-        ExportNetwork(*result.graph), result.graph->CompactionEpoch() + 1);
-  }
+  if (result.graph->HasTombstones()) result.graph = result.graph->Compact();
 
   // 5. Never serve unvalidated data off a crash path.
   validate::ValidationReport report = validate::ValidateGraph(*result.graph);

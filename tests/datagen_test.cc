@@ -1,17 +1,26 @@
 // Datagen tests: determinism, referential integrity, temporal ordering,
 // bulk/update-stream split, correlation (homophily), degree distribution,
-// flashmob time correlation, and scaling behaviour.
+// flashmob time correlation, scaling behaviour, and GenerateStreaming's
+// on-disk output.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "datagen/datagen.h"
 #include "datagen/person_generator.h"
+#include "datagen/serializer.h"
 #include "datagen/statistics.h"
+#include "datagen/streaming.h"
 #include "datagen/update_stream.h"
 
 namespace snb::datagen {
@@ -274,6 +283,54 @@ TEST_F(DatagenFixture, ActivityIsTimeCorrelated) {
   size_t median = daily[daily.size() / 2];
   size_t peak = daily.back();
   EXPECT_GE(peak, 3 * std::max<size_t>(median, 1));
+}
+
+TEST_F(DatagenFixture, GenerateStreamingWritesGenerateToDisk) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() /
+                        ("snb_datagen_test_" + std::to_string(getpid()));
+  fs::remove_all(root);
+  const fs::path ref = root / "ref";
+  const fs::path out = root / "out";
+  ASSERT_TRUE(WriteCsvBasic(data().network, ref.string()).ok());
+  ASSERT_TRUE(WriteUpdateStreams(data().updates, ref.string()).ok());
+  StreamingOptions options;
+  options.datagen = SmallConfig();
+  options.out_dir = out.string();
+  StreamingStats stats;
+  ASSERT_TRUE(GenerateStreaming(options, &stats).ok());
+
+  // Relative path → bytes of every file under `dir`.
+  auto files = [](const fs::path& dir) {
+    std::map<std::string, std::string> contents;
+    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+      if (!entry.is_regular_file()) continue;
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      contents[fs::relative(entry.path(), dir).string()] = bytes.str();
+    }
+    return contents;
+  };
+  const std::map<std::string, std::string> expected = files(ref);
+  const std::map<std::string, std::string> actual = files(out);
+  EXPECT_EQ(expected.size(), actual.size());
+  for (const auto& [rel, bytes] : expected) {
+    auto it = actual.find(rel);
+    ASSERT_NE(it, actual.end()) << "missing " << rel;
+    EXPECT_TRUE(it->second == bytes) << "file differs: " << rel;
+  }
+
+  EXPECT_EQ(stats.persons, data().total_persons);
+  EXPECT_EQ(stats.knows, data().total_knows);
+  EXPECT_EQ(stats.forums, data().total_forums);
+  EXPECT_EQ(stats.memberships, data().total_memberships);
+  EXPECT_EQ(stats.posts, data().total_posts);
+  EXPECT_EQ(stats.comments, data().total_comments);
+  EXPECT_EQ(stats.likes, data().total_likes);
+  EXPECT_EQ(stats.update_events, data().updates.size());
+  EXPECT_EQ(stats.split_time, data().split_time);
+  fs::remove_all(root);
 }
 
 TEST(MeanDegreeTest, GrowsSublinearly) {

@@ -18,6 +18,7 @@
 
 #include "bi/bi.h"
 #include "datagen/datagen.h"
+#include "datagen/update_stream.h"
 #include "interactive/updates.h"
 #include "storage/adjacency.h"
 #include "storage/export.h"
@@ -621,6 +622,71 @@ TEST(GraphUpdateTest, FarOutIdsResolveOnACopyAndAfterCompaction) {
   const Graph compacted(ExportNetwork(copy), copy.CompactionEpoch() + 1);
   expect_resolved(compacted, "compaction");
   const validate::ValidationReport report = validate::ValidateGraph(compacted);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// Every exported dynamic entity and edge as one update-stream line, in
+// export order: two networks render equal iff they export equal.
+std::string RenderExport(const Graph& g) {
+  const core::SocialNetwork net = ExportNetwork(g);
+  using datagen::UpdateKind;
+  std::string out = std::to_string(net.places.size()) + " " +
+                    std::to_string(net.organisations.size()) + " " +
+                    std::to_string(net.tags.size()) + " " +
+                    std::to_string(net.tag_classes.size()) + "\n";
+  auto add = [&out](UpdateKind kind, auto row) {
+    datagen::AppendUpdateEventLine({kind, 0, 0, std::move(row)}, &out);
+    out.push_back('\n');
+  };
+  for (const core::Person& p : net.persons) add(UpdateKind::kAddPerson, p);
+  for (const core::Knows& k : net.knows) add(UpdateKind::kAddKnows, k);
+  for (const core::Forum& f : net.forums) add(UpdateKind::kAddForum, f);
+  for (const core::ForumMembership& m : net.memberships) {
+    add(UpdateKind::kAddMembership, m);
+  }
+  for (const core::Post& p : net.posts) add(UpdateKind::kAddPost, p);
+  for (const core::Comment& c : net.comments) add(UpdateKind::kAddComment, c);
+  for (const core::Like& l : net.likes) {
+    add(l.is_post ? UpdateKind::kAddLikePost : UpdateKind::kAddLikeComment, l);
+  }
+  return out;
+}
+
+TEST(GraphCompactTest, MatchesExportRebuildAndBumpsTheEpochOnlyForTombstones) {
+  datagen::GeneratedData data = datagen::Generate(SmallConfig());
+  const std::vector<datagen::UpdateEvent> updates = std::move(data.updates);
+  const core::Id victim = data.network.persons.front().id;
+  Graph graph(std::move(data.network));
+  for (size_t i = 0; i < updates.size() && i < 400; ++i) {
+    ASSERT_TRUE(interactive::ApplyUpdate(graph, updates[i]).ok());
+  }
+  ASSERT_FALSE(graph.HasTombstones());
+
+  // Insert-only: the rebuild folds the updates in; the epoch stays.
+  std::unique_ptr<Graph> compacted = graph.Compact();
+  EXPECT_EQ(compacted->CompactionEpoch(), graph.CompactionEpoch());
+  EXPECT_EQ(RenderExport(*compacted),
+            RenderExport(Graph(ExportNetwork(graph), graph.CompactionEpoch())));
+
+  // Tombstoned: dead rows are dropped and the epoch goes up by one.
+  const core::DateTime at = updates.back().timestamp;
+  ASSERT_TRUE(interactive::ApplyUpdate(
+                  graph, {datagen::UpdateKind::kDelPerson, at, at,
+                          datagen::Delete{victim, core::kNoId}})
+                  .ok());
+  ASSERT_TRUE(graph.HasTombstones());
+  compacted = graph.Compact();
+  EXPECT_EQ(compacted->CompactionEpoch(), graph.CompactionEpoch() + 1);
+  EXPECT_FALSE(compacted->HasTombstones());
+  EXPECT_EQ(compacted->PersonIdx(victim), kNoIdx);
+  const Graph oracle(ExportNetwork(graph), graph.CompactionEpoch() + 1);
+  EXPECT_EQ(RenderExport(*compacted), RenderExport(oracle));
+  EXPECT_EQ(compacted->CompactionEpoch(), oracle.CompactionEpoch());
+
+  // A second compaction of a compacted graph changes nothing.
+  EXPECT_EQ(compacted->Compact()->CompactionEpoch(),
+            compacted->CompactionEpoch());
+  const validate::ValidationReport report = validate::ValidateGraph(*compacted);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 

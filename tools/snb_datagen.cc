@@ -1,25 +1,24 @@
-// snb_datagen — bounded-memory streaming datagen CLI.
+// snb_datagen — datagen CLI.
 //
-// Generates the CsvBasic dataset and update streams through
-// datagen::GenerateStreaming: messages are never materialized; external
-// merge-sort runs spill to --spill-dir under --budget-mb. Output is
-// byte-identical to the in-memory pipeline at every budget.
+// Generates the CsvBasic dataset and update streams (datagen::Generate,
+// written out by WriteCsvBasic and WriteUpdateStreams) under <out_dir>.
 //
-//   snb_datagen <out_dir> [--persons <n>] [--seed <s>] [--budget-mb <mb>]
-//               [--spill-dir <dir>]           default <out_dir>/.spill
+//   snb_datagen <out_dir> [--persons <n>]     n >= 2, default 1500
+//               [--seed <s>]
 //               [--verify-load]               load + build graph afterwards
 //               [--max-bytes-per-edge <b>]    with --verify-load: fail when
 //                                             the compressed store exceeds b
 //               [--derive-deletes]            derive a DEL 1–8 stream from
 //                                             the bulk dataset (opt-in; the
 //                                             classic output is insert-only)
-//               [--delete-days <n>]           spread deletes over n days
+//               [--delete-days <n>]           spread deletes over n >= 1 days
 //
 // Exit status: 0 on success, 1 on generation/load failure or a violated
 // --max-bytes-per-edge budget, 2 on usage errors.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -34,11 +33,21 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <out_dir> [--persons <n>] [--seed <s>] "
-               "[--budget-mb <mb>] [--spill-dir <dir>] [--verify-load] "
-               "[--max-bytes-per-edge <b>] [--derive-deletes] "
-               "[--delete-days <n>]\n",
+               "[--verify-load] [--max-bytes-per-edge <b>] "
+               "[--derive-deletes] [--delete-days <n>]\n"
+               "  --persons n >= 2, --delete-days n >= 1, "
+               "--max-bytes-per-edge b > 0\n",
                argv0);
   return 2;
+}
+
+// Parses all of `text` as a T: false on an empty string, trailing junk, a
+// sign on an unsigned type, or overflow.
+template <typename T>
+bool ParseValue(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end && ptr != text;
 }
 
 // Appends the derived DEL stream as the optional third update-stream file.
@@ -74,7 +83,6 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') return Usage(argv[0]);
   datagen::StreamingOptions options;
   options.out_dir = argv[1];
-  options.spill_dir = options.out_dir + "/.spill";
   bool verify_load = false;
   double max_bytes_per_edge = 0;
   bool derive_deletes = false;
@@ -82,34 +90,38 @@ int main(int argc, char** argv) {
 
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--persons") == 0 && i + 1 < argc) {
-      options.datagen.num_persons = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--seed") == 0 && i + 1 < argc) {
-      options.datagen.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(arg, "--budget-mb") == 0 && i + 1 < argc) {
-      options.memory_budget_bytes =
-          std::strtoull(argv[++i], nullptr, 10) << 20;
-    } else if (std::strcmp(arg, "--spill-dir") == 0 && i + 1 < argc) {
-      options.spill_dir = argv[++i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    bool ok = true;
+    if (std::strcmp(arg, "--persons") == 0 && value != nullptr) {
+      ok = ParseValue(value, &options.datagen.num_persons) &&
+           options.datagen.num_persons >= 2;
+      ++i;
+    } else if (std::strcmp(arg, "--seed") == 0 && value != nullptr) {
+      ok = ParseValue(value, &options.datagen.seed);
+      ++i;
     } else if (std::strcmp(arg, "--verify-load") == 0) {
       verify_load = true;
-    } else if (std::strcmp(arg, "--max-bytes-per-edge") == 0 && i + 1 < argc) {
-      max_bytes_per_edge = std::strtod(argv[++i], nullptr);
+    } else if (std::strcmp(arg, "--max-bytes-per-edge") == 0 &&
+               value != nullptr) {
+      ok = ParseValue(value, &max_bytes_per_edge) &&
+           std::isfinite(max_bytes_per_edge) && max_bytes_per_edge > 0;
       verify_load = true;
+      ++i;
     } else if (std::strcmp(arg, "--derive-deletes") == 0) {
       derive_deletes = true;
-    } else if (std::strcmp(arg, "--delete-days") == 0 && i + 1 < argc) {
-      delete_days = static_cast<int32_t>(std::strtol(argv[++i], nullptr, 10));
+    } else if (std::strcmp(arg, "--delete-days") == 0 && value != nullptr) {
+      ok = ParseValue(value, &delete_days) && delete_days >= 1;
       derive_deletes = true;
+      ++i;
     } else {
-      return Usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return Usage(argv[0]);
   }
 
-  std::printf("streaming datagen: %llu persons, seed %llu, budget %zu MiB\n",
+  std::printf("datagen: %llu persons, seed %llu\n",
               static_cast<unsigned long long>(options.datagen.num_persons),
-              static_cast<unsigned long long>(options.datagen.seed),
-              options.memory_budget_bytes >> 20);
+              static_cast<unsigned long long>(options.datagen.seed));
   datagen::StreamingStats stats;
   util::Status status = datagen::GenerateStreaming(options, &stats);
   if (!status.ok()) {
@@ -119,11 +131,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "  persons %zu, knows %zu, forums %zu, memberships %zu\n"
-      "  posts %zu, comments %zu, likes %zu, update events %zu\n"
-      "  spill runs %zu, orphans reclaimed %zu\n",
+      "  posts %zu, comments %zu, likes %zu, update events %zu\n",
       stats.persons, stats.knows, stats.forums, stats.memberships,
-      stats.posts, stats.comments, stats.likes, stats.update_events,
-      stats.spill_runs, stats.orphans_reclaimed);
+      stats.posts, stats.comments, stats.likes, stats.update_events);
 
   if (derive_deletes) {
     auto bulk = storage::LoadCsvBasic(options.out_dir);

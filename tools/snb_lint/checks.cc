@@ -543,8 +543,8 @@ std::set<std::string> CollectStatusFunctions(Ctx& ctx) {
   }
 
   // Pass 2 — disambiguation: a name also declared somewhere with a
-  // *non*-Status return type (TopK::Add vs ExternalSorter::Add) is dropped
-  // from the registry. The token level cannot resolve which overload a
+  // *non*-Status return type (MessageDateIndex::Append vs Wal::Append) is
+  // dropped from the registry. The token level cannot resolve which one a
   // call site binds to; the compiler's [[nodiscard]] on the Status classes
   // covers the ambiguous names exactly, by type. This check owns only the
   // unambiguous ones.
