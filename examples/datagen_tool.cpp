@@ -5,11 +5,15 @@
 // reference Datagen's social_network/ layout.
 //
 //   ./datagen_tool <output_dir> [--sf <name> | --persons <n>] [--seed <s>]
+//
+// A missing, malformed or out-of-range value (--persons below 2) is a
+// usage error: exit 2 with the usage text.
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "core/scale_factors.h"
 #include "datagen/datagen.h"
@@ -19,34 +23,55 @@
 #include "params/parameter_curation.h"
 #include "storage/graph.h"
 
+namespace {
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <output_dir> [--sf <name> | --persons <n>] "
+               "[--seed <s>]\n"
+               "  --persons n >= 2\n",
+               argv0);
+  return 2;
+}
+
+// Parses all of `text` as a T: false on an empty string, trailing junk, a
+// sign on an unsigned type, or overflow.
+template <typename T>
+bool ParseValue(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end && ptr != text;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace snb;  // NOLINT
 
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <output_dir> [--sf <name> | --persons <n>] "
-                 "[--seed <s>]\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc < 2 || argv[1][0] == '-') return Usage(argv[0]);
   std::string out_dir = argv[1];
   datagen::DatagenConfig config;
   config.num_persons = 1500;  // SF 0.1 by default
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--sf") == 0) {
-      auto sf = core::FindScaleFactor(argv[i + 1]);
+  for (int i = 2; i < argc; i += 2) {
+    const char* flag = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (value == nullptr) return Usage(argv[0]);  // a flag without a value
+    if (std::strcmp(flag, "--sf") == 0) {
+      auto sf = core::FindScaleFactor(value);
       if (!sf.has_value()) {
-        std::fprintf(stderr, "unknown scale factor %s\n", argv[i + 1]);
-        return 2;
+        std::fprintf(stderr, "unknown scale factor %s\n", value);
+        return Usage(argv[0]);
       }
       config.num_persons = sf->num_persons;
-    } else if (std::strcmp(argv[i], "--persons") == 0) {
-      config.num_persons = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      config.seed = std::strtoull(argv[i + 1], nullptr, 10);
+    } else if (std::strcmp(flag, "--persons") == 0) {
+      if (!ParseValue(value, &config.num_persons) || config.num_persons < 2) {
+        return Usage(argv[0]);
+      }
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      if (!ParseValue(value, &config.seed)) return Usage(argv[0]);
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
+      std::fprintf(stderr, "unknown flag %s\n", flag);
+      return Usage(argv[0]);
     }
   }
 

@@ -15,16 +15,23 @@
 // a copy of one small fixed graph (fuzz_graph.h): the IU 1–8 and DEL 1–8
 // mutators must never abort either, whatever the event names — missing,
 // tombstoned or already-present ids are Ok no-ops.
+//
+// The updated graph is then compacted, differentially: Graph::Compact()
+// must pass validate::ValidateGraph and export exactly what a bulk build of
+// the graph's export, Graph(ExportNetwork(g), epoch), exports.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "datagen/update_stream.h"
 #include "fuzz_graph.h"
 #include "interactive/updates.h"
+#include "storage/export.h"
 #include "storage/graph.h"
 #include "util/check.h"
+#include "validate/validator.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string line(reinterpret_cast<const char*>(data), size);
@@ -45,5 +52,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       new snb::storage::Graph(snb::fuzz::MakeFuzzNetwork());
   snb::storage::Graph graph(*base);
   SNB_CHECK(snb::interactive::ApplyUpdate(graph, event).ok());
+
+  const std::unique_ptr<snb::storage::Graph> compacted = graph.Compact();
+  SNB_CHECK(snb::validate::ValidateGraph(*compacted).ok());
+  const snb::storage::Graph oracle(
+      snb::storage::ExportNetwork(graph),
+      graph.CompactionEpoch() + (graph.HasTombstones() ? 1 : 0));
+  SNB_CHECK_EQ(compacted->CompactionEpoch(), oracle.CompactionEpoch());
+  SNB_CHECK(snb::storage::ExportNetwork(*compacted) ==
+            snb::storage::ExportNetwork(oracle));
   return 0;
 }

@@ -34,6 +34,8 @@ struct Place {
   std::string url;
   PlaceType type = PlaceType::kCity;
   Id part_of = kNoId;
+
+  bool operator==(const Place&) const = default;
 };
 
 enum class OrganisationType : uint8_t { kUniversity = 0, kCompany = 1 };
@@ -46,6 +48,8 @@ struct Organisation {
   std::string name;
   std::string url;
   Id place = kNoId;
+
+  bool operator==(const Organisation&) const = default;
 };
 
 /// Topic tag (Table 2.8), typed by exactly one TagClass.
@@ -54,6 +58,8 @@ struct Tag {
   std::string name;
   std::string url;
   Id tag_class = kNoId;
+
+  bool operator==(const Tag&) const = default;
 };
 
 /// Node of the tag-class hierarchy (Table 2.9); kNoId parent for the root.
@@ -62,6 +68,8 @@ struct TagClass {
   std::string name;
   std::string url;
   Id parent = kNoId;
+
+  bool operator==(const TagClass&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -72,12 +80,16 @@ struct TagClass {
 struct StudyAt {
   Id university = kNoId;
   int32_t class_year = 0;
+
+  bool operator==(const StudyAt&) const = default;
 };
 
 /// Person.workAt edge payload (Table 2.10).
 struct WorkAt {
   Id company = kNoId;
   int32_t work_from = 0;
+
+  bool operator==(const WorkAt&) const = default;
 };
 
 /// Person (Table 2.5) with its 1-to-N attribute edges inlined.
@@ -96,6 +108,8 @@ struct Person {
   std::vector<Id> interests;    // hasInterest → Tag
   std::vector<StudyAt> study_at;
   std::vector<WorkAt> work_at;
+
+  bool operator==(const Person&) const = default;
 };
 
 /// Undirected knows edge with creationDate payload (Table 2.10).
@@ -103,6 +117,8 @@ struct Knows {
   Id person1 = kNoId;
   Id person2 = kNoId;
   DateTime creation_date = 0;
+
+  bool operator==(const Knows&) const = default;
 };
 
 enum class ForumKind : uint8_t { kWall = 0, kGroup = 1, kAlbum = 2 };
@@ -117,6 +133,8 @@ struct Forum {
   Id moderator = kNoId;
   std::vector<Id> tags;
   ForumKind kind = ForumKind::kWall;
+
+  bool operator==(const Forum&) const = default;
 };
 
 /// Forum hasMember edge with joinDate payload.
@@ -124,6 +142,8 @@ struct ForumMembership {
   Id forum = kNoId;
   Id person = kNoId;
   DateTime join_date = 0;
+
+  bool operator==(const ForumMembership&) const = default;
 };
 
 /// Post (Tables 2.3 + 2.7). Exactly one of content / image_file is nonempty.
@@ -140,6 +160,8 @@ struct Post {
   Id forum = kNoId;
   Id country = kNoId;
   std::vector<Id> tags;
+
+  bool operator==(const Post&) const = default;
 };
 
 /// Comment (Table 2.3). Exactly one of reply_of_post / reply_of_comment is
@@ -156,6 +178,8 @@ struct Comment {
   Id reply_of_post = kNoId;
   Id reply_of_comment = kNoId;
   std::vector<Id> tags;
+
+  bool operator==(const Comment&) const = default;
 };
 
 /// Person likes Post/Comment edge with creationDate payload.
@@ -164,6 +188,8 @@ struct Like {
   Id message = kNoId;
   bool is_post = true;
   DateTime creation_date = 0;
+
+  bool operator==(const Like&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -187,6 +213,10 @@ struct SocialNetwork {
   std::vector<Post> posts;
   std::vector<Comment> comments;
   std::vector<Like> likes;
+
+  /// Record-by-record equality: two exports compare equal exactly when
+  /// their datasets are identical.
+  bool operator==(const SocialNetwork&) const = default;
 
   /// Total node count across all entity types (for Table 2.12 statistics).
   size_t NumNodes() const {

@@ -26,12 +26,12 @@
 //             *never observe a half-applied day*; a failed apply simply
 //             discards the shadow and re-copies. Deep deletes leave
 //             tombstones in the shadow; with compact_deletes the shadow is
-//             compacted (export of the live subgraph + rebuild) before it
-//             is published. The shadow mutates only what it copied, so
-//             readers of the previous snapshot keep reading the shared
-//             bases unchanged. Copy-per-batch trades memory bandwidth for
-//             zero read-side coordination — the right trade at BI's
-//             one-batch-per-day refresh cadence.
+//             compacted (its live rows gathered into fresh bases,
+//             Graph::Compact) before it is published. The shadow mutates
+//             only what it copied, so readers of the previous snapshot
+//             keep reading the shared bases unchanged. Copy-per-batch
+//             trades memory bandwidth for zero read-side coordination —
+//             the right trade at BI's one-batch-per-day refresh cadence.
 //   3. CHECK  Optionally every N batches: write the published snapshot as
 //             a new checkpoint image (storage/recovery.h rotation protocol),
 //             which bounds recovery replay time.
@@ -119,7 +119,8 @@ struct RefreshConfig {
   uint64_t seed = 42;
 
   /// Compact the shadow before publishing when a batch left tombstones
-  /// (export the live subgraph and rebuild, bumping the compaction epoch).
+  /// (Graph::Compact: the live rows gathered into fresh bases, bumping the
+  /// compaction epoch).
   /// Published snapshots are then always tombstone-free; readers never pay
   /// the filtered scan paths. With false, the bitmaps are published as-is
   /// and, because every later shadow is a member-wise copy, tombstones,

@@ -169,6 +169,61 @@ class AdjacencyList {
     }
   }
 
+  /// What a Remapped() map returns for a node or target it drops (the
+  /// graph's kNoIdx).
+  static constexpr uint32_t kDropped = UINT32_MAX;
+
+  /// This relation rebuilt as a fresh base over `num_nodes` nodes, its
+  /// overflow folded in: edge s → t becomes source(s) → target(t) with its
+  /// date, and is dropped when either map returns kDropped or drop(s, t)
+  /// holds. `source` must number the nodes it keeps 0, 1, ... in order and
+  /// `target` must be monotone, so every base span stays sorted and only
+  /// the spans that took appends can need sorting; the result is laid out
+  /// exactly as Build lays out the same edges. Compaction rewrites each
+  /// relation through its row maps with this.
+  template <typename SourceFn, typename TargetFn, typename DropFn>
+  AdjacencyList Remapped(size_t num_nodes, SourceFn&& source,
+                         TargetFn&& target, DropFn&& drop) const {
+    const columnar::CompressedCsr& csr = *csr_;
+    std::vector<uint64_t> offsets{0}, targets, dates;
+    offsets.reserve(num_nodes + 1);
+    targets.reserve(num_edges());
+    if (with_dates_) dates.reserve(num_edges());
+    auto keep = [&](uint32_t s, uint32_t t, core::DateTime date) {
+      const uint32_t dst = target(t);
+      if (dst == kDropped || drop(s, t)) return;
+      targets.push_back(dst);
+      if (with_dates_) dates.push_back(static_cast<uint64_t>(date));
+    };
+    uint64_t k = 0;
+    for (uint32_t node = 0; node < num_nodes_; ++node) {
+      const uint64_t end = node < csr.num_nodes() ? csr.EdgeEnd(node) : k;
+      if (source(node) == kDropped) {
+        k = end;
+        continue;
+      }
+      for (; k < end; ++k) {
+        keep(node, csr.TargetAt(k), with_dates_ ? csr.DateAt(k) : 0);
+      }
+      if (node < head_.size() && head_[node] != kNilEntry) {
+        const size_t span = offsets.back();
+        for (uint32_t e = head_[node]; e != kNilEntry; e = overflow_[e].next) {
+          keep(node, overflow_[e].target, overflow_[e].date);
+        }
+        SortSpan(span, with_dates_, &targets, &dates);
+      }
+      offsets.push_back(targets.size());
+    }
+    SNB_CHECK_EQ(offsets.size(), num_nodes + 1);
+    auto rebuilt = std::make_shared<columnar::CompressedCsr>();
+    rebuilt->BuildSorted(offsets, targets, dates, with_dates_);
+    AdjacencyList out;
+    out.csr_ = std::move(rebuilt);
+    out.num_nodes_ = num_nodes;
+    out.with_dates_ = with_dates_;
+    return out;
+  }
+
   /// Materializes the merged neighbour list (used by callers that need to
   /// sort or binary-search).
   std::vector<uint32_t> Collect(uint32_t node) const {
@@ -218,6 +273,39 @@ class AdjacencyList {
   friend struct ImageCodec;  // checkpoint image (checkpoint_image.cc)
 
   static constexpr uint32_t kNilEntry = UINT32_MAX;
+
+  /// Sorts the span of `targets` (and the parallel `dates`, when `dated`)
+  /// from `first` on by (target, date), as Build orders a span. Appends
+  /// mostly name newer rows, so the span is checked in place first.
+  static void SortSpan(size_t first, bool dated,
+                       std::vector<uint64_t>* targets,
+                       std::vector<uint64_t>* dates) {
+    auto date = [dates](size_t i) {
+      return static_cast<core::DateTime>((*dates)[i]);
+    };
+    bool sorted = true;
+    for (size_t i = first + 1; sorted && i < targets->size(); ++i) {
+      const uint64_t prev = (*targets)[i - 1], next = (*targets)[i];
+      sorted = prev < next ||
+               (prev == next && (!dated || date(i - 1) <= date(i)));
+    }
+    if (sorted) return;
+    if (!dated) {
+      std::sort(targets->begin() + static_cast<ptrdiff_t>(first),
+                targets->end());
+      return;
+    }
+    std::vector<std::pair<uint64_t, core::DateTime>> span;
+    span.reserve(targets->size() - first);
+    for (size_t i = first; i < targets->size(); ++i) {
+      span.emplace_back((*targets)[i], date(i));
+    }
+    std::sort(span.begin(), span.end());
+    for (size_t i = 0; i < span.size(); ++i) {
+      (*targets)[first + i] = span[i].first;
+      (*dates)[first + i] = static_cast<uint64_t>(span[i].second);
+    }
+  }
 
   /// One overflow edge; `next` threads the per-node chain in append order.
   struct OverflowEntry {

@@ -38,14 +38,23 @@ class PackedArray {
  public:
   PackedArray() = default;
 
-  /// Packs `values` at width `bits`; every value must fit (checked).
-  PackedArray(std::span<const uint64_t> values, unsigned bits)
+  /// Packs `values` less `base` at width `bits`; every difference must fit
+  /// (checked). The words start zeroed and fill in order, so each value is
+  /// OR-ed into place.
+  PackedArray(std::span<const uint64_t> values, unsigned bits,
+              uint64_t base = 0)
       : size_(values.size()), bits_(bits) {
     SNB_CHECK_LE(bits, 64u);
     words_.assign(WordCount(size_, bits), 0);
+    if (bits == 0) return;
     for (size_t i = 0; i < values.size(); ++i) {
-      SNB_DCHECK(BitWidth(values[i]) <= bits_);
-      Set(i, values[i]);
+      const uint64_t v = values[i] - base;
+      SNB_DCHECK(BitWidth(v) <= bits_);
+      const size_t bit = i * bits;
+      const size_t w = bit >> 6;
+      const unsigned off = bit & 63;
+      words_[w] |= v << off;
+      if (off + bits > 64) words_[w + 1] |= v >> (64 - off);
     }
   }
 

@@ -54,13 +54,12 @@ ColumnBlock ColumnBlock::EncodeFor(std::span<const uint64_t> values) {
   ColumnBlock block;
   block.encoding_ = BlockEncoding::kForPacked;
   block.count_ = static_cast<uint32_t>(values.size());
-  block.min_ = *std::min_element(values.begin(), values.end());
-  block.max_ = *std::max_element(values.begin(), values.end());
+  const auto [min, max] = std::minmax_element(values.begin(), values.end());
+  block.min_ = *min;
+  block.max_ = *max;
   block.base_ = block.min_;
-  std::vector<uint64_t> rebased(values.size());
-  for (size_t i = 0; i < values.size(); ++i) rebased[i] = values[i] - block.min_;
   block.packed_ =
-      PackedArray(rebased, BitWidth(block.max_ - block.min_));
+      PackedArray(values, BitWidth(block.max_ - block.min_), block.base_);
   return block;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace snb::storage::columnar {
@@ -53,6 +54,21 @@ void CompressedCsr::Build(size_t num_nodes, std::vector<EdgeInput> edges,
   } else {
     dates_ = ZonedColumn();
   }
+}
+
+void CompressedCsr::BuildSorted(std::span<const uint64_t> offsets,
+                                std::span<const uint64_t> targets,
+                                std::span<const uint64_t> dates,
+                                bool with_dates) {
+  SNB_CHECK(!offsets.empty());
+  SNB_CHECK_EQ(offsets.back(), targets.size());
+  SNB_CHECK_EQ(dates.size(), with_dates ? targets.size() : 0);
+  num_nodes_ = offsets.size() - 1;
+  num_edges_ = targets.size();
+  with_dates_ = with_dates;
+  offsets_ = ZonedColumn::BuildFor(offsets);
+  targets_ = ZonedColumn::BuildFor(targets);
+  dates_ = with_dates ? ZonedColumn::BuildFor(dates) : ZonedColumn();
 }
 
 }  // namespace snb::storage::columnar

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/date_time.h"
@@ -52,6 +53,14 @@ class CompressedCsr {
   /// sorted by (src, dst, date), so every node's span comes out sorted by
   /// (target, date) — the `adjacency-sorted` validator invariant.
   void Build(size_t num_nodes, std::vector<EdgeInput> edges, bool with_dates);
+
+  /// Encodes the three columns as given: `offsets` (num_nodes + 1 edge
+  /// positions), `targets` and, when `with_dates`, the parallel `dates`
+  /// (else empty), already in (src, dst, date) order: how a relation
+  /// rewritten span by span (AdjacencyList::Remapped) is encoded.
+  void BuildSorted(std::span<const uint64_t> offsets,
+                   std::span<const uint64_t> targets,
+                   std::span<const uint64_t> dates, bool with_dates);
 
   size_t num_nodes() const { return num_nodes_; }
   size_t num_edges() const { return num_edges_; }

@@ -56,6 +56,21 @@ class ListColumn {
     offsets_.push_back(offsets_.back() + static_cast<uint32_t>(items.size()));
   }
 
+  /// Appends a copy of `other`'s row `i`, item by item as Append does, so
+  /// the column grows exactly as if the row's items were appended.
+  void AppendRow(const ListColumn& other, size_t i) {
+    SNB_DCHECK(i + 1 < other.offsets_.size());
+    for (uint32_t k = other.offsets_[i]; k < other.offsets_[i + 1]; ++k) {
+      if constexpr (kStrings) {
+        values_.Append(other.values_.At(k));
+      } else {
+        values_.push_back(other.values_[k]);
+      }
+    }
+    offsets_.push_back(offsets_.back() + other.offsets_[i + 1] -
+                       other.offsets_[i]);
+  }
+
   /// Heap bytes held (memory-accounting API).
   size_t ByteSize() const {
     size_t values = 0;

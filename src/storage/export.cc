@@ -99,8 +99,9 @@ core::SocialNetwork ExportNetwork(const Graph& graph) {
        [&](uint32_t i) { return g.TagClassAt(i); });
   rows(net.tags, g.NumTags(), all, [&](uint32_t i) { return g.TagAt(i); });
 
-  // Dynamic entities: tombstoned rows are dropped here — export followed by
-  // a rebuild *is* compaction, the only point where deletes become physical.
+  // Dynamic entities: tombstoned rows are dropped, so a graph rebuilt from
+  // the export is the compaction oracle that Graph::Compact() (compact.cc)
+  // is tested against.
   rows(net.persons, g.NumPersons(),
        [&](uint32_t i) { return g.PersonAlive(i); },
        [&](uint32_t i) { return ExportPerson(g, i); });
@@ -142,11 +143,6 @@ core::SocialNetwork ExportNetwork(const Graph& graph) {
   }
 
   return net;
-}
-
-std::unique_ptr<Graph> Graph::Compact() const {
-  return std::make_unique<Graph>(ExportNetwork(*this),
-                                 compaction_epoch_ + (HasTombstones() ? 1 : 0));
 }
 
 }  // namespace snb::storage

@@ -1,8 +1,9 @@
 // Graph → raw-network export: the inverse of Graph construction,
 // reconstructing a core::SocialNetwork from the store's tables and
-// adjacency. Export followed by a rebuild is compaction (Graph::Compact,
-// defined in export.cc); with the CSV serializers the export also writes a
-// graph out as a dataset.
+// adjacency. With the CSV serializers it writes a graph out as a dataset.
+// A rebuild of the export, Graph(ExportNetwork(g), epoch), is the test
+// oracle of compaction: Graph::Compact() (compact.cc) builds the same
+// graph from g's columns without it.
 
 #ifndef SNB_STORAGE_EXPORT_H_
 #define SNB_STORAGE_EXPORT_H_

@@ -14,7 +14,8 @@
 // columns and adjacency) as one segment, each relation's CSR base
 // (adjacency.h), the message-date index's sorted base (message_index.h)
 // and the bulk-loaded rows of every string column (string_column.h). Only
-// a build — bulk load, compaction, recovery — makes new bases.
+// a build — bulk load, compaction, recovery — makes new bases (compaction
+// keeps sharing the static segment).
 //
 // Posts and comments are distinct tables; a *message reference* encodes
 // either in one uint32: bit 31 clear → post index, bit 31 set → comment
@@ -35,8 +36,9 @@
 // in tombstone bitmaps (tombstone.h) without touching the physical layout.
 // Scans filter through the bitmaps only when tombstones exist, so
 // insert-only graphs keep their unfiltered fast paths. Physical reclamation
-// is compaction (Compact()): ExportNetwork skips dead rows and the
-// re-built Graph carries a bumped compaction epoch.
+// is compaction (Compact()): the live rows are gathered column to column
+// through old → new row maps into a fresh frozen Graph with a bumped
+// compaction epoch.
 
 #ifndef SNB_STORAGE_GRAPH_H_
 #define SNB_STORAGE_GRAPH_H_
@@ -68,9 +70,10 @@ constexpr uint32_t kNoIdx = columnar::FlatIdTable::kNoRow;
 
 class Graph {
  public:
-  /// Builds all indexes from a raw network (consumed). `compaction_epoch`
-  /// stamps the generation this graph belongs to: 0 for a bulk load,
-  /// previous epoch + 1 when rebuilding from a tombstoned graph's export.
+  /// Builds all indexes from a raw network (consumed): the bulk load.
+  /// `compaction_epoch` stamps the generation this graph belongs to: 0 for
+  /// a bulk load, previous epoch + 1 when rebuilding a tombstoned graph's
+  /// export (Compact()'s oracle).
   explicit Graph(core::SocialNetwork net, uint32_t compaction_epoch = 0);
 
   /// Member-wise copy — the refresh writer's private shadow of a published
@@ -187,11 +190,12 @@ class Graph {
   /// Rebuild generation (0 for a bulk load; +1 per compaction).
   uint32_t CompactionEpoch() const { return compaction_epoch_; }
 
-  /// Compaction: a fresh bulk build of this graph's live state (dead rows
-  /// and deleted edges dropped, updates folded into the bulk columns).
-  /// Its epoch is CompactionEpoch() + 1 when tombstones existed, else
-  /// unchanged. Observationally equal to Graph(ExportNetwork(*this), …);
-  /// defined in export.cc.
+  /// Compaction: a frozen graph of this graph's live state, built from its
+  /// columns (dead rows and deleted edges dropped, overflow and tails
+  /// folded into fresh bases; see compact.cc). Its epoch is
+  /// CompactionEpoch() + 1 when tombstones existed, else unchanged. Laid
+  /// out exactly as Graph(ExportNetwork(*this), epoch), its test oracle:
+  /// the two write byte-identical checkpoint images.
   std::unique_ptr<Graph> Compact() const;
 
   /// Number of likes whose target is `msg` and whose edge is still live —
@@ -657,8 +661,9 @@ class Graph {
   /// and a dictionary holding only the member initializer's "female".
   Graph() = default;
 
-  /// The static reference data: built once per Graph(SocialNetwork) and
-  /// never mutated after, so every copy of that snapshot shares it.
+  /// The static reference data: built once per Graph(SocialNetwork) (or
+  /// image decode) and never mutated after, so every copy and every
+  /// compaction of that graph shares it.
   struct StaticSegment {
     std::vector<core::Tag> tags;
     std::vector<core::TagClass> tag_classes;

@@ -1,6 +1,7 @@
 #include "storage/message_index.h"
 
-#include <numeric>
+#include <algorithm>
+#include <cstdint>
 
 namespace snb::storage {
 
@@ -14,25 +15,49 @@ constexpr uint32_t kCommentBit = 0x80000000u;
 
 void MessageDateIndex::Build(const std::vector<core::DateTime>& post_dates,
                              const std::vector<core::DateTime>& comment_dates) {
-  const size_t n = post_dates.size() + comment_dates.size();
-  auto base = std::make_shared<Base>();
-  std::vector<uint32_t>& refs = base->refs;
-  refs.resize(n);
-  std::iota(refs.begin(), refs.begin() + post_dates.size(), 0u);
-  for (size_t i = 0; i < comment_dates.size(); ++i) {
-    refs[post_dates.size() + i] = static_cast<uint32_t>(i) | kCommentBit;
-  }
-  auto date_of = [&](uint32_t ref) {
-    return (ref & kCommentBit) == 0 ? post_dates[ref]
-                                    : comment_dates[ref & ~kCommentBit];
+  struct Entry {
+    uint64_t key;
+    uint32_t ref;
   };
-  std::sort(refs.begin(), refs.end(), [&](uint32_t a, uint32_t b) {
-    core::DateTime da = date_of(a), db = date_of(b);
-    if (da != db) return da < db;
-    return a < b;
-  });
+  const size_t n = post_dates.size() + comment_dates.size();
+  std::vector<Entry> entries(n);
+  for (size_t i = 0; i < post_dates.size(); ++i) {
+    entries[i] = {DateKey(post_dates[i]), static_cast<uint32_t>(i)};
+  }
+  for (size_t i = 0; i < comment_dates.size(); ++i) {
+    entries[post_dates.size() + i] = {DateKey(comment_dates[i]),
+                                      static_cast<uint32_t>(i) | kCommentBit};
+  }
+  // The entries start in ref order (posts, then comments, each by row), so
+  // a stable sort by date key alone orders them by (date, ref): an LSD
+  // radix sort over the keys' span above their minimum, kBits per pass.
+  uint64_t lo = UINT64_MAX, hi = 0;
+  for (const Entry& e : entries) {
+    lo = std::min(lo, e.key);
+    hi = std::max(hi, e.key);
+  }
+  constexpr unsigned kBits = 11;
+  constexpr uint64_t kMask = (uint64_t{1} << kBits) - 1;
+  std::vector<Entry> sorted(n);
+  std::vector<size_t> next(kMask + 2);
+  for (unsigned shift = 0; shift < 64 && n > 0 && ((hi - lo) >> shift) != 0;
+       shift += kBits) {
+    auto digit = [lo, shift](const Entry& e) {
+      return ((e.key - lo) >> shift) & kMask;
+    };
+    std::fill(next.begin(), next.end(), 0);
+    for (const Entry& e : entries) ++next[digit(e) + 1];
+    for (size_t d = 1; d < next.size(); ++d) next[d] += next[d - 1];
+    for (const Entry& e : entries) sorted[next[digit(e)]++] = e;
+    entries.swap(sorted);
+  }
+  auto base = std::make_shared<Base>();
+  base->refs.resize(n);
   std::vector<uint64_t> keys(n);
-  for (size_t i = 0; i < n; ++i) keys[i] = DateKey(date_of(refs[i]));
+  for (size_t i = 0; i < n; ++i) {
+    base->refs[i] = entries[i].ref;
+    keys[i] = entries[i].key;
+  }
   base->dates = columnar::ZonedColumn::BuildDelta(keys);
   base_ = std::move(base);
 }

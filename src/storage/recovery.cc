@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -203,8 +204,16 @@ util::StatusOr<RecoveryResult> RecoveryManager::Recover() const {
   //    the cascade torn by the crash never reached a published snapshot,
   //    so re-running it on the checkpoint graph is the roll-forward repair
   //    (Delete* no-ops on already-gone targets keep this idempotent).
+  // Each phase's wall time lands in `*ms` (RecoveryResult's phase set).
+  auto t0 = std::chrono::steady_clock::now();
+  auto lap = [&t0](double* ms) {
+    const auto now = std::chrono::steady_clock::now();
+    *ms = std::chrono::duration<double, std::milli>(now - t0).count();
+    t0 = now;
+  };
   SNB_RETURN_IF_ERROR(DecodeGraphImage(
       paths.checkpoint + "/" + kImageFileName, &result.graph));
+  lap(&result.decode_ms);
   for (const WalBatch& batch : scan.batches) {
     if (batch.day <= result.checkpoint_day) continue;  // in the checkpoint
     for (const datagen::UpdateEvent& event : batch.events) {
@@ -219,13 +228,18 @@ util::StatusOr<RecoveryResult> RecoveryManager::Recover() const {
     ++result.replayed_batches;
     result.last_committed_day = batch.day;
   }
+  lap(&result.replay_ms);
 
   // 4b. Compact replayed deletes: the recovered store hands out a
   //     tombstone-free graph, same as the refresh path publishes.
-  if (result.graph->HasTombstones()) result.graph = result.graph->Compact();
+  if (result.graph->HasTombstones()) {
+    result.graph = result.graph->Compact();
+    lap(&result.compact_ms);
+  }
 
   // 5. Never serve unvalidated data off a crash path.
   validate::ValidationReport report = validate::ValidateGraph(*result.graph);
+  lap(&result.validate_ms);
   if (!report.ok()) {
     return util::Status::Corruption("recovered store fails validation:\n" +
                                     report.ToString());

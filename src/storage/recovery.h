@@ -81,6 +81,15 @@ struct RecoveryResult {
   /// Torn-tail bytes dropped from the WAL (0 when the log scanned clean).
   uint64_t truncated_bytes = 0;
   std::string truncation_reason;
+
+  /// Wall time of each phase, in ms: decoding the checkpoint image,
+  /// replaying the committed WAL batches newer than it, compacting the
+  /// tombstones the replay left (0 when it left none) and validating the
+  /// result.
+  double decode_ms = 0;
+  double replay_ms = 0;
+  double compact_ms = 0;
+  double validate_ms = 0;
 };
 
 /// Opens a store directory after a (real or simulated) crash.

@@ -3,8 +3,8 @@
 // Deletion over the columnar store is logical: a cascade marks rows dead in
 // word-packed bitmaps while the underlying tables, adjacency spans, and zone
 // maps stay physically intact. Readers filter through the bitmaps; physical
-// reclamation happens only at compaction, when the live subgraph is exported
-// and rebuilt into a fresh Graph (bumping its compaction epoch). Keeping the
+// reclamation happens only at compaction, when the live rows are gathered
+// into a fresh Graph (bumping its compaction epoch). Keeping the
 // raw rows in place is what preserves the zone-map safety argument: a zone
 // maximum computed over all rows still upper-bounds the live subset.
 

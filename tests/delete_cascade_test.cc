@@ -36,6 +36,7 @@
 
 #include "bi/bi.h"
 #include "bi/naive.h"
+#include "compact_oracle.h"
 #include "core/date_time.h"
 #include "datagen/datagen.h"
 #include "datagen/delete_stream.h"
@@ -207,6 +208,9 @@ TEST_F(DeleteCascadeTest, CascadeKillsWholeSubtreeAndValidatorHolds) {
   // (and every pre-existing one) holds on the *uncompacted* graph.
   validate::ValidationReport report = validate::ValidateGraph(graph);
   EXPECT_TRUE(report.ok()) << report.ToString();
+  // Compaction drops exactly the dead rows and edges: it builds what the
+  // export of the tombstoned graph rebuilds.
+  testfixture::ExpectCompactsLikeRebuild(graph, "tombstoned");
 }
 
 TEST_F(DeleteCascadeTest, DeletesAreIdempotentBeforeAndAfterCompaction) {
@@ -228,14 +232,17 @@ TEST_F(DeleteCascadeTest, DeletesAreIdempotentBeforeAndAfterCompaction) {
   // After compaction the targets are *gone*, not tombstoned — replaying
   // the same deletes must still no-op (the resume_after_day case where a
   // checkpoint already contains the batch).
-  Graph compacted(ExportNetwork(graph), graph.CompactionEpoch() + 1);
-  EXPECT_FALSE(compacted.HasTombstones());
-  const BiProbeResults compact_before = RunProbes(compacted);
+  std::unique_ptr<Graph> compacted =
+      testfixture::ExpectCompactsLikeRebuild(graph, "replayed tombstoned");
+  EXPECT_FALSE(compacted->HasTombstones());
+  const BiProbeResults compact_before = RunProbes(*compacted);
   for (const datagen::UpdateEvent& event : Fixture().deletes) {
-    ASSERT_TRUE(interactive::ApplyUpdate(compacted, event).ok());
+    ASSERT_TRUE(interactive::ApplyUpdate(*compacted, event).ok());
   }
-  EXPECT_FALSE(compacted.HasTombstones());
-  EXPECT_EQ(RunProbes(compacted), compact_before);
+  EXPECT_FALSE(compacted->HasTombstones());
+  EXPECT_EQ(RunProbes(*compacted), compact_before);
+  // Compacting again changes nothing.
+  testfixture::ExpectCompactsLikeRebuild(*compacted, "compacted");
 }
 
 // ---------------------------------------------------------------------------
@@ -386,6 +393,8 @@ TEST_F(DeleteCascadeTest, RefreshRetriesTornCascadeAsTransient) {
   ASSERT_TRUE(report_or.ok()) << report_or.status().ToString();
   EXPECT_GE(report_or.value().retries, 1u);
   EXPECT_EQ(RunProbes(*handle.Current()), reference);
+  testfixture::ExpectCompactsLikeRebuild(*handle.Current(),
+                                         "torn-and-retried");
 }
 
 // ---------------------------------------------------------------------------
